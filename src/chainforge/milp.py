@@ -6,6 +6,14 @@ either bound, so capacity-style upper bounds never become extra rows),
 two phases when a starting basis is not obvious, and a best-first branch
 and bound over binary variables on top.
 
+Only the root relaxation is solved from scratch.  Every branch-and-bound
+child, and the rounding heuristic, starts from a copy of its parent's
+final tableau with the branched binaries fixed.  Fixing a bound keeps
+the parent basis dual feasible but can make it primal infeasible, so a
+bounded-variable dual simplex restores feasibility, usually in a few
+pivots; an empty dual ratio test proves the child infeasible without a
+phase 1.
+
 Conventions:
 
 * the objective sense is always maximize;
@@ -16,16 +24,18 @@ Conventions:
 
 Anti-cycling: the entering rule is steepest reduced cost; when the
 objective stalls for as many iterations as there are rows, pivoting
-falls back to Bland's smallest-index rule until progress resumes.
+falls back to Bland's smallest-index rule until progress resumes.  The
+dual simplex falls back to the dual Bland rule the same way.
 """
 
 from __future__ import annotations
 
+import copy
 import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -158,18 +168,24 @@ class _Canon:
 
 
 class _Tableau:
-    """Bounded-variable primal simplex working state."""
+    """Bounded-variable simplex working state.
+
+    Column j of T holds structural variable u_j = x_j - lb_j in [0, U_j]
+    (slacks and artificials follow the structural columns); rhs is the
+    basic solution with every nonbasic variable at zero, and at_ub marks
+    nonbasic variables sitting at their upper bound instead.
+    """
 
     def __init__(self, canon: _Canon, lb: np.ndarray, ub: np.ndarray):
         self.canon = canon
         self.lb = lb
-        span = ub - lb
-        if np.any(span < -1e-9):
-            self.infeasible_bounds = True
-            return
-        self.infeasible_bounds = False
-        self.span = np.maximum(span, 0.0)
         self.iterations = 0
+        span = ub - lb
+        self.infeasible_bounds = bool(np.any(span < -1e-9))
+        self.trivially_infeasible = False
+        if self.infeasible_bounds:
+            return
+        span = np.maximum(span, 0.0)
 
         A = canon.A.copy()
         b = canon.b - canon.A @ lb
@@ -182,7 +198,6 @@ class _Tableau:
         # Drop empty rows, catching trivial infeasibility.
         scale = np.abs(A).max(axis=1, initial=0.0)
         keep: list[int] = []
-        self.trivially_infeasible = False
         for i in range(A.shape[0]):
             if scale[i] < 1e-12:
                 bad = abs(b[i]) > FEASIBILITY_TOL if eq[i] else b[i] < -FEASIBILITY_TOL
@@ -221,7 +236,7 @@ class _Tableau:
         self.b0 = b.copy()
         self.rhs = b.copy()
         self.U = np.concatenate([
-            self.span, np.full(n_slack, math.inf), np.full(n_art, math.inf)])
+            span, np.full(n_slack, math.inf), np.full(n_art, math.inf)])
         self.at_ub = np.zeros(self.n_struct + n_art, dtype=bool)
         self.is_basic = np.zeros(self.n_struct + n_art, dtype=bool)
         self.basis = np.full(m, -1, dtype=int)
@@ -279,7 +294,6 @@ class _Tableau:
         m = self.T.shape[0]
         stall = 0
         bland = False
-        best = -math.inf
         while True:
             if self.iterations >= max_iter:
                 raise NumericalError("simplex iteration limit reached")
@@ -348,11 +362,11 @@ class _Tableau:
                     stall += 1
             if stall > max(m, 10):
                 bland = True
-            best = max(best, gained)
 
     # -- phases ------------------------------------------------------------
 
-    def solve(self, max_iter: int) -> tuple[str, np.ndarray | None]:
+    def solve(self, max_iter: int) -> str:
+        """Cold two-phase solve: "optimal", "infeasible" or "unbounded"."""
         ntot = self.n_struct + self.n_art
         canon = self.canon
         c_full = np.zeros(ntot)
@@ -378,7 +392,7 @@ class _Tableau:
                 raise NumericalError("phase 1 reported unbounded")
             infeas = float(np.sum(self.current_point()[self.n_struct:]))
             if infeas > FEASIBILITY_TOL * (1.0 + float(np.abs(self.b0).max(initial=0.0))):
-                return "infeasible", None
+                return "infeasible"
             self._drive_out_artificials(d2)
 
         if self.T.shape[1] > self.n_struct:
@@ -390,11 +404,88 @@ class _Tableau:
             d2 = d2[:self.n_struct]
             allow = allow[:self.n_struct]
         d2[self.basis] = 0.0
+        self.d = d2  # kept up to date by run(); read by reoptimize()
+        return self.run(d2, [], allow, max_iter)
 
-        outcome = self.run(d2, [], allow, max_iter)
-        if outcome == "unbounded":
-            return "unbounded", None
-        return "optimal", self._extract()
+    # -- warm start --------------------------------------------------------
+
+    def copy(self) -> "_Tableau":
+        """An independent copy of a solved tableau; A0 and canon are shared."""
+        twin = copy.copy(self)
+        for name in ("lb", "T", "b0", "rhs", "U", "at_ub", "is_basic",
+                     "basis", "d"):
+            setattr(twin, name, getattr(self, name).copy())
+        twin.iterations = 0
+        return twin
+
+    def fix(self, j: int, value: float) -> None:
+        """Fix structural variable j at value, a point of its current range.
+
+        Moving the lower bound by delta is the substitution
+        u_j = u'_j + delta, which shifts the right-hand side by delta times
+        column j; a zero span then pins u'_j at zero, where its lower and
+        upper bound coincide, so at_ub no longer matters.
+        """
+        delta = value - self.lb[j]
+        if delta:
+            self.lb[j] = value
+            self.rhs -= delta * self.T[:, j]
+            self.b0 -= delta * self.A0[:, j]
+        self.U[j] = 0.0
+
+    def reoptimize(self, max_iter: int) -> str:
+        """Bounded dual simplex back to primal feasibility after fix().
+
+        The basis is still dual feasible, so each pivot takes the basic
+        variable furthest outside its bounds out of the basis and brings
+        in the nonbasic column whose reduced cost reaches zero first.  A
+        final primal pass clears any reduced cost that rounding left on
+        the wrong side.  Returns "optimal", "infeasible" or "unbounded".
+        """
+        self._drows = [self.d]
+        m = len(self.basis)
+        stall = 0
+        bland = False
+        while m:
+            x_B = self.basic_values()
+            excess = np.maximum(-x_B, x_B - self.U[self.basis])
+            rows = np.nonzero(excess > FEASIBILITY_TOL)[0]
+            if len(rows) == 0:
+                break
+            if self.iterations >= max_iter:
+                raise NumericalError("simplex iteration limit reached")
+            self.iterations += 1
+            if bland:
+                r = int(rows[np.argmin(self.basis[rows])])
+            else:
+                r = int(rows[np.argmax(excess[rows])])
+            to_ub = bool(x_B[r] > 0.0)
+            # Entering x_j moves x_B[r] back toward the bound it broke.
+            alpha = self.T[r] if to_ub else -self.T[r]
+            movable = ~self.is_basic & (self.U > _FIXED_TOL)
+            up = movable & ~self.at_ub & (alpha > _PIVOT_TOL)
+            down = movable & self.at_ub & (alpha < -_PIVOT_TOL)
+            candidates = np.nonzero(up | down)[0]
+            if len(candidates) == 0:
+                return "infeasible"
+            d = self.d[candidates]
+            slack = np.maximum(np.where(self.at_ub[candidates], d, -d), 0.0)
+            ratio = slack / np.abs(alpha[candidates])
+            t = float(ratio.min())
+            ties = candidates[ratio <= t + 1e-12]
+            if bland:
+                j = int(ties[0])
+            else:
+                j = int(ties[np.argmax(np.abs(alpha[ties]))])
+            self._leaving_to_ub = to_ub
+            self._pivot(r, j)
+            if t * excess[r] > 1e-12:
+                stall = 0
+                bland = False
+            else:
+                stall += 1
+                bland = stall > max(m, 10)
+        return self.run(self.d, [], np.ones(len(self.U), dtype=bool), max_iter)
 
     def _drive_out_artificials(self, d2: np.ndarray) -> None:
         self._drows = [d2]
@@ -449,38 +540,46 @@ class _Tableau:
         return self.lb + u[:self.canon.n]
 
 
-def _solve_canon(canon: _Canon, lb: np.ndarray, ub: np.ndarray,
-                 max_iter: int) -> SolveResult:
-    tab = _Tableau(canon, lb, ub)
-    if tab.infeasible_bounds or getattr(tab, "trivially_infeasible", False):
-        return SolveResult(Status.INFEASIBLE, math.nan, None, 0)
-    if tab.T.shape[0] == 0:
-        # No constraints left: push every profitable variable to its cap.
-        span = tab.span
-        u = np.zeros(canon.n)
-        for j in range(canon.n):
-            if canon.c[j] > _RC_TOL:
-                if not math.isfinite(span[j]):
-                    return SolveResult(Status.UNBOUNDED, math.nan, None, 0)
-                u[j] = span[j]
-        x = lb + u
-        obj = float(canon.c @ x) + canon.offset
-        return SolveResult(Status.OPTIMAL, obj, x, 0)
-    max_pivots = max_iter if max_iter else 2000 + 200 * max(tab.T.shape)
-    status, x = tab.solve(max_pivots)
-    if status == "infeasible":
-        return SolveResult(Status.INFEASIBLE, math.nan, None, tab.iterations)
-    if status == "unbounded":
-        return SolveResult(Status.UNBOUNDED, math.nan, None, tab.iterations)
-    assert x is not None
-    obj = float(canon.c @ x) + canon.offset
+def _iteration_limit(tab: _Tableau, max_iter: int) -> int:
+    return max_iter if max_iter else 2000 + 200 * max(tab.T.shape)
+
+
+def _result(tab: _Tableau, status: str) -> SolveResult:
+    if status != "optimal":
+        return SolveResult(Status(status), math.nan, None, tab.iterations)
+    x = tab._extract()
+    obj = float(tab.canon.c @ x) + tab.canon.offset
     return SolveResult(Status.OPTIMAL, obj, x, tab.iterations)
+
+
+def _solve_canon(canon: _Canon, lb: np.ndarray, ub: np.ndarray,
+                 max_iter: int) -> tuple[SolveResult, _Tableau]:
+    """Cold two-phase solve; the final tableau seeds warm starts."""
+    tab = _Tableau(canon, lb, ub)
+    if tab.infeasible_bounds or tab.trivially_infeasible:
+        return SolveResult(Status.INFEASIBLE, math.nan, None, 0), tab
+    return _result(tab, tab.solve(_iteration_limit(tab, max_iter))), tab
+
+
+def _resolve(parent: _Tableau, cols: Iterable[int], values: Iterable[float],
+             max_iter: int) -> tuple[SolveResult, _Tableau]:
+    """Warm solve from a copy of the parent's optimal tableau, with each
+    column in cols fixed at the matching entry of values.  A value outside
+    the column's current range, such as 0 for a binary whose lower bound is
+    0.3, makes the node infeasible."""
+    tab = parent.copy()
+    for j, value in zip(cols, values):
+        low, high = tab.lb[j], tab.lb[j] + tab.U[j]
+        if not low - 1e-9 <= value <= high + 1e-9:
+            return SolveResult(Status.INFEASIBLE, math.nan, None, 0), tab
+        tab.fix(int(j), min(max(float(value), low), high))
+    return _result(tab, tab.reoptimize(_iteration_limit(tab, max_iter))), tab
 
 
 def solve_lp(model: LinearModel, *, max_iterations: int = 0) -> SolveResult:
     """Solve the continuous relaxation of the model."""
     canon = _Canon(model)
-    return _solve_canon(canon, canon.lb, canon.ub, max_iterations)
+    return _solve_canon(canon, canon.lb, canon.ub, max_iterations)[0]
 
 
 def solve_milp(model: LinearModel, *, node_limit: int = 100_000,
@@ -489,59 +588,54 @@ def solve_milp(model: LinearModel, *, node_limit: int = 100_000,
 
     Best-first branch and bound: nodes are ordered on their relaxation
     bound, branching picks the most fractional binary, and a rounding
-    pass at the root supplies an early incumbent.  Hitting node_limit
+    pass at the root supplies an early incumbent.  Only the root LP is
+    solved cold; each child, and the rounding pass, re-optimizes a copy
+    of its parent's final tableau with the dual simplex, so a queued node
+    carries that tableau.  iterations counts the simplex iterations of
+    every LP solved, dual pivots included, and max_iterations (0 picks a
+    default from the model size) caps each LP.  Hitting node_limit
     returns the best incumbent found, flagged via limit_hit.
     """
     canon = _Canon(model)
-    root = _solve_canon(canon, canon.lb, canon.ub, max_iterations)
+    root, root_tab = _solve_canon(canon, canon.lb, canon.ub, max_iterations)
     root.nodes = 1
     bins = canon.binary
     if len(bins) == 0 or root.status != Status.OPTIMAL:
         return root
 
-    total_iter = root.iterations
-    nodes = 1
-
     def fractionality(x: np.ndarray) -> np.ndarray:
         return np.abs(x[bins] - np.round(x[bins]))
 
     if float(fractionality(root.values).max(initial=0.0)) <= INTEGRALITY_TOL:
-        root.iterations = total_iter
         return root
 
+    total_iter = root.iterations
+    nodes = 1
     incumbent_obj = -math.inf
     incumbent_x: np.ndarray | None = None
 
     # Rounding heuristic: snap the relaxation's binaries and re-solve.
-    lb_h, ub_h = canon.lb.copy(), canon.ub.copy()
-    snapped = np.round(root.values[bins])
-    lb_h[bins] = snapped
-    ub_h[bins] = snapped
-    heur = _solve_canon(canon, lb_h, ub_h, max_iterations)
+    heur, _ = _resolve(root_tab, bins, np.round(root.values[bins]),
+                       max_iterations)
     total_iter += heur.iterations
     if heur.status == Status.OPTIMAL:
         incumbent_obj = heur.objective
         incumbent_x = heur.values
 
     seq = 0
-    heap: list[tuple[float, int, np.ndarray, np.ndarray, np.ndarray]] = []
-    heapq.heappush(heap, (-root.objective, seq, canon.lb.copy(), canon.ub.copy(),
-                          root.values))
+    heap: list[tuple[float, int, np.ndarray, _Tableau]] = [
+        (-root.objective, seq, root.values, root_tab)]
     limit_hit = False
     while heap:
-        neg_bound, _, lb_n, ub_n, x_n = heapq.heappop(heap)
+        neg_bound, _, x_n, tab_n = heapq.heappop(heap)
         if -neg_bound <= incumbent_obj + _PRUNE_TOL:
             break  # best-first: every remaining node is no better
-        fr = fractionality(x_n)
-        j = int(bins[int(np.argmax(fr))])
+        j = bins[int(np.argmax(fractionality(x_n)))]
         for fix in (0.0, 1.0):
             if nodes >= node_limit:
                 limit_hit = True
                 break
-            lb_c, ub_c = lb_n.copy(), ub_n.copy()
-            lb_c[j] = max(lb_c[j], fix)
-            ub_c[j] = min(ub_c[j], fix)
-            child = _solve_canon(canon, lb_c, ub_c, max_iterations)
+            child, tab_c = _resolve(tab_n, [j], [fix], max_iterations)
             nodes += 1
             total_iter += child.iterations
             if child.status != Status.OPTIMAL:
@@ -553,7 +647,7 @@ def solve_milp(model: LinearModel, *, node_limit: int = 100_000,
                 incumbent_x = child.values
             else:
                 seq += 1
-                heapq.heappush(heap, (-child.objective, seq, lb_c, ub_c, child.values))
+                heapq.heappush(heap, (-child.objective, seq, child.values, tab_c))
         if limit_hit:
             break
 
@@ -563,37 +657,3 @@ def solve_milp(model: LinearModel, *, node_limit: int = 100_000,
     if incumbent_x is None:
         return SolveResult(Status.INFEASIBLE, math.nan, None, total_iter, nodes)
     return SolveResult(Status.OPTIMAL, incumbent_obj, incumbent_x, total_iter, nodes)
-
-
-def dump_model(model: LinearModel, path: str) -> None:
-    """Write the model in a plain LP-style text format for inspection."""
-    def term(coeff: float, name: str) -> str:
-        sign = "+" if coeff >= 0 else "-"
-        return f"{sign} {abs(coeff):.12g} {name}"
-
-    lines = [f"\\ model {model.name}", "Maximize", " obj:"]
-    parts = [term(c, model.variable_names[j])
-             for j, c in enumerate(model.objective) if c != 0.0]
-    if model.objective_offset:
-        parts.append(term(model.objective_offset, ""))
-    lines.append("  " + " ".join(parts) if parts else "  0")
-    lines.append("Subject To")
-    for i, row in enumerate(model.rows):
-        name = model.row_names[i] or f"c{i}"
-        body = " ".join(term(a, model.variable_names[j])
-                        for j, a in sorted(row.items()))
-        rel = {"<=": "<=", ">=": ">=", "=": "="}[model.relations[i]]
-        lines.append(f" {name}: {body} {rel} {model.rhs[i]:.12g}")
-    lines.append("Bounds")
-    for j, name in enumerate(model.variable_names):
-        ub = model.upper[j]
-        ub_s = "+inf" if math.isinf(ub) else f"{ub:.12g}"
-        lines.append(f" {model.lower[j]:.12g} <= {name} <= {ub_s}")
-    binaries = [model.variable_names[j] for j in range(model.num_variables)
-                if model.is_binary[j]]
-    if binaries:
-        lines.append("Binaries")
-        lines.append(" " + " ".join(binaries))
-    lines.append("End")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, NumericalError, ParseError
 from .model import NetworkDesign, NetworkInstance
 from .stochastic import EstimateResult, StochasticConfig, estimate_objectives
 
@@ -111,7 +111,7 @@ def sweep(instance: NetworkInstance, design: NetworkDesign,
         try:
             est = estimate_objectives(instance, design, eps, inner)
             return ParetoSolution.from_estimate(est)
-        except DomainError as exc:
+        except (DomainError, NumericalError) as exc:
             return SweepFailure(epsilon=eps, error=str(exc))
 
     if parallel_grid:

@@ -85,6 +85,37 @@ def test_seed_changes_solutions(tiny_file, tmp_path):
     assert a != b
 
 
+def test_solver_failure_stays_in_its_grid_point(tiny_file, tmp_path,
+                                                monkeypatch, capsys):
+    import chainforge.stochastic as stochastic
+    from chainforge.errors import NumericalError
+
+    real_build = stochastic.build_period_model
+    real_solve = stochastic.solve_milp
+
+    def tagged_build(instance, design, opening, demands, factors, epsilon,
+                     period, **kwargs):
+        model, index = real_build(instance, design, opening, demands,
+                                  factors, epsilon, period, **kwargs)
+        model.name = f"epsilon={epsilon:g}"
+        return model, index
+
+    def flaky_solve(model, **kwargs):
+        if model.name == "epsilon=0.1":
+            raise NumericalError("simplex iteration limit reached")
+        return real_solve(model, **kwargs)
+
+    monkeypatch.setattr(stochastic, "build_period_model", tagged_build)
+    monkeypatch.setattr(stochastic, "solve_milp", flaky_solve)
+    out = str(tmp_path / "out")
+    assert run_cli("run", tiny_file, "--out", out, "--replications", "1",
+                   "--runs", "2", "--epsilon-grid", "0.01:1:3") == 0
+    assert ("optimize: epsilon 0.1 failed: simplex iteration limit reached"
+            in capsys.readouterr().err)
+    rows = open(os.path.join(out, "solutions.csv")).read().splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == ["0.01", "1"]
+
+
 def test_missing_instance_exits_2(tmp_path, capsys):
     missing = str(tmp_path / "absent.json")
     assert run_cli("run", missing, "--out", str(tmp_path / "o")) == 2

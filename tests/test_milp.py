@@ -5,10 +5,14 @@ import itertools
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
+from chainforge import milp as solver
 from chainforge.errors import ValidationError
-from chainforge.milp import LinearModel, Status, solve_lp, solve_milp
+from chainforge.milp import (FEASIBILITY_TOL, LinearModel, Status, solve_lp,
+                             solve_milp)
+from chainforge.stochastic import (build_period_model,
+                                   default_initial_inventory, sample_scenario)
 
 
 def test_two_variable_lp_known_vertex():
@@ -241,3 +245,155 @@ def test_integral_relaxation_skips_branching():
     assert result.status is Status.OPTIMAL
     assert result.objective == pytest.approx(1.0)
     assert result.nodes <= 1
+
+
+def test_branch_values_outside_a_binarys_bounds_are_infeasible():
+    # The relaxation rests at the fractional lower bound 0.3; rounding it,
+    # or branching, to 0 leaves the variable's range, so only 1 is feasible.
+    m = LinearModel()
+    b = m.add_variable("b", lb=0.3, binary=True, objective=-1.0)
+    m.add_variable("x", ub=1.0, objective=1.0)
+    result = solve_milp(m)
+    assert result.status is Status.OPTIMAL
+    assert result.value(b) == pytest.approx(1.0)
+    assert result.objective == pytest.approx(0.0)
+
+
+# ------------------------------------------------ warm-started branch and bound
+
+def _highs_milp(model):
+    """Reference optimum from scipy's HiGHS MILP, or None if infeasible.
+
+    HiGHS presolve treats the period models' 1e-8 surplus rewards as zero
+    and settles about 0.004 lower, so it is switched off.
+    """
+    n = model.num_variables
+    A = np.zeros((model.num_constraints, n))
+    for i, row in enumerate(model.rows):
+        for j, a in row.items():
+            A[i, j] = a
+    rhs = np.array(model.rhs)
+    lower = np.where([r == "<=" for r in model.relations], -np.inf, rhs)
+    upper = np.where([r == ">=" for r in model.relations], np.inf, rhs)
+    res = milp(-np.array(model.objective),
+               constraints=[LinearConstraint(A, lower, upper)],
+               integrality=np.array(model.is_binary, dtype=int),
+               bounds=Bounds(model.lower, model.upper),
+               options={"mip_rel_gap": 0.0, "presolve": False})
+    if res.status == 2:
+        return None
+    assert res.status == 0, res.message
+    return -res.fun + model.objective_offset
+
+
+def _assert_matches_highs(model):
+    result = solve_milp(model)
+    reference = _highs_milp(model)
+    if reference is None:
+        assert result.status is Status.INFEASIBLE
+        return result
+    assert result.status is Status.OPTIMAL
+    assert abs(result.objective - reference) <= FEASIBILITY_TOL * (
+        1.0 + abs(reference))
+    return result
+
+
+def _random_mixed_binary_model(rng):
+    """A bounded model whose rows hold at a random integral point, loosened
+    or tightened by a random margin so that some branches, and some whole
+    models, are infeasible."""
+    nb = int(rng.integers(1, 7))
+    nc = int(rng.integers(0, 6))
+    m = LinearModel()
+    point = []
+    for i in range(nb):
+        m.add_variable(f"b{i}", objective=float(rng.normal(0, 5)), binary=True)
+        point.append(float(rng.integers(0, 2)))
+    for i in range(nc):
+        lb = float(rng.uniform(-1.0, 1.0))
+        ub = lb + float(rng.uniform(0.5, 4.0))
+        m.add_variable(f"x{i}", lb=lb, ub=ub, objective=float(rng.normal(0, 5)))
+        point.append(float(rng.uniform(lb, ub)))
+    for _ in range(int(rng.integers(1, 7))):
+        coeffs = {j: float(rng.normal(0, 2)) for j in range(nb + nc)
+                  if rng.random() < 0.7}
+        if not coeffs:
+            continue
+        at_point = sum(a * point[j] for j, a in coeffs.items())
+        relation = str(rng.choice(["<=", ">=", "="]))
+        margin = float(rng.uniform(-1.0, 3.0))
+        rhs = {"<=": at_point + margin, ">=": at_point - margin,
+               "=": at_point}[relation]
+        m.add_constraint(coeffs, relation, rhs)
+    return m
+
+
+def test_random_mixed_binary_models_match_highs(monkeypatch):
+    warm_statuses = []
+    real_resolve = solver._resolve
+
+    def recording_resolve(*args):
+        result, tab = real_resolve(*args)
+        warm_statuses.append(result.status)
+        return result, tab
+
+    monkeypatch.setattr(solver, "_resolve", recording_resolve)
+    rng = np.random.default_rng(20240607)
+    outcomes = []
+    for _ in range(200):
+        model = _random_mixed_binary_model(rng)
+        outcomes.append(_assert_matches_highs(model).status)
+    assert outcomes.count(Status.OPTIMAL) >= 150
+    assert Status.INFEASIBLE in outcomes
+    assert warm_statuses.count(Status.INFEASIBLE) >= 20
+    assert warm_statuses.count(Status.OPTIMAL) >= 100
+
+
+def _qatar_period_models(instance, design, epsilons, seeds):
+    opening = default_initial_inventory(instance, 0.4)
+    for epsilon in epsilons:
+        for seed in seeds:
+            scenario = sample_scenario(instance, seed)
+            for t in range(instance.horizon):
+                demands = {c.id: scenario.demands[(c.id, t)]
+                           for c in instance.customers()}
+                factors = {
+                    (design.dc_warehouse[dc.id], dc.id):
+                    scenario.supply_factors[(design.dc_warehouse[dc.id], dc.id, t)]
+                    for dc in instance.dcs()}
+                yield build_period_model(instance, design, opening, demands,
+                                         factors, epsilon, t,
+                                         safety_stock=0.4)[0]
+
+
+def test_qatar_period_models_match_highs(qatar, qatar_design):
+    models = list(_qatar_period_models(qatar, qatar_design, (0.001, 0.1),
+                                       (3, 11)))
+    nodes = [_assert_matches_highs(model).nodes for model in models]
+    assert sum(n > 1 for n in nodes) >= len(models) // 2  # they branch
+
+
+def test_warm_children_match_cold_solves(qatar, qatar_design, monkeypatch):
+    real_resolve = solver._resolve
+    checked = []
+
+    def compared_resolve(parent, cols, values, max_iter):
+        warm, tab = real_resolve(parent, cols, values, max_iter)
+        lb = parent.lb.copy()
+        ub = parent.lb + parent.U[:parent.canon.n]
+        lb[cols] = values
+        ub[cols] = values
+        cold, _ = solver._solve_canon(parent.canon, lb, ub, max_iter)
+        assert warm.status is cold.status
+        if cold.status is Status.OPTIMAL:
+            assert abs(warm.objective - cold.objective) <= FEASIBILITY_TOL * (
+                1.0 + abs(cold.objective))
+        checked.append(cold.status)
+        return warm, tab
+
+    monkeypatch.setattr(solver, "_resolve", compared_resolve)
+    model = next(_qatar_period_models(qatar, qatar_design, (0.001,), (5,)))
+    result = solve_milp(model)
+    assert result.status is Status.OPTIMAL
+    assert result.nodes >= 5
+    assert len(checked) == result.nodes  # every child plus the heuristic
