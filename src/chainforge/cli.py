@@ -27,12 +27,12 @@ from . import __version__
 from .desim import SimConfig, run_validation, write_validation_csv
 from .errors import ChainforgeError, DomainError
 from .gfa import GfaConfig, load_design, run_gfa, save_design
-from .model import NetworkInstance, load_instance
+from .model import load_instance
 from .pareto import (epsilon_grid, extract_front, read_solutions_csv,
                      render_front_svg, sweep, write_front_csv,
                      write_solutions_csv)
-from .stochastic import (OperationalPlan, StochasticConfig,
-                         default_initial_inventory, load_plan, save_plan)
+from .stochastic import (StochasticConfig, load_plan, plan_from_estimate,
+                         save_plan)
 
 log = logging.getLogger("chainforge.cli")
 
@@ -105,24 +105,6 @@ def _sweep_config(args: argparse.Namespace) -> StochasticConfig:
                             jobs=args.jobs)
 
 
-def _plan_for(solution, instance: NetworkInstance,
-              config: StochasticConfig) -> OperationalPlan:
-    v = (instance.safety_stock_fraction if config.safety_stock is None
-         else config.safety_stock)
-    opening = (dict(config.initial_inventory)
-               if config.initial_inventory is not None
-               else default_initial_inventory(instance, v))
-    return OperationalPlan(
-        epsilon=solution.epsilon, safety_stock=v, initial_inventory=opening,
-        z1=solution.z1, z1_se=solution.z1_se,
-        z2=solution.z2, z2_se=solution.z2_se,
-        inventory_cost=solution.inventory_cost,
-        unfulfilled_cost=solution.unfulfilled_cost,
-        order_cost=solution.order_cost,
-        master_seed=config.master_seed, replications=config.replications,
-        balance_form=config.balance_form)
-
-
 def _plan_file(out: str, index: int) -> str:
     return os.path.join(out, "plans", f"plan_{index:03d}.json")
 
@@ -152,13 +134,22 @@ def _stage_optimize(args: argparse.Namespace) -> str:
     for failure in pool.failures:
         print(f"optimize: epsilon {failure.epsilon:g} failed: {failure.error}",
               file=sys.stderr)
+    for solution in pool.solutions:
+        log.info("optimize: epsilon %g took %d branch-and-bound nodes",
+                 solution.epsilon, solution.nodes)
+        if solution.limit_hits:
+            print(f"optimize: epsilon {solution.epsilon:g}: "
+                  f"{solution.limit_hits} of {config.replications} "
+                  f"replications stopped at the node limit; their best "
+                  f"incumbents are averaged into the estimate",
+                  file=sys.stderr)
     if not pool.solutions:
         raise DomainError("every epsilon grid point failed to estimate")
     solutions_file = os.path.join(out, "solutions.csv")
     write_solutions_csv(solutions_file, pool.solutions)
     os.makedirs(os.path.join(out, "plans"), exist_ok=True)
     for index, solution in enumerate(pool.solutions):
-        save_plan(_plan_for(solution, instance, config),
+        save_plan(plan_from_estimate(solution, instance, config),
                   _plan_file(out, index))
     log.info("optimize: %d solutions, %d failures, wrote %s",
              len(pool.solutions), len(pool.failures), solutions_file)
@@ -190,7 +181,13 @@ def _stage_validate(args: argparse.Namespace, solution_file: str) -> str:
     instance = load_instance(args.instance)
     design = load_design(design_file).design
     plan = load_plan(plan_file)
-    config = SimConfig(rng_seed=args.seed, backlog=args.backlog)
+    # The simulator draws its demand from the plan's own scenario stream;
+    # another seed would compare the plan against demand it never saw.
+    if args.seed is not None and args.seed != plan.master_seed:
+        raise UsageError(
+            f"--seed {args.seed} differs from the plan's master seed "
+            f"{plan.master_seed}; omit --seed to use the plan's")
+    config = SimConfig(rng_seed=plan.master_seed, backlog=args.backlog)
     reports = run_validation(instance, design, plan, config, args.runs)
     path = os.path.join(out, "validation.csv")
     write_validation_csv(path, instance, reports)
@@ -308,17 +305,18 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"chainforge {__version__}")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
-                        help="master random seed (default 0)")
     common.add_argument("--jobs", type=int, default=1,
-                        help="worker threads for the sweep (default 1)")
+                        help="worker processes for the sweep (default 1)")
     common.add_argument("--out", default="results",
                         help="output directory (default results)")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=0,
+                        help="master random seed (default 0)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gfa = sub.add_parser(
-        "gfa", parents=[common],
+        "gfa", parents=[seeded],
         help="place distribution centers and write design.json")
     p_gfa.add_argument("instance", help="network instance JSON file")
     p_gfa.add_argument("--restarts", type=int, default=8,
@@ -326,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gfa.set_defaults(handler=_cmd_gfa)
 
     p_opt = sub.add_parser(
-        "optimize", parents=[common],
+        "optimize", parents=[seeded],
         help="sweep epsilon and write solutions.csv plus plan files")
     p_opt.add_argument("instance", help="network instance JSON file")
     p_opt.add_argument("--design", default=None,
@@ -344,13 +342,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_opt.set_defaults(handler=_cmd_optimize)
 
     p_par = sub.add_parser(
-        "pareto", parents=[common],
+        "pareto", parents=[seeded],
         help="extract the front from <out>/solutions.csv")
     p_par.set_defaults(handler=_cmd_pareto)
 
     p_val = sub.add_parser(
         "validate", parents=[common],
         help="simulate a plan and write validation.csv")
+    p_val.add_argument("--seed", type=int, default=None,
+                       help="simulation seed; must equal the plan's "
+                            "master seed (default: the plan's)")
     p_val.add_argument("instance", help="network instance JSON file")
     p_val.add_argument("--design", default=None,
                        help="design file (default <out>/design.json)")
@@ -363,7 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_val.set_defaults(handler=_cmd_validate)
 
     p_run = sub.add_parser(
-        "run", parents=[common],
+        "run", parents=[seeded],
         help="full pipeline: gfa, optimize, pareto, validate, manifest")
     p_run.add_argument("instance", help="network instance JSON file")
     p_run.add_argument("--restarts", type=int, default=8,

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import DomainError, NumericalError, ParseError
+from .errors import ChainforgeError, DomainError, ParseError
 from .model import NetworkDesign, NetworkInstance
-from .stochastic import EstimateResult, StochasticConfig, estimate_objectives
+from .stochastic import (EstimateResult, StochasticConfig, aggregate,
+                         map_replications, replication_seeds,
+                         summarize_replication)
 
 CSV_COLUMNS = ("epsilon", "Z1", "Z1_se", "Z2", "Z2_se",
                "inventory_cost", "unfulfilled_cost", "order_cost")
@@ -37,6 +38,9 @@ class ParetoSolution:
     unfulfilled_cost: float
     order_cost: float
     plan: str | None = None
+    # Solver effort behind the estimate; not part of solutions.csv.
+    nodes: int = 0
+    limit_hits: int = 0      # replications that stopped at the node limit
 
     @classmethod
     def from_estimate(cls, estimate: EstimateResult) -> "ParetoSolution":
@@ -47,6 +51,8 @@ class ParetoSolution:
             inventory_cost=estimate.inventory_cost,
             unfulfilled_cost=estimate.unfulfilled_cost,
             order_cost=estimate.order_cost,
+            nodes=estimate.nodes,
+            limit_hits=estimate.limit_hits,
         )
 
 
@@ -95,7 +101,11 @@ def sweep(instance: NetworkInstance, design: NetworkDesign,
 
     All grid points share config.master_seed, so every epsilon sees the
     same demand and supply draws and the comparison between solutions is
-    free of sampling noise.  A failing grid point is recorded and the
+    free of sampling noise.  The grid flattens into one (epsilon,
+    replication seed) work item per replication, run by config.jobs
+    workers; each grid point is then aggregated in seed order, so the
+    estimates do not depend on jobs.  A grid point whose replication
+    raised is recorded with the first such error in seed order and the
     remaining points still run.
     """
     if not grid:
@@ -104,24 +114,19 @@ def sweep(instance: NetworkInstance, design: NetworkDesign,
         if eps < 0:
             raise DomainError(f"epsilon must be >= 0, got {eps}")
 
-    parallel_grid = config.jobs > 1 and len(grid) > 1
-    inner = replace(config, jobs=1) if parallel_grid else config
-
-    def run(eps: float) -> ParetoSolution | SweepFailure:
-        try:
-            est = estimate_objectives(instance, design, eps, inner)
-            return ParetoSolution.from_estimate(est)
-        except (DomainError, NumericalError) as exc:
-            return SweepFailure(epsilon=eps, error=str(exc))
-
-    if parallel_grid:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            outcomes = list(pool.map(run, grid))
-    else:
-        outcomes = [run(eps) for eps in grid]
-
-    solutions = [o for o in outcomes if isinstance(o, ParetoSolution)]
-    failures = [o for o in outcomes if isinstance(o, SweepFailure)]
+    seeds = replication_seeds(config)
+    items = [(eps, seed) for eps in grid for seed in seeds]
+    outcomes = map_replications(summarize_replication, instance, design,
+                                config, items)
+    solutions: list[ParetoSolution] = []
+    failures: list[SweepFailure] = []
+    for k, eps in enumerate(grid):
+        point = outcomes[k * len(seeds):(k + 1) * len(seeds)]
+        errors = [o for o in point if isinstance(o, ChainforgeError)]
+        if errors:
+            failures.append(SweepFailure(epsilon=eps, error=str(errors[0])))
+        else:
+            solutions.append(ParetoSolution.from_estimate(aggregate(eps, point)))
     return SolutionPool(solutions=solutions, failures=failures)
 
 
@@ -154,18 +159,18 @@ def extract_front(solutions: Iterable[ParetoSolution]) -> list[ParetoSolution]:
     return front
 
 
-def _format(value: float) -> str:
-    return format(value, ".9g")
+def _row(s: ParetoSolution) -> list[str]:
+    """The CSV_COLUMNS cells of one solution, nine significant digits."""
+    return [format(v, ".9g") for v in (
+        s.epsilon, s.z1, s.z1_se, s.z2, s.z2_se,
+        s.inventory_cost, s.unfulfilled_cost, s.order_cost)]
 
 
 def write_solutions_csv(path: str, solutions: Sequence[ParetoSolution]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for s in solutions:
-            writer.writerow([_format(v) for v in (
-                s.epsilon, s.z1, s.z1_se, s.z2, s.z2_se,
-                s.inventory_cost, s.unfulfilled_cost, s.order_cost)])
+        writer.writerows(_row(s) for s in solutions)
 
 
 def read_solutions_csv(path: str) -> list[ParetoSolution]:
@@ -195,11 +200,8 @@ def write_front_csv(path: str, solutions: Sequence[ParetoSolution]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS + ("on_front",))
-        for s in solutions:
-            writer.writerow([_format(v) for v in (
-                s.epsilon, s.z1, s.z1_se, s.z2, s.z2_se,
-                s.inventory_cost, s.unfulfilled_cost, s.order_cost)]
-                + ["1" if id(s) in front else "0"])
+        writer.writerows(_row(s) + ["1" if id(s) in front else "0"]
+                         for s in solutions)
 
 
 _SVG_WIDTH = 640

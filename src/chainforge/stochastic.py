@@ -33,19 +33,20 @@ from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
 from .accessibility import resolve_scales, snapshot
-from .errors import DomainError, InfeasibleBoundsError
+from .errors import DomainError, InfeasibleBoundsError, NumericalError
 from .milp import LinearModel, Status, solve_milp
 from .model import NetworkDesign, NetworkInstance
 
 DEFAULT_NODE_LIMIT = 100_000
 _BALANCE_FORMS = ("delivered", "demand")
+_T = TypeVar("_T")
 
 
 def replication_seed(master_seed: int, replication: int,
@@ -553,6 +554,96 @@ def _dc_region(instance: NetworkInstance, dc_id: str) -> str:
 
 
 @dataclass(frozen=True)
+class ReplicationSummary:
+    """The part of a ReplicationResult that an estimate reads.
+
+    Small enough to send back from a worker process, where the full
+    result would carry the whole scenario and every period's flows.
+    """
+
+    accessibility: float
+    inventory_cost: float
+    unfulfilled_cost: float
+    order_cost: float
+    nodes: int
+    limit_hit: bool
+
+    @property
+    def total_cost(self) -> float:
+        return self.inventory_cost + self.unfulfilled_cost + self.order_cost
+
+
+WorkItem = tuple[float, int]  # (epsilon, replication seed)
+
+# Set once in each worker process by the pool initializer, so the
+# instance and design cross the process boundary once per worker
+# instead of once per work item.
+_worker_inputs: tuple[NetworkInstance, NetworkDesign, StochasticConfig] | None = None
+
+
+def _init_worker(instance: NetworkInstance, design: NetworkDesign,
+                 config: StochasticConfig) -> None:
+    global _worker_inputs
+    _worker_inputs = (instance, design, config)
+
+
+def _run_item(worker: Callable[..., _T], item: WorkItem) -> _T:
+    return worker(*_worker_inputs, item)
+
+
+def map_replications(worker: Callable[..., _T], instance: NetworkInstance,
+                     design: NetworkDesign, config: StochasticConfig,
+                     items: Sequence[WorkItem]) -> list[_T]:
+    """worker(instance, design, config, item) for every item, in order.
+
+    With one worker (config.jobs == 1, or a single item) the calls run
+    inline.  Otherwise a process pool of min(jobs, items) workers runs
+    them; worker must then be a module-level function and its result
+    picklable.  The platform's default start method is used, so on
+    spawn and forkserver platforms the initializer pickles
+    (instance, design, config).
+    """
+    workers = min(config.jobs, len(items))
+    if workers <= 1:
+        return [worker(instance, design, config, item) for item in items]
+    # Imported here so that single-process commands do not load
+    # multiprocessing (about 1.3 MB of resident memory).
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                             initargs=(instance, design, config)) as pool:
+        return list(pool.map(partial(_run_item, worker), items))
+
+
+def replicate(instance: NetworkInstance, design: NetworkDesign,
+              config: StochasticConfig, item: WorkItem) -> ReplicationResult:
+    """Worker: the full result of one replication."""
+    epsilon, seed = item
+    return run_replication(instance, design, epsilon, seed, config=config)
+
+
+def summarize_replication(instance: NetworkInstance, design: NetworkDesign,
+                          config: StochasticConfig, item: WorkItem,
+                          ) -> ReplicationSummary | DomainError | NumericalError:
+    """Worker: one replication's summary, or the error it raised.
+
+    The error is returned, not raised, so a failing replication leaves
+    the other work items running and its caller decides what it spoils.
+    """
+    try:
+        result = replicate(instance, design, config, item)
+    except (DomainError, NumericalError) as exc:
+        return exc
+    return ReplicationSummary(
+        accessibility=result.accessibility,
+        inventory_cost=result.inventory_cost,
+        unfulfilled_cost=result.unfulfilled_cost,
+        order_cost=result.order_cost,
+        nodes=result.nodes,
+        limit_hit=result.limit_hit)
+
+
+@dataclass(frozen=True)
 class EstimateResult:
     epsilon: float
     z1: float
@@ -563,33 +654,26 @@ class EstimateResult:
     inventory_cost: float
     unfulfilled_cost: float
     order_cost: float
-    results: tuple[ReplicationResult, ...]
+    nodes: int               # branch-and-bound nodes over all replications
+    limit_hits: int          # replications with a node-limit incumbent
+    results: tuple[ReplicationResult, ...] = ()
 
 
-def estimate_objectives(instance: NetworkInstance, design: NetworkDesign,
-                        epsilon: float,
-                        config: StochasticConfig = StochasticConfig(),
-                        ) -> EstimateResult:
-    """Monte Carlo estimates of accessibility (Z1) and cost (Z2).
+def replication_seeds(config: StochasticConfig) -> list[int]:
+    return [replication_seed(config.master_seed, s)
+            for s in range(config.replications)]
 
-    Replication seeds derive from the master seed alone, so estimates at
-    different epsilon values share scenarios (common random numbers) and
-    differences between sweeps reflect the scalarization, not sampling.
+
+def aggregate(epsilon: float,
+              replications: Sequence[ReplicationResult | ReplicationSummary],
+              ) -> EstimateResult:
+    """Sample means and standard errors over replications in seed order.
+
+    Every estimate goes through here, whether its replications ran
+    inline or in worker processes, so the floats do not depend on jobs.
     """
-    n = config.replications
-    seeds = [replication_seed(config.master_seed, s) for s in range(n)]
-
-    def one(seed: int) -> ReplicationResult:
-        return run_replication(instance, design, epsilon, seed, config=config)
-
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(one, seeds))
-    else:
-        results = [one(seed) for seed in seeds]
-
-    z1_samples = np.array([r.accessibility for r in results])
-    z2_samples = np.array([r.total_cost for r in results])
+    z1_samples = np.array([r.accessibility for r in replications])
+    z2_samples = np.array([r.total_cost for r in replications])
 
     def se(samples: np.ndarray) -> float:
         if len(samples) < 2:
@@ -602,12 +686,29 @@ def estimate_objectives(instance: NetworkInstance, design: NetworkDesign,
         z1_se=se(z1_samples),
         z2=float(z2_samples.mean()),
         z2_se=se(z2_samples),
-        replications=n,
-        inventory_cost=float(np.mean([r.inventory_cost for r in results])),
-        unfulfilled_cost=float(np.mean([r.unfulfilled_cost for r in results])),
-        order_cost=float(np.mean([r.order_cost for r in results])),
-        results=tuple(results),
+        replications=len(replications),
+        inventory_cost=float(np.mean([r.inventory_cost for r in replications])),
+        unfulfilled_cost=float(np.mean([r.unfulfilled_cost
+                                        for r in replications])),
+        order_cost=float(np.mean([r.order_cost for r in replications])),
+        nodes=sum(r.nodes for r in replications),
+        limit_hits=sum(r.limit_hit for r in replications),
     )
+
+
+def estimate_objectives(instance: NetworkInstance, design: NetworkDesign,
+                        epsilon: float,
+                        config: StochasticConfig = StochasticConfig(),
+                        ) -> EstimateResult:
+    """Monte Carlo estimates of accessibility (Z1) and cost (Z2).
+
+    Replication seeds derive from the master seed alone, so estimates at
+    different epsilon values share scenarios (common random numbers) and
+    differences between sweeps reflect the scalarization, not sampling.
+    """
+    items = [(epsilon, seed) for seed in replication_seeds(config)]
+    results = map_replications(replicate, instance, design, config, items)
+    return replace(aggregate(epsilon, results), results=tuple(results))
 
 
 def audit_replication(instance: NetworkInstance, design: NetworkDesign,
@@ -724,8 +825,14 @@ class OperationalPlan:
     balance_form: str = "delivered"
 
 
-def plan_from_estimate(estimate: EstimateResult, instance: NetworkInstance,
+def plan_from_estimate(estimate, instance: NetworkInstance,
                        config: StochasticConfig) -> OperationalPlan:
+    """The plan for one estimate under the config it was made with.
+
+    estimate is anything with the estimate fields (epsilon, z1, z1_se,
+    z2, z2_se and the three cost parts): an EstimateResult, or a
+    pareto.ParetoSolution read back from the sweep.
+    """
     v = (instance.safety_stock_fraction if config.safety_stock is None
          else config.safety_stock)
     if config.initial_inventory is not None:

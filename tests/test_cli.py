@@ -1,7 +1,9 @@
 """Command line stages, artifacts, exit codes, and determinism."""
 
 import json
+import multiprocessing
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -114,6 +116,96 @@ def test_solver_failure_stays_in_its_grid_point(tiny_file, tmp_path,
             in capsys.readouterr().err)
     rows = open(os.path.join(out, "solutions.csv")).read().splitlines()
     assert [row.split(",")[0] for row in rows[1:]] == ["0.01", "1"]
+
+
+def test_artifacts_do_not_depend_on_jobs(tiny_file, tmp_path):
+    outs = []
+    for jobs in ("1", "2"):
+        out = str(tmp_path / f"jobs{jobs}")
+        assert run_cli("run", tiny_file, "--out", out, "--seed", "3",
+                       "--replications", "3", "--runs", "2",
+                       "--epsilon-grid", "0.01:1:4", "--jobs", jobs) == 0
+        outs.append(out)
+    names = sorted(os.listdir(outs[0]))
+    assert names == sorted(os.listdir(outs[1]))
+    names.remove("manifest.json")
+    names.remove("plans")
+    names += [os.path.join("plans", name)
+              for name in sorted(os.listdir(os.path.join(outs[0], "plans")))]
+    for name in names:
+        a = pathlib.Path(outs[0], name).read_bytes()
+        b = pathlib.Path(outs[1], name).read_bytes()
+        assert a == b, name
+
+
+def _design(tiny_file, tmp_path):
+    out = str(tmp_path / "design")
+    assert run_cli("gfa", tiny_file, "--out", out) == 0
+    return os.path.join(out, "design.json")
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers see the monkeypatch only when forked")
+def test_worker_failure_reported_as_inline(tiny_file, tmp_path,
+                                           monkeypatch, capsys):
+    import chainforge.stochastic as stochastic
+    from chainforge.errors import NumericalError
+
+    real = stochastic.run_replication
+    failing = stochastic.replication_seed(0, 1)
+
+    def flaky(instance, design, epsilon, seed, **kwargs):
+        if epsilon == 0.1 and seed == failing:
+            raise NumericalError(f"no progress on seed {seed}")
+        return real(instance, design, epsilon, seed, **kwargs)
+
+    monkeypatch.setattr(stochastic, "run_replication", flaky)
+    reports = []
+    for jobs in ("1", "2"):
+        out = str(tmp_path / f"jobs{jobs}")
+        assert run_cli("optimize", tiny_file, "--out", out,
+                       "--design", _design(tiny_file, tmp_path),
+                       "--replications", "3", "--epsilon-grid", "0.01:1:3",
+                       "--jobs", jobs) == 0
+        reports.append((capsys.readouterr().err,
+                        pathlib.Path(out, "solutions.csv").read_text()))
+    assert reports[0] == reports[1]
+    assert (f"optimize: epsilon 0.1 failed: no progress on seed {failing}"
+            in reports[0][0])
+
+
+def test_node_limit_incumbents_are_reported(tiny_file, tmp_path,
+                                            monkeypatch, capsys):
+    import functools
+
+    import chainforge.cli as cli
+    from chainforge.pareto import epsilon_grid
+    from chainforge.stochastic import StochasticConfig
+
+    # The tiny network's period models branch, so one node cannot finish.
+    monkeypatch.setattr(cli, "StochasticConfig",
+                        functools.partial(StochasticConfig, node_limit=1))
+    out = str(tmp_path / "o")
+    assert quick_run(tiny_file, out) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        f"optimize: epsilon {eps:g}: 2 of 2 replications stopped at the "
+        f"node limit; their best incumbents are averaged into the estimate"
+        for eps in epsilon_grid(0.01, 1, 4)]
+
+
+def test_validate_seed_defaults_to_the_plans(tiny_file, tmp_path, capsys):
+    whole = str(tmp_path / "whole")
+    assert quick_run(tiny_file, whole, seed=4) == 0
+    plan = os.path.join(whole, "plans", "plan_000.json")
+    args = ["validate", tiny_file, "--out", str(tmp_path / "v"),
+            "--design", os.path.join(whole, "design.json"),
+            "--solution", plan, "--runs", "3"]
+    assert run_cli(*args) == 0
+    assert run_cli(*args, "--seed", "4") == 0
+    capsys.readouterr()
+    assert run_cli(*args, "--seed", "5") == 2
+    assert "master seed 4" in capsys.readouterr().err
 
 
 def test_missing_instance_exits_2(tmp_path, capsys):

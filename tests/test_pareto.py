@@ -222,24 +222,36 @@ def test_sweep_parallel_matches_serial(tiny, tiny_design):
     grid = epsilon_grid(0.01, 0.2, 4)
     serial = sweep(tiny, tiny_design, grid,
                    StochasticConfig(replications=2, master_seed=3))
-    threaded = sweep(tiny, tiny_design, grid,
+    parallel = sweep(tiny, tiny_design, grid,
                      StochasticConfig(replications=2, master_seed=3, jobs=4))
     assert [(s.epsilon, s.z1, s.z2) for s in serial.solutions] == \
-        [(s.epsilon, s.z1, s.z2) for s in threaded.solutions]
+        [(s.epsilon, s.z1, s.z2) for s in parallel.solutions]
+
+
+def test_sweep_counts_node_limit_incumbents(tiny, tiny_design):
+    # The tiny network's period models branch, so one node cannot finish.
+    grid = (0.01, 1.0)
+    capped = sweep(tiny, tiny_design, grid,
+                   StochasticConfig(replications=2, node_limit=1, jobs=2))
+    full = sweep(tiny, tiny_design, grid, StochasticConfig(replications=2))
+    assert [s.limit_hits for s in capped.solutions] == [2, 2]
+    assert [s.limit_hits for s in full.solutions] == [0, 0]
+    assert all(c.nodes < f.nodes
+               for c, f in zip(capped.solutions, full.solutions))
 
 
 def test_sweep_records_failures_and_continues(tiny, tiny_design,
                                               monkeypatch):
-    import chainforge.pareto as pareto_module
+    import chainforge.stochastic as stochastic
 
-    real = pareto_module.estimate_objectives
+    real = stochastic.run_replication
 
-    def flaky(instance, design, epsilon, config):
+    def flaky(instance, design, epsilon, seed, **kwargs):
         if epsilon == 0.05:
             raise DomainError("boom at 0.05")
-        return real(instance, design, epsilon, config)
+        return real(instance, design, epsilon, seed, **kwargs)
 
-    monkeypatch.setattr(pareto_module, "estimate_objectives", flaky)
+    monkeypatch.setattr(stochastic, "run_replication", flaky)
     pool = sweep(tiny, tiny_design, (0.01, 0.05, 0.2),
                  StochasticConfig(replications=1))
     assert [s.epsilon for s in pool.solutions] == [0.01, 0.2]

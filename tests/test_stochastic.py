@@ -281,6 +281,18 @@ def test_estimate_parallel_matches_serial(tiny, tiny_design):
     assert parallel.z2 == pytest.approx(serial.z2, rel=1e-12)
 
 
+def test_worker_payload_survives_pickling(qatar, qatar_design):
+    # Spawn and forkserver workers receive the pool initializer's
+    # arguments pickled; fork workers inherit them.
+    import pickle
+
+    config = StochasticConfig(
+        replications=2, master_seed=4, safety_stock=0.4, jobs=2,
+        initial_inventory={dc.id: dc.capacity / 2 for dc in qatar.dcs()})
+    payload = (qatar, qatar_design, config)
+    assert pickle.loads(pickle.dumps(payload)) == payload
+
+
 def test_cost_weight_lowers_cost(tiny, tiny_design):
     # Same scenarios, stronger cost pricing: expected cost cannot rise.
     config = StochasticConfig(replications=6, master_seed=21)
