@@ -304,14 +304,16 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Design and plan a three-echelon food supply network.")
     parser.add_argument("--version", action="version",
                         version=f"chainforge {__version__}")
+    # Each subcommand takes only the flags it reads.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for the sweep (default 1)")
     common.add_argument("--out", default="results",
                         help="output directory (default results)")
     seeded = argparse.ArgumentParser(add_help=False, parents=[common])
     seeded.add_argument("--seed", type=int, default=0,
                         help="master random seed (default 0)")
+    sweeping = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    sweeping.add_argument("--jobs", type=int, default=1,
+                          help="worker processes for the sweep (default 1)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -324,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gfa.set_defaults(handler=_cmd_gfa)
 
     p_opt = sub.add_parser(
-        "optimize", parents=[seeded],
+        "optimize", parents=[sweeping],
         help="sweep epsilon and write solutions.csv plus plan files")
     p_opt.add_argument("instance", help="network instance JSON file")
     p_opt.add_argument("--design", default=None,
@@ -342,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_opt.set_defaults(handler=_cmd_optimize)
 
     p_par = sub.add_parser(
-        "pareto", parents=[seeded],
+        "pareto", parents=[common],
         help="extract the front from <out>/solutions.csv")
     p_par.set_defaults(handler=_cmd_pareto)
 
@@ -364,7 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_val.set_defaults(handler=_cmd_validate)
 
     p_run = sub.add_parser(
-        "run", parents=[seeded],
+        "run", parents=[sweeping],
         help="full pipeline: gfa, optimize, pareto, validate, manifest")
     p_run.add_argument("instance", help="network instance JSON file")
     p_run.add_argument("--restarts", type=int, default=8,

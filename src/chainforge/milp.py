@@ -1,18 +1,20 @@
 """Self-contained linear and mixed-binary optimizer.
 
 The solver is deliberately small and dependency-free: a dense-tableau
-primal simplex with native variable bounds (nonbasic variables may sit at
-either bound, so capacity-style upper bounds never become extra rows),
-two phases when a starting basis is not obvious, and a best-first branch
-and bound over binary variables on top.
+simplex with native variable bounds (nonbasic variables may sit at either
+bound, so capacity-style upper bounds never become extra rows) and a
+best-first branch and bound over binary variables on top.
 
-Only the root relaxation is solved from scratch.  Every branch-and-bound
-child, and the rounding heuristic, starts from a copy of its parent's
-final tableau with the branched binaries fixed.  Fixing a bound keeps
-the parent basis dual feasible but can make it primal infeasible, so a
-bounded-variable dual simplex restores feasibility, usually in a few
-pivots; an empty dual ratio test proves the child infeasible without a
-phase 1.
+Every LP is solved by the same two passes: a bounded dual simplex to
+primal feasibility, then a primal simplex to optimality.  Only where they
+start differs.  The root relaxation starts from the slack basis, made
+dual feasible by a cost modification (a column that gains from rising
+starts at its upper bound, or is priced at zero while it has none), so no
+artificial columns or phase 1 are needed.  Every branch-and-bound child,
+and the rounding heuristic, starts from a copy of its parent's final
+tableau with the branched binaries fixed; fixing a bound keeps the parent
+basis dual feasible, so the dual pass usually takes a few pivots.  An
+empty dual ratio test proves an LP infeasible.
 
 Conventions:
 
@@ -171,9 +173,10 @@ class _Tableau:
     """Bounded-variable simplex working state.
 
     Column j of T holds structural variable u_j = x_j - lb_j in [0, U_j]
-    (slacks and artificials follow the structural columns); rhs is the
-    basic solution with every nonbasic variable at zero, and at_ub marks
-    nonbasic variables sitting at their upper bound instead.
+    (one slack per row follows the structural columns); rhs is the basic
+    solution with every nonbasic variable at zero, at_ub marks nonbasic
+    variables sitting at their upper bound instead, and d holds the
+    reduced costs.
     """
 
     def __init__(self, canon: _Canon, lb: np.ndarray, ub: np.ndarray):
@@ -210,43 +213,20 @@ class _Tableau:
         b = b[keep] / scale[keep]
         eq = eq[keep]
 
-        neg = b < 0
-        A[neg] *= -1.0
-        b[neg] *= -1.0
         m = A.shape[0]
 
-        slack_rows = np.nonzero(~eq)[0]
-        n_slack = len(slack_rows)
-        S = np.zeros((m, n_slack))
-        slack_ok = np.zeros(m, dtype=bool)
-        for k, i in enumerate(slack_rows):
-            S[i, k] = -1.0 if neg[i] else 1.0
-            slack_ok[i] = not neg[i]
-
-        art_rows = np.nonzero(~slack_ok)[0]
-        n_art = len(art_rows)
-        R = np.zeros((m, n_art))
-        for k, i in enumerate(art_rows):
-            R[i, k] = 1.0
-
-        self.n_struct = canon.n + n_slack
-        self.n_art = n_art
-        self.T = np.hstack([A, S, R]) if m else np.zeros((0, self.n_struct + n_art))
-        self.A0 = self.T[:, :self.n_struct].copy()
+        # One slack per row: [0, inf) on an inequality, [0, 0] on an
+        # equality.  The slack basis is the start even where b < 0; the dual
+        # simplex in solve() restores primal feasibility.
+        self.T = np.hstack([A, np.eye(m)])
+        self.A0 = self.T.copy()
         self.b0 = b.copy()
         self.rhs = b.copy()
-        self.U = np.concatenate([
-            span, np.full(n_slack, math.inf), np.full(n_art, math.inf)])
-        self.at_ub = np.zeros(self.n_struct + n_art, dtype=bool)
-        self.is_basic = np.zeros(self.n_struct + n_art, dtype=bool)
-        self.basis = np.full(m, -1, dtype=int)
-        for k, i in enumerate(slack_rows):
-            if slack_ok[i]:
-                self.basis[i] = canon.n + k
-        for k, i in enumerate(art_rows):
-            self.basis[i] = self.n_struct + k
+        self.U = np.concatenate([span, np.where(eq, 0.0, math.inf)])
+        self.at_ub = np.zeros(canon.n + m, dtype=bool)
+        self.is_basic = np.zeros(canon.n + m, dtype=bool)
+        self.basis = np.arange(canon.n, canon.n + m)
         self.is_basic[self.basis] = True
-        self.needs_phase1 = n_art > 0
 
     # -- pivot mechanics ---------------------------------------------------
 
@@ -256,12 +236,7 @@ class _Tableau:
             return self.rhs.copy()
         return self.rhs - self.T[:, idx] @ self.U[idx]
 
-    def current_point(self) -> np.ndarray:
-        u = np.where(self.at_ub, np.where(np.isfinite(self.U), self.U, 0.0), 0.0)
-        u[self.basis] = self.basic_values()
-        return u
-
-    def _pivot(self, r: int, j: int) -> None:
+    def _pivot(self, r: int, j: int, leaving_to_ub: bool) -> None:
         T, rhs = self.T, self.rhs
         piv = T[r, j]
         if abs(piv) < 1e-12:
@@ -274,23 +249,18 @@ class _Tableau:
         if mask.any():
             T[mask] -= np.outer(col[mask], T[r])
             rhs[mask] -= col[mask] * rhs[r]
-        for d in self._drows:
-            d -= d[j] * T[r]
+        self.d -= self.d[j] * T[r]
         leaving = self.basis[r]
         self.is_basic[leaving] = False
-        self.at_ub[leaving] = self._leaving_to_ub
+        self.at_ub[leaving] = leaving_to_ub
         self.at_ub[j] = False
         self.is_basic[j] = True
         self.basis[r] = j
 
-    def run(self, d: np.ndarray, extra_drows: list[np.ndarray],
-            allow: np.ndarray, max_iter: int) -> str:
-        """Pivot until optimal or unbounded for the reduced-cost row d.
-
-        Returns "optimal" or "unbounded".  d and every array in
-        extra_drows receive the same row operations.
-        """
-        self._drows = [d] + extra_drows
+    def run(self, max_iter: int) -> str:
+        """Primal simplex from a primal feasible basis until the reduced
+        costs d are optimal.  Returns "optimal" or "unbounded"."""
+        d = self.d
         m = self.T.shape[0]
         stall = 0
         bland = False
@@ -300,7 +270,7 @@ class _Tableau:
             self.iterations += 1
             x_B = self.basic_values()
 
-            movable = (~self.is_basic) & allow & (self.U > _FIXED_TOL)
+            movable = (~self.is_basic) & (self.U > _FIXED_TOL)
             up = movable & ~self.at_ub & (d > _RC_TOL)
             down = movable & self.at_ub & (d < -_RC_TOL)
             candidates = np.nonzero(up | down)[0]
@@ -352,9 +322,8 @@ class _Tableau:
                     r, to_ub = min(rows, key=lambda rc: self.basis[rc[0]])
                 else:
                     r, to_ub = max(rows, key=lambda rc: abs(col[rc[0]]))
-                self._leaving_to_ub = to_ub
                 gained = abs(d[j]) * max(t_best, 0.0)
-                self._pivot(r, j)
+                self._pivot(r, j, to_ub)
                 if gained > 1e-12:
                     stall = 0
                     bland = False
@@ -363,51 +332,79 @@ class _Tableau:
             if stall > max(m, 10):
                 bland = True
 
-    # -- phases ------------------------------------------------------------
+    def dual(self, max_iter: int) -> bool:
+        """Bounded dual simplex from a dual feasible basis to a primal
+        feasible one; False when an empty ratio test proves the LP
+        infeasible.
+
+        Each pivot takes the basic variable furthest outside its bounds out
+        of the basis and brings in the nonbasic column whose reduced cost
+        reaches zero first.
+        """
+        m = len(self.basis)
+        stall = 0
+        bland = False
+        while m:
+            x_B = self.basic_values()
+            excess = np.maximum(-x_B, x_B - self.U[self.basis])
+            rows = np.nonzero(excess > FEASIBILITY_TOL)[0]
+            if len(rows) == 0:
+                break
+            if self.iterations >= max_iter:
+                raise NumericalError("simplex iteration limit reached")
+            self.iterations += 1
+            if bland:
+                r = int(rows[np.argmin(self.basis[rows])])
+            else:
+                r = int(rows[np.argmax(excess[rows])])
+            to_ub = bool(x_B[r] > 0.0)
+            # Entering x_j moves x_B[r] back toward the bound it broke.
+            alpha = self.T[r] if to_ub else -self.T[r]
+            movable = ~self.is_basic & (self.U > _FIXED_TOL)
+            up = movable & ~self.at_ub & (alpha > _PIVOT_TOL)
+            down = movable & self.at_ub & (alpha < -_PIVOT_TOL)
+            candidates = np.nonzero(up | down)[0]
+            if len(candidates) == 0:
+                return False
+            d = self.d[candidates]
+            slack = np.maximum(np.where(self.at_ub[candidates], d, -d), 0.0)
+            ratio = slack / np.abs(alpha[candidates])
+            t = float(ratio.min())
+            ties = candidates[ratio <= t + 1e-12]
+            if bland:
+                j = int(ties[0])
+            else:
+                j = int(ties[np.argmax(np.abs(alpha[ties]))])
+            self._pivot(r, j, to_ub)
+            if t * excess[r] > 1e-12:
+                stall = 0
+                bland = False
+            else:
+                stall += 1
+                bland = stall > max(m, 10)
+        return True
+
+    # -- cold and warm solves ------------------------------------------------
 
     def solve(self, max_iter: int) -> str:
-        """Cold two-phase solve: "optimal", "infeasible" or "unbounded"."""
-        ntot = self.n_struct + self.n_art
-        canon = self.canon
-        c_full = np.zeros(ntot)
-        c_full[:canon.n] = canon.c
-        d2 = c_full.copy()
-        # Price out the (cost-free) initial basis: nothing to do, every
-        # starting basic column has zero objective coefficient.
+        """Cold solve from the slack basis: "optimal", "infeasible" or
+        "unbounded".
 
-        allow = np.ones(ntot, dtype=bool)
-        allow[self.n_struct:] = False  # artificials never re-enter
-
-        if self.needs_phase1:
-            c1 = np.zeros(ntot)
-            c1[self.n_struct:] = -1.0
-            art_basic_rows = [i for i in range(len(self.basis))
-                              if self.basis[i] >= self.n_struct]
-            d1 = c1.copy()
-            for i in art_basic_rows:
-                d1 += self.T[i]
-            d1[self.basis] = 0.0
-            outcome = self.run(d1, [d2], allow, max_iter)
-            if outcome == "unbounded":
-                raise NumericalError("phase 1 reported unbounded")
-            infeas = float(np.sum(self.current_point()[self.n_struct:]))
-            if infeas > FEASIBILITY_TOL * (1.0 + float(np.abs(self.b0).max(initial=0.0))):
-                return "infeasible"
-            self._drive_out_artificials(d2)
-
-        if self.T.shape[1] > self.n_struct:
-            self.T = self.T[:, :self.n_struct]
-            self.A0 = self.A0[:, :self.n_struct]
-            self.U = self.U[:self.n_struct]
-            self.at_ub = self.at_ub[:self.n_struct]
-            self.is_basic = self.is_basic[:self.n_struct]
-            d2 = d2[:self.n_struct]
-            allow = allow[:self.n_struct]
-        d2[self.basis] = 0.0
-        self.d = d2  # kept up to date by run(); read by reoptimize()
-        return self.run(d2, [], allow, max_iter)
-
-    # -- warm start --------------------------------------------------------
+        The slack basis is made dual feasible by a cost modification: a
+        column that gains from rising starts at its upper bound, or, where
+        that bound is infinite, is priced at zero for the dual pass.  The
+        true reduced costs are restored before the primal finish.
+        """
+        c = np.zeros(len(self.U))
+        c[:self.canon.n] = self.canon.c
+        gains = c > 0.0
+        self.at_ub = gains & np.isfinite(self.U)
+        self.d = np.where(gains & ~self.at_ub, 0.0, c)
+        if not self.dual(max_iter):
+            return "infeasible"
+        self.d = c - c[self.basis] @ self.T
+        self.d[self.basis] = 0.0
+        return self.run(max_iter)
 
     def copy(self) -> "_Tableau":
         """An independent copy of a solved tableau; A0 and canon are shared."""
@@ -434,82 +431,13 @@ class _Tableau:
         self.U[j] = 0.0
 
     def reoptimize(self, max_iter: int) -> str:
-        """Bounded dual simplex back to primal feasibility after fix().
-
-        The basis is still dual feasible, so each pivot takes the basic
-        variable furthest outside its bounds out of the basis and brings
-        in the nonbasic column whose reduced cost reaches zero first.  A
-        final primal pass clears any reduced cost that rounding left on
-        the wrong side.  Returns "optimal", "infeasible" or "unbounded".
-        """
-        self._drows = [self.d]
-        m = len(self.basis)
-        stall = 0
-        bland = False
-        while m:
-            x_B = self.basic_values()
-            excess = np.maximum(-x_B, x_B - self.U[self.basis])
-            rows = np.nonzero(excess > FEASIBILITY_TOL)[0]
-            if len(rows) == 0:
-                break
-            if self.iterations >= max_iter:
-                raise NumericalError("simplex iteration limit reached")
-            self.iterations += 1
-            if bland:
-                r = int(rows[np.argmin(self.basis[rows])])
-            else:
-                r = int(rows[np.argmax(excess[rows])])
-            to_ub = bool(x_B[r] > 0.0)
-            # Entering x_j moves x_B[r] back toward the bound it broke.
-            alpha = self.T[r] if to_ub else -self.T[r]
-            movable = ~self.is_basic & (self.U > _FIXED_TOL)
-            up = movable & ~self.at_ub & (alpha > _PIVOT_TOL)
-            down = movable & self.at_ub & (alpha < -_PIVOT_TOL)
-            candidates = np.nonzero(up | down)[0]
-            if len(candidates) == 0:
-                return "infeasible"
-            d = self.d[candidates]
-            slack = np.maximum(np.where(self.at_ub[candidates], d, -d), 0.0)
-            ratio = slack / np.abs(alpha[candidates])
-            t = float(ratio.min())
-            ties = candidates[ratio <= t + 1e-12]
-            if bland:
-                j = int(ties[0])
-            else:
-                j = int(ties[np.argmax(np.abs(alpha[ties]))])
-            self._leaving_to_ub = to_ub
-            self._pivot(r, j)
-            if t * excess[r] > 1e-12:
-                stall = 0
-                bland = False
-            else:
-                stall += 1
-                bland = stall > max(m, 10)
-        return self.run(self.d, [], np.ones(len(self.U), dtype=bool), max_iter)
-
-    def _drive_out_artificials(self, d2: np.ndarray) -> None:
-        self._drows = [d2]
-        drop_rows: list[int] = []
-        for r in range(len(self.basis)):
-            if self.basis[r] < self.n_struct:
-                continue
-            row = self.T[r, :self.n_struct]
-            pivots = np.nonzero(np.abs(row) > 1e-7)[0]
-            usable = [j for j in pivots if not self.is_basic[j]]
-            if usable:
-                self._leaving_to_ub = False
-                self._pivot(r, int(usable[0]))
-            else:
-                drop_rows.append(r)
-        if drop_rows:
-            keep = [i for i in range(len(self.basis)) if i not in set(drop_rows)]
-            for r in drop_rows:
-                self.is_basic[self.basis[r]] = False
-            self.T = self.T[keep]
-            self.A0 = self.A0[keep]
-            self.b0 = self.b0[keep]
-            self.rhs = self.rhs[keep]
-            self.basis = self.basis[keep]
+        """Warm solve after fix(): the basis is still dual feasible, so the
+        dual simplex restores primal feasibility and a primal pass clears
+        any reduced cost that rounding left on the wrong side.  Returns
+        "optimal", "infeasible" or "unbounded"."""
+        if not self.dual(max_iter):
+            return "infeasible"
+        return self.run(max_iter)
 
     def _extract(self) -> np.ndarray:
         u = np.where(self.at_ub, np.where(np.isfinite(self.U), self.U, 0.0), 0.0)
@@ -520,7 +448,7 @@ class _Tableau:
             # canonical rows so rounding from thousands of row operations
             # does not leak into reported flows.
             B = self.A0[:, self.basis]
-            idx = np.nonzero(self.at_ub[:self.n_struct])[0]
+            idx = np.nonzero(self.at_ub)[0]
             rhs = self.b0.copy()
             if len(idx):
                 rhs = rhs - self.A0[:, idx] @ self.U[idx]
@@ -554,7 +482,7 @@ def _result(tab: _Tableau, status: str) -> SolveResult:
 
 def _solve_canon(canon: _Canon, lb: np.ndarray, ub: np.ndarray,
                  max_iter: int) -> tuple[SolveResult, _Tableau]:
-    """Cold two-phase solve; the final tableau seeds warm starts."""
+    """Cold solve from the slack basis; the final tableau seeds warm starts."""
     tab = _Tableau(canon, lb, ub)
     if tab.infeasible_bounds or tab.trivially_infeasible:
         return SolveResult(Status.INFEASIBLE, math.nan, None, 0), tab

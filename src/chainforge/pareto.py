@@ -37,7 +37,6 @@ class ParetoSolution:
     inventory_cost: float
     unfulfilled_cost: float
     order_cost: float
-    plan: str | None = None
     # Solver effort behind the estimate; not part of solutions.csv.
     nodes: int = 0
     limit_hits: int = 0      # replications that stopped at the node limit

@@ -208,6 +208,18 @@ def test_validate_seed_defaults_to_the_plans(tiny_file, tmp_path, capsys):
     assert "master seed 4" in capsys.readouterr().err
 
 
+def test_stages_reject_flags_they_do_not_read(tiny_file, tmp_path):
+    out = str(tmp_path / "o")
+    for argv in (["validate", tiny_file, "--out", out,
+                  "--solution", str(tmp_path / "plan.json"), "--jobs", "4"],
+                 ["pareto", "--out", out, "--seed", "1"],
+                 ["pareto", "--out", out, "--jobs", "2"],
+                 ["gfa", tiny_file, "--out", out, "--jobs", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2, argv
+
+
 def test_missing_instance_exits_2(tmp_path, capsys):
     missing = str(tmp_path / "absent.json")
     assert run_cli("run", missing, "--out", str(tmp_path / "o")) == 2

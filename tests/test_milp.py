@@ -147,6 +147,25 @@ def _random_model(rng, max_binaries=4, max_continuous=4):
     return m, nb, nc
 
 
+def _linprog_rows(model):
+    """The model's rows as linprog's A_ub/b_ub/A_eq/b_eq keywords."""
+    n = model.num_variables
+    a_ub, b_ub, a_eq, b_eq = [], [], [], []
+    for row, relation, rhs in zip(model.rows, model.relations, model.rhs):
+        dense = [row.get(j, 0.0) for j in range(n)]
+        if relation == "<=":
+            a_ub.append(dense)
+            b_ub.append(rhs)
+        elif relation == ">=":
+            a_ub.append([-a for a in dense])
+            b_ub.append(-rhs)
+        else:
+            a_eq.append(dense)
+            b_eq.append(rhs)
+    return {"A_ub": a_ub or None, "b_ub": b_ub or None,
+            "A_eq": a_eq or None, "b_eq": b_eq or None}
+
+
 def _enumerate_milp(model):
     """Reference optimum: enumerate binaries, solve the rest with scipy."""
     binaries = [j for j in range(model.num_variables) if model.is_binary[j]]
@@ -161,20 +180,7 @@ def _enumerate_milp(model):
                 bounds.append((fixed[j], fixed[j]))
             else:
                 bounds.append((model.lower[j], model.upper[j]))
-        a_ub, b_ub, a_eq, b_eq = [], [], [], []
-        for row, relation, rhs in zip(model.rows, model.relations, model.rhs):
-            dense = [row.get(j, 0.0) for j in range(n)]
-            if relation == "<=":
-                a_ub.append(dense)
-                b_ub.append(rhs)
-            elif relation == ">=":
-                a_ub.append([-a for a in dense])
-                b_ub.append(-rhs)
-            else:
-                a_eq.append(dense)
-                b_eq.append(rhs)
-        res = linprog(c, A_ub=a_ub or None, b_ub=b_ub or None,
-                      A_eq=a_eq or None, b_eq=b_eq or None, bounds=bounds,
+        res = linprog(c, **_linprog_rows(model), bounds=bounds,
                       method="highs")
         if res.status == 0:
             value = -res.fun + model.objective_offset
@@ -221,6 +227,62 @@ def test_pure_lp_against_scipy():
         assert result.status is Status.OPTIMAL
         assert res.status == 0
         assert result.objective == pytest.approx(-res.fun, abs=1e-7)
+
+
+def _random_lp_with_unbounded_gains(rng):
+    """An LP the boxed random models never give: about half of its columns
+    have a positive cost and no upper bound, and some equality rows appear
+    twice, so one copy's slack stays basic at zero.  Rows hold at a random
+    point, loosened or tightened by a random margin."""
+    n = int(rng.integers(2, 8))
+    m = LinearModel()
+    point = []
+    for i in range(n):
+        lb = float(rng.uniform(-1.0, 1.0))
+        if rng.random() < 0.5:
+            m.add_variable(f"x{i}", lb=lb,
+                           objective=float(abs(rng.normal(0, 3))))
+            point.append(lb + float(rng.uniform(0.0, 3.0)))
+        else:
+            ub = lb + float(rng.uniform(0.5, 4.0))
+            m.add_variable(f"x{i}", lb=lb, ub=ub,
+                           objective=float(rng.normal(0, 3)))
+            point.append(float(rng.uniform(lb, ub)))
+    for _ in range(int(rng.integers(1, 8))):
+        coeffs = {j: float(rng.normal(0, 2)) for j in range(n)
+                  if rng.random() < 0.7}
+        if not coeffs:
+            continue
+        at_point = sum(a * point[j] for j, a in coeffs.items())
+        relation = str(rng.choice(["<=", ">=", "="]))
+        margin = float(rng.uniform(-1.0, 3.0))
+        rhs = {"<=": at_point + margin, ">=": at_point - margin,
+               "=": at_point}[relation]
+        m.add_constraint(coeffs, relation, rhs)
+        if relation == "=" and rng.random() < 0.5:
+            m.add_constraint(coeffs, relation, rhs)
+    return m
+
+
+def test_random_lps_with_unbounded_gains_match_highs():
+    statuses = {0: Status.OPTIMAL, 2: Status.INFEASIBLE, 3: Status.UNBOUNDED}
+    rng = np.random.default_rng(20261018)
+    outcomes = []
+    for _ in range(300):
+        model = _random_lp_with_unbounded_gains(rng)
+        reference = linprog(
+            [-c for c in model.objective], **_linprog_rows(model),
+            bounds=list(zip(model.lower, model.upper)), method="highs",
+            options={"presolve": False})
+        result = solve_lp(model)
+        assert result.status is statuses[reference.status]
+        if result.status is Status.OPTIMAL:
+            assert abs(result.objective + reference.fun) <= FEASIBILITY_TOL * (
+                1.0 + abs(reference.fun))
+        outcomes.append(result.status)
+    assert outcomes.count(Status.OPTIMAL) >= 100
+    assert Status.INFEASIBLE in outcomes
+    assert Status.UNBOUNDED in outcomes
 
 
 def test_node_limit_reported():
