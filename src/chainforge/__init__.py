@@ -5,55 +5,10 @@ refinement and wires the single-channel network; Phase II plans orders,
 deliveries, and inventory per period under stochastic demand and supply,
 sweeping the cost weight into a Pareto front over accessibility and
 cost; a discrete-event simulator validates chosen solutions.
+
+The stages live in the submodules (model, gfa, stochastic, pareto,
+desim, ...); import from those.  The package itself holds only
+__version__.
 """
 
-from .errors import (ChainforgeError, ConfigError, DomainError,
-                     InfeasibleBoundsError, InfeasibleConfigError,
-                     LinkageError, NumericalError, ParseError,
-                     ValidationError)
-from .model import (DemandSpec, DistributionCenter, Customer, NetworkDesign,
-                    NetworkInstance, Nutrient, Region, Warehouse,
-                    instance_from_dict, instance_to_dict, load_instance)
-from .gfa import (GfaConfig, GfaResult, assign_linkages, load_design,
-                  locate_region, run_gfa, save_design, weiszfeld_single)
-from .accessibility import (Scales, accessible_nutrition, affordability,
-                            default_scales, normalize, quality_index,
-                            resolve_scales, snapshot, transportation_effort)
-from .milp import LinearModel, SolveResult, Status, solve_lp, solve_milp
-from .stochastic import (EstimateResult, OperationalPlan, ReplicationResult,
-                         Scenario, StochasticConfig, audit_replication,
-                         build_period_model, estimate_objectives, load_plan,
-                         plan_from_estimate, run_replication, sample_scenario,
-                         save_plan)
-from .pareto import (ParetoSolution, SolutionPool, epsilon_grid,
-                     extract_front, read_solutions_csv, render_front_svg,
-                     sweep, write_front_csv, write_solutions_csv)
-from .desim import (SimConfig, SimReport, run_validation, service_level,
-                    simulate, write_validation_csv)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ChainforgeError", "ConfigError", "DomainError", "InfeasibleBoundsError",
-    "InfeasibleConfigError", "LinkageError", "NumericalError", "ParseError",
-    "ValidationError",
-    "DemandSpec", "DistributionCenter", "Customer", "NetworkDesign",
-    "NetworkInstance", "Nutrient", "Region", "Warehouse",
-    "instance_from_dict", "instance_to_dict", "load_instance",
-    "GfaConfig", "GfaResult", "assign_linkages", "load_design",
-    "locate_region", "run_gfa", "save_design", "weiszfeld_single",
-    "Scales", "accessible_nutrition", "affordability", "default_scales",
-    "normalize", "quality_index", "resolve_scales", "snapshot",
-    "transportation_effort",
-    "LinearModel", "SolveResult", "Status", "solve_lp", "solve_milp",
-    "EstimateResult", "OperationalPlan", "ReplicationResult", "Scenario",
-    "StochasticConfig", "audit_replication", "build_period_model",
-    "estimate_objectives", "load_plan", "plan_from_estimate",
-    "run_replication", "sample_scenario", "save_plan",
-    "ParetoSolution", "SolutionPool", "epsilon_grid", "extract_front",
-    "read_solutions_csv", "render_front_svg", "sweep", "write_front_csv",
-    "write_solutions_csv",
-    "SimConfig", "SimReport", "run_validation", "service_level", "simulate",
-    "write_validation_csv",
-    "__version__",
-]

@@ -12,14 +12,13 @@ its nearest DC within the region, keeping the single-channel structure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import InfeasibleConfigError, ValidationError
-from .model import (NetworkDesign, NetworkInstance, Region,
-                    derive_mean_local_demand, euclidean_distance)
+from .model import NetworkDesign, NetworkInstance, Region, euclidean_distance
 
 # Guard against division by zero when an iterate lands on a demand point.
 _SINGULARITY_EPS = 1e-9
@@ -29,12 +28,10 @@ _SINGULARITY_EPS = 1e-9
 class GfaConfig:
     """Knobs for the placement stage.
 
-    dc_count_per_region may override the number of centers per region;
-    when given it must agree with the DC entities declared in the
-    instance, since those carry the capacities the later stages use.
+    Every region gets as many centers as the instance declares DCs for
+    it, since those carry the capacities the later stages use.
     """
 
-    dc_count_per_region: Mapping[str, int] | None = None
     max_iterations: int = 200
     tolerance: float = 1e-4
     restarts: int = 8
@@ -220,8 +217,7 @@ def assign_linkages(instance: NetworkInstance,
 
     Every DC links to its nearest warehouse and every customer to the
     nearest DC inside its own region; distance ties break on the lower
-    id.  Also derives each DC's expected local demand from the customer
-    assignment.
+    id.
     """
     dc_warehouse: dict[str, str] = {}
     customer_dc: dict[str, str] = {}
@@ -239,14 +235,9 @@ def assign_linkages(instance: NetworkInstance,
             customer_dc[customer.id] = min(
                 region.dcs,
                 key=lambda dc: (distances[dc.id][customer.id], dc.id)).id
-    design = NetworkDesign(
+    return NetworkDesign(
         dc_locations={dc.id: tuple(dc_locations[dc.id]) for dc in instance.dcs()},
-        dc_warehouse=dc_warehouse, customer_dc=customer_dc, distances=distances,
-        mean_local_demand={},
-    )
-    design.mean_local_demand.update(
-        derive_mean_local_demand(instance, customer_dc))
-    return design
+        dc_warehouse=dc_warehouse, customer_dc=customer_dc, distances=distances)
 
 
 def run_gfa(instance: NetworkInstance, config: GfaConfig | None = None) -> GfaResult:
@@ -258,15 +249,9 @@ def run_gfa(instance: NetworkInstance, config: GfaConfig | None = None) -> GfaRe
     iterations: dict[str, int] = {}
     all_converged = True
     for region in instance.regions:
-        k = len(region.dcs)
-        if config.dc_count_per_region is not None:
-            requested = config.dc_count_per_region.get(region.id, k)
-            if requested != k:
-                raise InfeasibleConfigError(
-                    f"region {region.id}: config requests {requested} DCs but the "
-                    f"instance declares {k}")
         placement = locate_region(
-            region, k, config, rng, initial=[dc.location for dc in region.dcs])
+            region, len(region.dcs), config, rng,
+            initial=[dc.location for dc in region.dcs])
         for slot, dc in enumerate(region.dcs):
             dc_locations[dc.id] = placement.locations[slot]
         objectives[region.id] = placement.objective
@@ -288,7 +273,6 @@ def save_design(result: GfaResult, path: str) -> None:
         "y": dict(sorted(design.customer_dc.items())),
         "distances": {dc: {c: d for c, d in sorted(row.items())}
                       for dc, row in sorted(design.distances.items())},
-        "mean_local_demand": dict(sorted(design.mean_local_demand.items())),
         "region_objectives": dict(sorted(result.region_objectives.items())),
         "iterations_used": dict(sorted(result.iterations_used.items())),
         "converged": result.converged,
@@ -299,7 +283,11 @@ def save_design(result: GfaResult, path: str) -> None:
 
 
 def load_design(path: str) -> GfaResult:
-    """Read a design file written by save_design."""
+    """Read a design file written by save_design.
+
+    Keys it does not read, such as per-DC demand totals that older
+    versions wrote, are ignored.
+    """
     import json
 
     from .errors import ParseError
@@ -319,8 +307,6 @@ def load_design(path: str) -> GfaResult:
             customer_dc=dict(data["y"]),
             distances={dc: {c: float(d) for c, d in row.items()}
                        for dc, row in data["distances"].items()},
-            mean_local_demand={k: float(v)
-                               for k, v in data["mean_local_demand"].items()},
         )
         return GfaResult(
             design=design,

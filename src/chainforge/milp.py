@@ -65,7 +65,6 @@ class SolveResult:
     values: np.ndarray | None
     iterations: int
     nodes: int = 0
-    limit_hit: bool = False
 
     def value(self, index: int) -> float:
         if self.values is None:
@@ -522,7 +521,7 @@ def solve_milp(model: LinearModel, *, node_limit: int = 100_000,
     carries that tableau.  iterations counts the simplex iterations of
     every LP solved, dual pivots included, and max_iterations (0 picks a
     default from the model size) caps each LP.  Hitting node_limit
-    returns the best incumbent found, flagged via limit_hit.
+    returns the best incumbent found with status NODE_LIMIT.
     """
     canon = _Canon(model)
     root, root_tab = _solve_canon(canon, canon.lb, canon.ub, max_iterations)
@@ -581,7 +580,7 @@ def solve_milp(model: LinearModel, *, node_limit: int = 100_000,
 
     if limit_hit:
         return SolveResult(Status.NODE_LIMIT, incumbent_obj, incumbent_x,
-                           total_iter, nodes, limit_hit=True)
+                           total_iter, nodes)
     if incumbent_x is None:
         return SolveResult(Status.INFEASIBLE, math.nan, None, total_iter, nodes)
     return SolveResult(Status.OPTIMAL, incumbent_obj, incumbent_x, total_iter, nodes)

@@ -196,15 +196,13 @@ class NetworkDesign:
     dc_warehouse maps each DC to its sole supplying warehouse (the z
     linkage) and customer_dc maps each customer to its sole DC (the y
     linkage), so the exactly-one structure holds by construction.
-    distances carries the full DC-by-customer matrix in kilometres and
-    mean_local_demand the expected per-period demand routed to each DC.
+    distances carries the full DC-by-customer matrix in kilometres.
     """
 
     dc_locations: dict[str, tuple[float, float]]
     dc_warehouse: dict[str, str]
     customer_dc: dict[str, str]
     distances: dict[str, dict[str, float]]
-    mean_local_demand: dict[str, float]
 
     def linked(self, dc_id: str, customer_id: str) -> bool:
         return self.customer_dc.get(customer_id) == dc_id
@@ -600,13 +598,3 @@ def instance_to_dict(instance: NetworkInstance) -> dict[str, Any]:
             "quality": s.quality,
         }
     return data
-
-
-def derive_mean_local_demand(instance: NetworkInstance,
-                             customer_dc: Mapping[str, str]) -> dict[str, float]:
-    """Expected per-period demand routed to each DC under a y linkage."""
-    means = {c.id: c.demand.mean for c in instance.customers()}
-    totals = {dc.id: 0.0 for dc in instance.dcs()}
-    for customer_id, dc_id in customer_dc.items():
-        totals[dc_id] += means[customer_id]
-    return totals

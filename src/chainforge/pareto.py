@@ -26,36 +26,6 @@ CSV_COLUMNS = ("epsilon", "Z1", "Z1_se", "Z2", "Z2_se",
 
 
 @dataclass(frozen=True)
-class ParetoSolution:
-    """One sweep point: the epsilon used and the resulting estimates."""
-
-    epsilon: float
-    z1: float
-    z1_se: float
-    z2: float
-    z2_se: float
-    inventory_cost: float
-    unfulfilled_cost: float
-    order_cost: float
-    # Solver effort behind the estimate; not part of solutions.csv.
-    nodes: int = 0
-    limit_hits: int = 0      # replications that stopped at the node limit
-
-    @classmethod
-    def from_estimate(cls, estimate: EstimateResult) -> "ParetoSolution":
-        return cls(
-            epsilon=estimate.epsilon,
-            z1=estimate.z1, z1_se=estimate.z1_se,
-            z2=estimate.z2, z2_se=estimate.z2_se,
-            inventory_cost=estimate.inventory_cost,
-            unfulfilled_cost=estimate.unfulfilled_cost,
-            order_cost=estimate.order_cost,
-            nodes=estimate.nodes,
-            limit_hits=estimate.limit_hits,
-        )
-
-
-@dataclass(frozen=True)
 class SweepFailure:
     """A grid point whose estimation raised; the sweep carries on."""
 
@@ -67,15 +37,8 @@ class SweepFailure:
 class SolutionPool:
     """Sweep output: solutions in grid order plus any per-point failures."""
 
-    solutions: list[ParetoSolution]
+    solutions: list[EstimateResult]
     failures: list[SweepFailure]
-
-    def front(self) -> list[ParetoSolution]:
-        return extract_front(self.solutions)
-
-    def front_flags(self) -> list[bool]:
-        member = set(id(s) for s in self.front())
-        return [id(s) in member for s in self.solutions]
 
 
 def epsilon_grid(low: float, high: float, steps: int) -> tuple[float, ...]:
@@ -117,7 +80,7 @@ def sweep(instance: NetworkInstance, design: NetworkDesign,
     items = [(eps, seed) for eps in grid for seed in seeds]
     outcomes = map_replications(summarize_replication, instance, design,
                                 config, items)
-    solutions: list[ParetoSolution] = []
+    solutions: list[EstimateResult] = []
     failures: list[SweepFailure] = []
     for k, eps in enumerate(grid):
         point = outcomes[k * len(seeds):(k + 1) * len(seeds)]
@@ -125,11 +88,11 @@ def sweep(instance: NetworkInstance, design: NetworkDesign,
         if errors:
             failures.append(SweepFailure(epsilon=eps, error=str(errors[0])))
         else:
-            solutions.append(ParetoSolution.from_estimate(aggregate(eps, point)))
+            solutions.append(aggregate(eps, point))
     return SolutionPool(solutions=solutions, failures=failures)
 
 
-def extract_front(solutions: Iterable[ParetoSolution]) -> list[ParetoSolution]:
+def extract_front(solutions: Iterable[EstimateResult]) -> list[EstimateResult]:
     """Non-dominated subset, sorted by cost ascending.
 
     A solution survives iff no other has Z1 >= it and Z2 <= it with at
@@ -140,7 +103,7 @@ def extract_front(solutions: Iterable[ParetoSolution]) -> list[ParetoSolution]:
     if not pool:
         raise DomainError("cannot extract a front from an empty pool")
     ordered = sorted(pool, key=lambda s: (s.z2, -s.z1, s.epsilon))
-    front: list[ParetoSolution] = []
+    front: list[EstimateResult] = []
     best_z1 = -math.inf
     i = 0
     while i < len(ordered):
@@ -158,21 +121,21 @@ def extract_front(solutions: Iterable[ParetoSolution]) -> list[ParetoSolution]:
     return front
 
 
-def _row(s: ParetoSolution) -> list[str]:
+def _row(s: EstimateResult) -> list[str]:
     """The CSV_COLUMNS cells of one solution, nine significant digits."""
     return [format(v, ".9g") for v in (
         s.epsilon, s.z1, s.z1_se, s.z2, s.z2_se,
         s.inventory_cost, s.unfulfilled_cost, s.order_cost)]
 
 
-def write_solutions_csv(path: str, solutions: Sequence[ParetoSolution]) -> None:
+def write_solutions_csv(path: str, solutions: Sequence[EstimateResult]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         writer.writerows(_row(s) for s in solutions)
 
 
-def read_solutions_csv(path: str) -> list[ParetoSolution]:
+def read_solutions_csv(path: str) -> list[EstimateResult]:
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
@@ -189,11 +152,11 @@ def read_solutions_csv(path: str) -> list[ParetoSolution]:
             values = [float(cell) for cell in row]
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
-        solutions.append(ParetoSolution(*values))
+        solutions.append(EstimateResult(*values))
     return solutions
 
 
-def write_front_csv(path: str, solutions: Sequence[ParetoSolution]) -> None:
+def write_front_csv(path: str, solutions: Sequence[EstimateResult]) -> None:
     """All solutions with a 0/1 front-membership column appended."""
     front = set(map(id, extract_front(solutions)))
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -233,7 +196,7 @@ def _tick_label(value: float) -> str:
     return format(value, ".6g")
 
 
-def render_front_svg(path: str, solutions: Sequence[ParetoSolution]) -> None:
+def render_front_svg(path: str, solutions: Sequence[EstimateResult]) -> None:
     """Scatter of every solution with the front highlighted.
 
     Deterministic output: same solutions give byte-identical SVG.  Front

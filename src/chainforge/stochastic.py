@@ -369,7 +369,6 @@ class PeriodDecision:
     aux: dict[tuple[str, str], float]
     objective: float
     accessibility: float
-    region_contributions: dict[str, float]
     inventory_cost: float
     unfulfilled_cost: float
     order_cost: float
@@ -380,12 +379,10 @@ class ReplicationResult:
     seed: int
     scenario: Scenario
     periods: list[PeriodDecision]
-    phi: float
     accessibility: float
     inventory_cost: float
     unfulfilled_cost: float
     order_cost: float
-    transport_effort: float
     balance_form: str
     safety_stock: float
     initial_inventory: dict[str, float]
@@ -403,24 +400,42 @@ def default_initial_inventory(instance: NetworkInstance,
     return {dc.id: safety_fraction * dc.capacity for dc in instance.dcs()}
 
 
+def opening_state(instance: NetworkInstance, config: StochasticConfig,
+                  ) -> tuple[float, dict[str, float]]:
+    """The safety-stock fraction and opening inventory a config plans with.
+
+    A configured initial_inventory must name exactly the instance's DCs;
+    its values are stored as floats.  Without one, every DC opens at its
+    safety level.
+    """
+    v = (instance.safety_stock_fraction if config.safety_stock is None
+         else config.safety_stock)
+    if config.initial_inventory is None:
+        return v, default_initial_inventory(instance, v)
+    dc_ids = [dc.id for dc in instance.dcs()]
+    missing = [h for h in dc_ids if h not in config.initial_inventory]
+    unknown = sorted(set(config.initial_inventory) - set(dc_ids))
+    problems = []
+    if missing:
+        problems.append("missing DCs " + ", ".join(missing))
+    if unknown:
+        problems.append("unknown DCs " + ", ".join(unknown))
+    if problems:
+        raise DomainError("initial inventory: " + "; ".join(problems))
+    return v, {h: float(config.initial_inventory[h]) for h in dc_ids}
+
+
 def run_replication(instance: NetworkInstance, design: NetworkDesign,
                     epsilon: float, seed: int, *,
                     config: StochasticConfig = StochasticConfig(),
                     ) -> ReplicationResult:
     """Sample one scenario and solve the horizon period by period."""
+    v, initial = opening_state(instance, config)
     scenario = sample_scenario(instance, seed)
-    v = (instance.safety_stock_fraction if config.safety_stock is None
-         else config.safety_stock)
-    if config.initial_inventory is not None:
-        opening = {dc.id: float(config.initial_inventory[dc.id])
-                   for dc in instance.dcs()}
-    else:
-        opening = default_initial_inventory(instance, v)
-    initial = dict(opening)
+    opening = initial
     scales = resolve_scales(instance, design)
     terms = quality_terms(instance, v)
     term_lookup = {(t.region_id, t.nutrient_id): t for t in terms}
-    nutrient_weight = {n.id: n.weight for n in instance.nutrients}
 
     periods: list[PeriodDecision] = []
     nodes = 0
@@ -452,19 +467,14 @@ def run_replication(instance: NetworkInstance, design: NetworkDesign,
                        dc.capacity)
             for dc in instance.dcs()}
 
-    transport = sum(
-        instance.path_weight(h, l) * design.distances[h][l] * qty
-        for p in periods for (h, l), qty in p.deliveries.items())
     return ReplicationResult(
         seed=seed,
         scenario=scenario,
         periods=periods,
-        phi=sum(p.objective for p in periods),
         accessibility=sum(p.accessibility for p in periods),
         inventory_cost=sum(p.inventory_cost for p in periods),
         unfulfilled_cost=sum(p.unfulfilled_cost for p in periods),
         order_cost=sum(p.order_cost for p in periods),
-        transport_effort=transport,
         balance_form=config.balance_form,
         safety_stock=v,
         initial_inventory=initial,
@@ -527,20 +537,18 @@ def _extract_period(instance, design, index, result, opening, demands_t,
     order_cost = sum(instance.warehouse(w_id).order_cost(dc_id) * qty
                      for (w_id, dc_id), qty in orders.items())
 
-    contributions: dict[str, float] = {}
     acc_total = 0.0
     for region in instance.regions:
         shipments = {(h, l): qty for (h, l), qty in deliveries.items()
                      if any(dc.id == h for dc in region.dcs)}
         snap = snapshot(region, t, design, instance,
                         region_stock[region.id], shipments, scales)
-        contributions[region.id] = snap.contribution(region)
-        acc_total += contributions[region.id]
+        acc_total += snap.contribution(region)
 
     return PeriodDecision(
         period=t, orders=orders, deliveries=deliveries, unmet=unmet,
         inventory=inventory, aux=aux, objective=result.objective,
-        accessibility=acc_total, region_contributions=contributions,
+        accessibility=acc_total,
         inventory_cost=inventory_cost, unfulfilled_cost=unfulfilled_cost,
         order_cost=order_cost)
 
@@ -645,17 +653,24 @@ def summarize_replication(instance: NetworkInstance, design: NetworkDesign,
 
 @dataclass(frozen=True)
 class EstimateResult:
+    """One epsilon's Monte Carlo estimate of (Z1, Z2).
+
+    The first eight fields are the pareto.CSV_COLUMNS in order, so a
+    solutions.csv row reads back positionally.  The rest are not written
+    to the CSV: the solver effort behind the estimate and, from
+    estimate_objectives, the replications themselves.
+    """
+
     epsilon: float
     z1: float
     z1_se: float
     z2: float
     z2_se: float
-    replications: int
     inventory_cost: float
     unfulfilled_cost: float
     order_cost: float
-    nodes: int               # branch-and-bound nodes over all replications
-    limit_hits: int          # replications with a node-limit incumbent
+    nodes: int = 0           # branch-and-bound nodes over all replications
+    limit_hits: int = 0      # replications with a node-limit incumbent
     results: tuple[ReplicationResult, ...] = ()
 
 
@@ -686,7 +701,6 @@ def aggregate(epsilon: float,
         z1_se=se(z1_samples),
         z2=float(z2_samples.mean()),
         z2_se=se(z2_samples),
-        replications=len(replications),
         inventory_cost=float(np.mean([r.inventory_cost for r in replications])),
         unfulfilled_cost=float(np.mean([r.unfulfilled_cost
                                         for r in replications])),
@@ -825,20 +839,10 @@ class OperationalPlan:
     balance_form: str = "delivered"
 
 
-def plan_from_estimate(estimate, instance: NetworkInstance,
+def plan_from_estimate(estimate: EstimateResult, instance: NetworkInstance,
                        config: StochasticConfig) -> OperationalPlan:
-    """The plan for one estimate under the config it was made with.
-
-    estimate is anything with the estimate fields (epsilon, z1, z1_se,
-    z2, z2_se and the three cost parts): an EstimateResult, or a
-    pareto.ParetoSolution read back from the sweep.
-    """
-    v = (instance.safety_stock_fraction if config.safety_stock is None
-         else config.safety_stock)
-    if config.initial_inventory is not None:
-        opening = dict(config.initial_inventory)
-    else:
-        opening = default_initial_inventory(instance, v)
+    """The plan for one estimate under the config it was made with."""
+    v, opening = opening_state(instance, config)
     return OperationalPlan(
         epsilon=estimate.epsilon,
         safety_stock=v,

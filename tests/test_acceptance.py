@@ -19,8 +19,9 @@ from chainforge.desim import SimConfig, run_validation
 from chainforge.gfa import GfaConfig, run_gfa, weiszfeld_single
 from chainforge.milp import LinearModel, Status, solve_milp
 from chainforge.model import load_instance
-from chainforge.pareto import ParetoSolution, extract_front, sweep
-from chainforge.stochastic import (OperationalPlan, StochasticConfig,
+from chainforge.pareto import extract_front, sweep
+from chainforge.stochastic import (EstimateResult, OperationalPlan,
+                                   StochasticConfig,
                                    default_initial_inventory,
                                    estimate_objectives)
 from chainforge.accessibility import affordability, resolve_scales, snapshot
@@ -277,7 +278,7 @@ def test_criterion_3_stored_decisions_satisfy_constraints():
     try:
         instance, design = _pipeline()
         estimate, elapsed = _qatar_estimate()
-        assert estimate.replications == 50
+        assert len(estimate.results) == 50
         for result in estimate.results:
             previous = result.initial_inventory
             for decision in result.periods:
@@ -368,7 +369,7 @@ def test_criterion_6_front_extraction():
                 z1, z2 = float(rng.integers(0, 25)), float(rng.integers(0, 25))
             else:
                 z1, z2 = float(rng.normal(10, 5)), float(rng.normal(10, 5))
-            pool.append(ParetoSolution(
+            pool.append(EstimateResult(
                 epsilon=float(rng.uniform(0, 1)), z1=z1, z1_se=0.0, z2=z2,
                 z2_se=0.0, inventory_cost=0.0, unfulfilled_cost=0.0,
                 order_cost=0.0))

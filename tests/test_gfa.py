@@ -1,11 +1,14 @@
 """Placement stage: Weiszfeld iteration, location-allocation, linkages."""
 
+import json
+
 import numpy as np
 import pytest
 
 from chainforge.errors import InfeasibleConfigError, ValidationError
-from chainforge.gfa import (GfaConfig, assign_linkages, locate_region,
-                            run_gfa, weighted_effort, weiszfeld_single)
+from chainforge.gfa import (GfaConfig, assign_linkages, load_design,
+                            locate_region, run_gfa, save_design,
+                            weighted_effort, weiszfeld_single)
 from chainforge.model import instance_from_dict
 from conftest import tiny_dict
 
@@ -107,8 +110,6 @@ def test_assign_linkages_nearest(tiny, tiny_design):
     assert tiny_design.customer_dc == {
         "C1": "D1", "C2": "D1", "C3": "D2", "C4": "D3", "C5": "D3"}
     assert tiny_design.dc_warehouse == {"D1": "W1", "D2": "W1", "D3": "W2"}
-    assert tiny_design.mean_local_demand == {
-        "D1": 80.0, "D2": 40.0, "D3": 65.0}
     assert tiny_design.linked("D1", "C1")
     assert not tiny_design.linked("D1", "C3")
 
@@ -139,8 +140,20 @@ def test_run_gfa_converges_and_covers_all_dcs(tiny):
     assert set(result.design.dc_locations) == {"D1", "D2", "D3"}
     assert set(result.region_objectives) == {"R1", "R2"}
     assert all(v >= 0.0 for v in result.region_objectives.values())
-    total = sum(result.design.mean_local_demand.values())
-    assert total == pytest.approx(40.0 * 4 + 25.0)
+
+
+@pytest.mark.parametrize("name", ["tiny", "qatar"])
+def test_design_round_trip(name, request, tmp_path):
+    instance = request.getfixturevalue(name)
+    result = run_gfa(instance, GfaConfig(rng_seed=3))
+    path = tmp_path / "design.json"
+    save_design(result, str(path))
+    assert load_design(str(path)) == result
+    # Design files written before mean_local_demand was dropped still load.
+    data = json.loads(path.read_text())
+    data["mean_local_demand"] = {dc.id: 1.0 for dc in instance.dcs()}
+    path.write_text(json.dumps(data))
+    assert load_design(str(path)) == result
 
 
 def test_run_gfa_is_deterministic(tiny):

@@ -296,7 +296,11 @@ def test_node_limit_reported():
         coeffs = {c: float(rng.uniform(0.5, 1.5)) for c in cols}
         m.add_constraint(coeffs, "<=", float(rng.uniform(2.0, 4.0)))
     result = solve_milp(m, node_limit=1)
-    assert result.nodes <= 1 or result.limit_hit
+    # The root is fractional and the rounding heuristic fails, so the
+    # limit stops the search before any incumbent exists.
+    assert result.status is Status.NODE_LIMIT
+    assert result.nodes == 1
+    assert result.values is None
 
 
 def test_integral_relaxation_skips_branching():

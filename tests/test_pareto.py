@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 
 from chainforge.errors import DomainError, ParseError
-from chainforge.pareto import (CSV_COLUMNS, ParetoSolution, SolutionPool,
-                               epsilon_grid, extract_front,
+from chainforge.pareto import (CSV_COLUMNS, epsilon_grid, extract_front,
                                read_solutions_csv, render_front_svg, sweep,
                                write_front_csv, write_solutions_csv)
-from chainforge.stochastic import StochasticConfig
+from chainforge.stochastic import EstimateResult, StochasticConfig
 
 
 def make(epsilon, z1, z2):
-    return ParetoSolution(epsilon=epsilon, z1=z1, z1_se=0.0, z2=z2,
+    return EstimateResult(epsilon=epsilon, z1=z1, z1_se=0.0, z2=z2,
                           z2_se=0.0, inventory_cost=0.0,
                           unfulfilled_cost=0.0, order_cost=0.0)
 
@@ -113,22 +112,14 @@ def test_front_is_strictly_monotone():
         assert b.z1 > a.z1
 
 
-def test_front_flags_align_with_membership():
-    pool = SolutionPool(
-        solutions=[make(0.1, 5, 10), make(0.2, 4, 8), make(0.3, 3, 9)],
-        failures=[])
-    flags = pool.front_flags()
-    assert flags == [True, True, False]
-
-
 # ------------------------------------------------------------------ csv
 
 def test_solutions_csv_round_trip(tmp_path):
     pool = [
-        ParetoSolution(epsilon=0.125, z1=1.5, z1_se=0.01, z2=1e6,
+        EstimateResult(epsilon=0.125, z1=1.5, z1_se=0.01, z2=1e6,
                        z2_se=123.456789, inventory_cost=7e5,
                        unfulfilled_cost=2e5, order_cost=1e5),
-        ParetoSolution(epsilon=0.25, z1=1.25, z1_se=0.0, z2=9e5,
+        EstimateResult(epsilon=0.25, z1=1.25, z1_se=0.0, z2=9e5,
                        z2_se=0.0, inventory_cost=6e5,
                        unfulfilled_cost=2e5, order_cost=1e5),
     ]
@@ -142,7 +133,7 @@ def test_solutions_csv_round_trip(tmp_path):
 
 
 def test_solutions_csv_nine_significant_digits(tmp_path):
-    sol = ParetoSolution(epsilon=1 / 3, z1=math.pi, z1_se=0.0, z2=1e7 / 3,
+    sol = EstimateResult(epsilon=1 / 3, z1=math.pi, z1_se=0.0, z2=1e7 / 3,
                          z2_se=0.0, inventory_cost=0.0, unfulfilled_cost=0.0,
                          order_cost=0.0)
     path = str(tmp_path / "s.csv")

@@ -197,7 +197,8 @@ def test_run_replication_audit_clean(qatar, qatar_design):
 def test_run_replication_deterministic(tiny, tiny_design):
     a = run_replication(tiny, tiny_design, 0.02, 1234)
     b = run_replication(tiny, tiny_design, 0.02, 1234)
-    assert a.phi == b.phi
+    assert ([p.objective for p in a.periods]
+            == [p.objective for p in b.periods])
     assert a.accessibility == b.accessibility
     for pa, pb in zip(a.periods, b.periods):
         assert pa.orders == pb.orders
@@ -230,8 +231,8 @@ def test_expensive_ordering_goes_idle(tiny_design):
 
 
 def test_accessibility_includes_constant_affordability(tiny, tiny_design):
-    # phi is the scalarized solver objective, which drops the constant
-    # affordability part; the reported Z1 restores it.
+    # The period objectives are the scalarized solver objective, which
+    # drops the constant affordability part; the reported Z1 restores it.
     from chainforge.accessibility import normalize, resolve_scales
 
     result = run_replication(tiny, tiny_design, 0.01, 5)
@@ -258,7 +259,7 @@ def test_estimate_single_replication_has_zero_se(tiny, tiny_design):
                                    StochasticConfig(replications=1))
     assert estimate.z1_se == 0.0
     assert estimate.z2_se == 0.0
-    assert estimate.replications == 1
+    assert len(estimate.results) == 1
 
 
 def test_estimate_matched_seeds_reproducible(tiny, tiny_design):
@@ -334,6 +335,28 @@ def test_plan_round_trip(tiny, tiny_design, tmp_path):
     path = str(tmp_path / "plan.json")
     save_plan(plan, path)
     assert load_plan(path) == plan
+
+
+def test_configured_opening_inventory_must_name_every_dc(tiny, tiny_design):
+    from chainforge.pareto import sweep
+
+    opening = {"D1": 30, "D2": 24, "D3": 20}
+    config = StochasticConfig(replications=1, initial_inventory=opening)
+    estimate = estimate_objectives(tiny, tiny_design, 0.02, config)
+    plan = plan_from_estimate(estimate, tiny, config)
+    assert plan.initial_inventory == estimate.results[0].initial_inventory
+    assert plan.initial_inventory == opening
+    assert all(type(u) is float for u in plan.initial_inventory.values())
+    for bad, named in (({"D1": 30.0, "D2": 24.0}, "missing DCs D3"),
+                       ({**opening, "DX": 5.0}, "unknown DCs DX")):
+        config = StochasticConfig(replications=1, initial_inventory=bad)
+        with pytest.raises(DomainError, match=named):
+            run_replication(tiny, tiny_design, 0.02, 1, config=config)
+        with pytest.raises(DomainError, match=named):
+            plan_from_estimate(estimate, tiny, config)
+        pool = sweep(tiny, tiny_design, (0.02,), config)
+        assert pool.solutions == []
+        assert named in pool.failures[0].error
 
 
 def test_plan_load_rejects_bad_files(tmp_path):
