@@ -27,7 +27,8 @@ from . import __version__
 from .desim import SimConfig, run_validation, write_validation_csv
 from .errors import ChainforgeError, DomainError
 from .gfa import GfaConfig, load_design, run_gfa, save_design
-from .model import load_instance
+from .model import (NetworkDesign, NetworkInstance, id_mismatches,
+                    load_instance)
 from .pareto import (epsilon_grid, extract_front, read_solutions_csv,
                      render_front_svg, sweep, write_front_csv,
                      write_solutions_csv)
@@ -91,6 +92,24 @@ def _design_path(args: argparse.Namespace) -> str:
     return args.design or os.path.join(args.out, "design.json")
 
 
+def _load_design(path: str, instance: NetworkInstance) -> NetworkDesign:
+    """The design in path, whose ids must be the instance's."""
+    design = load_design(path).design
+    dcs = set(design.dc_warehouse) | set(design.customer_dc.values())
+    used = set(design.dc_warehouse.values())
+    problems = (
+        id_mismatches("DCs", [dc.id for dc in instance.dcs()], dcs)
+        # A design need not order from every warehouse.
+        + id_mismatches("warehouses", [w.id for w in instance.warehouses
+                                       if w.id in used], used)
+        + id_mismatches("customers", [c.id for c in instance.customers()],
+                        design.customer_dc))
+    if problems:
+        raise UsageError(f"design {path} does not fit the instance: "
+                         + "; ".join(problems))
+    return design
+
+
 def _sweep_config(args: argparse.Namespace) -> StochasticConfig:
     if args.replications < 1:
         raise UsageError("replications must be at least 1")
@@ -129,7 +148,7 @@ def _stage_optimize(args: argparse.Namespace) -> str:
     design_file = _require_file(
         _design_path(args), "design (run the gfa stage first or pass --design)")
     instance = load_instance(args.instance)
-    design = load_design(design_file).design
+    design = _load_design(design_file, instance)
     pool = sweep(instance, design, grid, config)
     for failure in pool.failures:
         print(f"optimize: epsilon {failure.epsilon:g} failed: {failure.error}",
@@ -179,7 +198,7 @@ def _stage_validate(args: argparse.Namespace, solution_file: str) -> str:
         _design_path(args), "design (run the gfa stage first or pass --design)")
     plan_file = _require_file(solution_file, "solution plan")
     instance = load_instance(args.instance)
-    design = load_design(design_file).design
+    design = _load_design(design_file, instance)
     plan = load_plan(plan_file)
     # The simulator draws its demand from the plan's own scenario stream;
     # another seed would compare the plan against demand it never saw.

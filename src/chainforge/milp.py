@@ -7,14 +7,21 @@ best-first branch and bound over binary variables on top.
 
 Every LP is solved by the same two passes: a bounded dual simplex to
 primal feasibility, then a primal simplex to optimality.  Only where they
-start differs.  The root relaxation starts from the slack basis, made
-dual feasible by a cost modification (a column that gains from rising
-starts at its upper bound, or is priced at zero while it has none), so no
-artificial columns or phase 1 are needed.  Every branch-and-bound child,
-and the rounding heuristic, starts from a copy of its parent's final
-tableau with the branched binaries fixed; fixing a bound keeps the parent
-basis dual feasible, so the dual pass usually takes a few pivots.  An
-empty dual ratio test proves an LP infeasible.
+start differs, and there are three starts:
+
+* the slack basis, for a root relaxation solved cold;
+* a given basis, such as the previous period's optimal root basis of a
+  model with the same rows and columns, for a warm root;
+* a copy of the parent's final tableau with the branched binaries fixed,
+  for every branch-and-bound child and the rounding heuristic.
+
+A root basis is made dual feasible by bound flipping and cost
+modification (a column that gains from rising moves to its upper bound,
+or is priced at zero while it has none; one that gains from falling moves
+back to its lower bound), so no artificial columns or phase 1 are needed.
+Fixing a bound keeps the parent basis dual feasible, so a child's dual
+pass usually takes a few pivots.  An empty dual ratio test proves an LP
+infeasible.
 
 Conventions:
 
@@ -58,6 +65,11 @@ class Status(Enum):
     NODE_LIMIT = "node_limit"
 
 
+# A simplex basis: the basic column of each kept row, and the flags of
+# the nonbasic columns that sit at their upper bound.
+Basis = tuple[np.ndarray, np.ndarray]
+
+
 @dataclass
 class SolveResult:
     status: Status
@@ -65,6 +77,7 @@ class SolveResult:
     values: np.ndarray | None
     iterations: int
     nodes: int = 0
+    basis: Basis | None = None  # solve_milp: the optimal root LP's basis
 
     def value(self, index: int) -> float:
         if self.values is None:
@@ -383,22 +396,58 @@ class _Tableau:
                 bland = stall > max(m, 10)
         return True
 
-    # -- cold and warm solves ------------------------------------------------
+    # -- root and warm solves -----------------------------------------------
 
-    def solve(self, max_iter: int) -> str:
-        """Cold solve from the slack basis: "optimal", "infeasible" or
-        "unbounded".
+    def _refactor(self, basis: np.ndarray, at_ub: np.ndarray) -> None:
+        """Move from the slack basis to the given one: T = B^-1 [A I] and
+        rhs = B^-1 b, with B the basis columns of A0.  A basis that does
+        not fit (another row or column count, a repeated column, a
+        singular B or a non-finite result) leaves the slack basis."""
+        m, width = self.A0.shape
+        if len(basis) != m or len(at_ub) != width:
+            return
+        is_basic = np.zeros(width, dtype=bool)
+        is_basic[basis] = True
+        if np.count_nonzero(is_basic) != m:
+            return
+        try:
+            solved = np.linalg.solve(self.A0[:, basis],
+                                     np.column_stack([self.A0, self.b0]))
+        except np.linalg.LinAlgError:
+            return
+        if not np.all(np.isfinite(solved)):
+            return
+        self.T = np.ascontiguousarray(solved[:, :width])
+        self.rhs = solved[:, width].copy()
+        self.basis = np.array(basis, dtype=int)
+        self.is_basic = is_basic
+        self.at_ub = at_ub & ~is_basic & np.isfinite(self.U)
 
-        The slack basis is made dual feasible by a cost modification: a
-        column that gains from rising starts at its upper bound, or, where
-        that bound is infinite, is priced at zero for the dual pass.  The
-        true reduced costs are restored before the primal finish.
+    def solve(self, max_iter: int, start: Basis | None = None) -> str:
+        """Root solve: "optimal", "infeasible" or "unbounded".
+
+        It starts from the slack basis, or from start when that basis
+        fits this model, such as the previous period's optimal root basis.
+        The reduced costs d = c - c_B T are made dual feasible: a nonbasic
+        column that gains from rising moves to its upper bound, or is
+        priced at zero for the dual pass while that bound is infinite, and
+        one at its upper bound that gains from falling moves back to its
+        lower bound.  The bounded dual simplex then restores primal
+        feasibility, the true reduced costs are restored, and the primal
+        simplex finishes.  From the slack basis B = I and c_B = 0, so
+        d = c.  Branch-and-bound children start from their parent's final
+        tableau instead, through reoptimize.
         """
+        if start is not None:
+            self._refactor(*start)
         c = np.zeros(len(self.U))
         c[:self.canon.n] = self.canon.c
-        gains = c > 0.0
-        self.at_ub = gains & np.isfinite(self.U)
-        self.d = np.where(gains & ~self.at_ub, 0.0, c)
+        d = c - c[self.basis] @ self.T
+        d[self.basis] = 0.0
+        finite = np.isfinite(self.U)
+        gains = ~self.is_basic & ~self.at_ub & (d > _RC_TOL)
+        self.at_ub = (self.at_ub & (d >= -_RC_TOL)) | (gains & finite)
+        self.d = np.where(gains & ~finite, 0.0, d)
         if not self.dual(max_iter):
             return "infeasible"
         self.d = c - c[self.basis] @ self.T
@@ -480,12 +529,14 @@ def _result(tab: _Tableau, status: str) -> SolveResult:
 
 
 def _solve_canon(canon: _Canon, lb: np.ndarray, ub: np.ndarray,
-                 max_iter: int) -> tuple[SolveResult, _Tableau]:
-    """Cold solve from the slack basis; the final tableau seeds warm starts."""
+                 max_iter: int, start: Basis | None = None,
+                 ) -> tuple[SolveResult, _Tableau]:
+    """Root solve from the slack basis, or from start where it fits; the
+    final tableau seeds warm starts."""
     tab = _Tableau(canon, lb, ub)
     if tab.infeasible_bounds or tab.trivially_infeasible:
         return SolveResult(Status.INFEASIBLE, math.nan, None, 0), tab
-    return _result(tab, tab.solve(_iteration_limit(tab, max_iter))), tab
+    return _result(tab, tab.solve(_iteration_limit(tab, max_iter), start)), tab
 
 
 def _resolve(parent: _Tableau, cols: Iterable[int], values: Iterable[float],
@@ -510,22 +561,29 @@ def solve_lp(model: LinearModel, *, max_iterations: int = 0) -> SolveResult:
 
 
 def solve_milp(model: LinearModel, *, node_limit: int = 100_000,
-               max_iterations: int = 0) -> SolveResult:
+               max_iterations: int = 0,
+               start: Basis | None = None) -> SolveResult:
     """Solve the model with binary variables driven to integrality.
 
     Best-first branch and bound: nodes are ordered on their relaxation
     bound, branching picks the most fractional binary, and a rounding
-    pass at the root supplies an early incumbent.  Only the root LP is
-    solved cold; each child, and the rounding pass, re-optimizes a copy
-    of its parent's final tableau with the dual simplex, so a queued node
-    carries that tableau.  iterations counts the simplex iterations of
-    every LP solved, dual pivots included, and max_iterations (0 picks a
-    default from the model size) caps each LP.  Hitting node_limit
+    pass at the root supplies an early incumbent.  The root LP starts
+    from the slack basis, or from start: the basis of another model with
+    the same rows and columns, such as the previous period's, which the
+    result's basis field carries on.  A start that does not fit falls back
+    to the slack basis.  Each child, and the rounding pass, re-optimizes a
+    copy of its parent's final tableau with the dual simplex, so a queued
+    node carries that tableau.  iterations counts the simplex iterations
+    of every LP solved, dual pivots included, and max_iterations (0 picks
+    a default from the model size) caps each LP.  Hitting node_limit
     returns the best incumbent found with status NODE_LIMIT.
     """
     canon = _Canon(model)
-    root, root_tab = _solve_canon(canon, canon.lb, canon.ub, max_iterations)
+    root, root_tab = _solve_canon(canon, canon.lb, canon.ub, max_iterations,
+                                  start)
     root.nodes = 1
+    if root.status is Status.OPTIMAL:
+        root.basis = (root_tab.basis, root_tab.at_ub)
     bins = canon.binary
     if len(bins) == 0 or root.status != Status.OPTIMAL:
         return root
@@ -580,7 +638,9 @@ def solve_milp(model: LinearModel, *, node_limit: int = 100_000,
 
     if limit_hit:
         return SolveResult(Status.NODE_LIMIT, incumbent_obj, incumbent_x,
-                           total_iter, nodes)
+                           total_iter, nodes, root.basis)
     if incumbent_x is None:
-        return SolveResult(Status.INFEASIBLE, math.nan, None, total_iter, nodes)
-    return SolveResult(Status.OPTIMAL, incumbent_obj, incumbent_x, total_iter, nodes)
+        return SolveResult(Status.INFEASIBLE, math.nan, None, total_iter,
+                           nodes, root.basis)
+    return SolveResult(Status.OPTIMAL, incumbent_obj, incumbent_x, total_iter,
+                       nodes, root.basis)

@@ -211,6 +211,22 @@ class NetworkDesign:
         return [c for c, h in self.customer_dc.items() if h == dc_id]
 
 
+def id_mismatches(kind: str, expected: Iterable[str],
+                  found: Iterable[str]) -> list[str]:
+    """The ids of expected that found lacks, and those found adds, as
+    ["missing <kind> a, b", "unknown <kind> c"]; empty when they agree."""
+    expected = list(expected)
+    found = set(found)
+    problems = []
+    missing = [i for i in expected if i not in found]
+    unknown = sorted(found - set(expected))
+    if missing:
+        problems.append(f"missing {kind} " + ", ".join(missing))
+    if unknown:
+        problems.append(f"unknown {kind} " + ", ".join(unknown))
+    return problems
+
+
 # ---------------------------------------------------------------------------
 # parsing helpers
 

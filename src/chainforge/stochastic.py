@@ -42,7 +42,7 @@ import numpy as np
 from .accessibility import resolve_scales, snapshot
 from .errors import DomainError, InfeasibleBoundsError, NumericalError
 from .milp import LinearModel, Status, solve_milp
-from .model import NetworkDesign, NetworkInstance
+from .model import NetworkDesign, NetworkInstance, id_mismatches
 
 DEFAULT_NODE_LIMIT = 100_000
 _BALANCE_FORMS = ("delivered", "demand")
@@ -404,25 +404,25 @@ def opening_state(instance: NetworkInstance, config: StochasticConfig,
                   ) -> tuple[float, dict[str, float]]:
     """The safety-stock fraction and opening inventory a config plans with.
 
-    A configured initial_inventory must name exactly the instance's DCs;
-    its values are stored as floats.  Without one, every DC opens at its
-    safety level.
+    A configured initial_inventory must name exactly the instance's DCs,
+    each with a value in [0, capacity]; its values are stored as floats.
+    Without one, every DC opens at its safety level.
     """
     v = (instance.safety_stock_fraction if config.safety_stock is None
          else config.safety_stock)
     if config.initial_inventory is None:
         return v, default_initial_inventory(instance, v)
     dc_ids = [dc.id for dc in instance.dcs()]
-    missing = [h for h in dc_ids if h not in config.initial_inventory]
-    unknown = sorted(set(config.initial_inventory) - set(dc_ids))
-    problems = []
-    if missing:
-        problems.append("missing DCs " + ", ".join(missing))
-    if unknown:
-        problems.append("unknown DCs " + ", ".join(unknown))
+    problems = id_mismatches("DCs", dc_ids, config.initial_inventory)
     if problems:
         raise DomainError("initial inventory: " + "; ".join(problems))
-    return v, {h: float(config.initial_inventory[h]) for h in dc_ids}
+    opening = {h: float(config.initial_inventory[h]) for h in dc_ids}
+    for dc in instance.dcs():
+        if not 0.0 <= opening[dc.id] <= dc.capacity:
+            raise DomainError(
+                f"initial inventory: DC {dc.id} opens at {opening[dc.id]:g}, "
+                f"outside [0, {dc.capacity:g}]")
+    return v, opening
 
 
 def run_replication(instance: NetworkInstance, design: NetworkDesign,
@@ -440,6 +440,10 @@ def run_replication(instance: NetworkInstance, design: NetworkDesign,
     periods: list[PeriodDecision] = []
     nodes = 0
     limit_hit = False
+    # Consecutive periods differ only in demand, supply factors and the
+    # opening inventory, so each root LP after the first starts from the
+    # previous period's optimal root basis.
+    start = None
     for t in range(instance.horizon):
         demands_t = {c.id: scenario.demands[(c.id, t)]
                      for c in instance.customers()}
@@ -449,7 +453,8 @@ def run_replication(instance: NetworkInstance, design: NetworkDesign,
         model, index = build_period_model(
             instance, design, opening, demands_t, factors_t, epsilon, t,
             safety_stock=v, balance_form=config.balance_form)
-        result = solve_milp(model, node_limit=config.node_limit)
+        result = solve_milp(model, node_limit=config.node_limit, start=start)
+        start = result.basis
         nodes += result.nodes
         if result.status is Status.NODE_LIMIT:
             limit_hit = True

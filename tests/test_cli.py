@@ -285,6 +285,30 @@ def test_stages_compose_like_run(tiny_file, tmp_path):
         assert a == b, name
 
 
+def test_design_for_another_instance_exits_2(tiny_file, tmp_path, capsys):
+    design = _design(tiny_file, tmp_path)
+    plan = tmp_path / "plan.json"
+    plan.write_text("{}")
+    for argv in (["optimize", QATAR_PATH, "--replications", "1",
+                  "--epsilon-grid", "0.01:1:2"],
+                 ["validate", QATAR_PATH, "--solution", str(plan)]):
+        assert run_cli(*argv, "--out", str(tmp_path / "o"),
+                       "--design", design) == 2, argv
+        err = capsys.readouterr().err
+        assert "missing DCs DC1, DC2, DC3" in err
+        assert "unknown DCs D1, D2, D3" in err
+        assert "missing customers C6, C7" in err
+    edited = json.loads(pathlib.Path(design).read_text())
+    edited["z"]["D3"] = "W9"
+    edited["y"]["CX"] = edited["y"].pop("C5")
+    pathlib.Path(design).write_text(json.dumps(edited))
+    assert run_cli("optimize", tiny_file, "--out", str(tmp_path / "o"),
+                   "--design", design) == 2
+    err = capsys.readouterr().err
+    assert ("unknown warehouses W9; missing customers C5; "
+            "unknown customers CX") in err
+
+
 def test_validate_rejects_foreign_plan(tiny_file, tmp_path, capsys):
     staged = str(tmp_path / "s")
     assert run_cli("gfa", tiny_file, "--out", staged) == 0

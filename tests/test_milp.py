@@ -1,7 +1,9 @@
 """Simplex and branch-and-bound kernel against closed forms, enumeration,
 and scipy."""
 
+import copy
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -11,8 +13,10 @@ from chainforge import milp as solver
 from chainforge.errors import ValidationError
 from chainforge.milp import (FEASIBILITY_TOL, LinearModel, Status, solve_lp,
                              solve_milp)
-from chainforge.stochastic import (build_period_model,
-                                   default_initial_inventory, sample_scenario)
+from chainforge.stochastic import (StochasticConfig, audit_replication,
+                                   build_period_model,
+                                   default_initial_inventory, run_replication,
+                                   sample_scenario)
 
 
 def test_two_variable_lp_known_vertex():
@@ -285,6 +289,73 @@ def test_random_lps_with_unbounded_gains_match_highs():
     assert Status.UNBOUNDED in outcomes
 
 
+def _sibling(model, rng):
+    """The model with its right-hand sides and bounds moved at random.
+    Rows with equal coefficients move together, so twin equalities stay
+    consistent."""
+    twin = copy.deepcopy(model)
+    shifts = {}
+    for i, (row, relation) in enumerate(zip(twin.rows, twin.relations)):
+        key = (relation, tuple(sorted(row.items())))
+        twin.rhs[i] += shifts.setdefault(key, float(rng.normal(0, 0.5)))
+    for j in range(twin.num_variables):
+        lb = twin.lower[j] + float(rng.normal(0, 0.3))
+        if math.isfinite(twin.upper[j]):
+            span = twin.upper[j] - twin.lower[j]
+            twin.upper[j] = lb + span * float(rng.uniform(0.5, 1.5))
+        twin.lower[j] = lb
+    return twin
+
+
+def test_root_start_falls_back_or_matches_highs():
+    # A start that does not fit the model gives the slack-basis result.
+    m = LinearModel()
+    x = m.add_variable("x", ub=4.0, objective=3.0)
+    y = m.add_variable("y", objective=5.0)
+    m.add_variable("idle", ub=1.0)  # in no row, so its column of A is zero
+    m.add_constraint({x: 1.0, y: 2.0}, "<=", 12.0)
+    m.add_constraint({x: 3.0, y: 2.0}, "<=", 18.0)
+    cold = solve_milp(m)
+    flags = np.zeros(5, dtype=bool)
+    for start in ((np.array([3]), flags),           # one row short
+                  (np.array([2, 3]), flags)):       # B singular
+        warm = solve_milp(m, start=start)
+        assert warm.status is cold.status
+        assert warm.objective == cold.objective
+        assert warm.iterations == cold.iterations
+        assert np.array_equal(warm.values, cold.values)
+    assert np.array_equal(solve_milp(m, start=cold.basis).values, cold.values)
+
+    # Started from the optimal basis of a sibling with other right-hand
+    # sides and bounds, each LP still matches HiGHS.  The sibling has the
+    # same recession cone, so a started LP is never unbounded.
+    statuses = {0: Status.OPTIMAL, 2: Status.INFEASIBLE, 3: Status.UNBOUNDED}
+    rng = np.random.default_rng(20261018)
+    moves = np.random.default_rng(7)
+    outcomes = []
+    iterations = {"cold": 0, "warm": 0}
+    for _ in range(300):
+        model = _random_lp_with_unbounded_gains(rng)
+        start = solve_milp(_sibling(model, moves)).basis
+        if start is None:
+            continue
+        reference = linprog(
+            [-c for c in model.objective], **_linprog_rows(model),
+            bounds=list(zip(model.lower, model.upper)), method="highs",
+            options={"presolve": False})
+        result = solve_milp(model, start=start)
+        assert result.status is statuses[reference.status]
+        if result.status is Status.OPTIMAL:
+            assert abs(result.objective + reference.fun) <= FEASIBILITY_TOL * (
+                1.0 + abs(reference.fun))
+        outcomes.append(result.status)
+        iterations["cold"] += solve_milp(model).iterations
+        iterations["warm"] += result.iterations
+    assert outcomes.count(Status.OPTIMAL) >= 100
+    assert Status.INFEASIBLE in outcomes
+    assert iterations["warm"] < iterations["cold"]
+
+
 def test_node_limit_reported():
     # A tightly coupled parity-style model that needs real branching.
     rng = np.random.default_rng(3)
@@ -463,3 +534,36 @@ def test_warm_children_match_cold_solves(qatar, qatar_design, monkeypatch):
     assert result.status is Status.OPTIMAL
     assert result.nodes >= 5
     assert len(checked) == result.nodes  # every child plus the heuristic
+
+
+def test_warm_roots_match_cold_solves(qatar, qatar_design, monkeypatch):
+    real_solve = solver._solve_canon
+    iterations = {"cold": 0, "warm": 0}
+    starts = []
+
+    def compared_solve(canon, lb, ub, max_iter, start=None):
+        warm, tab = real_solve(canon, lb, ub, max_iter, start)
+        if start is not None:
+            cold, _ = real_solve(canon, lb, ub, max_iter)
+            assert warm.status is cold.status
+            if cold.status is Status.OPTIMAL:
+                assert abs(warm.objective - cold.objective) <= FEASIBILITY_TOL * (
+                    1.0 + abs(cold.objective))
+            iterations["cold"] += cold.iterations
+            iterations["warm"] += warm.iterations
+        starts.append(start)
+        return warm, tab
+
+    monkeypatch.setattr(solver, "_solve_canon", compared_solve)
+    for safety_stock in (0.4, 0.9):
+        config = StochasticConfig(replications=1, safety_stock=safety_stock)
+        for epsilon in (0.001, 0.1):
+            for seed in (5, 13):
+                result = run_replication(qatar, qatar_design, epsilon, seed,
+                                         config=config)
+                assert audit_replication(qatar, qatar_design, result) == []
+    # Every period after the first starts from its predecessor's basis,
+    # and the start saves pivots.
+    assert [start is not None for start in starts] == 8 * (
+        [False] + [True] * (qatar.horizon - 1))
+    assert iterations["warm"] < iterations["cold"] / 2

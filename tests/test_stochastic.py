@@ -11,7 +11,8 @@ from chainforge.stochastic import (OperationalPlan, StochasticConfig,
                                    audit_replication, build_period_model,
                                    default_initial_inventory,
                                    estimate_objectives, load_plan,
-                                   plan_from_estimate, quality_terms,
+                                   opening_state, plan_from_estimate,
+                                   quality_terms,
                                    replication_seed, run_replication,
                                    sample_scenario, save_plan)
 
@@ -357,6 +358,21 @@ def test_configured_opening_inventory_must_name_every_dc(tiny, tiny_design):
         pool = sweep(tiny, tiny_design, (0.02,), config)
         assert pool.solutions == []
         assert named in pool.failures[0].error
+
+
+def test_configured_opening_inventory_must_fit_each_dc(tiny, tiny_design):
+    # D1 holds at most 150.
+    for value in (-50.0, 1000.0):
+        config = StochasticConfig(
+            replications=1,
+            initial_inventory={"D1": value, "D2": 24.0, "D3": 20.0})
+        with pytest.raises(DomainError, match=r"DC D1 .* outside \[0, 150\]"):
+            run_replication(tiny, tiny_design, 0.02, 1, config=config)
+    for value in (0.0, 150.0):
+        config = StochasticConfig(
+            replications=1,
+            initial_inventory={"D1": value, "D2": 24.0, "D3": 20.0})
+        assert opening_state(tiny, config)[1]["D1"] == value
 
 
 def test_plan_load_rejects_bad_files(tmp_path):
