@@ -111,17 +111,14 @@ def _load_design(path: str, instance: NetworkInstance) -> NetworkDesign:
 
 
 def _sweep_config(args: argparse.Namespace) -> StochasticConfig:
-    if args.replications < 1:
-        raise UsageError("replications must be at least 1")
-    if args.jobs < 1:
-        raise UsageError("jobs must be at least 1")
-    if args.safety_stock is not None and not 0.0 <= args.safety_stock <= 1.0:
-        raise UsageError("safety stock fraction must lie in [0, 1]")
-    return StochasticConfig(replications=args.replications,
-                            master_seed=args.seed,
-                            safety_stock=args.safety_stock,
-                            balance_form=args.balance_form,
-                            jobs=args.jobs)
+    try:
+        return StochasticConfig(replications=args.replications,
+                                master_seed=args.seed,
+                                safety_stock=args.safety_stock,
+                                balance_form=args.balance_form,
+                                jobs=args.jobs)
+    except DomainError as exc:
+        raise UsageError(str(exc))
 
 
 def _plan_file(out: str, index: int) -> str:
@@ -192,8 +189,6 @@ def _stage_pareto(args: argparse.Namespace) -> tuple[str, str]:
 
 def _stage_validate(args: argparse.Namespace, solution_file: str) -> str:
     out = _ensure_out(args)
-    if args.runs < 1:
-        raise UsageError("runs must be at least 1")
     design_file = _require_file(
         _design_path(args), "design (run the gfa stage first or pass --design)")
     plan_file = _require_file(solution_file, "solution plan")
@@ -323,7 +318,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Design and plan a three-echelon food supply network.")
     parser.add_argument("--version", action="version",
                         version=f"chainforge {__version__}")
-    # Each subcommand takes only the flags it reads.
+    # Each subcommand takes only the flags it reads; a flag that several
+    # subcommands read is declared once, in one of these parent parsers.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default="results",
                         help="output directory (default results)")
@@ -333,33 +329,43 @@ def _build_parser() -> argparse.ArgumentParser:
     sweeping = argparse.ArgumentParser(add_help=False, parents=[seeded])
     sweeping.add_argument("--jobs", type=int, default=1,
                           help="worker processes for the sweep (default 1)")
+    designed = argparse.ArgumentParser(add_help=False)
+    designed.add_argument("--design", default=None,
+                          help="design file (default <out>/design.json)")
+    placing = argparse.ArgumentParser(add_help=False)
+    placing.add_argument("--restarts", type=int, default=8,
+                         help="location-allocation restarts (default 8)")
+    planning = argparse.ArgumentParser(add_help=False)
+    planning.add_argument("--epsilon-grid", default=DEFAULT_GRID,
+                          help="low:high:steps geometric grid "
+                               f"(default {DEFAULT_GRID})")
+    planning.add_argument("--replications", type=int, default=50,
+                          help="scenario replications per grid point "
+                               "(default 50)")
+    planning.add_argument("--safety-stock", type=float, default=None,
+                          help="override the instance safety stock fraction")
+    planning.add_argument("--balance-form", choices=("delivered", "demand"),
+                          default="delivered",
+                          help="inventory balance form (default delivered)")
+    simulating = argparse.ArgumentParser(add_help=False)
+    simulating.add_argument("--runs", type=int, default=30,
+                            help="matched-seed simulation runs (default 30)")
+    simulating.add_argument("--backlog", choices=("wait", "drop"),
+                            default="wait",
+                            help="unmet order handling (default wait)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gfa = sub.add_parser(
-        "gfa", parents=[seeded],
+        "gfa", parents=[seeded, placing],
         help="place distribution centers and write design.json")
     p_gfa.add_argument("instance", help="network instance JSON file")
-    p_gfa.add_argument("--restarts", type=int, default=8,
-                       help="location-allocation restarts (default 8)")
     p_gfa.set_defaults(handler=_cmd_gfa)
 
     p_opt = sub.add_parser(
-        "optimize", parents=[sweeping],
+        "optimize", parents=[sweeping, designed, planning],
         help="sweep epsilon and write solutions.csv plus plan files")
     p_opt.add_argument("instance", help="network instance JSON file")
-    p_opt.add_argument("--design", default=None,
-                       help="design file (default <out>/design.json)")
-    p_opt.add_argument("--epsilon-grid", default=DEFAULT_GRID,
-                       help="low:high:steps geometric grid "
-                            f"(default {DEFAULT_GRID})")
-    p_opt.add_argument("--replications", type=int, default=50,
-                       help="scenario replications per grid point (default 50)")
-    p_opt.add_argument("--safety-stock", type=float, default=None,
-                       help="override the instance safety stock fraction")
-    p_opt.add_argument("--balance-form", choices=("delivered", "demand"),
-                       default="delivered",
-                       help="inventory balance form (default delivered)")
     p_opt.set_defaults(handler=_cmd_optimize)
 
     p_par = sub.add_parser(
@@ -368,42 +374,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p_par.set_defaults(handler=_cmd_pareto)
 
     p_val = sub.add_parser(
-        "validate", parents=[common],
+        "validate", parents=[common, designed, simulating],
         help="simulate a plan and write validation.csv")
     p_val.add_argument("--seed", type=int, default=None,
                        help="simulation seed; must equal the plan's "
                             "master seed (default: the plan's)")
     p_val.add_argument("instance", help="network instance JSON file")
-    p_val.add_argument("--design", default=None,
-                       help="design file (default <out>/design.json)")
     p_val.add_argument("--solution", required=True,
                        help="operational plan JSON to simulate")
-    p_val.add_argument("--runs", type=int, default=30,
-                       help="matched-seed simulation runs (default 30)")
-    p_val.add_argument("--backlog", choices=("wait", "drop"), default="wait",
-                       help="unmet order handling (default wait)")
     p_val.set_defaults(handler=_cmd_validate)
 
     p_run = sub.add_parser(
-        "run", parents=[sweeping],
+        "run", parents=[sweeping, placing, planning, simulating],
         help="full pipeline: gfa, optimize, pareto, validate, manifest")
     p_run.add_argument("instance", help="network instance JSON file")
-    p_run.add_argument("--restarts", type=int, default=8,
-                       help="location-allocation restarts (default 8)")
-    p_run.add_argument("--epsilon-grid", default=DEFAULT_GRID,
-                       help="low:high:steps geometric grid "
-                            f"(default {DEFAULT_GRID})")
-    p_run.add_argument("--replications", type=int, default=50,
-                       help="scenario replications per grid point (default 50)")
-    p_run.add_argument("--safety-stock", type=float, default=None,
-                       help="override the instance safety stock fraction")
-    p_run.add_argument("--balance-form", choices=("delivered", "demand"),
-                       default="delivered",
-                       help="inventory balance form (default delivered)")
-    p_run.add_argument("--runs", type=int, default=30,
-                       help="matched-seed simulation runs (default 30)")
-    p_run.add_argument("--backlog", choices=("wait", "drop"), default="wait",
-                       help="unmet order handling (default wait)")
     p_run.set_defaults(handler=_cmd_run)
 
     return parser

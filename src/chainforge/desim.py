@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .model import NetworkDesign, NetworkInstance
+from .pareto import csv_cells
 from .stochastic import OperationalPlan, replication_seed, sample_scenario
 
 _BACKLOG_MODES = ("wait", "drop")
@@ -230,14 +231,17 @@ def simulate(instance: NetworkInstance, design: NetworkDesign,
         while queue and stock[dc_id] >= queue[0].quantity:
             ship(queue.popleft(), at, period)
 
+    def receive(h: str, qty: float, b: int) -> None:
+        stock[h] += qty
+        received[h] += qty
+        events.append(SimEvent(float(b), "receive", b, h, None, qty))
+
     def boundary(b: int) -> None:
         nonlocal inventory_cost, order_cost
         for h in stock:
             inventory_cost += dc_holding[h] * stock[h]
         for h, qty in pending.pop(b, []):
-            stock[h] += qty
-            received[h] += qty
-            events.append(SimEvent(float(b), "receive", b, h, None, qty))
+            receive(h, qty, b)
         for h in stock:
             drain(h, float(b), b)
         if b > horizon - 1:
@@ -264,9 +268,7 @@ def simulate(instance: NetworkInstance, design: NetworkDesign,
                 factor = scenario.supply_factors[(warehouse.id, h, arrival)]
                 pending.setdefault(arrival, []).append((h, dispatch * factor))
         for h, qty in pending.pop(b, []):
-            stock[h] += qty
-            received[h] += qty
-            events.append(SimEvent(float(b), "receive", b, h, None, qty))
+            receive(h, qty, b)
             drain(h, float(b), b)
 
     next_boundary = 1
@@ -365,6 +367,6 @@ def write_validation_csv(path: str, instance: NetworkInstance,
         writer = csv.writer(fh)
         writer.writerow(header)
         for i, rep in enumerate(reports):
-            writer.writerow([str(i)] + [format(v, ".9g") for v in numbers(rep)])
-        writer.writerow(["mean"] + [format(v, ".9g") for v in means])
-        writer.writerow(["se"] + [format(v, ".9g") for v in ses])
+            writer.writerow([str(i)] + csv_cells(numbers(rep)))
+        writer.writerow(["mean"] + csv_cells(means))
+        writer.writerow(["se"] + csv_cells(ses))

@@ -102,7 +102,6 @@ class LinearModel:
         self.rows: list[dict[int, float]] = []
         self.relations: list[str] = []
         self.rhs: list[float] = []
-        self.row_names: list[str] = []
         self.objective_offset: float = 0.0
 
     @property
@@ -126,14 +125,18 @@ class LinearModel:
         return len(self.lower) - 1
 
     def add_constraint(self, coeffs: Mapping[int, float], relation: str,
-                       rhs: float, name: str = "") -> int:
+                       rhs: float) -> int:
+        """Add the row sum(a * x[j] for j, a in coeffs) <relation> rhs.
+
+        relation is "<=", "=" or ">="; zero coefficients are dropped.
+        Rows are unnamed: a row is its index, which this returns.
+        """
         if relation not in ("<=", "=", ">="):
             raise ValidationError(f"unknown relation {relation!r}")
         row = {int(j): float(a) for j, a in coeffs.items() if a != 0.0}
         self.rows.append(row)
         self.relations.append(relation)
         self.rhs.append(float(rhs))
-        self.row_names.append(name)
         return len(self.rows) - 1
 
     def validate(self) -> None:
@@ -552,12 +555,6 @@ def _resolve(parent: _Tableau, cols: Iterable[int], values: Iterable[float],
             return SolveResult(Status.INFEASIBLE, math.nan, None, 0), tab
         tab.fix(int(j), min(max(float(value), low), high))
     return _result(tab, tab.reoptimize(_iteration_limit(tab, max_iter))), tab
-
-
-def solve_lp(model: LinearModel, *, max_iterations: int = 0) -> SolveResult:
-    """Solve the continuous relaxation of the model."""
-    canon = _Canon(model)
-    return _solve_canon(canon, canon.lb, canon.ub, max_iterations)[0]
 
 
 def solve_milp(model: LinearModel, *, node_limit: int = 100_000,

@@ -121,11 +121,16 @@ def extract_front(solutions: Iterable[EstimateResult]) -> list[EstimateResult]:
     return front
 
 
+def csv_cells(values: Iterable[float]) -> list[str]:
+    """CSV cells for numbers, nine significant digits; every CSV the
+    package writes formats its numbers here."""
+    return [format(v, ".9g") for v in values]
+
+
 def _row(s: EstimateResult) -> list[str]:
-    """The CSV_COLUMNS cells of one solution, nine significant digits."""
-    return [format(v, ".9g") for v in (
-        s.epsilon, s.z1, s.z1_se, s.z2, s.z2_se,
-        s.inventory_cost, s.unfulfilled_cost, s.order_cost)]
+    """The CSV_COLUMNS cells of one solution."""
+    return csv_cells((s.epsilon, s.z1, s.z1_se, s.z2, s.z2_se,
+                      s.inventory_cost, s.unfulfilled_cost, s.order_cost))
 
 
 def write_solutions_csv(path: str, solutions: Sequence[EstimateResult]) -> None:

@@ -120,10 +120,10 @@ class StochasticConfig:
         if self.balance_form not in _BALANCE_FORMS:
             raise DomainError(
                 f"balance_form must be one of {_BALANCE_FORMS}, got {self.balance_form!r}")
-        if self.safety_stock is not None and self.safety_stock < 0:
-            raise DomainError("safety stock fraction cannot be negative")
         if self.jobs < 1:
             raise DomainError("jobs must be at least 1")
+        if self.safety_stock is not None and not 0.0 <= self.safety_stock <= 1.0:
+            raise DomainError("safety stock fraction must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -173,12 +173,16 @@ def quality_terms(instance: NetworkInstance,
 
 @dataclass(frozen=True)
 class PeriodIndex:
-    """Column positions of each decision in a period model."""
+    """Column positions of the decisions read back from a period model.
+
+    Every surviving (region, nutrient) term of quality_terms has an aux
+    column; the indicator columns are not indexed, since no caller reads
+    them.
+    """
 
     orders: dict[tuple[str, str], int]       # (warehouse, dc) -> column
     deliveries: dict[tuple[str, str], int]   # (dc, customer) -> column
     aux: dict[tuple[str, str], int]          # (region, nutrient) -> column
-    flags: dict[tuple[str, str], int]
 
 
 def build_period_model(instance: NetworkInstance, design: NetworkDesign,
@@ -230,26 +234,24 @@ def build_period_model(instance: NetworkInstance, design: NetworkDesign,
                 objective=-epsilon * (warehouse.order_cost(dc.id) + holding * factor))
             orders[(warehouse_id, dc.id)] = col
             inv_coeffs[dc.id] = {col: factor}
-            local_demand = sum(demands.get(c.id, 0.0)
-                               for c in region.customers
-                               if design.customer_dc[c.id] == dc.id)
+            inv_const[dc.id] = opening_inventory[dc.id]
             if balance_form == "demand":
-                inv_const[dc.id] = opening_inventory[dc.id] - local_demand
-            else:
-                inv_const[dc.id] = opening_inventory[dc.id]
+                inv_const[dc.id] -= sum(demands.get(c.id, 0.0)
+                                        for c in region.customers
+                                        if design.customer_dc[c.id] == dc.id)
 
     for region in instance.regions:
         w = region.weights
         rho = region.unfulfilled_unit_cost
+        dc_holding = {dc.id: dc.inventory_unit_cost for dc in region.dcs}
         for customer in region.customers:
             dc_id = design.customer_dc[customer.id]
-            dc = next(d for d in region.dcs if d.id == dc_id)
             demand = demands.get(customer.id, 0.0)
             effort = (instance.path_weight(dc_id, customer.id)
                       * design.distances[dc_id][customer.id])
             coeff = epsilon * rho - w.transportation * effort / scales.transportation
             if balance_form == "delivered":
-                coeff += epsilon * dc.inventory_unit_cost
+                coeff += epsilon * dc_holding[dc_id]
             col = model.add_variable(
                 f"c[{dc_id}->{customer.id}]", ub=demand, objective=coeff)
             deliveries[(dc_id, customer.id)] = col
@@ -275,7 +277,7 @@ def build_period_model(instance: NetworkInstance, design: NetworkDesign,
                     if w_id == warehouse.id]
         if supplied:
             model.add_constraint({col: 1.0 for col in supplied}, "<=",
-                                 warehouse.capacity, name=f"wcap[{warehouse.id}]")
+                                 warehouse.capacity)
 
     for region in instance.regions:
         for dc in region.dcs:
@@ -291,9 +293,9 @@ def build_period_model(instance: NetworkInstance, design: NetworkDesign,
                     cap_rhs = 0.0
                 if -1e-6 < floor_rhs < 0.0:
                     floor_rhs = 0.0
-            model.add_constraint(coeffs, "<=", cap_rhs, name=f"cap[{dc.id}]")
+            model.add_constraint(coeffs, "<=", cap_rhs)
             model.add_constraint({c: -a for c, a in coeffs.items()}, "<=",
-                                 floor_rhs, name=f"floor[{dc.id}]")
+                                 floor_rhs)
 
     region_terms: dict[str, list[QualityTerm]] = {}
     for term in terms:
@@ -315,12 +317,9 @@ def build_period_model(instance: NetworkInstance, design: NetworkDesign,
                 row[col] = -term.content * a
             if term.switched:
                 b_col = flags[(region_id, term.nutrient_id)]
-                model.add_constraint(
-                    {a_col: 1.0, b_col: -term.big_m}, "<=", 0.0,
-                    name=f"qon[{region_id}:{term.nutrient_id}]")
+                model.add_constraint({a_col: 1.0, b_col: -term.big_m}, "<=", 0.0)
                 row[b_col] = term.big_m
-                model.add_constraint(row, "<=", rhs + term.big_m,
-                                     name=f"qval[{region_id}:{term.nutrient_id}]")
+                model.add_constraint(row, "<=", rhs + term.big_m)
                 # Secant of the surplus over [0, capacity].  Valid because
                 # the plus-term is convex, and it pins the relaxation to
                 # the hull instead of the loose big-M midpoint, so each
@@ -329,11 +328,9 @@ def build_period_model(instance: NetworkInstance, design: NetworkDesign,
                 cut = {a_col: 1.0}
                 for col, a in base_coeffs.items():
                     cut[col] = -slope * a
-                model.add_constraint(cut, "<=", slope * base_const,
-                                     name=f"qcut[{region_id}:{term.nutrient_id}]")
+                model.add_constraint(cut, "<=", slope * base_const)
             else:
-                model.add_constraint(row, "<=", rhs,
-                                     name=f"qsum[{region_id}:{term.nutrient_id}]")
+                model.add_constraint(row, "<=", rhs)
         # Threshold-ordered indicators: a nutrient reachable only at high
         # inventory implies every lower-threshold nutrient is reachable.
         switched = sorted((t for t in group if t.switched),
@@ -341,8 +338,7 @@ def build_period_model(instance: NetworkInstance, design: NetworkDesign,
         for low, high in zip(switched, switched[1:]):
             model.add_constraint(
                 {flags[(region_id, high.nutrient_id)]: 1.0,
-                 flags[(region_id, low.nutrient_id)]: -1.0}, "<=", 0.0,
-                name=f"qord[{region_id}:{high.nutrient_id}]")
+                 flags[(region_id, low.nutrient_id)]: -1.0}, "<=", 0.0)
 
     offset = 0.0
     for region in instance.regions:
@@ -353,8 +349,7 @@ def build_period_model(instance: NetworkInstance, design: NetworkDesign,
                        * demands.get(customer.id, 0.0))
     model.objective_offset = offset
 
-    return model, PeriodIndex(orders=orders, deliveries=deliveries,
-                              aux=aux, flags=flags)
+    return model, PeriodIndex(orders=orders, deliveries=deliveries, aux=aux)
 
 
 @dataclass
@@ -434,8 +429,6 @@ def run_replication(instance: NetworkInstance, design: NetworkDesign,
     scenario = sample_scenario(instance, seed)
     opening = initial
     scales = resolve_scales(instance, design)
-    terms = quality_terms(instance, v)
-    term_lookup = {(t.region_id, t.nutrient_id): t for t in terms}
 
     periods: list[PeriodDecision] = []
     nodes = 0
@@ -465,7 +458,7 @@ def run_replication(instance: NetworkInstance, design: NetworkDesign,
 
         decision = _extract_period(
             instance, design, index, result, opening, demands_t, factors_t,
-            t, scales, term_lookup, config.balance_form)
+            t, scales, config.balance_form)
         periods.append(decision)
         opening = {
             dc.id: min(max(decision.inventory[dc.id], v * dc.capacity),
@@ -489,7 +482,7 @@ def run_replication(instance: NetworkInstance, design: NetworkDesign,
 
 
 def _extract_period(instance, design, index, result, opening, demands_t,
-                    factors_t, t, scales, term_lookup, balance_form):
+                    factors_t, t, scales, balance_form):
     orders = {key: max(0.0, result.value(col))
               for key, col in index.orders.items()}
     deliveries = {}
@@ -525,29 +518,29 @@ def _extract_period(instance, design, index, result, opening, demands_t,
     for region in instance.regions:
         for nutrient in instance.nutrients:
             key = (region.id, nutrient.id)
+            if key not in index.aux:
+                aux[key] = 0.0  # a dropped term's surplus is identically zero
+                continue
             canonical = max(0.0, nutrient.per_kg_content * region_stock[region.id]
                             - nutrient.min_requirement * region.population)
-            if key in index.aux:
-                solved = result.value(index.aux[key])
-                tol = 1e-4 * (1.0 + abs(canonical))
-                aux[key] = canonical if abs(solved - canonical) <= tol else solved
-            else:
-                aux[key] = 0.0 if key not in term_lookup else canonical
+            solved = result.value(index.aux[key])
+            tol = 1e-4 * (1.0 + abs(canonical))
+            aux[key] = canonical if abs(solved - canonical) <= tol else solved
 
     inventory_cost = sum(dc.inventory_unit_cost * inventory[dc.id]
                          for dc in instance.dcs())
+    # Regions, then customers: the order unmet was filled in.
     unfulfilled_cost = sum(
-        instance.region(_dc_region(instance, h)).unfulfilled_unit_cost * qty
-        for (h, _), qty in unmet.items())
+        region.unfulfilled_unit_cost * unmet[(design.customer_dc[c.id], c.id)]
+        for region in instance.regions for c in region.customers)
     order_cost = sum(instance.warehouse(w_id).order_cost(dc_id) * qty
                      for (w_id, dc_id), qty in orders.items())
 
     acc_total = 0.0
     for region in instance.regions:
-        shipments = {(h, l): qty for (h, l), qty in deliveries.items()
-                     if any(dc.id == h for dc in region.dcs)}
+        # transportation_effort skips the pairs outside the region.
         snap = snapshot(region, t, design, instance,
-                        region_stock[region.id], shipments, scales)
+                        region_stock[region.id], deliveries, scales)
         acc_total += snap.contribution(region)
 
     return PeriodDecision(
@@ -556,14 +549,6 @@ def _extract_period(instance, design, index, result, opening, demands_t,
         accessibility=acc_total,
         inventory_cost=inventory_cost, unfulfilled_cost=unfulfilled_cost,
         order_cost=order_cost)
-
-
-def _dc_region(instance: NetworkInstance, dc_id: str) -> str:
-    for region in instance.regions:
-        for dc in region.dcs:
-            if dc.id == dc_id:
-                return region.id
-    raise KeyError(dc_id)
 
 
 @dataclass(frozen=True)

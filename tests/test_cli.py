@@ -9,7 +9,8 @@ import sys
 
 import pytest
 
-from chainforge.cli import main
+from chainforge.cli import _build_parser, _sweep_config, main
+from chainforge.stochastic import StochasticConfig
 from conftest import QATAR_PATH, tiny_dict
 
 ARTIFACTS = ["design.json", "solutions.csv", "front.csv", "front.svg",
@@ -232,10 +233,38 @@ def test_zero_replications_exits_2(tiny_file, tmp_path):
     assert code == 2
 
 
-def test_zero_runs_exits_2(tiny_file, tmp_path):
-    code = run_cli("run", tiny_file, "--out", str(tmp_path / "o"),
-                   "--runs", "0")
-    assert code == 2
+def test_zero_runs_exits_2(tiny_file, tmp_path, capsys):
+    out = str(tmp_path / "o")
+    assert run_cli("run", tiny_file, "--out", out, "--runs", "0") == 2
+    assert run_cli("validate", tiny_file, "--out", out, "--solution",
+                   str(tmp_path / "plan.json"), "--runs", "0") == 2
+    assert capsys.readouterr().err.count("runs must be at least 1") == 2
+
+
+def test_shared_flags_parse_alike_in_every_stage():
+    parser = _build_parser()
+    planning = ["--seed", "3", "--jobs", "2", "--epsilon-grid", "0.01:0.5:3",
+                "--replications", "7", "--safety-stock", "0.25",
+                "--balance-form", "demand"]
+    for flags in ([], planning):
+        optimize = parser.parse_args(["optimize", "i.json", *flags])
+        run = parser.parse_args(["run", "i.json", *flags])
+        for name in ("epsilon_grid", "replications", "safety_stock",
+                     "balance_form", "seed", "jobs"):
+            assert getattr(optimize, name) == getattr(run, name), name
+        assert _sweep_config(optimize) == _sweep_config(run)
+    assert _sweep_config(run) == StochasticConfig(
+        replications=7, master_seed=3, safety_stock=0.25,
+        balance_form="demand", jobs=2)
+    for flags in ([], ["--runs", "4", "--backlog", "drop"]):
+        validate = parser.parse_args(
+            ["validate", "i.json", "--solution", "p.json", *flags])
+        run = parser.parse_args(["run", "i.json", *flags])
+        assert (validate.runs, validate.backlog) == (run.runs, run.backlog)
+    for flags in ([], ["--restarts", "3"]):
+        gfa = parser.parse_args(["gfa", "i.json", *flags])
+        run = parser.parse_args(["run", "i.json", *flags])
+        assert gfa.restarts == run.restarts
 
 
 def test_bad_grid_exits_2(tiny_file, tmp_path, capsys):

@@ -11,8 +11,7 @@ from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from chainforge import milp as solver
 from chainforge.errors import ValidationError
-from chainforge.milp import (FEASIBILITY_TOL, LinearModel, Status, solve_lp,
-                             solve_milp)
+from chainforge.milp import FEASIBILITY_TOL, LinearModel, Status, solve_milp
 from chainforge.stochastic import (StochasticConfig, audit_replication,
                                    build_period_model,
                                    default_initial_inventory, run_replication,
@@ -27,7 +26,7 @@ def test_two_variable_lp_known_vertex():
     m.add_constraint({x: 1.0}, "<=", 4.0)
     m.add_constraint({y: 2.0}, "<=", 12.0)
     m.add_constraint({x: 3.0, y: 2.0}, "<=", 18.0)
-    result = solve_lp(m)
+    result = solve_milp(m)
     assert result.status is Status.OPTIMAL
     assert result.objective == pytest.approx(36.0)
     assert result.value(x) == pytest.approx(2.0)
@@ -43,7 +42,7 @@ def test_equality_and_geq_rows():
     m.objective[y] = 1.0
     m.add_constraint({x: 1.0, y: 1.0}, "=", 10.0)
     m.add_constraint({x: 1.0}, ">=", 3.0)
-    result = solve_lp(m)
+    result = solve_milp(m)
     assert result.status is Status.OPTIMAL
     assert result.objective == pytest.approx(10.0)
     assert result.value(y) <= 4.0 + 1e-9
@@ -53,7 +52,7 @@ def test_objective_offset_carried():
     m = LinearModel()
     x = m.add_variable("x", ub=2.0, objective=1.0)
     m.objective_offset = 7.5
-    result = solve_lp(m)
+    result = solve_milp(m)
     assert result.objective == pytest.approx(9.5)
 
 
@@ -61,13 +60,13 @@ def test_infeasible_detected():
     m = LinearModel()
     x = m.add_variable("x", ub=1.0)
     m.add_constraint({x: 1.0}, ">=", 2.0)
-    assert solve_lp(m).status is Status.INFEASIBLE
+    assert solve_milp(m).status is Status.INFEASIBLE
 
 
 def test_unbounded_detected():
     m = LinearModel()
     m.add_variable("x", objective=1.0)
-    assert solve_lp(m).status is Status.UNBOUNDED
+    assert solve_milp(m).status is Status.UNBOUNDED
 
 
 def test_degenerate_fixed_variable():
@@ -75,7 +74,7 @@ def test_degenerate_fixed_variable():
     x = m.add_variable("x", lb=3.0, ub=3.0, objective=2.0)
     y = m.add_variable("y", ub=5.0, objective=1.0)
     m.add_constraint({x: 1.0, y: 1.0}, "<=", 6.0)
-    result = solve_lp(m)
+    result = solve_milp(m)
     assert result.objective == pytest.approx(9.0)
     assert result.value(x) == pytest.approx(3.0)
 
@@ -222,7 +221,7 @@ def test_pure_lp_against_scipy():
         for _ in range(int(rng.integers(1, 4))):
             coeffs = {c: float(rng.normal(0, 1)) for c in cols}
             m.add_constraint(coeffs, "<=", float(rng.uniform(0.5, 5.0)))
-        result = solve_lp(m)
+        result = solve_milp(m)
         c = [-m.objective[j] for j in range(n)]
         a_ub = [[row.get(j, 0.0) for j in range(n)] for row in m.rows]
         res = linprog(c, A_ub=a_ub, b_ub=m.rhs,
@@ -278,7 +277,7 @@ def test_random_lps_with_unbounded_gains_match_highs():
             [-c for c in model.objective], **_linprog_rows(model),
             bounds=list(zip(model.lower, model.upper)), method="highs",
             options={"presolve": False})
-        result = solve_lp(model)
+        result = solve_milp(model)
         assert result.status is statuses[reference.status]
         if result.status is Status.OPTIMAL:
             assert abs(result.objective + reference.fun) <= FEASIBILITY_TOL * (

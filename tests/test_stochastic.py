@@ -322,6 +322,12 @@ def test_config_validation():
         StochasticConfig(safety_stock=-0.1)
     with pytest.raises(DomainError):
         StochasticConfig(jobs=0)
+    # Above 1 the floor exceeds every DC's capacity; the config refuses
+    # it before any grid point is built.
+    with pytest.raises(DomainError, match=r"\[0, 1\]"):
+        StochasticConfig(safety_stock=1.5)
+    for edge in (0.0, 1.0):
+        assert StochasticConfig(safety_stock=edge).safety_stock == edge
 
 
 # ------------------------------------------------------------------ plans
