@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import ConfigError, DomainError, LinkageError
-from .model import NetworkDesign, NetworkInstance, Nutrient, Region
+from .model import (NetworkDesign, NetworkInstance, NormalizationScales,
+                    Nutrient, Region)
 
 
 def affordability(region: Region) -> float:
@@ -92,16 +93,8 @@ def normalize(raw: float, scale: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class Scales:
-    """Resolved per-dimension normalization scales."""
-
-    affordability: float
-    transportation: float
-    quality: float
-
-
-def default_scales(instance: NetworkInstance, design: NetworkDesign) -> Scales:
+def default_scales(instance: NetworkInstance,
+                   design: NetworkDesign) -> NormalizationScales:
     """Scales derived from the instance when the file does not give any.
 
     * affordability: the largest cost/income ratio over regions, so the
@@ -126,15 +119,15 @@ def default_scales(instance: NetworkInstance, design: NetworkDesign) -> Scales:
         transport = 1.0
     if quality <= 0.0:
         quality = 1.0
-    return Scales(affordability=afford, transportation=transport, quality=quality)
+    return NormalizationScales(affordability=afford, transportation=transport,
+                               quality=quality)
 
 
-def resolve_scales(instance: NetworkInstance, design: NetworkDesign) -> Scales:
+def resolve_scales(instance: NetworkInstance,
+                   design: NetworkDesign) -> NormalizationScales:
     """File-supplied scales when present, computed defaults otherwise."""
     if instance.normalization_scales is not None:
-        s = instance.normalization_scales
-        return Scales(affordability=s.affordability, transportation=s.transportation,
-                      quality=s.quality)
+        return instance.normalization_scales
     return default_scales(instance, design)
 
 
@@ -162,7 +155,7 @@ class AccessibilitySnapshot:
 def snapshot(region: Region, period: int, design: NetworkDesign,
              instance: NetworkInstance, region_inventory: float,
              shipments: Mapping[tuple[str, str], float],
-             scales: Scales) -> AccessibilitySnapshot:
+             scales: NormalizationScales) -> AccessibilitySnapshot:
     """Evaluate all three indices for one region-period state."""
     raw_a = affordability(region)
     raw_t = transportation_effort(region, design, shipments, instance)

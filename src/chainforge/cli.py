@@ -27,7 +27,7 @@ from . import __version__
 from .desim import SimConfig, run_validation, write_validation_csv
 from .errors import ChainforgeError, DomainError
 from .gfa import GfaConfig, load_design, run_gfa, save_design
-from .model import (NetworkDesign, NetworkInstance, id_mismatches,
+from .model import (NetworkDesign, NetworkInstance, design_mismatches,
                     load_instance)
 from .pareto import (epsilon_grid, extract_front, read_solutions_csv,
                      render_front_svg, sweep, write_front_csv,
@@ -93,17 +93,9 @@ def _design_path(args: argparse.Namespace) -> str:
 
 
 def _load_design(path: str, instance: NetworkInstance) -> NetworkDesign:
-    """The design in path, whose ids must be the instance's."""
+    """The design in path, which must fit the instance."""
     design = load_design(path).design
-    dcs = set(design.dc_warehouse) | set(design.customer_dc.values())
-    used = set(design.dc_warehouse.values())
-    problems = (
-        id_mismatches("DCs", [dc.id for dc in instance.dcs()], dcs)
-        # A design need not order from every warehouse.
-        + id_mismatches("warehouses", [w.id for w in instance.warehouses
-                                       if w.id in used], used)
-        + id_mismatches("customers", [c.id for c in instance.customers()],
-                        design.customer_dc))
+    problems = design_mismatches(instance, design)
     if problems:
         raise UsageError(f"design {path} does not fit the instance: "
                          + "; ".join(problems))

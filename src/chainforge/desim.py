@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .model import NetworkDesign, NetworkInstance
+from .model import NetworkDesign, NetworkInstance, design_mismatches
 from .pareto import csv_cells
 from .stochastic import OperationalPlan, replication_seed, sample_scenario
 
@@ -138,13 +138,12 @@ def simulate(instance: NetworkInstance, design: NetworkDesign,
             f"simulation horizon {horizon} exceeds the instance horizon "
             f"{int(instance.horizon)} covered by the scenario stream")
 
+    problems = design_mismatches(instance, design)
+    if problems:
+        raise ConfigError("design does not fit the instance: "
+                          + "; ".join(problems))
     dcs = list(instance.dcs())
     dc_ids = {dc.id for dc in dcs}
-    customer_ids = {c.id for c in instance.customers()}
-    if set(design.dc_warehouse) != dc_ids or set(design.dc_locations) != dc_ids:
-        raise ConfigError("design does not cover the instance's DCs")
-    if set(design.customer_dc) != customer_ids:
-        raise ConfigError("design does not cover the instance's customers")
     if set(plan.initial_inventory) != dc_ids:
         raise ConfigError("plan inventories do not match the design's DCs")
     if not 0.0 <= plan.safety_stock <= 1.0:

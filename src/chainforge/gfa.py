@@ -22,6 +22,10 @@ from .model import NetworkDesign, NetworkInstance, Region, euclidean_distance
 
 # Guard against division by zero when an iterate lands on a demand point.
 _SINGULARITY_EPS = 1e-9
+# Iteration cap and convergence step, in coordinate units, of both the
+# Weiszfeld update and the location-allocation loop.
+_MAX_ITERATIONS = 200
+_TOLERANCE = 1e-4
 
 
 @dataclass(frozen=True)
@@ -32,8 +36,6 @@ class GfaConfig:
     it, since those carry the capacities the later stages use.
     """
 
-    max_iterations: int = 200
-    tolerance: float = 1e-4
     restarts: int = 8
     rng_seed: int = 0
 
@@ -56,13 +58,11 @@ def weighted_effort(location: tuple[float, float],
 
 def weiszfeld_single(points: Sequence[tuple[float, float]],
                      weights: Sequence[float],
-                     *, max_iterations: int = 200,
-                     tolerance: float = 1e-4,
-                     initial: tuple[float, float] | None = None) -> WeiszfeldResult:
+                     *, initial: tuple[float, float] | None = None) -> WeiszfeldResult:
     """Weighted geometric median by Weiszfeld fixed-point iteration.
 
     Starts from the weighted centroid (or ``initial``) and repeats the
-    inverse-distance-weighted update until the step is below tolerance.
+    inverse-distance-weighted update until the step is below _TOLERANCE.
     The weighted-effort objective is recorded each iteration; the update
     is a descent step, which the tests assert.
     """
@@ -89,7 +89,7 @@ def weiszfeld_single(points: Sequence[tuple[float, float]],
     trace = [float(np.dot(ws, np.hypot(xs - px, ys - py)))]
     converged = False
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, _MAX_ITERATIONS + 1):
         dist = np.hypot(xs - px, ys - py)
         safe = np.maximum(dist, _SINGULARITY_EPS)
         pull = ws / safe
@@ -99,7 +99,7 @@ def weiszfeld_single(points: Sequence[tuple[float, float]],
         step = math.hypot(nx - px, ny - py)
         px, py = nx, ny
         trace.append(float(np.dot(ws, np.hypot(xs - px, ys - py))))
-        if step <= tolerance:
+        if step <= _TOLERANCE:
             converged = True
             break
     return WeiszfeldResult(location=(px, py), objective=trace[-1],
@@ -162,7 +162,7 @@ def locate_region(region: Region, k: int, config: GfaConfig,
         assignment = [_nearest_slot(p, locations) for p in points]
         iterations = 0
         converged = False
-        for iterations in range(1, config.max_iterations + 1):
+        for iterations in range(1, _MAX_ITERATIONS + 1):
             # Re-center every cluster on its weighted geometric median.
             new_locations = list(locations)
             for slot in range(k):
@@ -178,14 +178,13 @@ def locate_region(region: Region, k: int, config: GfaConfig,
                     continue
                 sub = weiszfeld_single(
                     [points[i] for i in members], [weights[i] for i in members],
-                    max_iterations=config.max_iterations, tolerance=config.tolerance,
                     initial=locations[slot])
                 new_locations[slot] = sub.location
             moved = max(euclidean_distance(a, b)
                         for a, b in zip(locations, new_locations))
             locations = new_locations
             new_assignment = [_nearest_slot(p, locations) for p in points]
-            if new_assignment == assignment and moved <= config.tolerance:
+            if new_assignment == assignment and moved <= _TOLERANCE:
                 converged = True
                 break
             assignment = new_assignment

@@ -519,8 +519,8 @@ class _Tableau:
         return self.lb + u[:self.canon.n]
 
 
-def _iteration_limit(tab: _Tableau, max_iter: int) -> int:
-    return max_iter if max_iter else 2000 + 200 * max(tab.T.shape)
+def _iteration_limit(tab: _Tableau) -> int:
+    return 2000 + 200 * max(tab.T.shape)
 
 
 def _result(tab: _Tableau, status: str) -> SolveResult:
@@ -532,18 +532,17 @@ def _result(tab: _Tableau, status: str) -> SolveResult:
 
 
 def _solve_canon(canon: _Canon, lb: np.ndarray, ub: np.ndarray,
-                 max_iter: int, start: Basis | None = None,
-                 ) -> tuple[SolveResult, _Tableau]:
+                 start: Basis | None = None) -> tuple[SolveResult, _Tableau]:
     """Root solve from the slack basis, or from start where it fits; the
     final tableau seeds warm starts."""
     tab = _Tableau(canon, lb, ub)
     if tab.infeasible_bounds or tab.trivially_infeasible:
         return SolveResult(Status.INFEASIBLE, math.nan, None, 0), tab
-    return _result(tab, tab.solve(_iteration_limit(tab, max_iter), start)), tab
+    return _result(tab, tab.solve(_iteration_limit(tab), start)), tab
 
 
 def _resolve(parent: _Tableau, cols: Iterable[int], values: Iterable[float],
-             max_iter: int) -> tuple[SolveResult, _Tableau]:
+             ) -> tuple[SolveResult, _Tableau]:
     """Warm solve from a copy of the parent's optimal tableau, with each
     column in cols fixed at the matching entry of values.  A value outside
     the column's current range, such as 0 for a binary whose lower bound is
@@ -554,11 +553,10 @@ def _resolve(parent: _Tableau, cols: Iterable[int], values: Iterable[float],
         if not low - 1e-9 <= value <= high + 1e-9:
             return SolveResult(Status.INFEASIBLE, math.nan, None, 0), tab
         tab.fix(int(j), min(max(float(value), low), high))
-    return _result(tab, tab.reoptimize(_iteration_limit(tab, max_iter))), tab
+    return _result(tab, tab.reoptimize(_iteration_limit(tab))), tab
 
 
 def solve_milp(model: LinearModel, *, node_limit: int = 100_000,
-               max_iterations: int = 0,
                start: Basis | None = None) -> SolveResult:
     """Solve the model with binary variables driven to integrality.
 
@@ -571,13 +569,12 @@ def solve_milp(model: LinearModel, *, node_limit: int = 100_000,
     to the slack basis.  Each child, and the rounding pass, re-optimizes a
     copy of its parent's final tableau with the dual simplex, so a queued
     node carries that tableau.  iterations counts the simplex iterations
-    of every LP solved, dual pivots included, and max_iterations (0 picks
-    a default from the model size) caps each LP.  Hitting node_limit
+    of every LP solved, dual pivots included, and a cap set by the model
+    size bounds each LP.  Hitting node_limit
     returns the best incumbent found with status NODE_LIMIT.
     """
     canon = _Canon(model)
-    root, root_tab = _solve_canon(canon, canon.lb, canon.ub, max_iterations,
-                                  start)
+    root, root_tab = _solve_canon(canon, canon.lb, canon.ub, start)
     root.nodes = 1
     if root.status is Status.OPTIMAL:
         root.basis = (root_tab.basis, root_tab.at_ub)
@@ -597,8 +594,7 @@ def solve_milp(model: LinearModel, *, node_limit: int = 100_000,
     incumbent_x: np.ndarray | None = None
 
     # Rounding heuristic: snap the relaxation's binaries and re-solve.
-    heur, _ = _resolve(root_tab, bins, np.round(root.values[bins]),
-                       max_iterations)
+    heur, _ = _resolve(root_tab, bins, np.round(root.values[bins]))
     total_iter += heur.iterations
     if heur.status == Status.OPTIMAL:
         incumbent_obj = heur.objective
@@ -617,7 +613,7 @@ def solve_milp(model: LinearModel, *, node_limit: int = 100_000,
             if nodes >= node_limit:
                 limit_hit = True
                 break
-            child, tab_c = _resolve(tab_n, [j], [fix], max_iterations)
+            child, tab_c = _resolve(tab_n, [j], [fix])
             nodes += 1
             total_iter += child.iterations
             if child.status != Status.OPTIMAL:

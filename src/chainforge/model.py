@@ -227,6 +227,34 @@ def id_mismatches(kind: str, expected: Iterable[str],
     return problems
 
 
+def design_mismatches(instance: NetworkInstance,
+                      design: NetworkDesign) -> list[str]:
+    """What keeps design from running on instance; empty when it fits.
+
+    The design must locate and supply exactly the instance's DCs from
+    the instance's warehouses (it need not order from every one), and
+    link exactly the instance's customers, each to a DC of its own
+    region.
+    """
+    dc_region = {dc.id: dc.region_id for dc in instance.dcs()}
+    customers = instance.customers()
+    used = set(design.dc_warehouse.values())
+    problems = (
+        id_mismatches("DCs", dc_region, design.dc_warehouse)
+        + id_mismatches("DC locations", dc_region, design.dc_locations)
+        + id_mismatches("warehouses", [w.id for w in instance.warehouses
+                                       if w.id in used], used)
+        + id_mismatches("customers", [c.id for c in customers],
+                        design.customer_dc))
+    astray = [f"{c.id} to {design.customer_dc[c.id]}" for c in customers
+              if c.id in design.customer_dc
+              and dc_region.get(design.customer_dc[c.id]) != c.region_id]
+    if astray:
+        problems.append("customers linked to a DC outside their region: "
+                        + ", ".join(astray))
+    return problems
+
+
 # ---------------------------------------------------------------------------
 # parsing helpers
 

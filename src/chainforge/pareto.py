@@ -16,10 +16,9 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ChainforgeError, DomainError, ParseError
-from .model import NetworkDesign, NetworkInstance
+from .model import NetworkDesign, NetworkInstance, design_mismatches
 from .stochastic import (EstimateResult, StochasticConfig, aggregate,
-                         map_replications, replication_seeds,
-                         summarize_replication)
+                         map_replications, replication_seeds)
 
 CSV_COLUMNS = ("epsilon", "Z1", "Z1_se", "Z2", "Z2_se",
                "inventory_cost", "unfulfilled_cost", "order_cost")
@@ -68,18 +67,22 @@ def sweep(instance: NetworkInstance, design: NetworkDesign,
     workers; each grid point is then aggregated in seed order, so the
     estimates do not depend on jobs.  A grid point whose replication
     raised is recorded with the first such error in seed order and the
-    remaining points still run.
+    remaining points still run.  A design that does not fit the instance
+    is rejected before any replication runs.
     """
     if not grid:
         raise DomainError("epsilon grid is empty")
     for eps in grid:
         if eps < 0:
             raise DomainError(f"epsilon must be >= 0, got {eps}")
+    problems = design_mismatches(instance, design)
+    if problems:
+        raise DomainError("design does not fit the instance: "
+                          + "; ".join(problems))
 
     seeds = replication_seeds(config)
     items = [(eps, seed) for eps in grid for seed in seeds]
-    outcomes = map_replications(summarize_replication, instance, design,
-                                config, items)
+    outcomes = map_replications(instance, design, config, items)
     solutions: list[EstimateResult] = []
     failures: list[SweepFailure] = []
     for k, eps in enumerate(grid):

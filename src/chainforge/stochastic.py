@@ -33,9 +33,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
-from functools import partial
-from typing import Callable, Mapping, Sequence, TypeVar
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -46,7 +45,6 @@ from .model import NetworkDesign, NetworkInstance, id_mismatches
 
 DEFAULT_NODE_LIMIT = 100_000
 _BALANCE_FORMS = ("delivered", "demand")
-_T = TypeVar("_T")
 
 
 def replication_seed(master_seed: int, replication: int,
@@ -572,6 +570,8 @@ class ReplicationSummary:
 
 
 WorkItem = tuple[float, int]  # (epsilon, replication seed)
+# What a work item gives back: its summary, or the error it raised.
+Outcome = ReplicationSummary | DomainError | NumericalError
 
 # Set once in each worker process by the pool initializer, so the
 # instance and design cross the process boundary once per worker
@@ -585,51 +585,46 @@ def _init_worker(instance: NetworkInstance, design: NetworkDesign,
     _worker_inputs = (instance, design, config)
 
 
-def _run_item(worker: Callable[..., _T], item: WorkItem) -> _T:
-    return worker(*_worker_inputs, item)
+def _run_item(item: WorkItem) -> Outcome:
+    return summarize_replication(*_worker_inputs, item)
 
 
-def map_replications(worker: Callable[..., _T], instance: NetworkInstance,
-                     design: NetworkDesign, config: StochasticConfig,
-                     items: Sequence[WorkItem]) -> list[_T]:
-    """worker(instance, design, config, item) for every item, in order.
+def map_replications(instance: NetworkInstance, design: NetworkDesign,
+                     config: StochasticConfig,
+                     items: Sequence[WorkItem]) -> list[Outcome]:
+    """summarize_replication(instance, design, config, item) for every
+    item, in order.
 
     With one worker (config.jobs == 1, or a single item) the calls run
     inline.  Otherwise a process pool of min(jobs, items) workers runs
-    them; worker must then be a module-level function and its result
-    picklable.  The platform's default start method is used, so on
-    spawn and forkserver platforms the initializer pickles
-    (instance, design, config).
+    them.  The platform's default start method is used, so on spawn and
+    forkserver platforms the initializer pickles (instance, design,
+    config).
     """
     workers = min(config.jobs, len(items))
     if workers <= 1:
-        return [worker(instance, design, config, item) for item in items]
+        return [summarize_replication(instance, design, config, item)
+                for item in items]
     # Imported here so that single-process commands do not load
     # multiprocessing (about 1.3 MB of resident memory).
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                              initargs=(instance, design, config)) as pool:
-        return list(pool.map(partial(_run_item, worker), items))
-
-
-def replicate(instance: NetworkInstance, design: NetworkDesign,
-              config: StochasticConfig, item: WorkItem) -> ReplicationResult:
-    """Worker: the full result of one replication."""
-    epsilon, seed = item
-    return run_replication(instance, design, epsilon, seed, config=config)
+        return list(pool.map(_run_item, items))
 
 
 def summarize_replication(instance: NetworkInstance, design: NetworkDesign,
-                          config: StochasticConfig, item: WorkItem,
-                          ) -> ReplicationSummary | DomainError | NumericalError:
-    """Worker: one replication's summary, or the error it raised.
+                          config: StochasticConfig, item: WorkItem) -> Outcome:
+    """One (epsilon, seed) replication's summary, or the error it raised.
 
     The error is returned, not raised, so a failing replication leaves
     the other work items running and its caller decides what it spoils.
     """
+    epsilon, seed = item
     try:
-        result = replicate(instance, design, config, item)
+        result = run_replication(instance, design, epsilon, seed,
+                                 config=config)
     except (DomainError, NumericalError) as exc:
         return exc
     return ReplicationSummary(
@@ -646,9 +641,8 @@ class EstimateResult:
     """One epsilon's Monte Carlo estimate of (Z1, Z2).
 
     The first eight fields are the pareto.CSV_COLUMNS in order, so a
-    solutions.csv row reads back positionally.  The rest are not written
-    to the CSV: the solver effort behind the estimate and, from
-    estimate_objectives, the replications themselves.
+    solutions.csv row reads back positionally.  The solver effort behind
+    the estimate follows; it is not written to the CSV.
     """
 
     epsilon: float
@@ -661,7 +655,6 @@ class EstimateResult:
     order_cost: float
     nodes: int = 0           # branch-and-bound nodes over all replications
     limit_hits: int = 0      # replications with a node-limit incumbent
-    results: tuple[ReplicationResult, ...] = ()
 
 
 def replication_seeds(config: StochasticConfig) -> list[int]:
@@ -669,8 +662,7 @@ def replication_seeds(config: StochasticConfig) -> list[int]:
             for s in range(config.replications)]
 
 
-def aggregate(epsilon: float,
-              replications: Sequence[ReplicationResult | ReplicationSummary],
+def aggregate(epsilon: float, replications: Sequence[ReplicationSummary],
               ) -> EstimateResult:
     """Sample means and standard errors over replications in seed order.
 
@@ -698,21 +690,6 @@ def aggregate(epsilon: float,
         nodes=sum(r.nodes for r in replications),
         limit_hits=sum(r.limit_hit for r in replications),
     )
-
-
-def estimate_objectives(instance: NetworkInstance, design: NetworkDesign,
-                        epsilon: float,
-                        config: StochasticConfig = StochasticConfig(),
-                        ) -> EstimateResult:
-    """Monte Carlo estimates of accessibility (Z1) and cost (Z2).
-
-    Replication seeds derive from the master seed alone, so estimates at
-    different epsilon values share scenarios (common random numbers) and
-    differences between sweeps reflect the scalarization, not sampling.
-    """
-    items = [(epsilon, seed) for seed in replication_seeds(config)]
-    results = map_replications(replicate, instance, design, config, items)
-    return replace(aggregate(epsilon, results), results=tuple(results))
 
 
 def audit_replication(instance: NetworkInstance, design: NetworkDesign,

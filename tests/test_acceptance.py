@@ -23,7 +23,7 @@ from chainforge.pareto import extract_front, sweep
 from chainforge.stochastic import (EstimateResult, OperationalPlan,
                                    StochasticConfig,
                                    default_initial_inventory,
-                                   estimate_objectives)
+                                   replication_seeds, run_replication)
 from chainforge.accessibility import affordability, resolve_scales, snapshot
 from conftest import QATAR_PATH
 
@@ -218,14 +218,15 @@ def test_criterion_2_milp_matches_enumeration():
 
 # ------------------------------------------------------------ criterion 3
 
-def _qatar_estimate():
-    if "estimate" not in _shared:
+def _qatar_replications():
+    if "replications" not in _shared:
         instance, design = _pipeline()
-        config = StochasticConfig(replications=50, master_seed=77, jobs=JOBS)
+        config = StochasticConfig(replications=50, master_seed=77)
         start = time.perf_counter()
-        estimate = estimate_objectives(instance, design, 0.01, config)
-        _shared["estimate"] = (estimate, time.perf_counter() - start)
-    return _shared["estimate"]
+        results = [run_replication(instance, design, 0.01, seed, config=config)
+                   for seed in replication_seeds(config)]
+        _shared["replications"] = (results, time.perf_counter() - start)
+    return _shared["replications"]
 
 
 def _check_period(instance, design, previous, decision, scenario, t,
@@ -277,9 +278,9 @@ def test_criterion_3_stored_decisions_satisfy_constraints():
     ok = False
     try:
         instance, design = _pipeline()
-        estimate, elapsed = _qatar_estimate()
-        assert len(estimate.results) == 50
-        for result in estimate.results:
+        results, elapsed = _qatar_replications()
+        assert len(results) == 50
+        for result in results:
             previous = result.initial_inventory
             for decision in result.periods:
                 _check_period(instance, design, previous, decision,
@@ -297,8 +298,8 @@ def test_criterion_4_quality_surplus_formula():
     ok = False
     try:
         instance, design = _pipeline()
-        estimate, _ = _qatar_estimate()
-        for result in estimate.results:
+        results, _ = _qatar_replications()
+        for result in results:
             for decision in result.periods:
                 for region in instance.regions:
                     stock = sum(decision.inventory[dc.id]
@@ -323,14 +324,14 @@ def test_criterion_5_safety_stock_costs_and_accessibility():
     try:
         instance, design = _pipeline()
         start = time.perf_counter()
-        with_floor = estimate_objectives(
-            instance, design, 0.01,
+        with_floor = sweep(
+            instance, design, (0.01,),
             StochasticConfig(replications=200, master_seed=314,
-                             safety_stock=0.4, jobs=JOBS))
-        without = estimate_objectives(
-            instance, design, 0.01,
+                             safety_stock=0.4, jobs=JOBS)).solutions[0]
+        without = sweep(
+            instance, design, (0.01,),
             StochasticConfig(replications=200, master_seed=314,
-                             safety_stock=0.0, jobs=JOBS))
+                             safety_stock=0.0, jobs=JOBS)).solutions[0]
         elapsed = time.perf_counter() - start
         assert with_floor.inventory_cost > without.inventory_cost, \
             "safety stock must cost inventory"

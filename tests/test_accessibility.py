@@ -2,13 +2,13 @@
 
 import pytest
 
-from chainforge.accessibility import (AccessibilitySnapshot, Scales,
+from chainforge.accessibility import (AccessibilitySnapshot,
                                       accessible_nutrition, affordability,
                                       default_scales, normalize,
                                       quality_index, resolve_scales, snapshot,
                                       transportation_effort)
 from chainforge.errors import ConfigError, DomainError, LinkageError
-from chainforge.model import Nutrient
+from chainforge.model import NormalizationScales, Nutrient
 
 
 def test_affordability_is_cost_over_income(tiny):
@@ -115,7 +115,8 @@ def test_resolve_scales_falls_back_to_defaults(tiny, tiny_design):
 
 
 def test_snapshot_contribution(tiny, tiny_design):
-    scales = Scales(affordability=0.02, transportation=100.0, quality=60.0)
+    scales = NormalizationScales(affordability=0.02, transportation=100.0,
+                                 quality=60.0)
     snap = snapshot(tiny.region("R1"), 0, tiny_design, tiny,
                     region_inventory=150.0,
                     shipments={("D1", "C1"): 10.0}, scales=scales)

@@ -327,7 +327,8 @@ def test_design_for_another_instance_exits_2(tiny_file, tmp_path, capsys):
         assert "missing DCs DC1, DC2, DC3" in err
         assert "unknown DCs D1, D2, D3" in err
         assert "missing customers C6, C7" in err
-    edited = json.loads(pathlib.Path(design).read_text())
+    original = pathlib.Path(design).read_text()
+    edited = json.loads(original)
     edited["z"]["D3"] = "W9"
     edited["y"]["CX"] = edited["y"].pop("C5")
     pathlib.Path(design).write_text(json.dumps(edited))
@@ -336,6 +337,14 @@ def test_design_for_another_instance_exits_2(tiny_file, tmp_path, capsys):
     err = capsys.readouterr().err
     assert ("unknown warehouses W9; missing customers C5; "
             "unknown customers CX") in err
+    # C4 lives in R2; D1 is a DC of R1.
+    edited = json.loads(original)
+    edited["y"]["C4"] = "D1"
+    pathlib.Path(design).write_text(json.dumps(edited))
+    assert run_cli("optimize", tiny_file, "--out", str(tmp_path / "o"),
+                   "--design", design) == 2
+    err = capsys.readouterr().err
+    assert "customers linked to a DC outside their region: C4 to D1" in err
 
 
 def test_validate_rejects_foreign_plan(tiny_file, tmp_path, capsys):

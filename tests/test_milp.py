@@ -513,13 +513,13 @@ def test_warm_children_match_cold_solves(qatar, qatar_design, monkeypatch):
     real_resolve = solver._resolve
     checked = []
 
-    def compared_resolve(parent, cols, values, max_iter):
-        warm, tab = real_resolve(parent, cols, values, max_iter)
+    def compared_resolve(parent, cols, values):
+        warm, tab = real_resolve(parent, cols, values)
         lb = parent.lb.copy()
         ub = parent.lb + parent.U[:parent.canon.n]
         lb[cols] = values
         ub[cols] = values
-        cold, _ = solver._solve_canon(parent.canon, lb, ub, max_iter)
+        cold, _ = solver._solve_canon(parent.canon, lb, ub)
         assert warm.status is cold.status
         if cold.status is Status.OPTIMAL:
             assert abs(warm.objective - cold.objective) <= FEASIBILITY_TOL * (
@@ -540,10 +540,10 @@ def test_warm_roots_match_cold_solves(qatar, qatar_design, monkeypatch):
     iterations = {"cold": 0, "warm": 0}
     starts = []
 
-    def compared_solve(canon, lb, ub, max_iter, start=None):
-        warm, tab = real_solve(canon, lb, ub, max_iter, start)
+    def compared_solve(canon, lb, ub, start=None):
+        warm, tab = real_solve(canon, lb, ub, start)
         if start is not None:
-            cold, _ = real_solve(canon, lb, ub, max_iter)
+            cold, _ = real_solve(canon, lb, ub)
             assert warm.status is cold.status
             if cold.status is Status.OPTIMAL:
                 assert abs(warm.objective - cold.objective) <= FEASIBILITY_TOL * (

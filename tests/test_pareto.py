@@ -9,7 +9,8 @@ from chainforge.errors import DomainError, ParseError
 from chainforge.pareto import (CSV_COLUMNS, epsilon_grid, extract_front,
                                read_solutions_csv, render_front_svg, sweep,
                                write_front_csv, write_solutions_csv)
-from chainforge.stochastic import EstimateResult, StochasticConfig
+from chainforge.stochastic import (EstimateResult, StochasticConfig,
+                                   replication_seeds, run_replication)
 
 
 def make(epsilon, z1, z2):
@@ -219,6 +220,29 @@ def test_sweep_parallel_matches_serial(tiny, tiny_design):
         [(s.epsilon, s.z1, s.z2) for s in parallel.solutions]
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_estimate_is_the_replications_mean(tiny, tiny_design, jobs):
+    # A one-point sweep is the sample mean and standard error of the
+    # replications run_replication gives for the config's seeds.
+    config = StochasticConfig(replications=3, master_seed=12, jobs=jobs)
+    [estimate] = sweep(tiny, tiny_design, (0.02,), config).solutions
+    results = [run_replication(tiny, tiny_design, 0.02, seed, config=config)
+               for seed in replication_seeds(config)]
+
+    def mean_and_se(samples):
+        samples = np.array(samples)
+        return (float(samples.mean()),
+                float(np.std(samples, ddof=1) / math.sqrt(len(samples))))
+
+    assert (estimate.z1, estimate.z1_se) == mean_and_se(
+        [r.accessibility for r in results])
+    assert (estimate.z2, estimate.z2_se) == mean_and_se(
+        [r.total_cost for r in results])
+    assert estimate.inventory_cost == float(np.mean(
+        [r.inventory_cost for r in results]))
+    assert estimate.nodes == sum(r.nodes for r in results)
+
+
 def test_sweep_counts_node_limit_incumbents(tiny, tiny_design):
     # The tiny network's period models branch, so one node cannot finish.
     grid = (0.01, 1.0)
@@ -257,3 +281,17 @@ def test_sweep_validates_grid(tiny, tiny_design):
         sweep(tiny, tiny_design, (), config)
     with pytest.raises(DomainError):
         sweep(tiny, tiny_design, (-0.1,), config)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_rejects_another_instances_design(qatar, tiny_design, jobs,
+                                                monkeypatch):
+    import chainforge.stochastic as stochastic
+
+    def never(*args, **kwargs):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(stochastic, "run_replication", never)
+    config = StochasticConfig(replications=2, jobs=jobs)
+    with pytest.raises(DomainError, match="missing DCs DC1"):
+        sweep(qatar, tiny_design, (0.01, 0.1), config)

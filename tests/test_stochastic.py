@@ -7,13 +7,13 @@ import pytest
 
 from chainforge.errors import (DomainError, InfeasibleBoundsError, ParseError)
 from chainforge.milp import Status, solve_milp
+from chainforge.pareto import sweep
 from chainforge.stochastic import (OperationalPlan, StochasticConfig,
                                    audit_replication, build_period_model,
-                                   default_initial_inventory,
-                                   estimate_objectives, load_plan,
+                                   default_initial_inventory, load_plan,
                                    opening_state, plan_from_estimate,
-                                   quality_terms,
-                                   replication_seed, run_replication,
+                                   quality_terms, replication_seed,
+                                   replication_seeds, run_replication,
                                    sample_scenario, save_plan)
 
 
@@ -255,32 +255,30 @@ def test_accessibility_includes_constant_affordability(tiny, tiny_design):
 
 # ------------------------------------------------------------- estimates
 
+def _estimate(instance, design, epsilon, config):
+    """The sweep's estimate on a one-point grid."""
+    [estimate] = sweep(instance, design, (epsilon,), config).solutions
+    return estimate
+
+
 def test_estimate_single_replication_has_zero_se(tiny, tiny_design):
-    estimate = estimate_objectives(tiny, tiny_design, 0.02,
-                                   StochasticConfig(replications=1))
+    estimate = _estimate(tiny, tiny_design, 0.02,
+                         StochasticConfig(replications=1))
     assert estimate.z1_se == 0.0
     assert estimate.z2_se == 0.0
-    assert len(estimate.results) == 1
+    # The one replication is the estimate.
+    only = run_replication(tiny, tiny_design, 0.02, replication_seed(0, 0))
+    assert (estimate.z1, estimate.z2) == (only.accessibility, only.total_cost)
 
 
 def test_estimate_matched_seeds_reproducible(tiny, tiny_design):
     config = StochasticConfig(replications=5, master_seed=11)
-    a = estimate_objectives(tiny, tiny_design, 0.03, config)
-    b = estimate_objectives(tiny, tiny_design, 0.03, config)
+    a = _estimate(tiny, tiny_design, 0.03, config)
+    b = _estimate(tiny, tiny_design, 0.03, config)
     assert a.z1 == b.z1
     assert a.z2 == b.z2
-    assert [r.seed for r in a.results] == [r.seed for r in b.results]
-
-
-def test_estimate_parallel_matches_serial(tiny, tiny_design):
-    serial = estimate_objectives(tiny, tiny_design, 0.03,
-                                 StochasticConfig(replications=6,
-                                                  master_seed=2))
-    parallel = estimate_objectives(tiny, tiny_design, 0.03,
-                                   StochasticConfig(replications=6,
-                                                    master_seed=2, jobs=3))
-    assert parallel.z1 == pytest.approx(serial.z1, rel=1e-12)
-    assert parallel.z2 == pytest.approx(serial.z2, rel=1e-12)
+    assert replication_seeds(config) == [replication_seed(11, r)
+                                         for r in range(5)]
 
 
 def test_worker_payload_survives_pickling(qatar, qatar_design):
@@ -298,17 +296,17 @@ def test_worker_payload_survives_pickling(qatar, qatar_design):
 def test_cost_weight_lowers_cost(tiny, tiny_design):
     # Same scenarios, stronger cost pricing: expected cost cannot rise.
     config = StochasticConfig(replications=6, master_seed=21)
-    cheap = estimate_objectives(tiny, tiny_design, 0.001, config)
-    dear = estimate_objectives(tiny, tiny_design, 5.0, config)
+    cheap, dear = sweep(tiny, tiny_design, (0.001, 5.0), config).solutions
     assert dear.z2 <= cheap.z2 + 1e-6
 
 
 def test_balance_forms_agree_on_cost_order(tiny, tiny_design):
     config = StochasticConfig(replications=3, master_seed=8,
                               balance_form="demand")
-    estimate = estimate_objectives(tiny, tiny_design, 0.02, config)
-    assert estimate.z2 > 0.0
-    for result in estimate.results:
+    results = [run_replication(tiny, tiny_design, 0.02, seed, config=config)
+               for seed in replication_seeds(config)]
+    assert sum(r.total_cost for r in results) > 0.0
+    for result in results:
         assert result.balance_form == "demand"
         assert audit_replication(tiny, tiny_design, result) == []
 
@@ -334,7 +332,7 @@ def test_config_validation():
 
 def test_plan_round_trip(tiny, tiny_design, tmp_path):
     config = StochasticConfig(replications=2, master_seed=6)
-    estimate = estimate_objectives(tiny, tiny_design, 0.04, config)
+    estimate = _estimate(tiny, tiny_design, 0.04, config)
     plan = plan_from_estimate(estimate, tiny, config)
     assert plan.safety_stock == tiny.safety_stock_fraction
     assert plan.initial_inventory == default_initial_inventory(
@@ -345,13 +343,13 @@ def test_plan_round_trip(tiny, tiny_design, tmp_path):
 
 
 def test_configured_opening_inventory_must_name_every_dc(tiny, tiny_design):
-    from chainforge.pareto import sweep
-
     opening = {"D1": 30, "D2": 24, "D3": 20}
     config = StochasticConfig(replications=1, initial_inventory=opening)
-    estimate = estimate_objectives(tiny, tiny_design, 0.02, config)
+    estimate = _estimate(tiny, tiny_design, 0.02, config)
     plan = plan_from_estimate(estimate, tiny, config)
-    assert plan.initial_inventory == estimate.results[0].initial_inventory
+    [seed] = replication_seeds(config)
+    assert plan.initial_inventory == run_replication(
+        tiny, tiny_design, 0.02, seed, config=config).initial_inventory
     assert plan.initial_inventory == opening
     assert all(type(u) is float for u in plan.initial_inventory.values())
     for bad, named in (({"D1": 30.0, "D2": 24.0}, "missing DCs D3"),
