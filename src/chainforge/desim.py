@@ -1,10 +1,13 @@
 """Discrete-event validation of a planned solution.
 
-Replays one sweep solution under randomly timed customer orders with an
-(S, s) replenishment policy.  Orders are all-or-nothing: a DC ships the
-full quantity or none of it.  Reviews happen at period boundaries and
-refill a DC to S whenever its stock has fallen below s = v * S, subject
-to warehouse capacity and the supply-loss factor on the way.
+Replays one sweep solution under randomly timed customer orders with one
+fixed (S, s) replenishment policy: S is the DC's capacity and s = v * S.
+Each customer places one order per period, of that period's demand, at
+a uniform random time within it.  Orders are all-or-nothing: a DC ships
+the full quantity or none of it.  Reviews happen at period boundaries
+and refill a DC to S whenever its stock has fallen below s, subject to
+warehouse capacity; the supply-loss factor applies on the way, and the
+replenishment arrives at the boundary that dispatches it.
 
 Order sizes reuse the optimizer's scenario stream (same master seed and
 run index give the same demand draws), so simulated costs compare
@@ -18,7 +21,7 @@ import csv
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,34 +35,28 @@ _BACKLOG_MODES = ("wait", "drop")
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation knobs; the defaults mirror the planning model.
+    """Simulation knobs.
 
     rng_seed is the master seed and run_index picks the replication, so
     run r sees exactly the demand quantities of optimizer replication r.
-    order_up_to overrides the S levels (default: DC capacity).
+    backlog says whether an order the DC cannot cover waits or is
+    dropped.  The policy itself is fixed and mirrors the planning model:
+    the instance's horizon, one order per customer per period, S = DC
+    capacity, s = v * S, and replenishment delivered at the boundary that
+    dispatches it.
     """
 
-    horizon: int | None = None
     rng_seed: int = 0
     run_index: int = 0
-    orders_per_customer_per_period: int = 1
-    order_up_to: Mapping[str, float] | None = None
     backlog: str = "wait"
-    lead_periods: int = 0
 
     def __post_init__(self) -> None:
-        if self.horizon is not None and self.horizon < 1:
-            raise ConfigError("horizon must be at least 1")
         if self.run_index < 0:
             raise ConfigError("run_index must be >= 0")
-        if self.orders_per_customer_per_period < 1:
-            raise ConfigError("need at least one order per customer per period")
         if self.backlog not in _BACKLOG_MODES:
             raise ConfigError(
                 f"backlog must be one of {', '.join(_BACKLOG_MODES)}, "
                 f"got {self.backlog!r}")
-        if self.lead_periods < 0:
-            raise ConfigError("lead_periods must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -84,7 +81,6 @@ class SimReport:
     service_levels: dict[str, float]
     service_level: float
     orders_placed: int
-    orders_successful: int
     orders_dropped: int
     orders_expired: int
     region_volume: dict[str, float]
@@ -115,7 +111,6 @@ def service_level(successful_volume: float, total_volume: float) -> float:
 @dataclass(frozen=True)
 class _Order:
     time: float
-    seq: int
     customer: str
     dc: str
     region: str
@@ -128,16 +123,12 @@ def simulate(instance: NetworkInstance, design: NetworkDesign,
     """Run one simulation of the plan over the instance horizon.
 
     Event order per period boundary: book holding cost on the closing
-    stock, receive due shipments, serve waiting orders, then review and
-    dispatch replenishments.  Customer orders in between are served
-    immediately when stock covers them, otherwise queued or dropped.
+    stock, serve waiting orders, review and dispatch replenishments, then
+    receive them and serve waiting orders again.  Customer orders in
+    between are served immediately when stock covers them, otherwise
+    queued or dropped.
     """
-    horizon = int(instance.horizon) if config.horizon is None else config.horizon
-    if horizon > int(instance.horizon):
-        raise ConfigError(
-            f"simulation horizon {horizon} exceeds the instance horizon "
-            f"{int(instance.horizon)} covered by the scenario stream")
-
+    horizon = int(instance.horizon)
     problems = design_mismatches(instance, design)
     if problems:
         raise ConfigError("design does not fit the instance: "
@@ -151,50 +142,26 @@ def simulate(instance: NetworkInstance, design: NetworkDesign,
             f"plan safety stock {plan.safety_stock} outside [0, 1]")
 
     capacity = {dc.id: dc.capacity for dc in dcs}
-    if config.order_up_to is None:
-        order_up_to = dict(capacity)
-    else:
-        if set(config.order_up_to) != dc_ids:
-            raise ConfigError("order_up_to does not match the design's DCs")
-        order_up_to = {h: float(q) for h, q in config.order_up_to.items()}
-    reorder_point = {h: plan.safety_stock * order_up_to[h] for h in order_up_to}
-    for h in order_up_to:
-        if order_up_to[h] > capacity[h] + 1e-9:
-            raise ConfigError(
-                f"DC {h}: order-up-to level {order_up_to[h]:.6g} exceeds "
-                f"capacity {capacity[h]:.6g}")
-        if reorder_point[h] > order_up_to[h] + 1e-9:
-            raise ConfigError(
-                f"DC {h}: reorder point {reorder_point[h]:.6g} exceeds "
-                f"order-up-to level {order_up_to[h]:.6g}")
+    reorder_point = {h: plan.safety_stock * capacity[h] for h in capacity}
 
-    dc_region = {}
-    dc_holding = {}
+    dc_holding = {dc.id: dc.inventory_unit_cost for dc in dcs}
     region_rho = {r.id: r.unfulfilled_unit_cost for r in instance.regions}
-    for region in instance.regions:
-        for dc in region.dcs:
-            dc_region[dc.id] = region.id
-            dc_holding[dc.id] = dc.inventory_unit_cost
 
     scenario = sample_scenario(
         instance, replication_seed(config.rng_seed, config.run_index))
     times_rng = np.random.default_rng(
         replication_seed(config.rng_seed, config.run_index, stream="events"))
 
-    slices = config.orders_per_customer_per_period
     orders: list[_Order] = []
-    seq = 0
     for region in instance.regions:
         for customer in region.customers:
             dc_id = design.customer_dc[customer.id]
             for p in range(horizon):
-                quantity = scenario.demands[(customer.id, p)] / slices
-                for _ in range(slices):
-                    at = p + float(times_rng.uniform())
-                    orders.append(_Order(at, seq, customer.id, dc_id,
-                                         region.id, quantity))
-                    seq += 1
-    orders.sort(key=lambda o: (o.time, o.customer, o.seq))
+                at = p + float(times_rng.uniform())
+                orders.append(_Order(at, customer.id, dc_id, region.id,
+                                     scenario.demands[(customer.id, p)]))
+    # A stable sort keeps draw order among equal (time, customer) keys.
+    orders.sort(key=lambda o: (o.time, o.customer))
 
     stock = {h: float(plan.initial_inventory[h]) for h in sorted(dc_ids)}
     for h, level in stock.items():
@@ -206,7 +173,6 @@ def simulate(instance: NetworkInstance, design: NetworkDesign,
     shipped = {h: 0.0 for h in stock}
     initial = dict(stock)
     waiting: dict[str, deque[_Order]] = {h: deque() for h in stock}
-    pending: dict[int, list[tuple[str, float]]] = {}
     events: list[SimEvent] = []
 
     inventory_cost = 0.0
@@ -214,14 +180,12 @@ def simulate(instance: NetworkInstance, design: NetworkDesign,
     order_cost = 0.0
     region_volume = {r.id: 0.0 for r in instance.regions}
     region_served = {r.id: 0.0 for r in instance.regions}
-    placed = successful = dropped = expired = 0
+    dropped = expired = 0
 
     def ship(order: _Order, at: float, period: int) -> None:
-        nonlocal successful
         stock[order.dc] -= order.quantity
         shipped[order.dc] += order.quantity
         region_served[order.region] += order.quantity
-        successful += 1
         events.append(SimEvent(at, "ship", period, order.dc,
                                order.customer, order.quantity))
 
@@ -239,34 +203,30 @@ def simulate(instance: NetworkInstance, design: NetworkDesign,
         nonlocal inventory_cost, order_cost
         for h in stock:
             inventory_cost += dc_holding[h] * stock[h]
-        for h, qty in pending.pop(b, []):
-            receive(h, qty, b)
         for h in stock:
             drain(h, float(b), b)
         if b > horizon - 1:
             return
+        arrivals = []
         for warehouse in instance.warehouses:
             requests = []
             for h in stock:
                 if design.dc_warehouse[h] != warehouse.id:
                     continue
                 if stock[h] < reorder_point[h]:
-                    requests.append((h, order_up_to[h] - stock[h]))
+                    requests.append((h, capacity[h] - stock[h]))
             total = sum(q for _, q in requests)
             scale = 1.0 if total <= warehouse.capacity else warehouse.capacity / total
             for h, req in requests:
-                arrival = b + config.lead_periods
-                if arrival > horizon - 1:
-                    continue
                 dispatch = req * scale
                 if dispatch <= 0.0:
                     continue
                 order_cost += warehouse.order_cost(h) * dispatch
-                events.append(SimEvent(float(b), "dispatch", arrival, h,
+                events.append(SimEvent(float(b), "dispatch", b, h,
                                        None, dispatch))
-                factor = scenario.supply_factors[(warehouse.id, h, arrival)]
-                pending.setdefault(arrival, []).append((h, dispatch * factor))
-        for h, qty in pending.pop(b, []):
+                factor = scenario.supply_factors[(warehouse.id, h, b)]
+                arrivals.append((h, dispatch * factor))
+        for h, qty in arrivals:
             receive(h, qty, b)
             drain(h, float(b), b)
 
@@ -276,7 +236,6 @@ def simulate(instance: NetworkInstance, design: NetworkDesign,
             boundary(next_boundary)
             next_boundary += 1
         period = min(int(order.time), horizon - 1)
-        placed += 1
         region_volume[order.region] += order.quantity
         events.append(SimEvent(order.time, "order", period, order.dc,
                                order.customer, order.quantity))
@@ -317,8 +276,7 @@ def simulate(instance: NetworkInstance, design: NetworkDesign,
         order_cost=order_cost,
         service_levels=levels,
         service_level=overall,
-        orders_placed=placed,
-        orders_successful=successful,
+        orders_placed=len(orders),
         orders_dropped=dropped,
         orders_expired=expired,
         region_volume=region_volume,

@@ -52,6 +52,7 @@ from .errors import NumericalError, ValidationError
 
 FEASIBILITY_TOL = 1e-7
 INTEGRALITY_TOL = 1e-6
+DEFAULT_NODE_LIMIT = 100_000
 _RC_TOL = 1e-9          # reduced cost significance
 _PIVOT_TOL = 1e-9       # ratio-test denominator cutoff
 _FIXED_TOL = 1e-12      # span below which a variable cannot move
@@ -556,7 +557,7 @@ def _resolve(parent: _Tableau, cols: Iterable[int], values: Iterable[float],
     return _result(tab, tab.reoptimize(_iteration_limit(tab))), tab
 
 
-def solve_milp(model: LinearModel, *, node_limit: int = 100_000,
+def solve_milp(model: LinearModel, *, node_limit: int = DEFAULT_NODE_LIMIT,
                start: Basis | None = None) -> SolveResult:
     """Solve the model with binary variables driven to integrality.
 

@@ -234,7 +234,7 @@ def design_mismatches(instance: NetworkInstance,
     The design must locate and supply exactly the instance's DCs from
     the instance's warehouses (it need not order from every one), and
     link exactly the instance's customers, each to a DC of its own
-    region.
+    region at a finite distance.
     """
     dc_region = {dc.id: dc.region_id for dc in instance.dcs()}
     customers = instance.customers()
@@ -252,6 +252,12 @@ def design_mismatches(instance: NetworkInstance,
     if astray:
         problems.append("customers linked to a DC outside their region: "
                         + ", ".join(astray))
+    unmeasured = [
+        f"{c} to {h}" for c, h in design.customer_dc.items()
+        if not math.isfinite(design.distances.get(h, {}).get(c, math.nan))]
+    if unmeasured:
+        problems.append("links without a finite distance: "
+                        + ", ".join(unmeasured))
     return problems
 
 

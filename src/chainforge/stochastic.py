@@ -40,10 +40,9 @@ import numpy as np
 
 from .accessibility import resolve_scales, snapshot
 from .errors import DomainError, InfeasibleBoundsError, NumericalError
-from .milp import LinearModel, Status, solve_milp
-from .model import NetworkDesign, NetworkInstance, id_mismatches
+from .milp import DEFAULT_NODE_LIMIT, LinearModel, Status, solve_milp
+from .model import NetworkDesign, NetworkInstance
 
-DEFAULT_NODE_LIMIT = 100_000
 _BALANCE_FORMS = ("delivered", "demand")
 
 
@@ -107,7 +106,6 @@ class StochasticConfig:
     replications: int = 50
     master_seed: int = 0
     safety_stock: float | None = None
-    initial_inventory: Mapping[str, float] | None = None
     balance_form: str = "delivered"
     node_limit: int = DEFAULT_NODE_LIMIT
     jobs: int = 1
@@ -389,33 +387,17 @@ class ReplicationResult:
 
 def default_initial_inventory(instance: NetworkInstance,
                               safety_fraction: float) -> dict[str, float]:
-    """Opening stock when none is configured: every DC at its safety level."""
+    """Opening stock: every DC at its safety level."""
     return {dc.id: safety_fraction * dc.capacity for dc in instance.dcs()}
 
 
 def opening_state(instance: NetworkInstance, config: StochasticConfig,
                   ) -> tuple[float, dict[str, float]]:
-    """The safety-stock fraction and opening inventory a config plans with.
-
-    A configured initial_inventory must name exactly the instance's DCs,
-    each with a value in [0, capacity]; its values are stored as floats.
-    Without one, every DC opens at its safety level.
-    """
+    """The safety-stock fraction a config plans with, and the opening
+    inventory: every DC at its safety level."""
     v = (instance.safety_stock_fraction if config.safety_stock is None
          else config.safety_stock)
-    if config.initial_inventory is None:
-        return v, default_initial_inventory(instance, v)
-    dc_ids = [dc.id for dc in instance.dcs()]
-    problems = id_mismatches("DCs", dc_ids, config.initial_inventory)
-    if problems:
-        raise DomainError("initial inventory: " + "; ".join(problems))
-    opening = {h: float(config.initial_inventory[h]) for h in dc_ids}
-    for dc in instance.dcs():
-        if not 0.0 <= opening[dc.id] <= dc.capacity:
-            raise DomainError(
-                f"initial inventory: DC {dc.id} opens at {opening[dc.id]:g}, "
-                f"outside [0, {dc.capacity:g}]")
-    return v, opening
+    return v, default_initial_inventory(instance, v)
 
 
 def run_replication(instance: NetworkInstance, design: NetworkDesign,

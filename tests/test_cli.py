@@ -345,6 +345,14 @@ def test_design_for_another_instance_exits_2(tiny_file, tmp_path, capsys):
                    "--design", design) == 2
     err = capsys.readouterr().err
     assert "customers linked to a DC outside their region: C4 to D1" in err
+    # C4 is linked to D3, which needs their distance.
+    edited = json.loads(original)
+    del edited["distances"]["D3"]["C4"]
+    pathlib.Path(design).write_text(json.dumps(edited))
+    assert run_cli("optimize", tiny_file, "--out", str(tmp_path / "o"),
+                   "--design", design) == 2
+    err = capsys.readouterr().err
+    assert "links without a finite distance: C4 to D3" in err
 
 
 def test_validate_rejects_foreign_plan(tiny_file, tmp_path, capsys):

@@ -28,21 +28,9 @@ def test_service_level_definition():
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        SimConfig(horizon=0)
-    with pytest.raises(ConfigError):
         SimConfig(run_index=-1)
     with pytest.raises(ConfigError):
-        SimConfig(orders_per_customer_per_period=0)
-    with pytest.raises(ConfigError):
         SimConfig(backlog="maybe")
-    with pytest.raises(ConfigError):
-        SimConfig(lead_periods=-1)
-
-
-def test_horizon_capped_by_scenario_stream(tiny, tiny_design):
-    plan = make_plan(tiny)
-    with pytest.raises(ConfigError, match="exceeds the instance horizon"):
-        simulate(tiny, tiny_design, plan, SimConfig(horizon=10))
 
 
 def test_plan_must_cover_dcs(tiny, tiny_design):
@@ -55,13 +43,6 @@ def test_safety_stock_range_checked(tiny, tiny_design):
     plan = make_plan(tiny, safety_stock=1.2)
     with pytest.raises(ConfigError, match="outside"):
         simulate(tiny, tiny_design, plan)
-
-
-def test_order_up_to_capped_by_capacity(tiny, tiny_design):
-    plan = make_plan(tiny)
-    levels = {"D1": 200.0, "D2": 120.0, "D3": 100.0}  # D1 holds 150
-    with pytest.raises(ConfigError, match="order-up-to"):
-        simulate(tiny, tiny_design, plan, SimConfig(order_up_to=levels))
 
 
 def test_initial_stock_capped_by_capacity(tiny, tiny_design):
@@ -103,7 +84,7 @@ def test_conservation_matches_event_replay(tiny, tiny_design):
 
 def test_orders_are_all_or_nothing(tiny, tiny_design):
     plan = make_plan(tiny)
-    config = SimConfig(rng_seed=3, orders_per_customer_per_period=2)
+    config = SimConfig(rng_seed=3)
     report = simulate(tiny, tiny_design, plan, config)
     placed = {}
     for event in report.events:
@@ -119,8 +100,7 @@ def test_orders_are_all_or_nothing(tiny, tiny_design):
 
 def test_order_sizes_match_scenario_demands(tiny, tiny_design):
     plan = make_plan(tiny)
-    config = SimConfig(rng_seed=6, run_index=2,
-                       orders_per_customer_per_period=3)
+    config = SimConfig(rng_seed=6, run_index=2)
     report = simulate(tiny, tiny_design, plan, config)
     scenario = sample_scenario(tiny, replication_seed(6, 2))
     ordered = {}
@@ -130,14 +110,6 @@ def test_order_sizes_match_scenario_demands(tiny, tiny_design):
             ordered[key] = ordered.get(key, 0.0) + event.quantity
     for (customer, period), total in ordered.items():
         assert total == pytest.approx(scenario.demands[(customer, period)])
-
-
-def test_orders_scale_with_configured_count(tiny, tiny_design):
-    plan = make_plan(tiny)
-    single = simulate(tiny, tiny_design, plan, SimConfig(rng_seed=1))
-    double = simulate(tiny, tiny_design, plan,
-                      SimConfig(rng_seed=1, orders_per_customer_per_period=2))
-    assert double.orders_placed == 2 * single.orders_placed
 
 
 def test_starved_network_reports_unmet_demand(tiny, tiny_design):

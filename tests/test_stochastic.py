@@ -11,7 +11,7 @@ from chainforge.pareto import sweep
 from chainforge.stochastic import (OperationalPlan, StochasticConfig,
                                    audit_replication, build_period_model,
                                    default_initial_inventory, load_plan,
-                                   opening_state, plan_from_estimate,
+                                   plan_from_estimate,
                                    quality_terms, replication_seed,
                                    replication_seeds, run_replication,
                                    sample_scenario, save_plan)
@@ -287,8 +287,7 @@ def test_worker_payload_survives_pickling(qatar, qatar_design):
     import pickle
 
     config = StochasticConfig(
-        replications=2, master_seed=4, safety_stock=0.4, jobs=2,
-        initial_inventory={dc.id: dc.capacity / 2 for dc in qatar.dcs()})
+        replications=2, master_seed=4, safety_stock=0.4, jobs=2)
     payload = (qatar, qatar_design, config)
     assert pickle.loads(pickle.dumps(payload)) == payload
 
@@ -337,46 +336,12 @@ def test_plan_round_trip(tiny, tiny_design, tmp_path):
     assert plan.safety_stock == tiny.safety_stock_fraction
     assert plan.initial_inventory == default_initial_inventory(
         tiny, tiny.safety_stock_fraction)
+    seed = replication_seeds(config)[0]
+    assert plan.initial_inventory == run_replication(
+        tiny, tiny_design, 0.04, seed, config=config).initial_inventory
     path = str(tmp_path / "plan.json")
     save_plan(plan, path)
     assert load_plan(path) == plan
-
-
-def test_configured_opening_inventory_must_name_every_dc(tiny, tiny_design):
-    opening = {"D1": 30, "D2": 24, "D3": 20}
-    config = StochasticConfig(replications=1, initial_inventory=opening)
-    estimate = _estimate(tiny, tiny_design, 0.02, config)
-    plan = plan_from_estimate(estimate, tiny, config)
-    [seed] = replication_seeds(config)
-    assert plan.initial_inventory == run_replication(
-        tiny, tiny_design, 0.02, seed, config=config).initial_inventory
-    assert plan.initial_inventory == opening
-    assert all(type(u) is float for u in plan.initial_inventory.values())
-    for bad, named in (({"D1": 30.0, "D2": 24.0}, "missing DCs D3"),
-                       ({**opening, "DX": 5.0}, "unknown DCs DX")):
-        config = StochasticConfig(replications=1, initial_inventory=bad)
-        with pytest.raises(DomainError, match=named):
-            run_replication(tiny, tiny_design, 0.02, 1, config=config)
-        with pytest.raises(DomainError, match=named):
-            plan_from_estimate(estimate, tiny, config)
-        pool = sweep(tiny, tiny_design, (0.02,), config)
-        assert pool.solutions == []
-        assert named in pool.failures[0].error
-
-
-def test_configured_opening_inventory_must_fit_each_dc(tiny, tiny_design):
-    # D1 holds at most 150.
-    for value in (-50.0, 1000.0):
-        config = StochasticConfig(
-            replications=1,
-            initial_inventory={"D1": value, "D2": 24.0, "D3": 20.0})
-        with pytest.raises(DomainError, match=r"DC D1 .* outside \[0, 150\]"):
-            run_replication(tiny, tiny_design, 0.02, 1, config=config)
-    for value in (0.0, 150.0):
-        config = StochasticConfig(
-            replications=1,
-            initial_inventory={"D1": value, "D2": 24.0, "D3": 20.0})
-        assert opening_state(tiny, config)[1]["D1"] == value
 
 
 def test_plan_load_rejects_bad_files(tmp_path):
