@@ -25,7 +25,7 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .desim import SimConfig, run_validation, write_validation_csv
-from .errors import ChainforgeError, DomainError
+from .errors import ChainforgeError, ConfigError, DomainError
 from .gfa import GfaConfig, load_design, run_gfa, save_design
 from .model import (NetworkDesign, NetworkInstance, design_mismatches,
                     load_instance)
@@ -102,12 +102,18 @@ def _load_design(path: str, instance: NetworkInstance) -> NetworkDesign:
     return design
 
 
+def _gfa_config(args: argparse.Namespace) -> GfaConfig:
+    try:
+        return GfaConfig(rng_seed=args.seed, restarts=args.restarts)
+    except ConfigError as exc:
+        raise UsageError(str(exc))
+
+
 def _sweep_config(args: argparse.Namespace) -> StochasticConfig:
     try:
         return StochasticConfig(replications=args.replications,
                                 master_seed=args.seed,
                                 safety_stock=args.safety_stock,
-                                balance_form=args.balance_form,
                                 jobs=args.jobs)
     except DomainError as exc:
         raise UsageError(str(exc))
@@ -120,8 +126,7 @@ def _plan_file(out: str, index: int) -> str:
 def _stage_gfa(args: argparse.Namespace) -> str:
     out = _ensure_out(args)
     instance = load_instance(args.instance)
-    config = GfaConfig(rng_seed=args.seed, restarts=args.restarts)
-    result = run_gfa(instance, config)
+    result = run_gfa(instance, _gfa_config(args))
     for region, value in sorted(result.region_objectives.items()):
         log.info("gfa: region %s effort %.6g", region, value)
     path = os.path.join(out, "design.json")
@@ -214,6 +219,7 @@ def _front_plan_file(out: str) -> str:
 
 def _cmd_gfa(args: argparse.Namespace) -> int:
     _require_file(args.instance, "instance")
+    _gfa_config(args)
     return _guard("gfa", lambda: _stage_gfa(args))
 
 
@@ -238,6 +244,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     _require_file(args.instance, "instance")
     _parse_grid(args.epsilon_grid)
+    _gfa_config(args)
     _sweep_config(args)
     if args.runs < 1:
         raise UsageError("runs must be at least 1")
@@ -266,7 +273,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "epsilon_grid": args.epsilon_grid,
             "replications": args.replications,
             "safety_stock": args.safety_stock,
-            "balance_form": args.balance_form,
             "restarts": args.restarts,
             "runs": args.runs,
             "backlog": args.backlog,
@@ -336,9 +342,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                "(default 50)")
     planning.add_argument("--safety-stock", type=float, default=None,
                           help="override the instance safety stock fraction")
-    planning.add_argument("--balance-form", choices=("delivered", "demand"),
-                          default="delivered",
-                          help="inventory balance form (default delivered)")
     simulating = argparse.ArgumentParser(add_help=False)
     simulating.add_argument("--runs", type=int, default=30,
                             help="matched-seed simulation runs (default 30)")

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import InfeasibleConfigError, ValidationError
+from .errors import ConfigError, InfeasibleConfigError, ValidationError
 from .model import NetworkDesign, NetworkInstance, Region, euclidean_distance
 
 # Guard against division by zero when an iterate lands on a demand point.
@@ -38,6 +38,10 @@ class GfaConfig:
 
     restarts: int = 8
     rng_seed: int = 0
+
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise ConfigError("restarts must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -149,7 +153,7 @@ def locate_region(region: Region, k: int, config: GfaConfig,
     weights = [c.demand.mean for c in customers]
 
     best: RegionPlacement | None = None
-    for restart in range(max(1, config.restarts)):
+    for restart in range(config.restarts):
         if restart == 0 and initial is not None:
             if len(initial) != k:
                 raise InfeasibleConfigError(

@@ -48,6 +48,9 @@ def epsilon_grid(low: float, high: float, steps: int) -> tuple[float, ...]:
         raise DomainError("epsilon grid must start above zero")
     if high < low:
         raise DomainError("epsilon grid must not decrease")
+    # Also catches a NaN or infinite bound, which the comparisons pass.
+    if not math.isfinite(high / low):
+        raise DomainError("epsilon grid bounds and their ratio must be finite")
     if steps == 1:
         return (low,)
     ratio = (high / low) ** (1.0 / (steps - 1))
@@ -73,8 +76,8 @@ def sweep(instance: NetworkInstance, design: NetworkDesign,
     if not grid:
         raise DomainError("epsilon grid is empty")
     for eps in grid:
-        if eps < 0:
-            raise DomainError(f"epsilon must be >= 0, got {eps}")
+        if not (math.isfinite(eps) and eps >= 0):
+            raise DomainError(f"epsilon must be finite and >= 0, got {eps}")
     problems = design_mismatches(instance, design)
     if problems:
         raise DomainError("design does not fit the instance: "

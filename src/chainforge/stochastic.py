@@ -43,8 +43,6 @@ from .errors import DomainError, InfeasibleBoundsError, NumericalError
 from .milp import DEFAULT_NODE_LIMIT, LinearModel, Status, solve_milp
 from .model import NetworkDesign, NetworkInstance
 
-_BALANCE_FORMS = ("delivered", "demand")
-
 
 def replication_seed(master_seed: int, replication: int,
                      stream: str = "scenario") -> int:
@@ -106,16 +104,12 @@ class StochasticConfig:
     replications: int = 50
     master_seed: int = 0
     safety_stock: float | None = None
-    balance_form: str = "delivered"
     node_limit: int = DEFAULT_NODE_LIMIT
     jobs: int = 1
 
     def __post_init__(self):
         if self.replications < 1:
             raise DomainError("replications must be at least 1")
-        if self.balance_form not in _BALANCE_FORMS:
-            raise DomainError(
-                f"balance_form must be one of {_BALANCE_FORMS}, got {self.balance_form!r}")
         if self.jobs < 1:
             raise DomainError("jobs must be at least 1")
         if self.safety_stock is not None and not 0.0 <= self.safety_stock <= 1.0:
@@ -187,7 +181,6 @@ def build_period_model(instance: NetworkInstance, design: NetworkDesign,
                        supply_factors: Mapping[tuple[str, str], float],
                        epsilon: float, period: int, *,
                        safety_stock: float | None = None,
-                       balance_form: str = "delivered",
                        ) -> tuple[LinearModel, PeriodIndex]:
     """Assemble the single-period model for realized demand and supply.
 
@@ -196,8 +189,6 @@ def build_period_model(instance: NetworkInstance, design: NetworkDesign,
     maps the active (warehouse, dc) lanes to the retained fraction.
     Returns the model plus the column index for extracting decisions.
     """
-    if balance_form not in _BALANCE_FORMS:
-        raise DomainError(f"unknown balance form {balance_form!r}")
     v = instance.safety_stock_fraction if safety_stock is None else safety_stock
     scales = resolve_scales(instance, design)
     model = LinearModel(f"period{period}")
@@ -213,28 +204,23 @@ def build_period_model(instance: NetworkInstance, design: NetworkDesign,
     inv_coeffs: dict[str, dict[int, float]] = {}
     inv_const: dict[str, float] = {}
 
-    for region in instance.regions:
-        for dc in region.dcs:
-            floor = v * dc.capacity
-            if floor > dc.capacity + 1e-9:
-                raise InfeasibleBoundsError(
-                    f"DC {dc.id}: safety stock {floor:.6g} exceeds capacity "
-                    f"{dc.capacity:.6g}")
-            warehouse_id = design.dc_warehouse[dc.id]
-            warehouse = instance.warehouse(warehouse_id)
-            factor = supply_factors[(warehouse_id, dc.id)]
-            holding = dc.inventory_unit_cost
-            col = model.add_variable(
-                f"x[{warehouse_id}->{dc.id}]",
-                ub=warehouse.capacity,
-                objective=-epsilon * (warehouse.order_cost(dc.id) + holding * factor))
-            orders[(warehouse_id, dc.id)] = col
-            inv_coeffs[dc.id] = {col: factor}
-            inv_const[dc.id] = opening_inventory[dc.id]
-            if balance_form == "demand":
-                inv_const[dc.id] -= sum(demands.get(c.id, 0.0)
-                                        for c in region.customers
-                                        if design.customer_dc[c.id] == dc.id)
+    for dc in instance.dcs():
+        floor = v * dc.capacity
+        if floor > dc.capacity + 1e-9:
+            raise InfeasibleBoundsError(
+                f"DC {dc.id}: safety stock {floor:.6g} exceeds capacity "
+                f"{dc.capacity:.6g}")
+        warehouse_id = design.dc_warehouse[dc.id]
+        warehouse = instance.warehouse(warehouse_id)
+        factor = supply_factors[(warehouse_id, dc.id)]
+        holding = dc.inventory_unit_cost
+        col = model.add_variable(
+            f"x[{warehouse_id}->{dc.id}]",
+            ub=warehouse.capacity,
+            objective=-epsilon * (warehouse.order_cost(dc.id) + holding * factor))
+        orders[(warehouse_id, dc.id)] = col
+        inv_coeffs[dc.id] = {col: factor}
+        inv_const[dc.id] = opening_inventory[dc.id]
 
     for region in instance.regions:
         w = region.weights
@@ -245,14 +231,13 @@ def build_period_model(instance: NetworkInstance, design: NetworkDesign,
             demand = demands.get(customer.id, 0.0)
             effort = (instance.path_weight(dc_id, customer.id)
                       * design.distances[dc_id][customer.id])
-            coeff = epsilon * rho - w.transportation * effort / scales.transportation
-            if balance_form == "delivered":
-                coeff += epsilon * dc_holding[dc_id]
+            coeff = (epsilon * rho
+                     - w.transportation * effort / scales.transportation
+                     + epsilon * dc_holding[dc_id])
             col = model.add_variable(
                 f"c[{dc_id}->{customer.id}]", ub=demand, objective=coeff)
             deliveries[(dc_id, customer.id)] = col
-            if balance_form == "delivered":
-                inv_coeffs[dc_id][col] = -1.0
+            inv_coeffs[dc_id][col] = -1.0
 
     terms = quality_terms(instance, v)
     nutrient_weight = {n.id: n.weight for n in instance.nutrients}
@@ -282,13 +267,12 @@ def build_period_model(instance: NetworkInstance, design: NetworkDesign,
             floor = v * dc.capacity
             cap_rhs = dc.capacity - const
             floor_rhs = const - floor
-            if balance_form == "delivered":
-                # Threaded inventories can wobble off the band by float
-                # dust; keep the rows consistent with a feasible start.
-                if -1e-6 < cap_rhs < 0.0:
-                    cap_rhs = 0.0
-                if -1e-6 < floor_rhs < 0.0:
-                    floor_rhs = 0.0
+            # Threaded inventories can wobble off the band by float dust;
+            # keep the rows consistent with a feasible start.
+            if -1e-6 < cap_rhs < 0.0:
+                cap_rhs = 0.0
+            if -1e-6 < floor_rhs < 0.0:
+                floor_rhs = 0.0
             model.add_constraint(coeffs, "<=", cap_rhs)
             model.add_constraint({c: -a for c, a in coeffs.items()}, "<=",
                                  floor_rhs)
@@ -374,7 +358,6 @@ class ReplicationResult:
     inventory_cost: float
     unfulfilled_cost: float
     order_cost: float
-    balance_form: str
     safety_stock: float
     initial_inventory: dict[str, float]
     nodes: int
@@ -425,7 +408,7 @@ def run_replication(instance: NetworkInstance, design: NetworkDesign,
                      for dc in instance.dcs()}
         model, index = build_period_model(
             instance, design, opening, demands_t, factors_t, epsilon, t,
-            safety_stock=v, balance_form=config.balance_form)
+            safety_stock=v)
         result = solve_milp(model, node_limit=config.node_limit, start=start)
         start = result.basis
         nodes += result.nodes
@@ -438,7 +421,7 @@ def run_replication(instance: NetworkInstance, design: NetworkDesign,
 
         decision = _extract_period(
             instance, design, index, result, opening, demands_t, factors_t,
-            t, scales, config.balance_form)
+            t, scales)
         periods.append(decision)
         opening = {
             dc.id: min(max(decision.inventory[dc.id], v * dc.capacity),
@@ -453,7 +436,6 @@ def run_replication(instance: NetworkInstance, design: NetworkDesign,
         inventory_cost=sum(p.inventory_cost for p in periods),
         unfulfilled_cost=sum(p.unfulfilled_cost for p in periods),
         order_cost=sum(p.order_cost for p in periods),
-        balance_form=config.balance_form,
         safety_stock=v,
         initial_inventory=initial,
         nodes=nodes,
@@ -462,7 +444,7 @@ def run_replication(instance: NetworkInstance, design: NetworkDesign,
 
 
 def _extract_period(instance, design, index, result, opening, demands_t,
-                    factors_t, t, scales, balance_form):
+                    factors_t, t, scales):
     orders = {key: max(0.0, result.value(col))
               for key, col in index.orders.items()}
     deliveries = {}
@@ -473,17 +455,12 @@ def _extract_period(instance, design, index, result, opening, demands_t,
              for (dc_id, cust_id), qty in deliveries.items()}
 
     inventory: dict[str, float] = {}
-    for region in instance.regions:
-        for dc in region.dcs:
-            w_id = design.dc_warehouse[dc.id]
-            received = factors_t[(w_id, dc.id)] * orders[(w_id, dc.id)]
-            if balance_form == "demand":
-                outflow = sum(demands_t[c.id] for c in region.customers
-                              if design.customer_dc[c.id] == dc.id)
-            else:
-                outflow = sum(qty for (h, _), qty in deliveries.items()
-                              if h == dc.id)
-            inventory[dc.id] = opening[dc.id] + received - outflow
+    for dc in instance.dcs():
+        w_id = design.dc_warehouse[dc.id]
+        received = factors_t[(w_id, dc.id)] * orders[(w_id, dc.id)]
+        outflow = sum(qty for (h, _), qty in deliveries.items()
+                      if h == dc.id)
+        inventory[dc.id] = opening[dc.id] + received - outflow
 
     # Auxiliaries: report the canonical surplus whenever the solver's
     # value agrees to within big-M conditioning noise; a material gap is
@@ -691,35 +668,29 @@ def audit_replication(instance: NetworkInstance, design: NetworkDesign,
     previous = result.initial_inventory
     for decision in result.periods:
         t = decision.period
-        for region in instance.regions:
-            for dc in region.dcs:
-                w_id = design.dc_warehouse[dc.id]
-                if (w_id, dc.id) not in decision.orders:
-                    issues.append(f"period {t}: no order lane for DC {dc.id}")
-                    continue
-                received = (scenario.supply_factors[(w_id, dc.id, t)]
-                            * decision.orders[(w_id, dc.id)])
-                if result.balance_form == "demand":
-                    outflow = sum(
-                        scenario.demands[(c.id, t)] for c in region.customers
-                        if design.customer_dc[c.id] == dc.id)
-                else:
-                    outflow = sum(qty for (h, _), qty
-                                  in decision.deliveries.items() if h == dc.id)
-                expected = previous[dc.id] + received - outflow
-                stored = decision.inventory[dc.id]
-                if abs(stored - expected) > tolerance:
-                    issues.append(
-                        f"period {t} DC {dc.id}: balance off by "
-                        f"{stored - expected:.3e}")
-                if stored < v * dc.capacity - tolerance:
-                    issues.append(
-                        f"period {t} DC {dc.id}: inventory {stored:.6g} below "
-                        f"safety level {v * dc.capacity:.6g}")
-                if stored > dc.capacity + tolerance:
-                    issues.append(
-                        f"period {t} DC {dc.id}: inventory {stored:.6g} above "
-                        f"capacity {dc.capacity:.6g}")
+        for dc in instance.dcs():
+            w_id = design.dc_warehouse[dc.id]
+            if (w_id, dc.id) not in decision.orders:
+                issues.append(f"period {t}: no order lane for DC {dc.id}")
+                continue
+            received = (scenario.supply_factors[(w_id, dc.id, t)]
+                        * decision.orders[(w_id, dc.id)])
+            outflow = sum(qty for (h, _), qty
+                          in decision.deliveries.items() if h == dc.id)
+            expected = previous[dc.id] + received - outflow
+            stored = decision.inventory[dc.id]
+            if abs(stored - expected) > tolerance:
+                issues.append(
+                    f"period {t} DC {dc.id}: balance off by "
+                    f"{stored - expected:.3e}")
+            if stored < v * dc.capacity - tolerance:
+                issues.append(
+                    f"period {t} DC {dc.id}: inventory {stored:.6g} below "
+                    f"safety level {v * dc.capacity:.6g}")
+            if stored > dc.capacity + tolerance:
+                issues.append(
+                    f"period {t} DC {dc.id}: inventory {stored:.6g} above "
+                    f"capacity {dc.capacity:.6g}")
         for warehouse in instance.warehouses:
             shipped = sum(qty for (w_id, _), qty in decision.orders.items()
                           if w_id == warehouse.id)
@@ -785,7 +756,6 @@ class OperationalPlan:
     order_cost: float
     master_seed: int
     replications: int
-    balance_form: str = "delivered"
 
 
 def plan_from_estimate(estimate: EstimateResult, instance: NetworkInstance,
@@ -803,13 +773,12 @@ def plan_from_estimate(estimate: EstimateResult, instance: NetworkInstance,
         order_cost=estimate.order_cost,
         master_seed=config.master_seed,
         replications=config.replications,
-        balance_form=config.balance_form,
     )
 
 
 _PLAN_FIELDS = ("epsilon", "safety_stock", "initial_inventory", "z1", "z1_se",
                 "z2", "z2_se", "inventory_cost", "unfulfilled_cost",
-                "order_cost", "master_seed", "replications", "balance_form")
+                "order_cost", "master_seed", "replications")
 
 
 def save_plan(plan: OperationalPlan, path: str) -> None:
@@ -849,6 +818,9 @@ def load_plan(path: str) -> OperationalPlan:
                        and not isinstance(u, bool)
                        for k, u in inventory.items())):
         raise ParseError(f"{path}: initial_inventory must map DC ids to numbers")
+    for name in ("master_seed", "replications"):
+        if not isinstance(data[name], int) or isinstance(data[name], bool):
+            raise ParseError(f"{path}: {name} must be an integer")
     try:
         return OperationalPlan(
             epsilon=float(data["epsilon"]),
@@ -859,9 +831,8 @@ def load_plan(path: str) -> OperationalPlan:
             inventory_cost=float(data["inventory_cost"]),
             unfulfilled_cost=float(data["unfulfilled_cost"]),
             order_cost=float(data["order_cost"]),
-            master_seed=int(data["master_seed"]),
-            replications=int(data["replications"]),
-            balance_form=str(data["balance_form"]),
+            master_seed=data["master_seed"],
+            replications=data["replications"],
         )
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc

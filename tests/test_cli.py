@@ -1,9 +1,11 @@
 """Command line stages, artifacts, exit codes, and determinism."""
 
+import argparse
 import json
 import multiprocessing
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -244,18 +246,16 @@ def test_zero_runs_exits_2(tiny_file, tmp_path, capsys):
 def test_shared_flags_parse_alike_in_every_stage():
     parser = _build_parser()
     planning = ["--seed", "3", "--jobs", "2", "--epsilon-grid", "0.01:0.5:3",
-                "--replications", "7", "--safety-stock", "0.25",
-                "--balance-form", "demand"]
+                "--replications", "7", "--safety-stock", "0.25"]
     for flags in ([], planning):
         optimize = parser.parse_args(["optimize", "i.json", *flags])
         run = parser.parse_args(["run", "i.json", *flags])
         for name in ("epsilon_grid", "replications", "safety_stock",
-                     "balance_form", "seed", "jobs"):
+                     "seed", "jobs"):
             assert getattr(optimize, name) == getattr(run, name), name
         assert _sweep_config(optimize) == _sweep_config(run)
     assert _sweep_config(run) == StochasticConfig(
-        replications=7, master_seed=3, safety_stock=0.25,
-        balance_form="demand", jobs=2)
+        replications=7, master_seed=3, safety_stock=0.25, jobs=2)
     for flags in ([], ["--runs", "4", "--backlog", "drop"]):
         validate = parser.parse_args(
             ["validate", "i.json", "--solution", "p.json", *flags])
@@ -272,6 +272,36 @@ def test_bad_grid_exits_2(tiny_file, tmp_path, capsys):
                    "--epsilon-grid", "nope")
     assert code == 2
     assert "low:high:steps" in capsys.readouterr().err
+    code = run_cli("optimize", tiny_file, "--out", str(tmp_path / "o"),
+                   "--epsilon-grid", "nan:1:3")
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_restarts_below_one_exits_2(tiny_file, tmp_path, capsys):
+    out = tmp_path / "o"
+    for stage in ("gfa", "run"):
+        assert run_cli(stage, tiny_file, "--out", str(out),
+                       "--restarts", "0") == 2
+        assert "restarts must be at least 1" in capsys.readouterr().err
+    assert not (out / "design.json").exists()
+
+
+def test_readme_flag_table_matches_parser():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    table = set(re.findall(r"^\| `(--[a-z-]+)` \|", readme.read_text(),
+                           re.MULTILINE))
+    parser = _build_parser()
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    declared = {option
+                for sub in [parser, *commands.choices.values()]
+                for action in sub._actions
+                for option in action.option_strings
+                if option.startswith("--")}
+    # Described in the prose under the table, or standard.
+    prose = {"--design", "--solution", "--help", "--version"}
+    assert table == declared - prose
 
 
 def test_bad_backlog_rejected_by_parser(tiny_file, tmp_path):
@@ -364,7 +394,7 @@ def test_validate_rejects_foreign_plan(tiny_file, tmp_path, capsys):
         "initial_inventory": {"DX": 5.0}, "z1": 1.0, "z1_se": 0.0,
         "z2": 1.0, "z2_se": 0.0, "inventory_cost": 1.0,
         "unfulfilled_cost": 0.0, "order_cost": 0.0, "master_seed": 0,
-        "replications": 1, "balance_form": "delivered"}))
+        "replications": 1}))
     code = run_cli("validate", tiny_file, "--out", staged,
                    "--solution", str(plan), "--runs", "2")
     assert code == 1

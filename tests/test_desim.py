@@ -17,7 +17,7 @@ def make_plan(instance, safety_stock=None, inventory=None):
         epsilon=0.01, safety_stock=v, initial_inventory=opening,
         z1=1.0, z1_se=0.0, z2=1000.0, z2_se=0.0, inventory_cost=500.0,
         unfulfilled_cost=300.0, order_cost=200.0, master_seed=0,
-        replications=10, balance_form="delivered")
+        replications=10)
 
 
 def test_service_level_definition():

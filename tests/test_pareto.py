@@ -52,6 +52,8 @@ def test_epsilon_grid_single_point():
 
 @pytest.mark.parametrize("low, high, steps", [
     (0.0, 1.0, 5), (-1.0, 1.0, 5), (1.0, 0.5, 5), (0.1, 1.0, 0),
+    (math.nan, 1.0, 3), (0.1, math.inf, 3), (0.1, math.nan, 2),
+    (1e-300, 1e300, 3),
 ])
 def test_epsilon_grid_rejects(low, high, steps):
     with pytest.raises(DomainError):
@@ -279,8 +281,9 @@ def test_sweep_validates_grid(tiny, tiny_design):
     config = StochasticConfig(replications=1)
     with pytest.raises(DomainError):
         sweep(tiny, tiny_design, (), config)
-    with pytest.raises(DomainError):
-        sweep(tiny, tiny_design, (-0.1,), config)
+    for bad in (-0.1, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            sweep(tiny, tiny_design, (bad,), config)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
