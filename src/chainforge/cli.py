@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import logging
 import os
 import sys
@@ -28,7 +27,7 @@ from .desim import SimConfig, run_validation, write_validation_csv
 from .errors import ChainforgeError, ConfigError, DomainError
 from .gfa import GfaConfig, load_design, run_gfa, save_design
 from .model import (NetworkDesign, NetworkInstance, design_mismatches,
-                    load_instance)
+                    load_instance, write_json)
 from .pareto import (epsilon_grid, extract_front, read_solutions_csv,
                      render_front_svg, sweep, write_front_csv,
                      write_solutions_csv)
@@ -123,10 +122,10 @@ def _plan_file(out: str, index: int) -> str:
     return os.path.join(out, "plans", f"plan_{index:03d}.json")
 
 
-def _stage_gfa(args: argparse.Namespace) -> str:
+def _stage_gfa(args: argparse.Namespace, config: GfaConfig) -> str:
     out = _ensure_out(args)
     instance = load_instance(args.instance)
-    result = run_gfa(instance, _gfa_config(args))
+    result = run_gfa(instance, config)
     for region, value in sorted(result.region_objectives.items()):
         log.info("gfa: region %s effort %.6g", region, value)
     path = os.path.join(out, "design.json")
@@ -135,10 +134,9 @@ def _stage_gfa(args: argparse.Namespace) -> str:
     return path
 
 
-def _stage_optimize(args: argparse.Namespace) -> str:
+def _stage_optimize(args: argparse.Namespace, grid: tuple[float, ...],
+                    config: StochasticConfig) -> str:
     out = _ensure_out(args)
-    grid = _parse_grid(args.epsilon_grid)
-    config = _sweep_config(args)
     design_file = _require_file(
         _design_path(args), "design (run the gfa stage first or pass --design)")
     instance = load_instance(args.instance)
@@ -219,15 +217,15 @@ def _front_plan_file(out: str) -> str:
 
 def _cmd_gfa(args: argparse.Namespace) -> int:
     _require_file(args.instance, "instance")
-    _gfa_config(args)
-    return _guard("gfa", lambda: _stage_gfa(args))
+    config = _gfa_config(args)
+    return _guard("gfa", lambda: _stage_gfa(args, config))
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
     _require_file(args.instance, "instance")
-    _parse_grid(args.epsilon_grid)
-    _sweep_config(args)
-    return _guard("optimize", lambda: _stage_optimize(args))
+    grid = _parse_grid(args.epsilon_grid)
+    config = _sweep_config(args)
+    return _guard("optimize", lambda: _stage_optimize(args, grid, config))
 
 
 def _cmd_pareto(args: argparse.Namespace) -> int:
@@ -243,18 +241,19 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     _require_file(args.instance, "instance")
-    _parse_grid(args.epsilon_grid)
-    _gfa_config(args)
-    _sweep_config(args)
+    grid = _parse_grid(args.epsilon_grid)
+    gfa_config = _gfa_config(args)
+    sweep_config = _sweep_config(args)
     if args.runs < 1:
         raise UsageError("runs must be at least 1")
     out = _ensure_out(args)
     started = datetime.now(timezone.utc).isoformat()
     args.design = None
 
-    code = _guard("gfa", lambda: _stage_gfa(args))
+    code = _guard("gfa", lambda: _stage_gfa(args, gfa_config))
     if code == 0:
-        code = _guard("optimize", lambda: _stage_optimize(args))
+        code = _guard("optimize",
+                      lambda: _stage_optimize(args, grid, sweep_config))
     if code == 0:
         code = _guard("pareto", lambda: _stage_pareto(args))
     if code == 0:
@@ -292,9 +291,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     for name in names:
         manifest["artifacts"][name] = _sha256(os.path.join(out, name))
     manifest_path = os.path.join(out, "manifest.json")
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(manifest_path, manifest)
     log.info("run: wrote %s", manifest_path)
     return 0
 

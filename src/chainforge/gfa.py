@@ -17,8 +17,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InfeasibleConfigError, ValidationError
-from .model import NetworkDesign, NetworkInstance, Region, euclidean_distance
+from .errors import ConfigError, InfeasibleConfigError, ParseError, ValidationError
+from .model import (NetworkDesign, NetworkInstance, Region, euclidean_distance,
+                    read_json, write_json)
 
 # Guard against division by zero when an iterate lands on a demand point.
 _SINGULARITY_EPS = 1e-9
@@ -267,22 +268,16 @@ def run_gfa(instance: NetworkInstance, config: GfaConfig | None = None) -> GfaRe
 
 def save_design(result: GfaResult, path: str) -> None:
     """Write a GfaResult as JSON."""
-    import json
-
     design = result.design
-    payload = {
-        "dc_locations": {k: list(v) for k, v in sorted(design.dc_locations.items())},
-        "z": dict(sorted(design.dc_warehouse.items())),
-        "y": dict(sorted(design.customer_dc.items())),
-        "distances": {dc: {c: d for c, d in sorted(row.items())}
-                      for dc, row in sorted(design.distances.items())},
-        "region_objectives": dict(sorted(result.region_objectives.items())),
-        "iterations_used": dict(sorted(result.iterations_used.items())),
+    write_json(path, {
+        "dc_locations": {k: list(v) for k, v in design.dc_locations.items()},
+        "z": design.dc_warehouse,
+        "y": design.customer_dc,
+        "distances": design.distances,
+        "region_objectives": result.region_objectives,
+        "iterations_used": result.iterations_used,
         "converged": result.converged,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def load_design(path: str) -> GfaResult:
@@ -291,17 +286,7 @@ def load_design(path: str) -> GfaResult:
     Keys it does not read, such as per-DC demand totals that older
     versions wrote, are ignored.
     """
-    import json
-
-    from .errors import ParseError
-
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    data = read_json(path)
     try:
         design = NetworkDesign(
             dc_locations={k: (float(v[0]), float(v[1]))

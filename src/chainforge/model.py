@@ -234,7 +234,8 @@ def design_mismatches(instance: NetworkInstance,
     The design must locate and supply exactly the instance's DCs from
     the instance's warehouses (it need not order from every one), and
     link exactly the instance's customers, each to a DC of its own
-    region at a finite distance.
+    region at a finite distance.  A warehouse that prices its DCs one by
+    one must price every DC the design links to it.
     """
     dc_region = {dc.id: dc.region_id for dc in instance.dcs()}
     customers = instance.customers()
@@ -258,6 +259,11 @@ def design_mismatches(instance: NetworkInstance,
     if unmeasured:
         problems.append("links without a finite distance: "
                         + ", ".join(unmeasured))
+    costs = {w.id: w.order_unit_cost for w in instance.warehouses}
+    unpriced = [f"{h} to {w}" for h, w in design.dc_warehouse.items()
+                if isinstance(costs.get(w), Mapping) and h not in costs[w]]
+    if unpriced:
+        problems.append("lanes without an order cost: " + ", ".join(unpriced))
     return problems
 
 
@@ -267,27 +273,32 @@ def design_mismatches(instance: NetworkInstance,
 _NUMERIC = (int, float)
 
 
-def _require_keys(obj: Mapping[str, Any], where: str, required: Iterable[str],
+def _require_keys(obj: Any, where: str, required: Iterable[str],
                   optional: Iterable[str] = ()) -> None:
+    """obj is a JSON object holding every required key and no key beyond
+    required and optional."""
     if not isinstance(obj, Mapping):
-        raise ParseError(f"{where}: expected an object")
-    required = set(required)
-    allowed = required | set(optional)
-    missing = required - obj.keys()
-    if missing:
-        raise ParseError(f"{where}: missing key(s) {sorted(missing)}")
-    unknown = obj.keys() - allowed
-    if unknown:
-        raise ParseError(f"{where}: unknown key(s) {sorted(unknown)}")
+        raise ParseError(f"{where}: expected a JSON object")
+    optional = set(optional)
+    problems = id_mismatches("keys", required,
+                             [k for k in obj if k not in optional])
+    if problems:
+        raise ParseError(f"{where}: " + "; ".join(problems))
 
 
-def _number(obj: Mapping[str, Any], where: str, key: str) -> float:
+def _number(obj: Mapping[str, Any], where: str, key: str, *,
+            ge: float | None = None, gt: float | None = None) -> float:
+    """obj[key] as a finite float, at least ge and above gt when given."""
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, _NUMERIC):
         raise ParseError(f"{where}.{key}: expected a number, got {value!r}")
     value = float(value)
     if not math.isfinite(value):
         raise ParseError(f"{where}.{key}: must be finite")
+    if ge is not None and value < ge:
+        raise ValidationError(f"{where}.{key}: must be >= {ge:g}")
+    if gt is not None and value <= gt:
+        raise ValidationError(f"{where}.{key}: must be > {gt:g}")
     return value
 
 
@@ -315,18 +326,11 @@ def _parse_demand(obj: Mapping[str, Any], where: str) -> DemandSpec:
         raise ParseError(f"{where}.family: only 'normal' is supported")
     if ("variance" in obj) == ("std" in obj):
         raise ParseError(f"{where}: give exactly one of 'variance' or 'std'")
-    mean = _number(obj, where, "mean")
+    mean = _number(obj, where, "mean", gt=0)
     if "variance" in obj:
-        variance = _number(obj, where, "variance")
-        if variance < 0:
-            raise ValidationError(f"{where}.variance: must be >= 0")
-        std = math.sqrt(variance)
+        std = math.sqrt(_number(obj, where, "variance", ge=0))
     else:
-        std = _number(obj, where, "std")
-        if std < 0:
-            raise ValidationError(f"{where}.std: must be >= 0")
-    if mean <= 0:
-        raise ValidationError(f"{where}.mean: must be > 0")
+        std = _number(obj, where, "std", ge=0)
     return DemandSpec(mean=mean, std=std)
 
 
@@ -345,48 +349,31 @@ def _parse_weights(obj: Mapping[str, Any] | None, where: str) -> AccessibilityWe
     if obj is None:
         return AccessibilityWeights()
     _require_keys(obj, where, [], ["affordability", "transportation", "quality"])
-    out = {}
-    for key in ("affordability", "transportation", "quality"):
-        if key in obj:
-            value = _number(obj, where, key)
-            if value < 0:
-                raise ValidationError(f"{where}.{key}: must be >= 0")
-            out[key] = value
-    return AccessibilityWeights(**out)
+    return AccessibilityWeights(**{key: _number(obj, where, key, ge=0)
+                                   for key in obj})
 
 
 def _parse_warehouse(obj: Mapping[str, Any], where: str) -> Warehouse:
     _require_keys(obj, where, ["id", "location", "capacity", "order_unit_cost"])
     wid = _string(obj, where, "id")
-    capacity = _number(obj, where, "capacity")
-    if capacity <= 0:
-        raise ValidationError(f"{where}.capacity: must be > 0")
+    capacity = _number(obj, where, "capacity", gt=0)
     cost = obj["order_unit_cost"]
     if isinstance(cost, Mapping):
-        parsed: Any = {}
-        for dc_id, value in cost.items():
-            if isinstance(value, bool) or not isinstance(value, _NUMERIC) or value < 0:
-                raise ValidationError(f"{where}.order_unit_cost[{dc_id}]: must be a number >= 0")
-            parsed[str(dc_id)] = float(value)
+        parsed: Any = {dc_id: _number(cost, f"{where}.order_unit_cost", dc_id, ge=0)
+                       for dc_id in cost}
     else:
-        parsed = _number(obj, where, "order_unit_cost")
-        if parsed < 0:
-            raise ValidationError(f"{where}.order_unit_cost: must be >= 0")
+        parsed = _number(obj, where, "order_unit_cost", ge=0)
     return Warehouse(id=wid, location=_location(obj, where), capacity=capacity,
                      order_unit_cost=parsed)
 
 
 def _parse_dc(obj: Mapping[str, Any], region_id: str, where: str) -> DistributionCenter:
     _require_keys(obj, where, ["id", "location", "capacity", "inventory_unit_cost"])
-    capacity = _number(obj, where, "capacity")
-    if capacity <= 0:
-        raise ValidationError(f"{where}.capacity: must be > 0")
-    inv_cost = _number(obj, where, "inventory_unit_cost")
-    if inv_cost < 0:
-        raise ValidationError(f"{where}.inventory_unit_cost: must be >= 0")
-    return DistributionCenter(id=_string(obj, where, "id"), region_id=region_id,
-                              location=_location(obj, where), capacity=capacity,
-                              inventory_unit_cost=inv_cost)
+    return DistributionCenter(
+        id=_string(obj, where, "id"), region_id=region_id,
+        location=_location(obj, where),
+        capacity=_number(obj, where, "capacity", gt=0),
+        inventory_unit_cost=_number(obj, where, "inventory_unit_cost", ge=0))
 
 
 def _parse_customer(obj: Mapping[str, Any], region_id: str, default_demand: DemandSpec,
@@ -408,23 +395,15 @@ def _parse_region(obj: Mapping[str, Any], default_demand: DemandSpec,
         ["persons_per_area", "accessibility_weights"],
     )
     region_id = _string(obj, where, "id")
-    cost = _number(obj, where, "local_food_cost")
-    income = _number(obj, where, "average_income")
+    cost = _number(obj, where, "local_food_cost", ge=0)
+    income = _number(obj, where, "average_income", gt=0)
     areas = obj["residential_areas"]
     if isinstance(areas, bool) or not isinstance(areas, int) or areas < 1:
         raise ValidationError(f"{where}.residential_areas: must be an integer >= 1")
-    if cost < 0:
-        raise ValidationError(f"{where}.local_food_cost: must be >= 0")
-    if income <= 0:
-        raise ValidationError(f"{where}.average_income: must be > 0")
-    rho = _number(obj, where, "unfulfilled_unit_cost")
-    if rho < 0:
-        raise ValidationError(f"{where}.unfulfilled_unit_cost: must be >= 0")
+    rho = _number(obj, where, "unfulfilled_unit_cost", ge=0)
     persons = default_persons
     if "persons_per_area" in obj:
-        persons = _number(obj, where, "persons_per_area")
-    if persons <= 0:
-        raise ValidationError(f"{where}.persons_per_area: must be > 0")
+        persons = _number(obj, where, "persons_per_area", gt=0)
     if not isinstance(obj["dcs"], list) or not obj["dcs"]:
         raise ParseError(f"{where}.dcs: expected a non-empty list")
     if not isinstance(obj["customers"], list) or not obj["customers"]:
@@ -442,26 +421,16 @@ def _parse_region(obj: Mapping[str, Any], default_demand: DemandSpec,
 
 def _parse_nutrient(obj: Mapping[str, Any], where: str) -> Nutrient:
     _require_keys(obj, where, ["id", "weight", "min_requirement", "per_kg_content"])
-    weight = _number(obj, where, "weight")
-    requirement = _number(obj, where, "min_requirement")
-    content = _number(obj, where, "per_kg_content")
-    if weight < 0:
-        raise ValidationError(f"{where}.weight: must be >= 0")
-    if requirement < 0:
-        raise ValidationError(f"{where}.min_requirement: must be >= 0")
-    if content <= 0:
-        raise ValidationError(f"{where}.per_kg_content: must be > 0")
-    return Nutrient(id=_string(obj, where, "id"), weight=weight,
-                    min_requirement=requirement, per_kg_content=content)
+    return Nutrient(
+        id=_string(obj, where, "id"),
+        weight=_number(obj, where, "weight", ge=0),
+        min_requirement=_number(obj, where, "min_requirement", ge=0),
+        per_kg_content=_number(obj, where, "per_kg_content", gt=0))
 
 
 def _parse_scales(obj: Mapping[str, Any], where: str) -> NormalizationScales:
     _require_keys(obj, where, ["affordability", "transportation", "quality"])
-    values = {k: _number(obj, where, k) for k in ("affordability", "transportation", "quality")}
-    for key, value in values.items():
-        if value <= 0:
-            raise ValidationError(f"{where}.{key}: must be > 0")
-    return NormalizationScales(**values)
+    return NormalizationScales(**{k: _number(obj, where, k, gt=0) for k in obj})
 
 
 def instance_from_dict(data: Mapping[str, Any]) -> NetworkInstance:
@@ -487,9 +456,7 @@ def instance_from_dict(data: Mapping[str, Any]) -> NetworkInstance:
 
     persons = DEFAULT_PERSONS_PER_AREA
     if "persons_per_area" in data:
-        persons = _number(data, "instance", "persons_per_area")
-        if persons <= 0:
-            raise ValidationError("instance.persons_per_area: must be > 0")
+        persons = _number(data, "instance", "persons_per_area", gt=0)
 
     if not isinstance(data["warehouses"], list) or not data["warehouses"]:
         raise ParseError("instance.warehouses: expected a non-empty list")
@@ -527,13 +494,11 @@ def instance_from_dict(data: Mapping[str, Any]) -> NetworkInstance:
             _require_keys(entry, where, ["dc", "customer", "factor"])
             dc = _string(entry, where, "dc")
             customer = _string(entry, where, "customer")
-            factor = _number(entry, where, "factor")
+            factor = _number(entry, where, "factor", ge=0)
             if dc not in dc_ids:
                 raise ValidationError(f"{where}.dc: unknown DC {dc!r}")
             if customer not in customer_ids:
                 raise ValidationError(f"{where}.customer: unknown customer {customer!r}")
-            if factor < 0:
-                raise ValidationError(f"{where}.factor: must be >= 0")
             if (dc, customer) in weights:
                 raise ValidationError(f"{where}: duplicate pair ({dc}, {customer})")
             weights[(dc, customer)] = factor
@@ -564,16 +529,28 @@ def _check_unique_ids(instance: NetworkInstance) -> None:
             seen.add(i)
 
 
-def load_instance(path: str) -> NetworkInstance:
-    """Load, parse, and validate an instance file."""
+def read_json(path: str) -> Any:
+    """The decoded contents of the JSON file at path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSON or UTF-8 decoding error
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
-    return instance_from_dict(data)
+
+
+def write_json(path: str, payload: Any) -> None:
+    """Write payload as indented JSON with sorted keys at every level, so
+    equal payloads give equal bytes."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def load_instance(path: str) -> NetworkInstance:
+    """Load, parse, and validate an instance file."""
+    return instance_from_dict(read_json(path))
 
 
 def instance_to_dict(instance: NetworkInstance) -> dict[str, Any]:

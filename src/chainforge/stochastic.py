@@ -33,15 +33,16 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .accessibility import resolve_scales, snapshot
-from .errors import DomainError, InfeasibleBoundsError, NumericalError
+from .errors import DomainError, InfeasibleBoundsError, NumericalError, ParseError
 from .milp import DEFAULT_NODE_LIMIT, LinearModel, Status, solve_milp
-from .model import NetworkDesign, NetworkInstance
+from .model import (NetworkDesign, NetworkInstance, _number, _require_keys,
+                    read_json, write_json)
 
 
 def replication_seed(master_seed: int, replication: int,
@@ -264,18 +265,9 @@ def build_period_model(instance: NetworkInstance, design: NetworkDesign,
         for dc in region.dcs:
             coeffs = inv_coeffs[dc.id]
             const = inv_const[dc.id]
-            floor = v * dc.capacity
-            cap_rhs = dc.capacity - const
-            floor_rhs = const - floor
-            # Threaded inventories can wobble off the band by float dust;
-            # keep the rows consistent with a feasible start.
-            if -1e-6 < cap_rhs < 0.0:
-                cap_rhs = 0.0
-            if -1e-6 < floor_rhs < 0.0:
-                floor_rhs = 0.0
-            model.add_constraint(coeffs, "<=", cap_rhs)
+            model.add_constraint(coeffs, "<=", dc.capacity - const)
             model.add_constraint({c: -a for c, a in coeffs.items()}, "<=",
-                                 floor_rhs)
+                                 const - v * dc.capacity)
 
     region_terms: dict[str, list[QualityTerm]] = {}
     for term in terms:
@@ -776,63 +768,33 @@ def plan_from_estimate(estimate: EstimateResult, instance: NetworkInstance,
     )
 
 
-_PLAN_FIELDS = ("epsilon", "safety_stock", "initial_inventory", "z1", "z1_se",
-                "z2", "z2_se", "inventory_cost", "unfulfilled_cost",
-                "order_cost", "master_seed", "replications")
+_PLAN_FIELDS = tuple(f.name for f in fields(OperationalPlan))
+_PLAN_INTEGERS = ("master_seed", "replications")
 
 
 def save_plan(plan: OperationalPlan, path: str) -> None:
-    import json
-
-    payload = {name: getattr(plan, name) for name in _PLAN_FIELDS}
-    payload["initial_inventory"] = {
-        dc: plan.initial_inventory[dc] for dc in sorted(plan.initial_inventory)}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, asdict(plan))
 
 
 def load_plan(path: str) -> OperationalPlan:
-    import json
+    """Read a plan file written by save_plan.
 
-    from .errors import ParseError
-
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ParseError(f"{path}: expected a JSON object")
-    missing = [name for name in _PLAN_FIELDS if name not in data]
-    if missing:
-        raise ParseError(f"{path}: missing keys {', '.join(missing)}")
-    extra = [key for key in data if key not in _PLAN_FIELDS]
-    if extra:
-        raise ParseError(f"{path}: unknown keys {', '.join(sorted(extra))}")
-    inventory = data["initial_inventory"]
-    if (not isinstance(inventory, dict)
-            or not all(isinstance(k, str) and isinstance(u, (int, float))
-                       and not isinstance(u, bool)
-                       for k, u in inventory.items())):
-        raise ParseError(f"{path}: initial_inventory must map DC ids to numbers")
-    for name in ("master_seed", "replications"):
+    The file holds exactly the plan's fields.  master_seed and
+    replications are integers; every other value, opening inventories
+    included, is a finite JSON number.
+    """
+    data = read_json(path)
+    _require_keys(data, path, _PLAN_FIELDS)
+    for name in _PLAN_INTEGERS:
         if not isinstance(data[name], int) or isinstance(data[name], bool):
             raise ParseError(f"{path}: {name} must be an integer")
-    try:
-        return OperationalPlan(
-            epsilon=float(data["epsilon"]),
-            safety_stock=float(data["safety_stock"]),
-            initial_inventory={k: float(u) for k, u in inventory.items()},
-            z1=float(data["z1"]), z1_se=float(data["z1_se"]),
-            z2=float(data["z2"]), z2_se=float(data["z2_se"]),
-            inventory_cost=float(data["inventory_cost"]),
-            unfulfilled_cost=float(data["unfulfilled_cost"]),
-            order_cost=float(data["order_cost"]),
-            master_seed=data["master_seed"],
-            replications=data["replications"],
-        )
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    where = f"{path}.initial_inventory"
+    inventory = data["initial_inventory"]
+    if not isinstance(inventory, Mapping):
+        raise ParseError(f"{where}: expected a JSON object")
+    numbers = {name: _number(data, path, name) for name in _PLAN_FIELDS
+               if name not in _PLAN_INTEGERS and name != "initial_inventory"}
+    return OperationalPlan(
+        initial_inventory={dc: _number(inventory, where, dc) for dc in inventory},
+        master_seed=data["master_seed"], replications=data["replications"],
+        **numbers)

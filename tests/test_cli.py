@@ -383,6 +383,21 @@ def test_design_for_another_instance_exits_2(tiny_file, tmp_path, capsys):
                    "--design", design) == 2
     err = capsys.readouterr().err
     assert "links without a finite distance: C4 to D3" in err
+    # D3 is linked to W2, which prices only the DCs of R1.
+    data = tiny_dict()
+    data["warehouses"][1]["order_unit_cost"] = {"D1": 3.0, "D2": 3.0}
+    unpriced = tmp_path / "unpriced.json"
+    unpriced.write_text(json.dumps(data))
+    pathlib.Path(design).write_text(original)
+    sweeping = ["--replications", "1", "--epsilon-grid", "0.01:1:2"]
+    for argv in (["optimize", str(unpriced), "--design", design, *sweeping],
+                 ["validate", str(unpriced), "--design", design,
+                  "--solution", str(plan)],
+                 ["run", str(unpriced), *sweeping]):
+        out = tmp_path / argv[0]
+        assert run_cli(*argv, "--out", str(out)) == 2, argv
+        assert "lanes without an order cost: D3 to W2" in capsys.readouterr().err
+        assert not (out / "solutions.csv").exists()
 
 
 def test_validate_rejects_foreign_plan(tiny_file, tmp_path, capsys):

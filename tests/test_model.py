@@ -145,6 +145,9 @@ def test_order_cost_mapping():
     assert w1.order_cost("D2") == 4.0
     with pytest.raises(ValidationError):
         w1.order_cost("D3")
+    data["warehouses"][0]["order_unit_cost"] = {"D1": 2.0, "D2": math.nan}
+    with pytest.raises(ParseError, match=r"order_unit_cost\.D2: must be finite"):
+        instance_from_dict(data)
 
 
 def test_order_cost_mapping_unknown_dc_rejected():
@@ -184,9 +187,10 @@ def test_load_instance_missing_file(tmp_path):
 
 def test_load_instance_bad_json(tmp_path):
     path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    with pytest.raises(ParseError, match="not valid JSON"):
-        load_instance(str(path))
+    for text in (b"{not json", b"\xff\xfe{"):
+        path.write_bytes(text)
+        with pytest.raises(ParseError, match="not valid JSON"):
+            load_instance(str(path))
 
 
 def test_packaged_instance_loads():

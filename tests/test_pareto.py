@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from chainforge.errors import DomainError, ParseError
+from chainforge.model import instance_from_dict
 from chainforge.pareto import (CSV_COLUMNS, epsilon_grid, extract_front,
                                read_solutions_csv, render_front_svg, sweep,
                                write_front_csv, write_solutions_csv)
 from chainforge.stochastic import (EstimateResult, StochasticConfig,
                                    replication_seeds, run_replication)
+from conftest import tiny_dict
 
 
 def make(epsilon, z1, z2):
@@ -298,3 +300,9 @@ def test_sweep_rejects_another_instances_design(qatar, tiny_design, jobs,
     config = StochasticConfig(replications=2, jobs=jobs)
     with pytest.raises(DomainError, match="missing DCs DC1"):
         sweep(qatar, tiny_design, (0.01, 0.1), config)
+    # D3 is linked to W2, which prices only the DCs of R1.
+    data = tiny_dict()
+    data["warehouses"][1]["order_unit_cost"] = {"D1": 3.0, "D2": 3.0}
+    with pytest.raises(DomainError,
+                       match="lanes without an order cost: D3 to W2"):
+        sweep(instance_from_dict(data), tiny_design, (0.01, 0.1), config)

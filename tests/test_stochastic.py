@@ -355,5 +355,13 @@ def test_plan_load_rejects_bad_files(tmp_path):
     path.write_text(json.dumps({**good, "initial_inventory": {"D1": True}}))
     with pytest.raises(ParseError, match="initial_inventory"):
         load_plan(str(path))
+    for key, value, problem in (
+            ("initial_inventory", {"D1": float("nan")},
+             r"initial_inventory\.D1: must be finite"),
+            ("epsilon", "0.1", "epsilon: expected a number"),
+            ("z1", True, "z1: expected a number")):
+        path.write_text(json.dumps({**good, key: value}))
+        with pytest.raises(ParseError, match=problem):
+            load_plan(str(path))
     with pytest.raises(ParseError, match="cannot read"):
         load_plan(str(tmp_path / "absent.json"))
