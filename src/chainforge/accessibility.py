@@ -137,7 +137,6 @@ class AccessibilitySnapshot:
 
     region_id: str
     period: int
-    raw_affordability: float
     raw_transportation: float
     raw_quality: float
     affordability: float
@@ -163,7 +162,7 @@ def snapshot(region: Region, period: int, design: NetworkDesign,
     raw_q = quality_index(region, nutrition, instance.nutrients)
     return AccessibilitySnapshot(
         region_id=region.id, period=period,
-        raw_affordability=raw_a, raw_transportation=raw_t, raw_quality=raw_q,
+        raw_transportation=raw_t, raw_quality=raw_q,
         affordability=normalize(raw_a, scales.affordability),
         transportation=normalize(raw_t, scales.transportation),
         quality=normalize(raw_q, scales.quality),

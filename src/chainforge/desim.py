@@ -9,10 +9,11 @@ and refill a DC to S whenever its stock has fallen below s, subject to
 warehouse capacity; the supply-loss factor applies on the way, and the
 replenishment arrives at the boundary that dispatches it.
 
-Order sizes reuse the optimizer's scenario stream (same master seed and
-run index give the same demand draws), so simulated costs compare
-against the planner's expectations without sampling bias; only the
-arrival times come from a separate stream.
+Order sizes and replenishment retention reuse the optimizer's scenario
+stream (same master seed and run index give the same draws), so
+simulated costs compare against the planner's expectations without
+sampling bias.  Only the arrival times come from a separate stream,
+laid out [customer, period] like the scenario's demand.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ import numpy as np
 from .errors import ConfigError
 from .model import NetworkDesign, NetworkInstance, design_mismatches
 from .pareto import csv_cells
-from .stochastic import OperationalPlan, replication_seed, sample_scenario
+from .stochastic import (OperationalPlan, linked_retention, replication_seed,
+                         sample_scenario)
 
 _BACKLOG_MODES = ("wait", "drop")
 
@@ -149,17 +151,19 @@ def simulate(instance: NetworkInstance, design: NetworkDesign,
 
     scenario = sample_scenario(
         instance, replication_seed(config.rng_seed, config.run_index))
+    retention = dict(zip((dc.id for dc in dcs),
+                         linked_retention(instance, design, scenario).tolist()))
     times_rng = np.random.default_rng(
         replication_seed(config.rng_seed, config.run_index, stream="events"))
+    offsets = times_rng.uniform(size=scenario.demand.shape).tolist()
 
     orders: list[_Order] = []
-    for region in instance.regions:
-        for customer in region.customers:
-            dc_id = design.customer_dc[customer.id]
-            for p in range(horizon):
-                at = p + float(times_rng.uniform())
-                orders.append(_Order(at, customer.id, dc_id, region.id,
-                                     scenario.demands[(customer.id, p)]))
+    for customer, amounts, within in zip(instance.customers(),
+                                         scenario.demand.tolist(), offsets):
+        dc_id = design.customer_dc[customer.id]
+        for p, (amount, u) in enumerate(zip(amounts, within)):
+            orders.append(_Order(p + u, customer.id, dc_id,
+                                 customer.region_id, amount))
     # A stable sort keeps draw order among equal (time, customer) keys.
     orders.sort(key=lambda o: (o.time, o.customer))
 
@@ -224,8 +228,7 @@ def simulate(instance: NetworkInstance, design: NetworkDesign,
                 order_cost += warehouse.order_cost(h) * dispatch
                 events.append(SimEvent(float(b), "dispatch", b, h,
                                        None, dispatch))
-                factor = scenario.supply_factors[(warehouse.id, h, b)]
-                arrivals.append((h, dispatch * factor))
+                arrivals.append((h, dispatch * retention[h][b]))
         for h, qty in arrivals:
             receive(h, qty, b)
             drain(h, float(b), b)

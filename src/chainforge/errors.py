@@ -34,9 +34,5 @@ class InfeasibleConfigError(ConfigError):
     """A requested facility layout cannot be satisfied."""
 
 
-class InfeasibleBoundsError(ChainforgeError):
-    """Safety stock and capacity bounds leave no feasible inventory level."""
-
-
 class NumericalError(ChainforgeError):
     """The linear solver could not make progress within tolerance."""

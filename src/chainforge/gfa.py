@@ -5,8 +5,9 @@ weighted geometric median of its customers, found by Weiszfeld fixed-point
 iteration; K > 1 centers come from alternating nearest-center assignment
 with per-cluster Weiszfeld refinement, restarted from random customer
 subsets to escape poor local partitions.  Warehouses then link to their
-nearest DC choices: every DC gets its nearest warehouse and every customer
-its nearest DC within the region, keeping the single-channel structure.
+nearest DC choices: every DC gets the nearest warehouse that prices it
+and every customer its nearest DC within the region, keeping the
+single-channel structure.
 """
 
 from __future__ import annotations
@@ -219,9 +220,9 @@ def assign_linkages(instance: NetworkInstance,
                     dc_locations: Mapping[str, tuple[float, float]]) -> NetworkDesign:
     """Minimum-distance single-channel linkages for fixed DC locations.
 
-    Every DC links to its nearest warehouse and every customer to the
-    nearest DC inside its own region; distance ties break on the lower
-    id.
+    Every DC links to the nearest warehouse that prices it (the instance
+    parser ensures one does) and every customer to the nearest DC inside
+    its own region; distance ties break on the lower id.
     """
     dc_warehouse: dict[str, str] = {}
     customer_dc: dict[str, str] = {}
@@ -230,7 +231,7 @@ def assign_linkages(instance: NetworkInstance,
     for dc in instance.dcs():
         loc = dc_locations[dc.id]
         dc_warehouse[dc.id] = min(
-            instance.warehouses,
+            (w for w in instance.warehouses if w.prices(dc.id)),
             key=lambda w: (euclidean_distance(loc, w.location), w.id)).id
         distances[dc.id] = {
             c.id: euclidean_distance(loc, c.location) for c in all_customers}

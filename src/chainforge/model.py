@@ -95,14 +95,17 @@ class Warehouse:
     capacity: float
     order_unit_cost: Any  # float, or mapping of DC id -> float
 
+    def prices(self, dc_id: str) -> bool:
+        """Whether this warehouse has an order cost for the DC."""
+        return (not isinstance(self.order_unit_cost, Mapping)
+                or dc_id in self.order_unit_cost)
+
     def order_cost(self, dc_id: str) -> float:
+        if not self.prices(dc_id):
+            raise ValidationError(
+                f"warehouse {self.id} has no order cost for DC {dc_id}")
         if isinstance(self.order_unit_cost, Mapping):
-            try:
-                return float(self.order_unit_cost[dc_id])
-            except KeyError:
-                raise ValidationError(
-                    f"warehouse {self.id} has no order cost for DC {dc_id}"
-                ) from None
+            return float(self.order_unit_cost[dc_id])
         return float(self.order_unit_cost)
 
 
@@ -259,9 +262,9 @@ def design_mismatches(instance: NetworkInstance,
     if unmeasured:
         problems.append("links without a finite distance: "
                         + ", ".join(unmeasured))
-    costs = {w.id: w.order_unit_cost for w in instance.warehouses}
+    warehouses = {w.id: w for w in instance.warehouses}
     unpriced = [f"{h} to {w}" for h, w in design.dc_warehouse.items()
-                if isinstance(costs.get(w), Mapping) and h not in costs[w]]
+                if w in warehouses and not warehouses[w].prices(h)]
     if unpriced:
         problems.append("lanes without an order cost: " + ", ".join(unpriced))
     return problems
@@ -511,6 +514,10 @@ def instance_from_dict(data: Mapping[str, Any]) -> NetworkInstance:
                 if dc_id not in known:
                     raise ValidationError(
                         f"warehouse {w.id}: order_unit_cost names unknown DC {dc_id!r}")
+    for dc in instance.dcs():
+        if not any(w.prices(dc.id) for w in warehouses):
+            raise ValidationError(
+                f"instance.warehouses: no order_unit_cost prices DC {dc.id}")
     return instance
 
 

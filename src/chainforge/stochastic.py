@@ -1,10 +1,11 @@
 """Scenario sampling and the per-period planning model.
 
-One replication draws a full scenario (demand per customer per period,
-supply retention per warehouse-DC lane per period), then walks the
-horizon solving a small mixed-binary model for every period with the
-closing inventory threaded forward.  Averaging many replications gives
-Monte Carlo estimates of the two objectives:
+One replication draws a full scenario (demand[customer, period] and
+retention[warehouse, dc, period], axes in instance file order), then
+walks the horizon solving a small mixed-binary model for every period,
+from its demand and its linked lanes' retention, with the closing
+inventory threaded forward.  Averaging many replications gives Monte
+Carlo estimates of the two objectives:
 
 * Z1, food accessibility: affordability, transport effort, and nutrition
   surplus indices summed over regions and periods;
@@ -39,7 +40,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .accessibility import resolve_scales, snapshot
-from .errors import DomainError, InfeasibleBoundsError, NumericalError, ParseError
+from .errors import ConfigError, DomainError, NumericalError, ParseError
 from .milp import DEFAULT_NODE_LIMIT, LinearModel, Status, solve_milp
 from .model import (NetworkDesign, NetworkInstance, _number, _require_keys,
                     read_json, write_json)
@@ -64,40 +65,46 @@ def replication_seed(master_seed: int, replication: int,
 class Scenario:
     """One realization of every uncertain quantity over the horizon.
 
-    demands is keyed (customer_id, period) in kg; supply_factors is keyed
-    (warehouse_id, dc_id, period) and holds the retained fraction of a
-    shipment on that lane.  Factors are drawn for every lane, linked or
-    not, so the same seed yields the same scenario under any design.
+    demand[customer, period] is in kg, customers in instance.customers()
+    order.  retention[warehouse, dc, period] is the retained fraction of
+    a shipment on that lane, warehouses in instance.warehouses order and
+    DCs in instance.dcs() order.  Every lane is drawn, linked or not, so
+    the same seed yields the same scenario under any design.
     """
 
-    seed: int
-    demands: dict[tuple[str, int], float]
-    supply_factors: dict[tuple[str, str, int], float]
+    demand: np.ndarray
+    retention: np.ndarray
 
 
 def sample_scenario(instance: NetworkInstance, seed: int) -> Scenario:
-    """Draw a scenario. Demands are normal truncated at zero; supply
-    factors are uniform on the instance's retention interval.
+    """Draw a scenario. Demands are normal truncated at zero; retention
+    is uniform on the instance's supply-loss interval.
 
-    Draw order is fixed: customer demands in file order, period-inner,
-    then lane factors warehouse-major, DC file order, period-inner.
+    Two generator calls, in this order: one normal draw over the
+    customers with a positive std, customer-major in file order (a
+    zero-std customer holds its mean and draws nothing), then one
+    uniform draw over every lane, warehouse-major.
     """
     rng = np.random.default_rng(seed)
-    demands: dict[tuple[str, int], float] = {}
-    for region in instance.regions:
-        for customer in region.customers:
-            spec = customer.demand
-            for t in range(instance.horizon):
-                value = rng.normal(spec.mean, spec.std) if spec.std > 0 else spec.mean
-                demands[(customer.id, t)] = max(0.0, float(value))
-    factors: dict[tuple[str, str, int], float] = {}
+    horizon = instance.horizon
+    spec = np.array([(c.demand.mean, c.demand.std) for c in instance.customers()])
+    mean, std = spec[:, :1], spec[:, 1:]
+    demand = np.repeat(mean, horizon, axis=1)
+    drawn = std[:, 0] > 0
+    demand[drawn] = rng.normal(mean[drawn], std[drawn],
+                               size=(int(drawn.sum()), horizon))
     loss = instance.supply_loss
-    for warehouse in instance.warehouses:
-        for dc in instance.dcs():
-            for t in range(instance.horizon):
-                factors[(warehouse.id, dc.id, t)] = float(
-                    rng.uniform(loss.low, loss.high))
-    return Scenario(seed=seed, demands=demands, supply_factors=factors)
+    retention = rng.uniform(loss.low, loss.high, size=(
+        len(instance.warehouses), len(instance.dcs()), horizon))
+    return Scenario(demand=np.maximum(0.0, demand), retention=retention)
+
+
+def linked_retention(instance: NetworkInstance, design: NetworkDesign,
+                     scenario: Scenario) -> np.ndarray:
+    """Each DC's linked-lane retention, [dc, period] in dcs() order."""
+    row = {w.id: i for i, w in enumerate(instance.warehouses)}
+    rows = [row[design.dc_warehouse[dc.id]] for dc in instance.dcs()]
+    return scenario.retention[rows, np.arange(len(rows))]
 
 
 @dataclass(frozen=True)
@@ -178,18 +185,20 @@ class PeriodIndex:
 
 def build_period_model(instance: NetworkInstance, design: NetworkDesign,
                        opening_inventory: Mapping[str, float],
-                       demands: Mapping[str, float],
-                       supply_factors: Mapping[tuple[str, str], float],
+                       demand: Sequence[float], retention: Sequence[float],
                        epsilon: float, period: int, *,
                        safety_stock: float | None = None,
                        ) -> tuple[LinearModel, PeriodIndex]:
     """Assemble the single-period model for realized demand and supply.
 
-    opening_inventory maps DC id to the stock carried in; demands maps
-    customer id to this period's realized order volume; supply_factors
-    maps the active (warehouse, dc) lanes to the retained fraction.
+    opening_inventory maps DC id to the stock carried in.  demand is this
+    period's order volume per customer in instance.customers() order,
+    and retention each DC's linked-lane fraction in instance.dcs() order.
     Returns the model plus the column index for extracting decisions.
     """
+    if (len(demand), len(retention)) != (len(instance.customers()),
+                                         len(instance.dcs())):
+        raise ConfigError("need one demand per customer and one retention per DC")
     v = instance.safety_stock_fraction if safety_stock is None else safety_stock
     scales = resolve_scales(instance, design)
     model = LinearModel(f"period{period}")
@@ -199,21 +208,13 @@ def build_period_model(instance: NetworkInstance, design: NetworkDesign,
     aux: dict[tuple[str, str], int] = {}
     flags: dict[tuple[str, str], int] = {}
 
-    # inv_coeffs[dc] holds the variable part of the closing inventory;
-    # inv_const[dc] the constant part.  Every inventory-dependent row and
-    # cost below is phrased through these two.
+    # Closing inventory is opening_inventory[dc] plus inv_coeffs[dc] over
+    # the columns; every inventory row and cost below is phrased so.
     inv_coeffs: dict[str, dict[int, float]] = {}
-    inv_const: dict[str, float] = {}
 
-    for dc in instance.dcs():
-        floor = v * dc.capacity
-        if floor > dc.capacity + 1e-9:
-            raise InfeasibleBoundsError(
-                f"DC {dc.id}: safety stock {floor:.6g} exceeds capacity "
-                f"{dc.capacity:.6g}")
+    for dc, factor in zip(instance.dcs(), retention):
         warehouse_id = design.dc_warehouse[dc.id]
         warehouse = instance.warehouse(warehouse_id)
-        factor = supply_factors[(warehouse_id, dc.id)]
         holding = dc.inventory_unit_cost
         col = model.add_variable(
             f"x[{warehouse_id}->{dc.id}]",
@@ -221,24 +222,30 @@ def build_period_model(instance: NetworkInstance, design: NetworkDesign,
             objective=-epsilon * (warehouse.order_cost(dc.id) + holding * factor))
         orders[(warehouse_id, dc.id)] = col
         inv_coeffs[dc.id] = {col: factor}
-        inv_const[dc.id] = opening_inventory[dc.id]
 
+    # The objective's constant, region by region.  Each region's zip
+    # takes its own customers' demand from the one iterator.
+    offset = 0.0
+    amounts = iter(demand)
     for region in instance.regions:
         w = region.weights
         rho = region.unfulfilled_unit_cost
         dc_holding = {dc.id: dc.inventory_unit_cost for dc in region.dcs}
-        for customer in region.customers:
+        for dc in region.dcs:
+            offset -= epsilon * dc.inventory_unit_cost * opening_inventory[dc.id]
+        for customer, amount in zip(region.customers, amounts):
+            offset -= epsilon * rho * amount
             dc_id = design.customer_dc[customer.id]
-            demand = demands.get(customer.id, 0.0)
             effort = (instance.path_weight(dc_id, customer.id)
                       * design.distances[dc_id][customer.id])
             coeff = (epsilon * rho
                      - w.transportation * effort / scales.transportation
                      + epsilon * dc_holding[dc_id])
             col = model.add_variable(
-                f"c[{dc_id}->{customer.id}]", ub=demand, objective=coeff)
+                f"c[{dc_id}->{customer.id}]", ub=amount, objective=coeff)
             deliveries[(dc_id, customer.id)] = col
             inv_coeffs[dc_id][col] = -1.0
+    model.objective_offset = offset
 
     terms = quality_terms(instance, v)
     nutrient_weight = {n.id: n.weight for n in instance.nutrients}
@@ -264,7 +271,7 @@ def build_period_model(instance: NetworkInstance, design: NetworkDesign,
     for region in instance.regions:
         for dc in region.dcs:
             coeffs = inv_coeffs[dc.id]
-            const = inv_const[dc.id]
+            const = opening_inventory[dc.id]
             model.add_constraint(coeffs, "<=", dc.capacity - const)
             model.add_constraint({c: -a for c, a in coeffs.items()}, "<=",
                                  const - v * dc.capacity)
@@ -280,7 +287,7 @@ def build_period_model(instance: NetworkInstance, design: NetworkDesign,
         for dc in region.dcs:
             for col, a in inv_coeffs[dc.id].items():
                 base_coeffs[col] = base_coeffs.get(col, 0.0) + a
-            base_const += inv_const[dc.id]
+            base_const += opening_inventory[dc.id]
         for term in group:
             a_col = aux[(region_id, term.nutrient_id)]
             rhs = term.content * base_const - term.requirement
@@ -312,15 +319,6 @@ def build_period_model(instance: NetworkInstance, design: NetworkDesign,
                 {flags[(region_id, high.nutrient_id)]: 1.0,
                  flags[(region_id, low.nutrient_id)]: -1.0}, "<=", 0.0)
 
-    offset = 0.0
-    for region in instance.regions:
-        for dc in region.dcs:
-            offset -= epsilon * dc.inventory_unit_cost * inv_const[dc.id]
-        for customer in region.customers:
-            offset -= (epsilon * region.unfulfilled_unit_cost
-                       * demands.get(customer.id, 0.0))
-    model.objective_offset = offset
-
     return model, PeriodIndex(orders=orders, deliveries=deliveries, aux=aux)
 
 
@@ -343,7 +341,6 @@ class PeriodDecision:
 
 @dataclass
 class ReplicationResult:
-    seed: int
     scenario: Scenario
     periods: list[PeriodDecision]
     accessibility: float
@@ -388,18 +385,16 @@ def run_replication(instance: NetworkInstance, design: NetworkDesign,
     periods: list[PeriodDecision] = []
     nodes = 0
     limit_hit = False
-    # Consecutive periods differ only in demand, supply factors and the
+    # Consecutive periods differ only in demand, retention and the
     # opening inventory, so each root LP after the first starts from the
     # previous period's optimal root basis.
     start = None
-    for t in range(instance.horizon):
-        demands_t = {c.id: scenario.demands[(c.id, t)]
-                     for c in instance.customers()}
-        factors_t = {(design.dc_warehouse[dc.id], dc.id):
-                     scenario.supply_factors[(design.dc_warehouse[dc.id], dc.id, t)]
-                     for dc in instance.dcs()}
+    # Python floats, period-major, so each entry's arithmetic is scalar.
+    demands = scenario.demand.T.tolist()
+    retentions = linked_retention(instance, design, scenario).T.tolist()
+    for t, (demand, retention) in enumerate(zip(demands, retentions)):
         model, index = build_period_model(
-            instance, design, opening, demands_t, factors_t, epsilon, t,
+            instance, design, opening, demand, retention, epsilon, t,
             safety_stock=v)
         result = solve_milp(model, node_limit=config.node_limit, start=start)
         start = result.basis
@@ -412,7 +407,7 @@ def run_replication(instance: NetworkInstance, design: NetworkDesign,
                 f"(seed {seed}, epsilon {epsilon:g})")
 
         decision = _extract_period(
-            instance, design, index, result, opening, demands_t, factors_t,
+            instance, design, index, result, opening, demand, retention,
             t, scales)
         periods.append(decision)
         opening = {
@@ -421,7 +416,6 @@ def run_replication(instance: NetworkInstance, design: NetworkDesign,
             for dc in instance.dcs()}
 
     return ReplicationResult(
-        seed=seed,
         scenario=scenario,
         periods=periods,
         accessibility=sum(p.accessibility for p in periods),
@@ -435,21 +429,22 @@ def run_replication(instance: NetworkInstance, design: NetworkDesign,
     )
 
 
-def _extract_period(instance, design, index, result, opening, demands_t,
-                    factors_t, t, scales):
+def _extract_period(instance, design, index, result, opening, demand,
+                    retention, t, scales):
     orders = {key: max(0.0, result.value(col))
               for key, col in index.orders.items()}
+    # index.deliveries holds one link per customer, in demand's order.
     deliveries = {}
-    for (dc_id, cust_id), col in index.deliveries.items():
-        qty = min(max(0.0, result.value(col)), demands_t[cust_id])
-        deliveries[(dc_id, cust_id)] = qty
-    unmet = {(dc_id, cust_id): max(0.0, demands_t[cust_id] - qty)
-             for (dc_id, cust_id), qty in deliveries.items()}
+    unmet = {}
+    for (key, col), amount in zip(index.deliveries.items(), demand):
+        qty = min(max(0.0, result.value(col)), amount)
+        deliveries[key] = qty
+        unmet[key] = max(0.0, amount - qty)
 
     inventory: dict[str, float] = {}
-    for dc in instance.dcs():
+    for dc, factor in zip(instance.dcs(), retention):
         w_id = design.dc_warehouse[dc.id]
-        received = factors_t[(w_id, dc.id)] * orders[(w_id, dc.id)]
+        received = factor * orders[(w_id, dc.id)]
         outflow = sum(qty for (h, _), qty in deliveries.items()
                       if h == dc.id)
         inventory[dc.id] = opening[dc.id] + received - outflow
@@ -656,17 +651,17 @@ def audit_replication(instance: NetworkInstance, design: NetworkDesign,
     """
     issues: list[str] = []
     v = result.safety_stock
-    scenario = result.scenario
+    demands = result.scenario.demand.T.tolist()
+    retentions = linked_retention(instance, design, result.scenario).T.tolist()
     previous = result.initial_inventory
     for decision in result.periods:
         t = decision.period
-        for dc in instance.dcs():
+        for dc, factor in zip(instance.dcs(), retentions[t]):
             w_id = design.dc_warehouse[dc.id]
             if (w_id, dc.id) not in decision.orders:
                 issues.append(f"period {t}: no order lane for DC {dc.id}")
                 continue
-            received = (scenario.supply_factors[(w_id, dc.id, t)]
-                        * decision.orders[(w_id, dc.id)])
+            received = factor * decision.orders[(w_id, dc.id)]
             outflow = sum(qty for (h, _), qty
                           in decision.deliveries.items() if h == dc.id)
             expected = previous[dc.id] + received - outflow
@@ -690,23 +685,21 @@ def audit_replication(instance: NetworkInstance, design: NetworkDesign,
                 issues.append(
                     f"period {t} warehouse {warehouse.id}: shipped "
                     f"{shipped:.6g} above capacity {warehouse.capacity:.6g}")
-        for region in instance.regions:
-            for customer in region.customers:
-                dc_id = design.customer_dc[customer.id]
-                delivered = decision.deliveries.get((dc_id, customer.id))
-                missing = decision.unmet.get((dc_id, customer.id))
-                if delivered is None or missing is None:
-                    issues.append(
-                        f"period {t} customer {customer.id}: no flow on its link")
-                    continue
-                if delivered < -tolerance or missing < -tolerance:
-                    issues.append(
-                        f"period {t} customer {customer.id}: negative flow")
-                demand = scenario.demands[(customer.id, t)]
-                if abs(delivered + missing - demand) > tolerance:
-                    issues.append(
-                        f"period {t} customer {customer.id}: served + unmet = "
-                        f"{delivered + missing:.6g}, demand {demand:.6g}")
+        for customer, demand in zip(instance.customers(), demands[t]):
+            dc_id = design.customer_dc[customer.id]
+            delivered = decision.deliveries.get((dc_id, customer.id))
+            missing = decision.unmet.get((dc_id, customer.id))
+            if delivered is None or missing is None:
+                issues.append(
+                    f"period {t} customer {customer.id}: no flow on its link")
+                continue
+            if delivered < -tolerance or missing < -tolerance:
+                issues.append(
+                    f"period {t} customer {customer.id}: negative flow")
+            if abs(delivered + missing - demand) > tolerance:
+                issues.append(
+                    f"period {t} customer {customer.id}: served + unmet = "
+                    f"{delivered + missing:.6g}, demand {demand:.6g}")
         for (dc_id, cust_id) in decision.deliveries:
             if design.customer_dc[cust_id] != dc_id:
                 issues.append(

@@ -232,6 +232,10 @@ def _qatar_replications():
 def _check_period(instance, design, previous, decision, scenario, t,
                   tolerance=1e-6):
     """Re-evaluate one period's constraints from the raw stored numbers."""
+    # The scenario's axes list customers, warehouses and DCs in file order.
+    customer_row = {c.id: i for i, c in enumerate(instance.customers())}
+    warehouse_row = {w.id: i for i, w in enumerate(instance.warehouses)}
+    dc_column = {dc.id: i for i, dc in enumerate(instance.dcs())}
     # Inventory balance and band per DC.
     delivered_from = {}
     for (dc_id, customer_id), qty in decision.deliveries.items():
@@ -248,7 +252,8 @@ def _check_period(instance, design, previous, decision, scenario, t,
     for region in instance.regions:
         for dc in region.dcs:
             warehouse_id = design.dc_warehouse[dc.id]
-            factor = scenario.supply_factors[(warehouse_id, dc.id, t)]
+            factor = scenario.retention[warehouse_row[warehouse_id],
+                                        dc_column[dc.id], t]
             closing = (previous[dc.id]
                        + factor * ordered_into.get(dc.id, 0.0)
                        - delivered_from.get(dc.id, 0.0))
@@ -269,7 +274,7 @@ def _check_period(instance, design, previous, decision, scenario, t,
     for (dc_id, customer_id), unmet in decision.unmet.items():
         assert unmet >= -tolerance
         delivered = decision.deliveries.get((dc_id, customer_id), 0.0)
-        demand = scenario.demands[(customer_id, t)]
+        demand = scenario.demand[customer_row[customer_id], t]
         assert abs(delivered + unmet - demand) <= tolerance, \
             f"split off for {customer_id}"
 

@@ -392,12 +392,26 @@ def test_design_for_another_instance_exits_2(tiny_file, tmp_path, capsys):
     sweeping = ["--replications", "1", "--epsilon-grid", "0.01:1:2"]
     for argv in (["optimize", str(unpriced), "--design", design, *sweeping],
                  ["validate", str(unpriced), "--design", design,
-                  "--solution", str(plan)],
-                 ["run", str(unpriced), *sweeping]):
+                  "--solution", str(plan)]):
         out = tmp_path / argv[0]
         assert run_cli(*argv, "--out", str(out)) == 2, argv
         assert "lanes without an order cost: D3 to W2" in capsys.readouterr().err
         assert not (out / "solutions.csv").exists()
+
+
+def test_run_links_dcs_to_warehouses_that_price_them(tmp_path):
+    # W2 is D3's nearest warehouse but prices only the DCs of R1, so gfa
+    # links D3 to W1, the nearest one that prices it.
+    data = tiny_dict()
+    data["warehouses"][1]["order_unit_cost"] = {"D1": 3.0, "D2": 3.0}
+    unpriced = tmp_path / "unpriced.json"
+    unpriced.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert run_cli("run", str(unpriced), "--out", str(out),
+                   "--replications", "1", "--epsilon-grid", "0.01:1:2",
+                   "--runs", "1") == 0
+    design = json.loads((out / "design.json").read_text())
+    assert design["z"] == {"D1": "W1", "D2": "W1", "D3": "W1"}
 
 
 def test_validate_rejects_foreign_plan(tiny_file, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Discrete-event replay: policies, conservation, and the validation file."""
 
+import numpy as np
 import pytest
 
 from chainforge.desim import (SimConfig, run_validation, service_level,
@@ -108,8 +109,40 @@ def test_order_sizes_match_scenario_demands(tiny, tiny_design):
         if event.kind == "order":
             key = (event.customer, event.period)
             ordered[key] = ordered.get(key, 0.0) + event.quantity
+    row = {c.id: i for i, c in enumerate(tiny.customers())}
     for (customer, period), total in ordered.items():
-        assert total == pytest.approx(scenario.demands[(customer, period)])
+        assert total == pytest.approx(scenario.demand[row[customer], period])
+
+
+def test_first_orders_frozen(tiny, tiny_design):
+    # Event times and order sizes follow the seeded streams exactly.
+    report = simulate(tiny, tiny_design, make_plan(tiny),
+                      SimConfig(rng_seed=6, run_index=2))
+    orders = [(e.time, e.customer, e.quantity) for e in report.events
+              if e.kind == "order"][:4]
+    assert orders == [(0.08967129929243856, "C4", 44.353247016829656),
+                      (0.3713508152685979, "C3", 38.03153715933704),
+                      (0.48427075011877496, "C5", 24.12877120178456),
+                      (0.728211202770426, "C1", 39.57280866513592)]
+
+
+def test_each_stream_is_drawn_in_one_call(tiny, tiny_design, monkeypatch):
+    # sample_scenario draws all demands in one call and all retention in
+    # another; simulate draws every event time in a third.
+    calls = []
+    real = np.random.default_rng
+
+    class Counting:
+        def __init__(self, seed):
+            self._rng = real(seed)
+
+        def __getattr__(self, name):
+            calls.append(name)
+            return getattr(self._rng, name)
+
+    monkeypatch.setattr(np.random, "default_rng", Counting)
+    simulate(tiny, tiny_design, make_plan(tiny))
+    assert calls == ["normal", "uniform", "uniform"]
 
 
 def test_starved_network_reports_unmet_demand(tiny, tiny_design):

@@ -14,7 +14,8 @@ from chainforge.errors import ValidationError
 from chainforge.milp import FEASIBILITY_TOL, LinearModel, Status, solve_milp
 from chainforge.stochastic import (StochasticConfig, audit_replication,
                                    build_period_model,
-                                   default_initial_inventory, run_replication,
+                                   default_initial_inventory,
+                                   linked_retention, run_replication,
                                    sample_scenario)
 
 
@@ -490,15 +491,11 @@ def _qatar_period_models(instance, design, epsilons, seeds):
     for epsilon in epsilons:
         for seed in seeds:
             scenario = sample_scenario(instance, seed)
+            retention = linked_retention(instance, design, scenario)
             for t in range(instance.horizon):
-                demands = {c.id: scenario.demands[(c.id, t)]
-                           for c in instance.customers()}
-                factors = {
-                    (design.dc_warehouse[dc.id], dc.id):
-                    scenario.supply_factors[(design.dc_warehouse[dc.id], dc.id, t)]
-                    for dc in instance.dcs()}
-                yield build_period_model(instance, design, opening, demands,
-                                         factors, epsilon, t,
+                yield build_period_model(instance, design, opening,
+                                         scenario.demand[:, t].tolist(),
+                                         retention[:, t].tolist(), epsilon, t,
                                          safety_stock=0.4)[0]
 
 

@@ -150,6 +150,14 @@ def test_order_cost_mapping():
         instance_from_dict(data)
 
 
+def test_dc_priced_by_no_warehouse_rejected():
+    data = tiny_dict()
+    for warehouse in data["warehouses"]:
+        warehouse["order_unit_cost"] = {"D1": 3.0, "D2": 3.0}
+    with pytest.raises(ValidationError, match="no order_unit_cost prices DC D3"):
+        instance_from_dict(data)
+
+
 def test_order_cost_mapping_unknown_dc_rejected():
     data = tiny_dict()
     data["warehouses"][0]["order_unit_cost"] = {"D9": 2.0}

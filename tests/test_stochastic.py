@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from chainforge.errors import (DomainError, InfeasibleBoundsError, ParseError)
+from chainforge.errors import ConfigError, DomainError, ParseError
 from chainforge.milp import Status, solve_milp
 from chainforge.pareto import sweep
 from chainforge.stochastic import (OperationalPlan, StochasticConfig,
@@ -45,28 +45,62 @@ def test_replication_seed_streams_differ():
 
 def test_sample_scenario_covers_everything(tiny):
     scenario = sample_scenario(tiny, 42)
-    customers = [c.id for c in tiny.customers()]
-    assert set(scenario.demands) == {
-        (c, t) for c in customers for t in range(tiny.horizon)}
-    lanes = {(w.id, dc.id) for w in tiny.warehouses for dc in tiny.dcs()}
-    assert set(scenario.supply_factors) == {
-        (w, dc, t) for (w, dc) in lanes for t in range(tiny.horizon)}
+    assert scenario.demand.shape == (len(tiny.customers()), tiny.horizon)
+    assert scenario.retention.shape == (
+        len(tiny.warehouses), len(tiny.dcs()), tiny.horizon)
 
 
 def test_sample_scenario_bounds(tiny):
     scenario = sample_scenario(tiny, 7)
-    assert all(d >= 0.0 for d in scenario.demands.values())
+    assert (scenario.demand >= 0.0).all()
     low, high = tiny.supply_loss.low, tiny.supply_loss.high
-    assert all(low <= f <= high for f in scenario.supply_factors.values())
+    assert ((low <= scenario.retention) & (scenario.retention <= high)).all()
 
 
 def test_sample_scenario_deterministic(tiny):
     a = sample_scenario(tiny, 99)
     b = sample_scenario(tiny, 99)
     c = sample_scenario(tiny, 100)
-    assert a.demands == b.demands
-    assert a.supply_factors == b.supply_factors
-    assert a.demands != c.demands
+    assert np.array_equal(a.demand, b.demand)
+    assert np.array_equal(a.retention, b.retention)
+    assert not np.array_equal(a.demand, c.demand)
+
+
+def test_sample_scenario_frozen_values(qatar):
+    # Matched runs rely on the draws, so some exact values are pinned:
+    # demand[customer, period] in instance.customers() order and
+    # retention[warehouse, dc, period] in warehouses x dcs() order.
+    scenario = sample_scenario(qatar, replication_seed(0, 0))
+    customers = [c.id for c in qatar.customers()]
+    dcs = [dc.id for dc in qatar.dcs()]
+    warehouses = [w.id for w in qatar.warehouses]
+    demand = {(customers[c], t): scenario.demand[c, t]
+              for c, t in ((0, 0), (0, 1), (5, 3), (37, 4))}
+    assert demand == {("C1", 0): 565.8329010822481,
+                      ("C1", 1): 572.30659817502,
+                      ("C6", 3): 553.7603927031741,
+                      ("C38", 4): 556.8828573444097}
+    retention = {(warehouses[w], dcs[d], t): scenario.retention[w, d, t]
+                 for w, d, t in ((0, 0, 0), (1, 3, 2), (2, 7, 4))}
+    assert retention == {("W1", "DC1", 0): 0.8162623346717675,
+                         ("W2", "DC4", 2): 0.814037287401573,
+                         ("W3", "DC8", 4): 0.8231908986455124}
+
+
+def test_zero_std_customers_hold_their_mean():
+    from chainforge.model import instance_from_dict
+    from conftest import tiny_dict
+
+    # Only C5 has a positive std.  The others hold their mean and draw
+    # nothing, so C5's demands are the stream's first three normals.
+    data = tiny_dict()
+    data["stochastic"]["demand"]["variance"] = 0.0
+    instance = instance_from_dict(data)
+    held = sample_scenario(instance, 3)
+    assert (held.demand[:4] == 40.0).all()
+    rng = np.random.default_rng(3)
+    c5 = [max(0.0, float(rng.normal(25.0, 4.0))) for _ in range(3)]
+    assert held.demand[4].tolist() == c5
 
 
 def test_demand_truncation_at_zero():
@@ -79,9 +113,8 @@ def test_demand_truncation_at_zero():
                                     "std": 30.0}
     instance = instance_from_dict(data)
     scenario = sample_scenario(instance, 4)
-    values = list(scenario.demands.values())
-    assert min(values) == 0.0
-    assert max(values) > 0.0
+    assert scenario.demand.min() == 0.0
+    assert scenario.demand.max() > 0.0
 
 
 # -------------------------------------------------------- quality terms
@@ -123,11 +156,10 @@ def test_quality_terms_qatar_counts(qatar):
 
 # ---------------------------------------------------------- period model
 
-def _solve_period(instance, design, opening, demands, epsilon, **kwargs):
-    factors = {(design.dc_warehouse[dc.id], dc.id): 0.85
-               for dc in instance.dcs()}
+def _solve_period(instance, design, opening, demand, epsilon, **kwargs):
+    retention = [0.85] * len(instance.dcs())
     model, index = build_period_model(
-        instance, design, opening, demands, factors, epsilon, 0, **kwargs)
+        instance, design, opening, demand, retention, epsilon, 0, **kwargs)
     result = solve_milp(model)
     assert result.status is Status.OPTIMAL
     return model, index, result
@@ -137,9 +169,9 @@ def test_period_model_surplus_matches_plus_form(tiny, tiny_design):
     # Fill R1 well above the iron threshold: surplus must equal the
     # clamped linear expression exactly.
     opening = {"D1": 140.0, "D2": 110.0, "D3": 20.0}
-    demands = {c.id: 10.0 for c in tiny.customers()}
+    demand = [10.0] * len(tiny.customers())
     model, index, result = _solve_period(
-        tiny, tiny_design, opening, demands, 0.01)
+        tiny, tiny_design, opening, demand, 0.01)
     col = index.aux[("R1", "iron")]
     aux = result.value(col)
     closing = 0.0
@@ -153,11 +185,21 @@ def test_period_model_surplus_matches_plus_form(tiny, tiny_design):
     assert aux == pytest.approx(max(0.0, 0.004 * closing - 0.4), abs=1e-6)
 
 
+def test_period_model_needs_a_value_per_customer_and_dc(tiny, tiny_design):
+    opening = default_initial_inventory(tiny, 0.2)
+    with pytest.raises(ConfigError, match="one demand per customer"):
+        build_period_model(tiny, tiny_design, opening, [10.0] * 3,
+                           [0.85] * 3, 0.01, 0)
+    with pytest.raises(ConfigError, match="one retention per DC"):
+        build_period_model(tiny, tiny_design, opening, [10.0] * 5,
+                           [0.85] * 4, 0.01, 0)
+
+
 def test_period_model_respects_inventory_band(tiny, tiny_design):
     opening = default_initial_inventory(tiny, 0.2)
-    demands = {c.id: 30.0 for c in tiny.customers()}
+    demand = [30.0] * len(tiny.customers())
     model, index, result = _solve_period(
-        tiny, tiny_design, opening, demands, 0.05)
+        tiny, tiny_design, opening, demand, 0.05)
     for region in tiny.regions:
         for dc in region.dcs:
             order_col = index.orders[(tiny_design.dc_warehouse[dc.id], dc.id)]
@@ -167,15 +209,6 @@ def test_period_model_respects_inventory_band(tiny, tiny_design):
             closing = (opening[dc.id] + 0.85 * result.value(order_col)
                        - delivered)
             assert 0.2 * dc.capacity - 1e-6 <= closing <= dc.capacity + 1e-6
-
-
-def test_period_model_rejects_floor_above_capacity(tiny, tiny_design):
-    opening = default_initial_inventory(tiny, 0.2)
-    factors = {(tiny_design.dc_warehouse[dc.id], dc.id): 0.85
-               for dc in tiny.dcs()}
-    with pytest.raises(InfeasibleBoundsError, match="DC D1"):
-        build_period_model(tiny, tiny_design, opening, {}, factors, 0.01, 0,
-                           safety_stock=1.5)
 
 
 # ----------------------------------------------------------- replication
