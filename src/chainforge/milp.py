@@ -23,6 +23,10 @@ Fixing a bound keeps the parent basis dual feasible, so a child's dual
 pass usually takes a few pivots.  An empty dual ratio test proves an LP
 infeasible.
 
+A model is a DenseModel, the arrays the solver reads, whose constructor
+is the one model check.  A LinearModel, built row by row from sparse
+dicts for hand-written and generated models, is densified at entry.
+
 Conventions:
 
 * the objective sense is always maximize;
@@ -93,9 +97,7 @@ class LinearModel:
     Constraints take a sparse mapping of variable index to coefficient.
     """
 
-    def __init__(self, name: str = ""):
-        self.name = name
-        self.variable_names: list[str] = []
+    def __init__(self):
         self.lower: list[float] = []
         self.upper: list[float] = []
         self.objective: list[float] = []
@@ -109,16 +111,12 @@ class LinearModel:
     def num_variables(self) -> int:
         return len(self.lower)
 
-    @property
-    def num_constraints(self) -> int:
-        return len(self.rows)
-
     def add_variable(self, name: str, lb: float = 0.0, ub: float = math.inf,
                      *, objective: float = 0.0, binary: bool = False) -> int:
+        """Add a column and return its index; name labels the call only."""
         if binary:
             lb = max(lb, 0.0)
             ub = min(ub, 1.0)
-        self.variable_names.append(name)
         self.lower.append(float(lb))
         self.upper.append(float(ub))
         self.objective.append(float(objective))
@@ -140,49 +138,49 @@ class LinearModel:
         self.rhs.append(float(rhs))
         return len(self.rows) - 1
 
-    def validate(self) -> None:
+    def dense(self) -> DenseModel:
+        """The model as a checked DenseModel."""
         n = self.num_variables
-        for j in range(n):
-            name = self.variable_names[j]
-            lb, ub = self.lower[j], self.upper[j]
-            if not math.isfinite(lb):
-                raise ValidationError(f"variable {name}: lower bound must be finite")
-            if math.isnan(ub):
-                raise ValidationError(f"variable {name}: upper bound is NaN")
-            if lb > ub + _FIXED_TOL:
-                raise ValidationError(f"variable {name}: lower bound {lb} exceeds upper {ub}")
-            if not math.isfinite(self.objective[j]):
-                raise ValidationError(f"variable {name}: objective must be finite")
+        A = np.zeros((len(self.rows), n))
         for i, row in enumerate(self.rows):
-            for j, a in row.items():
-                if j < 0 or j >= n:
-                    raise ValidationError(f"constraint {i}: unknown variable index {j}")
-                if not math.isfinite(a):
-                    raise ValidationError(f"constraint {i}: coefficient must be finite")
-            if not math.isfinite(self.rhs[i]):
-                raise ValidationError(f"constraint {i}: right-hand side must be finite")
+            if not all(0 <= j < n for j in row):
+                raise ValidationError(f"constraint {i}: unknown variable index")
+            A[i, list(row)] = list(row.values())
+        return DenseModel(A, np.array(self.rhs), np.array(self.objective),
+                          np.array(self.lower), np.array(self.upper),
+                          relations=self.relations,
+                          binary=np.flatnonzero(self.is_binary),
+                          offset=self.objective_offset)
 
 
-class _Canon:
-    """Dense arrays extracted once from a LinearModel."""
+class DenseModel:
+    """Maximize c @ x + offset subject to A[i] @ x <relations[i]> b[i]
+    and lb <= x <= ub, with the columns in binary driven to 0 or 1.
 
-    def __init__(self, model: LinearModel):
-        model.validate()
-        self.n = model.num_variables
-        self.c = np.array(model.objective, dtype=float)
-        self.lb = np.array(model.lower, dtype=float)
-        self.ub = np.array(model.upper, dtype=float)
-        m = model.num_constraints
-        A = np.zeros((m, self.n))
-        for i, row in enumerate(model.rows):
-            for j, a in row.items():
-                A[i, j] = a
-        self.A = A
-        self.relations = list(model.relations)
-        self.b = np.array(model.rhs, dtype=float)
-        self.binary = np.array(
-            [j for j in range(self.n) if model.is_binary[j]], dtype=int)
-        self.offset = model.objective_offset
+    Construction is the one model check: lb finite, ub not NaN, lb <= ub,
+    and c, A and b finite, else ValidationError names the first bad
+    variable or constraint.  The solver only reads the arrays, so models
+    may share them."""
+
+    def __init__(self, A: np.ndarray, b: np.ndarray, c: np.ndarray,
+                 lb: np.ndarray, ub: np.ndarray, *, relations: Iterable[str],
+                 binary: np.ndarray, offset: float):
+        for kind, bad, what in (
+                ("variable", ~np.isfinite(lb), "lower bound must be finite"),
+                ("variable", np.isnan(ub), "upper bound is NaN"),
+                ("variable", lb > ub + _FIXED_TOL, "lower bound exceeds upper"),
+                ("variable", ~np.isfinite(c), "objective must be finite"),
+                ("constraint", ~np.isfinite(A).all(axis=1),
+                 "coefficient must be finite"),
+                ("constraint", ~np.isfinite(b),
+                 "right-hand side must be finite")):
+            if bad.any():
+                raise ValidationError(f"{kind} {int(np.argmax(bad))}: {what}")
+        self.n = len(c)
+        self.A, self.b, self.c, self.lb, self.ub = A, b, c, lb, ub
+        self.relations = np.asarray(relations, dtype="<U2")
+        self.binary = np.asarray(binary, dtype=int)
+        self.offset = offset
 
 
 class _Tableau:
@@ -195,7 +193,7 @@ class _Tableau:
     reduced costs.
     """
 
-    def __init__(self, canon: _Canon, lb: np.ndarray, ub: np.ndarray):
+    def __init__(self, canon: DenseModel, lb: np.ndarray, ub: np.ndarray):
         self.canon = canon
         self.lb = lb
         self.iterations = 0
@@ -206,25 +204,18 @@ class _Tableau:
             return
         span = np.maximum(span, 0.0)
 
-        A = canon.A.copy()
-        b = canon.b - canon.A @ lb
-        eq = np.array([r == "=" for r in canon.relations], dtype=bool)
-        flip = np.array([r == ">=" for r in canon.relations], dtype=bool)
-        if flip.any():
-            A[flip] *= -1.0
-            b[flip] *= -1.0
+        eq = canon.relations == "="
+        sign = np.where(canon.relations == ">=", -1.0, 1.0)
+        A = canon.A * sign[:, None]
+        b = (canon.b - canon.A @ lb) * sign
 
         # Drop empty rows, catching trivial infeasibility.
         scale = np.abs(A).max(axis=1, initial=0.0)
-        keep: list[int] = []
-        for i in range(A.shape[0]):
-            if scale[i] < 1e-12:
-                bad = abs(b[i]) > FEASIBILITY_TOL if eq[i] else b[i] < -FEASIBILITY_TOL
-                if bad:
-                    self.trivially_infeasible = True
-                    return
-                continue
-            keep.append(i)
+        keep = scale >= 1e-12
+        violated = np.where(eq, np.abs(b) > FEASIBILITY_TOL, b < -FEASIBILITY_TOL)
+        if (violated & ~keep).any():
+            self.trivially_infeasible = True
+            return
         A = A[keep] / scale[keep, None]
         b = b[keep] / scale[keep]
         eq = eq[keep]
@@ -532,7 +523,7 @@ def _result(tab: _Tableau, status: str) -> SolveResult:
     return SolveResult(Status.OPTIMAL, obj, x, tab.iterations)
 
 
-def _solve_canon(canon: _Canon, lb: np.ndarray, ub: np.ndarray,
+def _solve_canon(canon: DenseModel, lb: np.ndarray, ub: np.ndarray,
                  start: Basis | None = None) -> tuple[SolveResult, _Tableau]:
     """Root solve from the slack basis, or from start where it fits; the
     final tableau seeds warm starts."""
@@ -557,24 +548,26 @@ def _resolve(parent: _Tableau, cols: Iterable[int], values: Iterable[float],
     return _result(tab, tab.reoptimize(_iteration_limit(tab))), tab
 
 
-def solve_milp(model: LinearModel, *, node_limit: int = DEFAULT_NODE_LIMIT,
+def solve_milp(model: LinearModel | DenseModel, *,
+               node_limit: int = DEFAULT_NODE_LIMIT,
                start: Basis | None = None) -> SolveResult:
     """Solve the model with binary variables driven to integrality.
 
-    Best-first branch and bound: nodes are ordered on their relaxation
-    bound, branching picks the most fractional binary, and a rounding
-    pass at the root supplies an early incumbent.  The root LP starts
-    from the slack basis, or from start: the basis of another model with
-    the same rows and columns, such as the previous period's, which the
-    result's basis field carries on.  A start that does not fit falls back
-    to the slack basis.  Each child, and the rounding pass, re-optimizes a
-    copy of its parent's final tableau with the dual simplex, so a queued
-    node carries that tableau.  iterations counts the simplex iterations
-    of every LP solved, dual pivots included, and a cap set by the model
-    size bounds each LP.  Hitting node_limit
-    returns the best incumbent found with status NODE_LIMIT.
+    A LinearModel is densified, and so checked, first.  Best-first
+    branch and bound: nodes are ordered on their relaxation bound,
+    branching picks the most fractional binary, and a rounding pass at
+    the root supplies an early incumbent.  The root LP starts from the
+    slack basis, or from start: the basis of another model with the same
+    rows and columns, such as the previous period's, which the result's
+    basis field carries on.  A start that does not fit falls back to the
+    slack basis.  Each child, and the rounding pass, re-optimizes a copy
+    of its parent's final tableau with the dual simplex, so a queued node
+    carries that tableau.  iterations counts the simplex iterations of
+    every LP solved, dual pivots included, and a cap set by the model
+    size bounds each LP.  Hitting node_limit returns the best incumbent
+    found with status NODE_LIMIT.
     """
-    canon = _Canon(model)
+    canon = model.dense() if isinstance(model, LinearModel) else model
     root, root_tab = _solve_canon(canon, canon.lb, canon.ub, start)
     root.nodes = 1
     if root.status is Status.OPTIMAL:

@@ -27,7 +27,12 @@ Model assembly notes (this shapes every coefficient below):
   dropped; pairs whose threshold sits below the safety-stock floor are
   always active and need no indicator.  Indicators within a region are
   ordered by threshold, which lets branch and bound cut entire threshold
-  ranges at once instead of enumerating subsets.
+  ranges at once instead of enumerating subsets;
+* period models differ only in opening stock, demand and retention, so
+  a PeriodTemplate holds the dense arrays and each period patches a copy.
+  Columns, with D DCs and C customers: orders [0, D) in instance.dcs()
+  order, deliveries [D, D + C) in instance.customers() order, then one
+  indicator per switched and one surplus per surviving quality term.
 """
 
 from __future__ import annotations
@@ -35,13 +40,15 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import asdict, dataclass, fields
+from functools import reduce
+from operator import add, sub
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .accessibility import resolve_scales, snapshot
 from .errors import ConfigError, DomainError, NumericalError, ParseError
-from .milp import DEFAULT_NODE_LIMIT, LinearModel, Status, solve_milp
+from .milp import DEFAULT_NODE_LIMIT, DenseModel, Status, solve_milp
 from .model import (NetworkDesign, NetworkInstance, _number, _require_keys,
                     read_json, write_json)
 
@@ -74,6 +81,11 @@ class Scenario:
 
     demand: np.ndarray
     retention: np.ndarray
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, Scenario)
+                and np.array_equal(self.demand, other.demand)
+                and np.array_equal(self.retention, other.retention))
 
 
 def sample_scenario(instance: NetworkInstance, seed: int) -> Scenario:
@@ -169,157 +181,152 @@ def quality_terms(instance: NetworkInstance,
     return terms
 
 
-@dataclass(frozen=True)
-class PeriodIndex:
-    """Column positions of the decisions read back from a period model.
+class PeriodTemplate:
+    """The arrays one replication's period models share, in the module
+    notes' column layout; aux_columns maps (region, nutrient) to a column.
 
-    Every surviving (region, nutrient) term of quality_terms has an aux
-    column; the indicator columns are not indexed, since no caller reads
-    them.
-    """
+    A holds the order columns at unit retention; rows from warehouse_rows
+    on scale them by the period's retention.  Row i's right-hand side is
+    k[i] * stock[src[i]] - req[i] + big_m[i], in that order, where stock
+    is each DC's opening stock, then each region's total."""
 
-    orders: dict[tuple[str, str], int]       # (warehouse, dc) -> column
-    deliveries: dict[tuple[str, str], int]   # (dc, customer) -> column
-    aux: dict[tuple[str, str], int]          # (region, nutrient) -> column
+    def __init__(self, instance: NetworkInstance, design: NetworkDesign,
+                 epsilon: float, safety_stock: float):
+        self.instance, self.design, self.epsilon = instance, design, epsilon
+        self.scales = scales = resolve_scales(instance, design)
+        terms = quality_terms(instance, safety_stock)
+        dcs, customers = instance.dcs(), instance.customers()
+        D, C = self.num_dcs, self.num_customers = len(dcs), len(customers)
+        switched = [(t.region_id, t.nutrient_id) for t in terms if t.switched]
+        flags = {key: D + C + i for i, key in enumerate(switched)}
+        aux = D + C + len(switched)
+        self.aux_columns = {(t.region_id, t.nutrient_id): aux + i
+                            for i, t in enumerate(terms)}
+        n = aux + len(terms)
 
+        position = {dc.id: j for j, dc in enumerate(dcs)}
+        linked = [instance.warehouse(design.dc_warehouse[dc.id]) for dc in dcs]
+        self.order_cost = np.array([w.order_cost(dc.id)
+                                    for w, dc in zip(linked, dcs)])
+        self.holding = np.array([dc.inventory_unit_cost for dc in dcs])
+        self.lb = np.zeros(n)
+        self.ub = np.full(n, math.inf)
+        self.ub[:D] = [w.capacity for w in linked]
+        self.ub[D + C:aux] = 1.0
+        self.ub[aux:] = [t.aux_cap for t in terms]
+        self.binary = np.arange(D + C, aux)
+        weight = {nt.id: nt.weight for nt in instance.nutrients}
+        self.c = np.zeros(n)
+        self.c[aux:] = [instance.region(t.region_id).weights.quality
+                        * weight[t.nutrient_id] / scales.quality for t in terms]
 
-def build_period_model(instance: NetworkInstance, design: NetworkDesign,
-                       opening_inventory: Mapping[str, float],
-                       demand: Sequence[float], retention: Sequence[float],
-                       epsilon: float, period: int, *,
-                       safety_stock: float | None = None,
-                       ) -> tuple[LinearModel, PeriodIndex]:
-    """Assemble the single-period model for realized demand and supply.
+        # The objective's constant subtracts offset_weight * [opening,
+        # demand] one product at a time in offset_order: region by region,
+        # its DCs, then its customers.
+        self.region_dcs = [[position[dc.id] for dc in region.dcs]
+                           for region in instance.regions]
+        weights, order = list(epsilon * self.holding), []
+        for region, region_dcs in zip(instance.regions, self.region_dcs):
+            order += region_dcs
+            rho = region.unfulfilled_unit_cost
+            for customer in region.customers:
+                col = len(weights)  # D + the customer's position
+                dc_id = design.customer_dc[customer.id]
+                effort = (instance.path_weight(dc_id, customer.id)
+                          * design.distances[dc_id][customer.id])
+                order.append(col)
+                self.c[col] = (
+                    epsilon * rho
+                    - region.weights.transportation * effort
+                    / scales.transportation
+                    + epsilon * self.holding[position[dc_id]])
+                weights.append(epsilon * rho)
+        self.offset_weight, self.offset_order = np.array(weights), np.array(order)
 
-    opening_inventory maps DC id to the stock carried in.  demand is this
-    period's order volume per customer in instance.customers() order,
-    and retention each DC's linked-lane fraction in instance.dcs() order.
-    Returns the model plus the column index for extracting decisions.
-    """
-    if (len(demand), len(retention)) != (len(instance.customers()),
-                                         len(instance.dcs())):
-        raise ConfigError("need one demand per customer and one retention per DC")
-    v = instance.safety_stock_fraction if safety_stock is None else safety_stock
-    scales = resolve_scales(instance, design)
-    model = LinearModel(f"period{period}")
+        unit = np.eye(n)
+        # Each DC's closing stock less its opening stock, at unit retention:
+        # its order, less its customers' deliveries.
+        stock = np.eye(D, n)
+        stock[[position[design.customer_dc[c.id]] for c in customers],
+              range(D, D + C)] = -1.0
+        rows, rhs = [], []  # coefficients; (k, src, req, big_m)
 
-    orders: dict[tuple[str, str], int] = {}
-    deliveries: dict[tuple[str, str], int] = {}
-    aux: dict[tuple[str, str], int] = {}
-    flags: dict[tuple[str, str], int] = {}
+        def add_row(coeffs, k=0.0, src=0, req=0.0, big_m=0.0):
+            rows.append(coeffs)
+            rhs.append((k, src, req, big_m))
 
-    # Closing inventory is opening_inventory[dc] plus inv_coeffs[dc] over
-    # the columns; every inventory row and cost below is phrased so.
-    inv_coeffs: dict[str, dict[int, float]] = {}
+        for warehouse in instance.warehouses:
+            supplied = [j for j, w in enumerate(linked) if w.id == warehouse.id]
+            if supplied:
+                add_row(unit[supplied].sum(axis=0), req=-warehouse.capacity)
+        self.warehouse_rows = len(rows)
 
-    for dc, factor in zip(instance.dcs(), retention):
-        warehouse_id = design.dc_warehouse[dc.id]
-        warehouse = instance.warehouse(warehouse_id)
-        holding = dc.inventory_unit_cost
-        col = model.add_variable(
-            f"x[{warehouse_id}->{dc.id}]",
-            ub=warehouse.capacity,
-            objective=-epsilon * (warehouse.order_cost(dc.id) + holding * factor))
-        orders[(warehouse_id, dc.id)] = col
-        inv_coeffs[dc.id] = {col: factor}
+        for j, dc in enumerate(dcs):
+            add_row(stock[j], k=-1.0, src=j, req=-dc.capacity)
+            add_row(-stock[j], k=1.0, src=j, req=safety_stock * dc.capacity)
 
-    # The objective's constant, region by region.  Each region's zip
-    # takes its own customers' demand from the one iterator.
-    offset = 0.0
-    amounts = iter(demand)
-    for region in instance.regions:
-        w = region.weights
-        rho = region.unfulfilled_unit_cost
-        dc_holding = {dc.id: dc.inventory_unit_cost for dc in region.dcs}
-        for dc in region.dcs:
-            offset -= epsilon * dc.inventory_unit_cost * opening_inventory[dc.id]
-        for customer, amount in zip(region.customers, amounts):
-            offset -= epsilon * rho * amount
-            dc_id = design.customer_dc[customer.id]
-            effort = (instance.path_weight(dc_id, customer.id)
-                      * design.distances[dc_id][customer.id])
-            coeff = (epsilon * rho
-                     - w.transportation * effort / scales.transportation
-                     + epsilon * dc_holding[dc_id])
-            col = model.add_variable(
-                f"c[{dc_id}->{customer.id}]", ub=amount, objective=coeff)
-            deliveries[(dc_id, customer.id)] = col
-            inv_coeffs[dc_id][col] = -1.0
-    model.objective_offset = offset
-
-    terms = quality_terms(instance, v)
-    nutrient_weight = {n.id: n.weight for n in instance.nutrients}
-    for term in terms:
-        if term.switched:
-            flags[(term.region_id, term.nutrient_id)] = model.add_variable(
-                f"on[{term.region_id}:{term.nutrient_id}]", binary=True)
-    for term in terms:
-        region = instance.region(term.region_id)
-        gain = (region.weights.quality * nutrient_weight[term.nutrient_id]
-                / scales.quality)
-        aux[(term.region_id, term.nutrient_id)] = model.add_variable(
-            f"surplus[{term.region_id}:{term.nutrient_id}]",
-            ub=term.aux_cap, objective=gain)
-
-    for warehouse in instance.warehouses:
-        supplied = [col for (w_id, _), col in orders.items()
-                    if w_id == warehouse.id]
-        if supplied:
-            model.add_constraint({col: 1.0 for col in supplied}, "<=",
-                                 warehouse.capacity)
-
-    for region in instance.regions:
-        for dc in region.dcs:
-            coeffs = inv_coeffs[dc.id]
-            const = opening_inventory[dc.id]
-            model.add_constraint(coeffs, "<=", dc.capacity - const)
-            model.add_constraint({c: -a for c, a in coeffs.items()}, "<=",
-                                 const - v * dc.capacity)
-
-    region_terms: dict[str, list[QualityTerm]] = {}
-    for term in terms:
-        region_terms.setdefault(term.region_id, []).append(term)
-    for region_id, group in region_terms.items():
-        region = instance.region(region_id)
-        capacity = sum(dc.capacity for dc in region.dcs)
-        base_coeffs: dict[int, float] = {}
-        base_const = 0.0
-        for dc in region.dcs:
-            for col, a in inv_coeffs[dc.id].items():
-                base_coeffs[col] = base_coeffs.get(col, 0.0) + a
-            base_const += opening_inventory[dc.id]
-        for term in group:
-            a_col = aux[(region_id, term.nutrient_id)]
-            rhs = term.content * base_const - term.requirement
-            row = {a_col: 1.0}
-            for col, a in base_coeffs.items():
-                row[col] = -term.content * a
-            if term.switched:
-                b_col = flags[(region_id, term.nutrient_id)]
-                model.add_constraint({a_col: 1.0, b_col: -term.big_m}, "<=", 0.0)
-                row[b_col] = term.big_m
-                model.add_constraint(row, "<=", rhs + term.big_m)
+        for r, region in enumerate(instance.regions):
+            group = [t for t in terms if t.region_id == region.id]
+            total = stock[self.region_dcs[r]].sum(axis=0)
+            capacity = sum(dc.capacity for dc in region.dcs)
+            for term in group:
+                a = unit[self.aux_columns[(region.id, term.nutrient_id)]]
+                surplus = a - term.content * total
+                if not term.switched:
+                    add_row(surplus, k=term.content, src=D + r,
+                            req=term.requirement)
+                    continue
+                on = unit[flags[(region.id, term.nutrient_id)]]
+                add_row(a - term.big_m * on)
+                add_row(surplus + term.big_m * on, k=term.content, src=D + r,
+                        req=term.requirement, big_m=term.big_m)
                 # Secant of the surplus over [0, capacity].  Valid because
                 # the plus-term is convex, and it pins the relaxation to
                 # the hull instead of the loose big-M midpoint, so each
                 # indicator resolves after a single branching.
                 slope = term.aux_cap / capacity
-                cut = {a_col: 1.0}
-                for col, a in base_coeffs.items():
-                    cut[col] = -slope * a
-                model.add_constraint(cut, "<=", slope * base_const)
-            else:
-                model.add_constraint(row, "<=", rhs)
-        # Threshold-ordered indicators: a nutrient reachable only at high
-        # inventory implies every lower-threshold nutrient is reachable.
-        switched = sorted((t for t in group if t.switched),
-                          key=lambda t: t.requirement / t.content)
-        for low, high in zip(switched, switched[1:]):
-            model.add_constraint(
-                {flags[(region_id, high.nutrient_id)]: 1.0,
-                 flags[(region_id, low.nutrient_id)]: -1.0}, "<=", 0.0)
+                add_row(a - slope * total, k=slope, src=D + r)
+            # Threshold-ordered indicators: a nutrient reachable only at
+            # high inventory implies every lower-threshold nutrient is
+            # reachable.
+            ordered = sorted((t for t in group if t.switched),
+                             key=lambda t: t.requirement / t.content)
+            for low, high in zip(ordered, ordered[1:]):
+                add_row(unit[flags[(region.id, high.nutrient_id)]]
+                        - unit[flags[(region.id, low.nutrient_id)]])
 
-    return model, PeriodIndex(orders=orders, deliveries=deliveries, aux=aux)
+        self.A = np.array(rows) + 0.0  # + 0.0 clears negation's -0.0
+        self.relations = np.full(len(rows), "<=")
+        self.k, src, self.req, self.big_m = np.array(rhs).T
+        self.src = src.astype(int)
+
+
+def build_period_model(template: PeriodTemplate, opening: Sequence[float],
+                       demand: Sequence[float], retention: Sequence[float],
+                       ) -> DenseModel:
+    """The single-period model for realized stock, demand and supply:
+    opening stock and linked-lane retention per DC in instance.dcs()
+    order, demand per customer in instance.customers() order."""
+    D, C = template.num_dcs, template.num_customers
+    if (len(opening), len(demand), len(retention)) != (D, C, D):
+        raise ConfigError("need one opening stock per DC, one demand per "
+                          "customer and one retention per DC")
+    factor = np.array(retention, dtype=float)
+    A = template.A.copy()
+    A[template.warehouse_rows:, :D] *= factor
+    c = template.c.copy()
+    c[:D] = -template.epsilon * (template.order_cost + template.holding * factor)
+    ub = template.ub.copy()
+    ub[D:D + C] = demand
+    # Region totals and the offset are float sums taken one term at a
+    # time, in the order the template lists them.
+    stock = np.array([*opening, *(reduce(add, (opening[j] for j in dcs), 0.0)
+                                  for dcs in template.region_dcs)])
+    b = template.k * stock[template.src] - template.req + template.big_m
+    products = template.offset_weight * np.concatenate([opening, demand])
+    offset = reduce(sub, products[template.offset_order].tolist(), 0.0)
+    return DenseModel(A, b, c, template.lb, ub, relations=template.relations,
+                      binary=template.binary, offset=offset)
 
 
 @dataclass
@@ -379,8 +386,9 @@ def run_replication(instance: NetworkInstance, design: NetworkDesign,
     """Sample one scenario and solve the horizon period by period."""
     v, initial = opening_state(instance, config)
     scenario = sample_scenario(instance, seed)
-    opening = initial
-    scales = resolve_scales(instance, design)
+    template = PeriodTemplate(instance, design, epsilon, v)
+    dcs = instance.dcs()
+    opening = [initial[dc.id] for dc in dcs]
 
     periods: list[PeriodDecision] = []
     nodes = 0
@@ -393,9 +401,7 @@ def run_replication(instance: NetworkInstance, design: NetworkDesign,
     demands = scenario.demand.T.tolist()
     retentions = linked_retention(instance, design, scenario).T.tolist()
     for t, (demand, retention) in enumerate(zip(demands, retentions)):
-        model, index = build_period_model(
-            instance, design, opening, demand, retention, epsilon, t,
-            safety_stock=v)
+        model = build_period_model(template, opening, demand, retention)
         result = solve_milp(model, node_limit=config.node_limit, start=start)
         start = result.basis
         nodes += result.nodes
@@ -406,14 +412,11 @@ def run_replication(instance: NetworkInstance, design: NetworkDesign,
                 f"period {t} model is {result.status.value} "
                 f"(seed {seed}, epsilon {epsilon:g})")
 
-        decision = _extract_period(
-            instance, design, index, result, opening, demand, retention,
-            t, scales)
+        decision = _extract_period(template, result, opening, demand,
+                                   retention, t)
         periods.append(decision)
-        opening = {
-            dc.id: min(max(decision.inventory[dc.id], v * dc.capacity),
-                       dc.capacity)
-            for dc in instance.dcs()}
+        opening = [min(max(decision.inventory[dc.id], v * dc.capacity),
+                       dc.capacity) for dc in dcs]
 
     return ReplicationResult(
         scenario=scenario,
@@ -429,25 +432,25 @@ def run_replication(instance: NetworkInstance, design: NetworkDesign,
     )
 
 
-def _extract_period(instance, design, index, result, opening, demand,
-                    retention, t, scales):
-    orders = {key: max(0.0, result.value(col))
-              for key, col in index.orders.items()}
-    # index.deliveries holds one link per customer, in demand's order.
-    deliveries = {}
-    unmet = {}
-    for (key, col), amount in zip(index.deliveries.items(), demand):
-        qty = min(max(0.0, result.value(col)), amount)
+def _extract_period(template, result, opening, demand, retention, t):
+    instance, design = template.instance, template.design
+    dcs = instance.dcs()
+    x = result.values.tolist()
+    orders = {(design.dc_warehouse[dc.id], dc.id): max(0.0, value)
+              for dc, value in zip(dcs, x)}
+    deliveries, unmet = {}, {}
+    for customer, value, amount in zip(instance.customers(), x[len(dcs):],
+                                       demand):
+        key = (design.customer_dc[customer.id], customer.id)
+        qty = min(max(0.0, value), amount)
         deliveries[key] = qty
         unmet[key] = max(0.0, amount - qty)
 
-    inventory: dict[str, float] = {}
-    for dc, factor in zip(instance.dcs(), retention):
-        w_id = design.dc_warehouse[dc.id]
-        received = factor * orders[(w_id, dc.id)]
-        outflow = sum(qty for (h, _), qty in deliveries.items()
-                      if h == dc.id)
-        inventory[dc.id] = opening[dc.id] + received - outflow
+    inventory = {
+        dc.id: stock + factor * ordered
+        - sum(qty for (h, _), qty in deliveries.items() if h == dc.id)
+        for dc, factor, stock, ordered in zip(dcs, retention, opening,
+                                              orders.values())}
 
     # Auxiliaries: report the canonical surplus whenever the solver's
     # value agrees to within big-M conditioning noise; a material gap is
@@ -462,17 +465,17 @@ def _extract_period(instance, design, index, result, opening, demand,
     for region in instance.regions:
         for nutrient in instance.nutrients:
             key = (region.id, nutrient.id)
-            if key not in index.aux:
+            if key not in template.aux_columns:
                 aux[key] = 0.0  # a dropped term's surplus is identically zero
                 continue
             canonical = max(0.0, nutrient.per_kg_content * region_stock[region.id]
                             - nutrient.min_requirement * region.population)
-            solved = result.value(index.aux[key])
+            solved = x[template.aux_columns[key]]
             tol = 1e-4 * (1.0 + abs(canonical))
             aux[key] = canonical if abs(solved - canonical) <= tol else solved
 
     inventory_cost = sum(dc.inventory_unit_cost * inventory[dc.id]
-                         for dc in instance.dcs())
+                         for dc in dcs)
     # Regions, then customers: the order unmet was filled in.
     unfulfilled_cost = sum(
         region.unfulfilled_unit_cost * unmet[(design.customer_dc[c.id], c.id)]
@@ -484,7 +487,7 @@ def _extract_period(instance, design, index, result, opening, demand,
     for region in instance.regions:
         # transportation_effort skips the pairs outside the region.
         snap = snapshot(region, t, design, instance,
-                        region_stock[region.id], deliveries, scales)
+                        region_stock[region.id], deliveries, template.scales)
         acc_total += snap.contribution(region)
 
     return PeriodDecision(

@@ -10,10 +10,13 @@ import pytest
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from chainforge import milp as solver
+from chainforge import stochastic
 from chainforge.errors import ValidationError
+from chainforge.gfa import assign_linkages
 from chainforge.milp import FEASIBILITY_TOL, LinearModel, Status, solve_milp
-from chainforge.stochastic import (StochasticConfig, audit_replication,
-                                   build_period_model,
+from chainforge.model import instance_from_dict
+from chainforge.stochastic import (PeriodTemplate, StochasticConfig,
+                                   audit_replication, build_period_model,
                                    default_initial_inventory,
                                    linked_retention, run_replication,
                                    sample_scenario)
@@ -84,11 +87,11 @@ def test_validation_rejects_bad_models():
     m = LinearModel()
     m.add_variable("x", lb=-np.inf)
     with pytest.raises(ValidationError):
-        m.validate()
+        m.dense()
     m2 = LinearModel()
     m2.add_variable("x", lb=2.0, ub=1.0)
     with pytest.raises(ValidationError):
-        m2.validate()
+        m2.dense()
     m3 = LinearModel()
     with pytest.raises(ValidationError):
         m3.add_constraint({0: 1.0}, "<>", 1.0)
@@ -151,43 +154,34 @@ def _random_model(rng, max_binaries=4, max_continuous=4):
     return m, nb, nc
 
 
+def _dense(model):
+    """The arrays of a LinearModel or of a DenseModel, which every reference
+    below reads."""
+    return model.dense() if isinstance(model, LinearModel) else model
+
+
 def _linprog_rows(model):
     """The model's rows as linprog's A_ub/b_ub/A_eq/b_eq keywords."""
-    n = model.num_variables
-    a_ub, b_ub, a_eq, b_eq = [], [], [], []
-    for row, relation, rhs in zip(model.rows, model.relations, model.rhs):
-        dense = [row.get(j, 0.0) for j in range(n)]
-        if relation == "<=":
-            a_ub.append(dense)
-            b_ub.append(rhs)
-        elif relation == ">=":
-            a_ub.append([-a for a in dense])
-            b_ub.append(-rhs)
-        else:
-            a_eq.append(dense)
-            b_eq.append(rhs)
-    return {"A_ub": a_ub or None, "b_ub": b_ub or None,
-            "A_eq": a_eq or None, "b_eq": b_eq or None}
+    d = _dense(model)
+    sign = np.where(d.relations == ">=", -1.0, 1.0)
+    ub, eq = d.relations != "=", d.relations == "="
+    return {"A_ub": (sign[:, None] * d.A)[ub] if ub.any() else None,
+            "b_ub": (sign * d.b)[ub] if ub.any() else None,
+            "A_eq": d.A[eq] if eq.any() else None,
+            "b_eq": d.b[eq] if eq.any() else None}
 
 
 def _enumerate_milp(model):
     """Reference optimum: enumerate binaries, solve the rest with scipy."""
-    binaries = [j for j in range(model.num_variables) if model.is_binary[j]]
+    d = _dense(model)
     best = None
-    n = model.num_variables
-    for combo in itertools.product([0.0, 1.0], repeat=len(binaries)):
-        fixed = dict(zip(binaries, combo))
-        c = [-model.objective[j] for j in range(n)]
-        bounds = []
-        for j in range(n):
-            if j in fixed:
-                bounds.append((fixed[j], fixed[j]))
-            else:
-                bounds.append((model.lower[j], model.upper[j]))
-        res = linprog(c, **_linprog_rows(model), bounds=bounds,
+    for combo in itertools.product([0.0, 1.0], repeat=len(d.binary)):
+        lower, upper = d.lb.copy(), d.ub.copy()
+        lower[d.binary] = upper[d.binary] = combo
+        res = linprog(-d.c, **_linprog_rows(d), bounds=list(zip(lower, upper)),
                       method="highs")
         if res.status == 0:
-            value = -res.fun + model.objective_offset
+            value = -res.fun + d.offset
             if best is None or value > best:
                 best = value
     return best
@@ -205,7 +199,7 @@ def test_random_models_match_enumeration():
             continue
         if result.status is Status.UNBOUNDED:
             continue  # scipy treats huge finite optima as feasible
-        assert result.status is Status.OPTIMAL, model.name
+        assert result.status is Status.OPTIMAL
         assert result.objective == pytest.approx(reference, abs=1e-6)
         checked += 1
     assert checked >= 25
@@ -404,23 +398,18 @@ def _highs_milp(model):
     HiGHS presolve treats the period models' 1e-8 surplus rewards as zero
     and settles about 0.004 lower, so it is switched off.
     """
-    n = model.num_variables
-    A = np.zeros((model.num_constraints, n))
-    for i, row in enumerate(model.rows):
-        for j, a in row.items():
-            A[i, j] = a
-    rhs = np.array(model.rhs)
-    lower = np.where([r == "<=" for r in model.relations], -np.inf, rhs)
-    upper = np.where([r == ">=" for r in model.relations], np.inf, rhs)
-    res = milp(-np.array(model.objective),
-               constraints=[LinearConstraint(A, lower, upper)],
-               integrality=np.array(model.is_binary, dtype=int),
-               bounds=Bounds(model.lower, model.upper),
+    d = _dense(model)
+    lower = np.where(d.relations == "<=", -np.inf, d.b)
+    upper = np.where(d.relations == ">=", np.inf, d.b)
+    integrality = np.zeros(d.n, dtype=int)
+    integrality[d.binary] = 1
+    res = milp(-d.c, constraints=[LinearConstraint(d.A, lower, upper)],
+               integrality=integrality, bounds=Bounds(d.lb, d.ub),
                options={"mip_rel_gap": 0.0, "presolve": False})
     if res.status == 2:
         return None
     assert res.status == 0, res.message
-    return -res.fun + model.objective_offset
+    return -res.fun + d.offset
 
 
 def _assert_matches_highs(model):
@@ -486,24 +475,126 @@ def test_random_mixed_binary_models_match_highs(monkeypatch):
     assert warm_statuses.count(Status.OPTIMAL) >= 100
 
 
-def _qatar_period_models(instance, design, epsilons, seeds):
-    opening = default_initial_inventory(instance, 0.4)
+def _qatar_period_models(instance, design, epsilons, seeds, safety_stock):
+    opening = default_initial_inventory(instance, safety_stock)
+    stock = [opening[dc.id] for dc in instance.dcs()]
     for epsilon in epsilons:
+        template = PeriodTemplate(instance, design, epsilon, safety_stock)
         for seed in seeds:
             scenario = sample_scenario(instance, seed)
             retention = linked_retention(instance, design, scenario)
             for t in range(instance.horizon):
-                yield build_period_model(instance, design, opening,
+                yield build_period_model(template, stock,
                                          scenario.demand[:, t].tolist(),
-                                         retention[:, t].tolist(), epsilon, t,
-                                         safety_stock=0.4)[0]
+                                         retention[:, t].tolist())
 
 
 def test_qatar_period_models_match_highs(qatar, qatar_design):
     models = list(_qatar_period_models(qatar, qatar_design, (0.001, 0.1),
-                                       (3, 11)))
+                                       (3, 11), 0.4))
     nodes = [_assert_matches_highs(model).nodes for model in models]
     assert sum(n > 1 for n in nodes) >= len(models) // 2  # they branch
+    # At safety stock 0 every quality term needs an indicator, so the
+    # models are the largest the instance gives.
+    models = list(_qatar_period_models(qatar, qatar_design, (0.001, 0.1),
+                                       (3, 11), 0.0))
+    assert {model.A.shape for model in models} == {(115, 96)}
+    for model in models:
+        _assert_matches_highs(model)
+
+
+def _random_instance(rng):
+    """A small instance: 1-3 regions of 1-3 DCs and 1-3 customers each,
+    one zero-std customer, random path weights, warehouses pricing DCs
+    uniformly or per DC, and normalization scales given on about half.
+    Nutrient thresholds fall below, inside and above the regions' storage,
+    so quality terms come always active, switched and dropped."""
+    def point():
+        return [float(v) for v in rng.uniform(0.0, 50.0, 2)]
+
+    regions = []
+    for r in range(int(rng.integers(1, 4))):
+        regions.append({
+            "id": f"R{r}", "local_food_cost": float(rng.uniform(10, 30)),
+            "average_income": float(rng.uniform(1000, 3000)),
+            "residential_areas": int(rng.integers(1, 5)),
+            "unfulfilled_unit_cost": float(rng.uniform(1, 10)),
+            "dcs": [{"id": f"R{r}D{i}", "location": point(),
+                     "capacity": float(rng.uniform(50, 300)),
+                     "inventory_unit_cost": float(rng.uniform(0.5, 10))}
+                    for i in range(int(rng.integers(1, 4)))],
+            "customers": [{"id": f"R{r}C{i}", "location": point()}
+                          for i in range(int(rng.integers(1, 4)))]})
+    regions[-1]["customers"][0]["demand"] = {
+        "family": "normal", "mean": float(rng.uniform(10, 60)), "std": 0.0}
+    dc_ids = [dc["id"] for region in regions for dc in region["dcs"]]
+    warehouses = []
+    for w in range(int(rng.integers(1, 4))):
+        # The first warehouse prices every DC, so each DC has a link.
+        cost = {dc: float(rng.uniform(1, 5)) for dc in dc_ids
+                if w == 0 or rng.random() < 0.6}
+        warehouses.append({
+            "id": f"W{w}", "location": point(),
+            "capacity": float(rng.uniform(100, 600)),
+            "order_unit_cost": cost if rng.random() < 0.5 or not cost
+            else float(rng.uniform(1, 5))})
+    nutrients = []
+    for k in range(int(rng.integers(1, 4))):
+        content = float(rng.uniform(0.001, 0.2))
+        threshold = float(rng.uniform(0.0, 1.3)) * 300.0
+        nutrients.append({"id": f"N{k}", "weight": float(rng.uniform(0.5, 2)),
+                          "per_kg_content": content,
+                          "min_requirement": threshold * content / 250.0})
+    low = float(rng.uniform(0.6, 0.85))
+    data = {
+        "horizon": int(rng.integers(2, 4)), "safety_stock_fraction": 0.2,
+        "persons_per_area": 100,
+        "stochastic": {
+            "demand": {"family": "normal", "mean": float(rng.uniform(10, 60)),
+                       "std": float(rng.uniform(1, 20))},
+            "supply_loss": {"family": "uniform", "low": low,
+                            "high": low + float(rng.uniform(0.0, 0.1))}},
+        "warehouses": warehouses, "regions": regions, "nutrients": nutrients,
+        "path_weights": [
+            {"dc": dc["id"], "customer": c["id"],
+             "factor": float(rng.uniform(0.5, 2.0))}
+            for region in regions for dc in region["dcs"]
+            for c in region["customers"] if rng.random() < 0.3]}
+    if rng.random() < 0.5:
+        data["normalization_scales"] = {
+            "affordability": float(rng.uniform(0.005, 0.05)),
+            "transportation": float(rng.uniform(1e3, 5e4)),
+            "quality": float(rng.uniform(1, 100))}
+    return instance_from_dict(data)
+
+
+def test_generated_instances_match_highs_and_audit_clean(monkeypatch):
+    models = []
+    real_solve = stochastic.solve_milp
+
+    def recording_solve(model, **kwargs):
+        models.append(model)
+        return real_solve(model, **kwargs)
+
+    monkeypatch.setattr(stochastic, "solve_milp", recording_solve)
+    rng = np.random.default_rng(20261019)
+    given_scales = 0
+    for _ in range(40):
+        instance = _random_instance(rng)
+        given_scales += instance.normalization_scales is not None
+        design = assign_linkages(
+            instance, {dc.id: dc.location for dc in instance.dcs()})
+        epsilon = float(rng.choice([0.001, 0.05, 1.0]))
+        seed = int(rng.integers(2 ** 32))
+        for safety_stock in (0.0, 0.4):
+            config = StochasticConfig(replications=1, safety_stock=safety_stock)
+            result = run_replication(instance, design, epsilon, seed,
+                                     config=config)
+            assert audit_replication(instance, design, result) == []
+    nodes = [_assert_matches_highs(model).nodes for model in models]
+    assert 0 < given_scales < 40
+    assert sum(len(model.binary) > 0 for model in models) >= len(models) // 4
+    assert sum(n > 1 for n in nodes) >= 10  # some of them branch
 
 
 def test_warm_children_match_cold_solves(qatar, qatar_design, monkeypatch):
@@ -525,7 +616,8 @@ def test_warm_children_match_cold_solves(qatar, qatar_design, monkeypatch):
         return warm, tab
 
     monkeypatch.setattr(solver, "_resolve", compared_resolve)
-    model = next(_qatar_period_models(qatar, qatar_design, (0.001,), (5,)))
+    model = next(_qatar_period_models(qatar, qatar_design, (0.001,), (5,),
+                                      0.4))
     result = solve_milp(model)
     assert result.status is Status.OPTIMAL
     assert result.nodes >= 5

@@ -5,12 +5,16 @@ import hashlib
 import numpy as np
 import pytest
 
-from chainforge.errors import ConfigError, DomainError, ParseError
+from chainforge import stochastic
+from chainforge.errors import (ConfigError, DomainError, ParseError,
+                               ValidationError)
 from chainforge.milp import Status, solve_milp
 from chainforge.pareto import sweep
-from chainforge.stochastic import (OperationalPlan, StochasticConfig,
-                                   audit_replication, build_period_model,
-                                   default_initial_inventory, load_plan,
+from chainforge.stochastic import (OperationalPlan, PeriodTemplate,
+                                   StochasticConfig, audit_replication,
+                                   build_period_model,
+                                   default_initial_inventory,
+                                   linked_retention, load_plan,
                                    plan_from_estimate,
                                    quality_terms, replication_seed,
                                    replication_seeds, run_replication,
@@ -156,13 +160,24 @@ def test_quality_terms_qatar_counts(qatar):
 
 # ---------------------------------------------------------- period model
 
-def _solve_period(instance, design, opening, demand, epsilon, **kwargs):
+def _solve_period(instance, design, opening, demand, epsilon, safety_stock):
+    template = PeriodTemplate(instance, design, epsilon, safety_stock)
     retention = [0.85] * len(instance.dcs())
-    model, index = build_period_model(
-        instance, design, opening, demand, retention, epsilon, 0, **kwargs)
+    model = build_period_model(
+        template, [opening[dc.id] for dc in instance.dcs()], demand, retention)
     result = solve_milp(model)
     assert result.status is Status.OPTIMAL
-    return model, index, result
+    return template, result
+
+
+def _order_and_delivery_columns(instance, design, dc_id):
+    """A DC's order column and its deliveries' columns in the template's
+    layout: orders in dcs() order, then deliveries in customers() order."""
+    dcs = instance.dcs()
+    order_col = [dc.id for dc in dcs].index(dc_id)
+    deliveries = [len(dcs) + i for i, c in enumerate(instance.customers())
+                  if design.customer_dc[c.id] == dc_id]
+    return order_col, deliveries
 
 
 def test_period_model_surplus_matches_plus_form(tiny, tiny_design):
@@ -170,45 +185,92 @@ def test_period_model_surplus_matches_plus_form(tiny, tiny_design):
     # clamped linear expression exactly.
     opening = {"D1": 140.0, "D2": 110.0, "D3": 20.0}
     demand = [10.0] * len(tiny.customers())
-    model, index, result = _solve_period(
-        tiny, tiny_design, opening, demand, 0.01)
-    col = index.aux[("R1", "iron")]
+    template, result = _solve_period(
+        tiny, tiny_design, opening, demand, 0.01, tiny.safety_stock_fraction)
+    col = template.aux_columns[("R1", "iron")]
     aux = result.value(col)
     closing = 0.0
     for dc_id in ("D1", "D2"):
-        order_col = index.orders[(tiny_design.dc_warehouse[dc_id], dc_id)]
-        delivered = sum(result.value(c)
-                        for (dc, _cust), c in index.deliveries.items()
-                        if dc == dc_id)
+        order_col, delivery_cols = _order_and_delivery_columns(
+            tiny, tiny_design, dc_id)
+        delivered = sum(result.value(c) for c in delivery_cols)
         closing += (opening[dc_id] + 0.85 * result.value(order_col)
                     - delivered)
     assert aux == pytest.approx(max(0.0, 0.004 * closing - 0.4), abs=1e-6)
 
 
 def test_period_model_needs_a_value_per_customer_and_dc(tiny, tiny_design):
-    opening = default_initial_inventory(tiny, 0.2)
+    template = PeriodTemplate(tiny, tiny_design, 0.01, 0.2)
+    opening = [20.0] * 3
     with pytest.raises(ConfigError, match="one demand per customer"):
-        build_period_model(tiny, tiny_design, opening, [10.0] * 3,
-                           [0.85] * 3, 0.01, 0)
+        build_period_model(template, opening, [10.0] * 3, [0.85] * 3)
     with pytest.raises(ConfigError, match="one retention per DC"):
-        build_period_model(tiny, tiny_design, opening, [10.0] * 5,
-                           [0.85] * 4, 0.01, 0)
+        build_period_model(template, opening, [10.0] * 5, [0.85] * 4)
+    with pytest.raises(ConfigError, match="one opening stock per DC"):
+        build_period_model(template, opening[:2], [10.0] * 5, [0.85] * 3)
+
+
+def test_period_model_rejects_nan_demand_or_retention(tiny, tiny_design,
+                                                      monkeypatch):
+    # A NaN draw must stop the replication with the model check's error,
+    # not reach the solver.
+    real_sample = stochastic.sample_scenario
+    for axis, entry in (("demand", (0, 0)), ("retention", (..., 0))):
+        def poisoned(instance, seed, axis=axis, entry=entry):
+            scenario = real_sample(instance, seed)
+            getattr(scenario, axis)[entry] = np.nan
+            return scenario
+
+        monkeypatch.setattr(stochastic, "sample_scenario", poisoned)
+        with pytest.raises(ValidationError):
+            run_replication(tiny, tiny_design, 0.02, 1234)
 
 
 def test_period_model_respects_inventory_band(tiny, tiny_design):
     opening = default_initial_inventory(tiny, 0.2)
     demand = [30.0] * len(tiny.customers())
-    model, index, result = _solve_period(
-        tiny, tiny_design, opening, demand, 0.05)
+    template, result = _solve_period(
+        tiny, tiny_design, opening, demand, 0.05, tiny.safety_stock_fraction)
     for region in tiny.regions:
         for dc in region.dcs:
-            order_col = index.orders[(tiny_design.dc_warehouse[dc.id], dc.id)]
-            delivered = sum(result.value(c)
-                            for (d, _cust), c in index.deliveries.items()
-                            if d == dc.id)
+            order_col, delivery_cols = _order_and_delivery_columns(
+                tiny, tiny_design, dc.id)
+            delivered = sum(result.value(c) for c in delivery_cols)
             closing = (opening[dc.id] + 0.85 * result.value(order_col)
                        - delivered)
             assert 0.2 * dc.capacity - 1e-6 <= closing <= dc.capacity + 1e-6
+
+
+def test_qatar_period_zero_model_bits_are_pinned(qatar, qatar_design):
+    # sha256 of the dense arrays and the offset of Qatar's period 0 model,
+    # taken from the row-by-row builder this template replaced.
+    expected = {
+        0.0: ((115, 96), {
+            "A": "dee53baea8bf5a3707ccce2f2ddf5c505eec63602780d0c41a132a8ee7cd9f9e",
+            "c": "56f07fa2bef8358dda0b8e634d78ff9526e47f9fa7aa8bd7f2dacfe5c6027d38",
+            "ub": "467493c8012f203d75fd6b49f6f4d813743575c644769f2073ece75412dfdbaa",
+            "b": "0731e5bfbecfdf3575f2a2ff9342d66e1d240d94e71cd0e4b0001821766d027d",
+            "offset": "-0x1.097a7b6381adep+10"}),
+        0.4: ((67, 80), {
+            "A": "04e66c945928f7543dae6120c38cf43c3a5b7954eb9e39540df8cebd6b9fefcf",
+            "c": "6fd40181ddff104dfc3b89d1dcc8abaf29fdada1a87d2066aa2977622551fcfb",
+            "ub": "d9e8f8dfdd9f5d28a02633dec9ac9e8f1da5e532ec35c88e70ec026e3cdf270c",
+            "b": "5d61a680d5dd70e5adc22b599256f7addd52015afd739ba4537cfc3843fc74cb",
+            "offset": "-0x1.24bd3db1c0d70p+11"}),
+    }
+    scenario = sample_scenario(qatar, replication_seed(0, 0))
+    retention = linked_retention(qatar, qatar_design, scenario)
+    for safety_stock, (shape, digests) in expected.items():
+        template = PeriodTemplate(qatar, qatar_design, 0.01, safety_stock)
+        opening = default_initial_inventory(qatar, safety_stock)
+        model = build_period_model(
+            template, [opening[dc.id] for dc in qatar.dcs()],
+            scenario.demand[:, 0].tolist(), retention[:, 0].tolist())
+        assert model.A.shape == shape
+        found = {name: hashlib.sha256(getattr(model, name).tobytes()).hexdigest()
+                 for name in ("A", "c", "ub", "b")}
+        found["offset"] = model.offset.hex()
+        assert found == digests
 
 
 # ----------------------------------------------------------- replication
@@ -232,6 +294,11 @@ def test_run_replication_deterministic(tiny, tiny_design):
         assert pa.orders == pb.orders
         assert pa.deliveries == pb.deliveries
         assert pa.inventory == pb.inventory
+    assert a == b
+    assert a.scenario == b.scenario
+    other = run_replication(tiny, tiny_design, 0.02, 1235)
+    assert a != other
+    assert a.scenario != other.scenario
 
 
 def test_run_replication_tiny_audit_clean(tiny, tiny_design):
