@@ -4,6 +4,7 @@ Three raw components are evaluated per region and period:
 
 * affordability: local food cost over average income,
 * transportation effort: path-weighted shipment volume times distance,
+  over each customer's one link,
 * quality: weighted surplus of accessible nutrition over the population
   requirement, where accessible nutrition is regional DC inventory mass
   converted through nutrient content.
@@ -16,9 +17,9 @@ The per-region accessibility contribution combines the indices as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
-from .errors import ConfigError, DomainError, LinkageError
+from .errors import ConfigError, DomainError
 from .model import (NetworkDesign, NetworkInstance, NormalizationScales,
                     Nutrient, Region)
 
@@ -30,29 +31,25 @@ def affordability(region: Region) -> float:
     return region.local_food_cost / region.average_income
 
 
-def transportation_effort(region: Region, design: NetworkDesign,
-                          shipments: Mapping[tuple[str, str], float],
-                          instance: NetworkInstance) -> float:
-    """Raw transport effort: sum of weight * distance * shipped kg.
+def link_effort(instance: NetworkInstance,
+                design: NetworkDesign) -> list[float]:
+    """Transport effort per shipped kg on each customer's one link, path
+    weight times km, in instance.customers() order."""
+    return [instance.path_weight(design.customer_dc[c.id], c.id)
+            * design.distances[design.customer_dc[c.id]][c.id]
+            for c in instance.customers()]
 
-    ``shipments`` maps (dc_id, customer_id) pairs to shipped quantity.
-    Only pairs linked in the design may carry a positive quantity.
-    """
+
+def transportation_effort(effort: Sequence[float],
+                          shipments: Sequence[float]) -> float:
+    """Raw transport effort of one region: each customer's link effort
+    (see link_effort) times the kg shipped to it, summed one customer at
+    a time in the region's order."""
     total = 0.0
-    region_dcs = {dc.id for dc in region.dcs}
-    region_customers = {c.id for c in region.customers}
-    for (dc_id, customer_id), qty in shipments.items():
-        if dc_id not in region_dcs or customer_id not in region_customers:
-            continue
-        if qty == 0.0:
-            continue
+    for unit, qty in zip(effort, shipments):
         if qty < 0.0:
-            raise DomainError(f"negative shipment on ({dc_id}, {customer_id})")
-        if not design.linked(dc_id, customer_id):
-            raise LinkageError(
-                f"shipment on inactive link ({dc_id}, {customer_id})")
-        factor = instance.path_weight(dc_id, customer_id)
-        total += factor * design.distances[dc_id][customer_id] * qty
+            raise DomainError(f"negative shipment {qty:g}")
+        total += unit * qty
     return total
 
 
@@ -105,12 +102,13 @@ def default_scales(instance: NetworkInstance,
       capacity, an upper bound on any region's accessible nutrition.
     """
     afford = max(affordability(r) for r in instance.regions)
+    effort = dict(zip((c.id for c in instance.customers()),
+                      link_effort(instance, design)))
     transport = 0.0
     for region in instance.regions:
         for dc in region.dcs:
             for customer_id in design.customers_of(dc.id):
-                factor = instance.path_weight(dc.id, customer_id)
-                transport += factor * design.distances[dc.id][customer_id] * dc.capacity
+                transport += effort[customer_id] * dc.capacity
     total_capacity = sum(dc.capacity for dc in instance.dcs())
     quality = sum(n.weight * n.per_kg_content for n in instance.nutrients) * total_capacity
     if afford <= 0.0:
@@ -151,13 +149,14 @@ class AccessibilitySnapshot:
                 + w.quality * self.quality)
 
 
-def snapshot(region: Region, period: int, design: NetworkDesign,
-             instance: NetworkInstance, region_inventory: float,
-             shipments: Mapping[tuple[str, str], float],
+def snapshot(region: Region, period: int, instance: NetworkInstance,
+             region_inventory: float, effort: Sequence[float],
+             shipments: Sequence[float],
              scales: NormalizationScales) -> AccessibilitySnapshot:
-    """Evaluate all three indices for one region-period state."""
+    """Evaluate all three indices for one region-period state; effort
+    and shipments hold one entry per customer of the region."""
     raw_a = affordability(region)
-    raw_t = transportation_effort(region, design, shipments, instance)
+    raw_t = transportation_effort(effort, shipments)
     nutrition = accessible_nutrition(region_inventory, instance.nutrients)
     raw_q = quality_index(region, nutrition, instance.nutrients)
     return AccessibilitySnapshot(

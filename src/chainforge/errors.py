@@ -26,10 +26,6 @@ class DomainError(ChainforgeError):
     """An index evaluation was asked outside its mathematical domain."""
 
 
-class LinkageError(ChainforgeError):
-    """A flow or assignment refers to a link that is not active."""
-
-
 class InfeasibleConfigError(ConfigError):
     """A requested facility layout cannot be satisfied."""
 

@@ -305,5 +305,8 @@ def load_design(path: str) -> GfaResult:
                              for k, v in data["iterations_used"].items()},
             converged=bool(data["converged"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    # A missing key or a value of the wrong JSON type anywhere (a list
+    # for an object, a short location, a non-number) lands here.
+    except (AttributeError, LookupError, OverflowError, TypeError,
+            ValueError) as exc:
         raise ParseError(f"{path}: not a valid design file ({exc})") from exc

@@ -182,12 +182,6 @@ class NetworkInstance:
                 return region
         raise KeyError(region_id)
 
-    def warehouse(self, warehouse_id: str) -> Warehouse:
-        for w in self.warehouses:
-            if w.id == warehouse_id:
-                return w
-        raise KeyError(warehouse_id)
-
     def path_weight(self, dc_id: str, customer_id: str) -> float:
         return self.path_weights.get((dc_id, customer_id), 1.0)
 
@@ -206,9 +200,6 @@ class NetworkDesign:
     dc_warehouse: dict[str, str]
     customer_dc: dict[str, str]
     distances: dict[str, dict[str, float]]
-
-    def linked(self, dc_id: str, customer_id: str) -> bool:
-        return self.customer_dc.get(customer_id) == dc_id
 
     def customers_of(self, dc_id: str) -> list[str]:
         return [c for c, h in self.customer_dc.items() if h == dc_id]

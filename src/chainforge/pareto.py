@@ -163,6 +163,8 @@ def read_solutions_csv(path: str) -> list[EstimateResult]:
             values = [float(cell) for cell in row]
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        if not all(map(math.isfinite, values)):
+            raise ParseError(f"{path}:{lineno}: values must be finite")
         solutions.append(EstimateResult(*values))
     return solutions
 

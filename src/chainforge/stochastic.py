@@ -33,6 +33,9 @@ Model assembly notes (this shapes every coefficient below):
   Columns, with D DCs and C customers: orders [0, D) in instance.dcs()
   order, deliveries [D, D + C) in instance.customers() order, then one
   indicator per switched and one surplus per surviving quality term.
+  A PeriodDecision keeps the same layout: per-DC vectors (each order on
+  the DC's one linked lane), per-customer vectors (each delivery on the
+  customer's one link), and the surpluses as [region, nutrient].
 """
 
 from __future__ import annotations
@@ -41,12 +44,12 @@ import hashlib
 import math
 from dataclasses import asdict, dataclass, fields
 from functools import reduce
-from operator import add, sub
+from operator import sub
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .accessibility import resolve_scales, snapshot
+from .accessibility import link_effort, resolve_scales, snapshot
 from .errors import ConfigError, DomainError, NumericalError, ParseError
 from .milp import DEFAULT_NODE_LIMIT, DenseModel, Status, solve_milp
 from .model import (NetworkDesign, NetworkInstance, _number, _require_keys,
@@ -68,6 +71,15 @@ def replication_seed(master_seed: int, replication: int,
     return int.from_bytes(digest[:8], "big") >> 1
 
 
+def _fields_equal(self, other: object) -> bool:
+    """Dataclass ==, field by field, with arrays compared by value."""
+    pairs = ((getattr(self, f.name), getattr(other, f.name))
+             for f in fields(self))
+    return type(other) is type(self) and all(
+        np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+        for a, b in pairs)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One realization of every uncertain quantity over the horizon.
@@ -82,10 +94,7 @@ class Scenario:
     demand: np.ndarray
     retention: np.ndarray
 
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, Scenario)
-                and np.array_equal(self.demand, other.demand)
-                and np.array_equal(self.retention, other.retention))
+    __eq__ = _fields_equal
 
 
 def sample_scenario(instance: NetworkInstance, seed: int) -> Scenario:
@@ -111,12 +120,23 @@ def sample_scenario(instance: NetworkInstance, seed: int) -> Scenario:
     return Scenario(demand=np.maximum(0.0, demand), retention=retention)
 
 
+def _linkage(instance: NetworkInstance, design: NetworkDesign,
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """The design's two linkages as index vectors: for each DC in dcs()
+    order, its warehouse's position in instance.warehouses; for each
+    customer in customers() order, its DC's position in dcs()."""
+    warehouse = {w.id: i for i, w in enumerate(instance.warehouses)}
+    dc = {h.id: j for j, h in enumerate(instance.dcs())}
+    return (np.array([warehouse[design.dc_warehouse[h]] for h in dc], dtype=int),
+            np.array([dc[design.customer_dc[c.id]]
+                      for c in instance.customers()], dtype=int))
+
+
 def linked_retention(instance: NetworkInstance, design: NetworkDesign,
                      scenario: Scenario) -> np.ndarray:
     """Each DC's linked-lane retention, [dc, period] in dcs() order."""
-    row = {w.id: i for i, w in enumerate(instance.warehouses)}
-    rows = [row[design.dc_warehouse[dc.id]] for dc in instance.dcs()]
-    return scenario.retention[rows, np.arange(len(rows))]
+    supplier, _ = _linkage(instance, design)
+    return scenario.retention[supplier, np.arange(len(supplier))]
 
 
 @dataclass(frozen=True)
@@ -183,7 +203,10 @@ def quality_terms(instance: NetworkInstance,
 
 class PeriodTemplate:
     """The arrays one replication's period models share, in the module
-    notes' column layout; aux_columns maps (region, nutrient) to a column.
+    notes' column layout, and the per-DC and per-customer vectors that
+    price and index a period's decision.  aux_columns[r, n] is the
+    surplus column of region r and nutrient n, in instance order, or -1
+    where the term is dropped.
 
     A holds the order columns at unit retention; rows from warehouse_rows
     on scale them by the period's retention.  Row i's right-hand side is
@@ -192,7 +215,7 @@ class PeriodTemplate:
 
     def __init__(self, instance: NetworkInstance, design: NetworkDesign,
                  epsilon: float, safety_stock: float):
-        self.instance, self.design, self.epsilon = instance, design, epsilon
+        self.instance, self.epsilon = instance, epsilon
         self.scales = scales = resolve_scales(instance, design)
         terms = quality_terms(instance, safety_stock)
         dcs, customers = instance.dcs(), instance.customers()
@@ -200,15 +223,26 @@ class PeriodTemplate:
         switched = [(t.region_id, t.nutrient_id) for t in terms if t.switched]
         flags = {key: D + C + i for i, key in enumerate(switched)}
         aux = D + C + len(switched)
-        self.aux_columns = {(t.region_id, t.nutrient_id): aux + i
-                            for i, t in enumerate(terms)}
+        surplus_col = {(t.region_id, t.nutrient_id): aux + i
+                       for i, t in enumerate(terms)}
         n = aux + len(terms)
+        self.aux_columns = np.array([[surplus_col.get((r.id, nt.id), -1)
+                                      for nt in instance.nutrients]
+                                     for r in instance.regions], dtype=int)
+        self.content = np.array([nt.per_kg_content for nt in instance.nutrients])
+        self.requirement = np.array([[nt.min_requirement * r.population
+                                      for nt in instance.nutrients]
+                                     for r in instance.regions])
 
-        position = {dc.id: j for j, dc in enumerate(dcs)}
-        linked = [instance.warehouse(design.dc_warehouse[dc.id]) for dc in dcs]
+        supplier, self.serving = _linkage(instance, design)
+        linked = [instance.warehouses[i] for i in supplier]
         self.order_cost = np.array([w.order_cost(dc.id)
                                     for w, dc in zip(linked, dcs)])
         self.holding = np.array([dc.inventory_unit_cost for dc in dcs])
+        self.unmet_cost = np.array([region.unfulfilled_unit_cost
+                                    for region in instance.regions
+                                    for _ in region.customers])
+        self.effort = link_effort(instance, design)
         self.lb = np.zeros(n)
         self.ub = np.full(n, math.inf)
         self.ub[:D] = [w.capacity for w in linked]
@@ -220,44 +254,41 @@ class PeriodTemplate:
         self.c[aux:] = [instance.region(t.region_id).weights.quality
                         * weight[t.nutrient_id] / scales.quality for t in terms]
 
+        # Each DC's and each customer's region.  dcs() and customers() go
+        # region by region, so a region's customers are one span.
+        regions = np.arange(len(instance.regions))
+        self.dc_region = np.repeat(regions, [len(r.dcs) for r in instance.regions])
+        counts = [len(r.customers) for r in instance.regions]
+        customer_region = np.repeat(regions, counts)
+        self.region_customers = [slice(end - count, end) for end, count
+                                 in zip(np.cumsum(counts).tolist(), counts)]
+        transport = np.array([r.weights.transportation
+                              for r in instance.regions])[customer_region]
+        self.c[D:D + C] = (epsilon * self.unmet_cost
+                           - transport * self.effort / scales.transportation
+                           + epsilon * self.holding[self.serving])
         # The objective's constant subtracts offset_weight * [opening,
         # demand] one product at a time in offset_order: region by region,
         # its DCs, then its customers.
-        self.region_dcs = [[position[dc.id] for dc in region.dcs]
-                           for region in instance.regions]
-        weights, order = list(epsilon * self.holding), []
-        for region, region_dcs in zip(instance.regions, self.region_dcs):
-            order += region_dcs
-            rho = region.unfulfilled_unit_cost
-            for customer in region.customers:
-                col = len(weights)  # D + the customer's position
-                dc_id = design.customer_dc[customer.id]
-                effort = (instance.path_weight(dc_id, customer.id)
-                          * design.distances[dc_id][customer.id])
-                order.append(col)
-                self.c[col] = (
-                    epsilon * rho
-                    - region.weights.transportation * effort
-                    / scales.transportation
-                    + epsilon * self.holding[position[dc_id]])
-                weights.append(epsilon * rho)
-        self.offset_weight, self.offset_order = np.array(weights), np.array(order)
+        self.offset_weight = epsilon * np.concatenate([self.holding,
+                                                       self.unmet_cost])
+        self.offset_order = np.argsort(
+            np.concatenate([self.dc_region, customer_region]), kind="stable")
 
         unit = np.eye(n)
         # Each DC's closing stock less its opening stock, at unit retention:
         # its order, less its customers' deliveries.
         stock = np.eye(D, n)
-        stock[[position[design.customer_dc[c.id]] for c in customers],
-              range(D, D + C)] = -1.0
+        stock[self.serving, range(D, D + C)] = -1.0
         rows, rhs = [], []  # coefficients; (k, src, req, big_m)
 
         def add_row(coeffs, k=0.0, src=0, req=0.0, big_m=0.0):
             rows.append(coeffs)
             rhs.append((k, src, req, big_m))
 
-        for warehouse in instance.warehouses:
-            supplied = [j for j, w in enumerate(linked) if w.id == warehouse.id]
-            if supplied:
+        for i, warehouse in enumerate(instance.warehouses):
+            supplied = np.flatnonzero(supplier == i)
+            if supplied.size:
                 add_row(unit[supplied].sum(axis=0), req=-warehouse.capacity)
         self.warehouse_rows = len(rows)
 
@@ -267,10 +298,10 @@ class PeriodTemplate:
 
         for r, region in enumerate(instance.regions):
             group = [t for t in terms if t.region_id == region.id]
-            total = stock[self.region_dcs[r]].sum(axis=0)
+            total = stock[self.dc_region == r].sum(axis=0)
             capacity = sum(dc.capacity for dc in region.dcs)
             for term in group:
-                a = unit[self.aux_columns[(region.id, term.nutrient_id)]]
+                a = unit[surplus_col[(region.id, term.nutrient_id)]]
                 surplus = a - term.content * total
                 if not term.switched:
                     add_row(surplus, k=term.content, src=D + r,
@@ -320,8 +351,8 @@ def build_period_model(template: PeriodTemplate, opening: Sequence[float],
     ub[D:D + C] = demand
     # Region totals and the offset are float sums taken one term at a
     # time, in the order the template lists them.
-    stock = np.array([*opening, *(reduce(add, (opening[j] for j in dcs), 0.0)
-                                  for dcs in template.region_dcs)])
+    stock = np.concatenate([opening, np.bincount(
+        template.dc_region, opening, minlength=len(template.region_customers))])
     b = template.k * stock[template.src] - template.req + template.big_m
     products = template.offset_weight * np.concatenate([opening, demand])
     offset = reduce(sub, products[template.offset_order].tolist(), 0.0)
@@ -331,19 +362,22 @@ def build_period_model(template: PeriodTemplate, opening: Sequence[float],
 
 @dataclass
 class PeriodDecision:
-    """Solved flows and derived state for one period of one replication."""
+    """Solved flows and derived state for one period of one replication,
+    in the module notes' layout: orders and closing inventory per DC,
+    deliveries and unmet demand per customer, aux per (region, nutrient)."""
 
     period: int
-    orders: dict[tuple[str, str], float]
-    deliveries: dict[tuple[str, str], float]
-    unmet: dict[tuple[str, str], float]
-    inventory: dict[str, float]
-    aux: dict[tuple[str, str], float]
-    objective: float
+    orders: np.ndarray
+    deliveries: np.ndarray
+    unmet: np.ndarray
+    inventory: np.ndarray
+    aux: np.ndarray
     accessibility: float
     inventory_cost: float
     unfulfilled_cost: float
     order_cost: float
+
+    __eq__ = _fields_equal
 
 
 @dataclass
@@ -355,9 +389,11 @@ class ReplicationResult:
     unfulfilled_cost: float
     order_cost: float
     safety_stock: float
-    initial_inventory: dict[str, float]
+    initial_inventory: np.ndarray  # per DC, instance.dcs() order
     nodes: int
     limit_hit: bool
+
+    __eq__ = _fields_equal
 
     @property
     def total_cost(self) -> float:
@@ -370,25 +406,26 @@ def default_initial_inventory(instance: NetworkInstance,
     return {dc.id: safety_fraction * dc.capacity for dc in instance.dcs()}
 
 
-def opening_state(instance: NetworkInstance, config: StochasticConfig,
-                  ) -> tuple[float, dict[str, float]]:
-    """The safety-stock fraction a config plans with, and the opening
-    inventory: every DC at its safety level."""
-    v = (instance.safety_stock_fraction if config.safety_stock is None
-         else config.safety_stock)
-    return v, default_initial_inventory(instance, v)
+def planned_safety_stock(instance: NetworkInstance,
+                         config: StochasticConfig) -> float:
+    """The safety-stock fraction a config plans with: its own, or the
+    instance's when it sets none."""
+    return (instance.safety_stock_fraction if config.safety_stock is None
+            else config.safety_stock)
 
 
 def run_replication(instance: NetworkInstance, design: NetworkDesign,
                     epsilon: float, seed: int, *,
                     config: StochasticConfig = StochasticConfig(),
                     ) -> ReplicationResult:
-    """Sample one scenario and solve the horizon period by period."""
-    v, initial = opening_state(instance, config)
+    """Sample one scenario and solve the horizon period by period, from
+    every DC at its safety level."""
+    v = planned_safety_stock(instance, config)
     scenario = sample_scenario(instance, seed)
     template = PeriodTemplate(instance, design, epsilon, v)
-    dcs = instance.dcs()
-    opening = [initial[dc.id] for dc in dcs]
+    capacity = np.array([dc.capacity for dc in instance.dcs()])
+    floor = v * capacity
+    opening = floor.tolist()
 
     periods: list[PeriodDecision] = []
     nodes = 0
@@ -412,11 +449,11 @@ def run_replication(instance: NetworkInstance, design: NetworkDesign,
                 f"period {t} model is {result.status.value} "
                 f"(seed {seed}, epsilon {epsilon:g})")
 
-        decision = _extract_period(template, result, opening, demand,
+        decision = _extract_period(template, result.values, opening, demand,
                                    retention, t)
         periods.append(decision)
-        opening = [min(max(decision.inventory[dc.id], v * dc.capacity),
-                       dc.capacity) for dc in dcs]
+        opening = np.minimum(np.maximum(decision.inventory, floor),
+                             capacity).tolist()
 
     return ReplicationResult(
         scenario=scenario,
@@ -426,76 +463,55 @@ def run_replication(instance: NetworkInstance, design: NetworkDesign,
         unfulfilled_cost=sum(p.unfulfilled_cost for p in periods),
         order_cost=sum(p.order_cost for p in periods),
         safety_stock=v,
-        initial_inventory=initial,
+        initial_inventory=floor,
         nodes=nodes,
         limit_hit=limit_hit,
     )
 
 
-def _extract_period(template, result, opening, demand, retention, t):
-    instance, design = template.instance, template.design
-    dcs = instance.dcs()
-    x = result.values.tolist()
-    orders = {(design.dc_warehouse[dc.id], dc.id): max(0.0, value)
-              for dc, value in zip(dcs, x)}
-    deliveries, unmet = {}, {}
-    for customer, value, amount in zip(instance.customers(), x[len(dcs):],
-                                       demand):
-        key = (design.customer_dc[customer.id], customer.id)
-        qty = min(max(0.0, value), amount)
-        deliveries[key] = qty
-        unmet[key] = max(0.0, amount - qty)
+def _extract_period(template, x, opening, demand, retention, t):
+    D, C = template.num_dcs, template.num_customers
+    orders = np.maximum(x[:D], 0.0)
+    deliveries = np.minimum(np.maximum(x[D:D + C], 0.0), demand)
+    unmet = np.maximum(np.subtract(demand, deliveries), 0.0)
+    # Each DC's outflow sums its customers' deliveries in customers()
+    # order.
+    inventory = (np.add(opening, np.multiply(retention, orders))
+                 - np.bincount(template.serving, deliveries, minlength=D))
 
-    inventory = {
-        dc.id: stock + factor * ordered
-        - sum(qty for (h, _), qty in deliveries.items() if h == dc.id)
-        for dc, factor, stock, ordered in zip(dcs, retention, opening,
-                                              orders.values())}
-
-    # Auxiliaries: report the canonical surplus whenever the solver's
-    # value agrees to within big-M conditioning noise; a material gap is
-    # kept raw so the feasibility audit exposes it.
-    aux: dict[tuple[str, str], float] = {}
     # Solver arithmetic can leave a DC a hair below zero; physical stock
     # is nonnegative, so clamp the regional sums used downstream.  The
     # per-DC values stay raw for the audit.
-    region_stock = {
-        region.id: max(0.0, sum(inventory[dc.id] for dc in region.dcs))
-        for region in instance.regions}
-    for region in instance.regions:
-        for nutrient in instance.nutrients:
-            key = (region.id, nutrient.id)
-            if key not in template.aux_columns:
-                aux[key] = 0.0  # a dropped term's surplus is identically zero
-                continue
-            canonical = max(0.0, nutrient.per_kg_content * region_stock[region.id]
-                            - nutrient.min_requirement * region.population)
-            solved = x[template.aux_columns[key]]
-            tol = 1e-4 * (1.0 + abs(canonical))
-            aux[key] = canonical if abs(solved - canonical) <= tol else solved
+    region_stock = np.maximum(np.bincount(
+        template.dc_region, inventory,
+        minlength=len(template.region_customers)), 0.0)
+    # Auxiliaries: report the canonical surplus whenever the solver's
+    # value agrees to within big-M conditioning noise; a material gap is
+    # kept raw so the feasibility audit exposes it.  A dropped term's
+    # surplus is identically zero.
+    canonical = np.maximum(np.multiply.outer(region_stock, template.content)
+                           - template.requirement, 0.0)
+    solved = x[template.aux_columns]
+    close = np.abs(solved - canonical) <= 1e-4 * (1.0 + np.abs(canonical))
+    aux = np.where(template.aux_columns < 0, 0.0,
+                   np.where(close, canonical, solved))
 
-    inventory_cost = sum(dc.inventory_unit_cost * inventory[dc.id]
-                         for dc in dcs)
-    # Regions, then customers: the order unmet was filled in.
-    unfulfilled_cost = sum(
-        region.unfulfilled_unit_cost * unmet[(design.customer_dc[c.id], c.id)]
-        for region in instance.regions for c in region.customers)
-    order_cost = sum(instance.warehouse(w_id).order_cost(dc_id) * qty
-                     for (w_id, dc_id), qty in orders.items())
-
-    acc_total = 0.0
-    for region in instance.regions:
-        # transportation_effort skips the pairs outside the region.
-        snap = snapshot(region, t, design, instance,
-                        region_stock[region.id], deliveries, template.scales)
-        acc_total += snap.contribution(region)
-
+    # Costs and the index are float sums taken one term at a time: DCs
+    # and customers in instance order, regions in file order.
+    shipped = deliveries.tolist()
+    accessibility = 0.0
+    for region, stock, span in zip(template.instance.regions,
+                                   region_stock.tolist(),
+                                   template.region_customers):
+        snap = snapshot(region, t, template.instance, stock,
+                        template.effort[span], shipped[span], template.scales)
+        accessibility += snap.contribution(region)
     return PeriodDecision(
         period=t, orders=orders, deliveries=deliveries, unmet=unmet,
-        inventory=inventory, aux=aux, objective=result.objective,
-        accessibility=acc_total,
-        inventory_cost=inventory_cost, unfulfilled_cost=unfulfilled_cost,
-        order_cost=order_cost)
+        inventory=inventory, aux=aux, accessibility=accessibility,
+        inventory_cost=sum((template.holding * inventory).tolist()),
+        unfulfilled_cost=sum((template.unmet_cost * unmet).tolist()),
+        order_cost=sum((template.order_cost * orders).tolist()))
 
 
 @dataclass(frozen=True)
@@ -648,78 +664,63 @@ def audit_replication(instance: NetworkInstance, design: NetworkDesign,
 
     Pure arithmetic on the stored flows, independent of the solver:
     inventory balance, the [v*S, Cap] band, warehouse capacity, the
-    delivered/unfulfilled split, link activity, and the nutrition
-    surplus values.  Returns human-readable violations; empty means the
-    replication is consistent.
+    delivered/unfulfilled split, nonnegative flows, and the nutrition
+    surplus values.  Returns human-readable violations, one per failing
+    entry; empty means the replication is consistent.
     """
-    issues: list[str] = []
-    v = result.safety_stock
-    demands = result.scenario.demand.T.tolist()
-    retentions = linked_retention(instance, design, result.scenario).T.tolist()
-    previous = result.initial_inventory
-    for decision in result.periods:
-        t = decision.period
-        for dc, factor in zip(instance.dcs(), retentions[t]):
-            w_id = design.dc_warehouse[dc.id]
-            if (w_id, dc.id) not in decision.orders:
-                issues.append(f"period {t}: no order lane for DC {dc.id}")
-                continue
-            received = factor * decision.orders[(w_id, dc.id)]
-            outflow = sum(qty for (h, _), qty
-                          in decision.deliveries.items() if h == dc.id)
-            expected = previous[dc.id] + received - outflow
-            stored = decision.inventory[dc.id]
-            if abs(stored - expected) > tolerance:
-                issues.append(
-                    f"period {t} DC {dc.id}: balance off by "
-                    f"{stored - expected:.3e}")
-            if stored < v * dc.capacity - tolerance:
-                issues.append(
-                    f"period {t} DC {dc.id}: inventory {stored:.6g} below "
-                    f"safety level {v * dc.capacity:.6g}")
-            if stored > dc.capacity + tolerance:
-                issues.append(
-                    f"period {t} DC {dc.id}: inventory {stored:.6g} above "
-                    f"capacity {dc.capacity:.6g}")
-        for warehouse in instance.warehouses:
-            shipped = sum(qty for (w_id, _), qty in decision.orders.items()
-                          if w_id == warehouse.id)
-            if shipped > warehouse.capacity + tolerance:
-                issues.append(
-                    f"period {t} warehouse {warehouse.id}: shipped "
-                    f"{shipped:.6g} above capacity {warehouse.capacity:.6g}")
-        for customer, demand in zip(instance.customers(), demands[t]):
-            dc_id = design.customer_dc[customer.id]
-            delivered = decision.deliveries.get((dc_id, customer.id))
-            missing = decision.unmet.get((dc_id, customer.id))
-            if delivered is None or missing is None:
-                issues.append(
-                    f"period {t} customer {customer.id}: no flow on its link")
-                continue
-            if delivered < -tolerance or missing < -tolerance:
-                issues.append(
-                    f"period {t} customer {customer.id}: negative flow")
-            if abs(delivered + missing - demand) > tolerance:
-                issues.append(
-                    f"period {t} customer {customer.id}: served + unmet = "
-                    f"{delivered + missing:.6g}, demand {demand:.6g}")
-        for (dc_id, cust_id) in decision.deliveries:
-            if design.customer_dc[cust_id] != dc_id:
-                issues.append(
-                    f"period {t}: delivery on inactive link {dc_id}->{cust_id}")
-        for region in instance.regions:
-            stock = sum(decision.inventory[dc.id] for dc in region.dcs)
-            for nutrient in instance.nutrients:
-                available = nutrient.per_kg_content * stock
-                required = nutrient.min_requirement * region.population
-                expected_aux = max(0.0, available - required)
-                stored_aux = decision.aux.get((region.id, nutrient.id), 0.0)
-                if abs(stored_aux - expected_aux) > tolerance:
-                    issues.append(
-                        f"period {t} region {region.id} nutrient {nutrient.id}: "
-                        f"surplus {stored_aux:.6g}, expected {expected_aux:.6g}")
-        previous = decision.inventory
-    return issues
+    supplier, serving = _linkage(instance, design)
+    dcs, regions, warehouses = instance.dcs(), instance.regions, instance.warehouses
+    dc_region = np.repeat(np.arange(len(regions)), [len(r.dcs) for r in regions])
+    content = np.array([nt.per_kg_content for nt in instance.nutrients])
+    required = np.array([[nt.min_requirement * r.population
+                          for nt in instance.nutrients] for r in regions])
+
+    # Every stored period at once, as [period, entry] in instance order.
+    # Products with 0/1 matrices sum each DC's deliveries, each
+    # warehouse's orders and each region's stock.
+    periods = [decision.period for decision in result.periods]
+    orders, deliveries, unmet, stored, aux = (
+        np.array([getattr(decision, name) for decision in result.periods]
+                 ).reshape(len(periods), -1)
+        for name in ("orders", "deliveries", "unmet", "inventory", "aux"))
+    previous = np.vstack([result.initial_inventory, stored[:-1]])
+    retention = linked_retention(instance, design, result.scenario)[:, periods].T
+    balance = stored - (previous + retention * orders
+                        - deliveries @ np.eye(len(dcs))[serving])
+    capacity = np.broadcast_to([dc.capacity for dc in dcs], stored.shape)
+    floor = result.safety_stock * capacity
+    shipped = orders @ np.eye(len(warehouses))[supplier]
+    limit = np.broadcast_to([w.capacity for w in warehouses], shipped.shape)
+    served = deliveries + unmet
+    demand = result.scenario.demand[:, periods].T
+    stock = stored @ np.eye(len(regions))[dc_region]
+    surplus = np.maximum(stock[:, :, None] * content - required, 0.0
+                         ).reshape(aux.shape)
+
+    dc_ids = [f"DC {dc.id}" for dc in dcs]
+    customer_ids = [f"customer {c.id}" for c in instance.customers()]
+    checks = (  # entries, failing mask, message, its values
+        (dc_ids, np.abs(balance) > tolerance, "balance off by {:.3e}",
+         balance),
+        (dc_ids, stored < floor - tolerance,
+         "inventory {:.6g} below safety level {:.6g}", stored, floor),
+        (dc_ids, stored > capacity + tolerance,
+         "inventory {:.6g} above capacity {:.6g}", stored, capacity),
+        ([f"warehouse {w.id}" for w in warehouses], shipped > limit + tolerance,
+         "shipped {:.6g} above capacity {:.6g}", shipped, limit),
+        (customer_ids, np.minimum(deliveries, unmet) < -tolerance,
+         "negative flow"),
+        (customer_ids, np.abs(served - demand) > tolerance,
+         "served + unmet = {:.6g}, demand {:.6g}", served, demand),
+        ([f"region {r.id} nutrient {nt.id}"
+          for r in regions for nt in instance.nutrients],
+         np.abs(aux - surplus) > tolerance,
+         "surplus {:.6g}, expected {:.6g}", aux, surplus),
+    )
+    return [f"period {periods[h]} {ids[i]}: "
+            + message.format(*(v[h, i] for v in values))
+            for ids, failing, message, *values in checks
+            for h, i in np.argwhere(failing)]
 
 
 @dataclass(frozen=True)
@@ -748,12 +749,13 @@ class OperationalPlan:
 
 def plan_from_estimate(estimate: EstimateResult, instance: NetworkInstance,
                        config: StochasticConfig) -> OperationalPlan:
-    """The plan for one estimate under the config it was made with."""
-    v, opening = opening_state(instance, config)
+    """The plan for one estimate under the config it was made with, from
+    every DC at its safety level."""
+    v = planned_safety_stock(instance, config)
     return OperationalPlan(
         epsilon=estimate.epsilon,
         safety_stock=v,
-        initial_inventory=opening,
+        initial_inventory=default_initial_inventory(instance, v),
         z1=estimate.z1, z1_se=estimate.z1_se,
         z2=estimate.z2, z2_se=estimate.z2_se,
         inventory_cost=estimate.inventory_cost,

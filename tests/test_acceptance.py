@@ -231,52 +231,49 @@ def _qatar_replications():
 
 def _check_period(instance, design, previous, decision, scenario, t,
                   tolerance=1e-6):
-    """Re-evaluate one period's constraints from the raw stored numbers."""
-    # The scenario's axes list customers, warehouses and DCs in file order.
-    customer_row = {c.id: i for i, c in enumerate(instance.customers())}
+    """Re-evaluate one period's constraints from the raw stored numbers.
+
+    Orders and inventory are per DC in dcs() order, deliveries and unmet
+    per customer in customers() order; the scenario's axes list
+    customers, warehouses and DCs in file order too."""
+    dcs, customers = instance.dcs(), instance.customers()
     warehouse_row = {w.id: i for i, w in enumerate(instance.warehouses)}
-    dc_column = {dc.id: i for i, dc in enumerate(instance.dcs())}
+    assert len(decision.orders) == len(decision.inventory) == len(dcs)
+    assert len(decision.deliveries) == len(decision.unmet) == len(customers)
     # Inventory balance and band per DC.
     delivered_from = {}
-    for (dc_id, customer_id), qty in decision.deliveries.items():
+    for customer, qty in zip(customers, decision.deliveries):
         assert qty >= -tolerance, "negative delivery"
-        assert design.customer_dc[customer_id] == dc_id, \
-            f"delivery on inactive link ({dc_id}, {customer_id})"
+        dc_id = design.customer_dc[customer.id]
         delivered_from[dc_id] = delivered_from.get(dc_id, 0.0) + qty
-    ordered_into = {}
-    for (warehouse_id, dc_id), qty in decision.orders.items():
+    for qty in decision.orders:
         assert qty >= -tolerance, "negative order"
-        assert design.dc_warehouse[dc_id] == warehouse_id, \
-            f"order on inactive lane ({warehouse_id}, {dc_id})"
-        ordered_into[dc_id] = qty
-    for region in instance.regions:
-        for dc in region.dcs:
-            warehouse_id = design.dc_warehouse[dc.id]
-            factor = scenario.retention[warehouse_row[warehouse_id],
-                                        dc_column[dc.id], t]
-            closing = (previous[dc.id]
-                       + factor * ordered_into.get(dc.id, 0.0)
-                       - delivered_from.get(dc.id, 0.0))
-            stored = decision.inventory[dc.id]
-            assert abs(stored - closing) <= tolerance, \
-                f"balance off at {dc.id}: {stored} vs {closing}"
-            v = instance.safety_stock_fraction
-            assert stored >= v * dc.capacity - tolerance
-            assert stored <= dc.capacity + tolerance
+    for j, dc in enumerate(dcs):
+        warehouse_id = design.dc_warehouse[dc.id]
+        factor = scenario.retention[warehouse_row[warehouse_id], j, t]
+        closing = (previous[j] + factor * decision.orders[j]
+                   - delivered_from.get(dc.id, 0.0))
+        stored = decision.inventory[j]
+        assert abs(stored - closing) <= tolerance, \
+            f"balance off at {dc.id}: {stored} vs {closing}"
+        v = instance.safety_stock_fraction
+        assert stored >= v * dc.capacity - tolerance
+        assert stored <= dc.capacity + tolerance
     # Warehouse capacity.
     per_warehouse = {}
-    for (warehouse_id, _dc), qty in decision.orders.items():
+    for dc, qty in zip(dcs, decision.orders):
+        warehouse_id = design.dc_warehouse[dc.id]
         per_warehouse[warehouse_id] = per_warehouse.get(warehouse_id, 0.0) + qty
     for warehouse in instance.warehouses:
         assert per_warehouse.get(warehouse.id, 0.0) <= \
             warehouse.capacity + tolerance
     # Delivered plus unmet covers each customer's demand.
-    for (dc_id, customer_id), unmet in decision.unmet.items():
+    for i, customer in enumerate(customers):
+        unmet, delivered = decision.unmet[i], decision.deliveries[i]
         assert unmet >= -tolerance
-        delivered = decision.deliveries.get((dc_id, customer_id), 0.0)
-        demand = scenario.demand[customer_row[customer_id], t]
+        demand = scenario.demand[i, t]
         assert abs(delivered + unmet - demand) <= tolerance, \
-            f"split off for {customer_id}"
+            f"split off for {customer.id}"
 
 
 def test_criterion_3_stored_decisions_satisfy_constraints():
@@ -304,17 +301,17 @@ def test_criterion_4_quality_surplus_formula():
     try:
         instance, design = _pipeline()
         results, _ = _qatar_replications()
+        dcs = instance.dcs()
         for result in results:
             for decision in result.periods:
-                for region in instance.regions:
-                    stock = sum(decision.inventory[dc.id]
-                                for dc in region.dcs)
-                    for nutrient in instance.nutrients:
+                for r, region in enumerate(instance.regions):
+                    stock = sum(qty for dc, qty in zip(dcs, decision.inventory)
+                                if dc.region_id == region.id)
+                    for n, nutrient in enumerate(instance.nutrients):
                         available = nutrient.per_kg_content * stock
                         required = nutrient.min_requirement * region.population
                         expected = max(0.0, available - required)
-                        stored = decision.aux.get(
-                            (region.id, nutrient.id), 0.0)
+                        stored = decision.aux[r, n]
                         assert abs(stored - expected) <= 1e-6, \
                             (region.id, nutrient.id, stored, expected)
         ok = True
@@ -464,18 +461,25 @@ def test_criterion_8_indices_bounded_and_affordability_exact():
         assert affordability(region_one) == 21.77 / 275626
         rng = np.random.default_rng(808)
         regions = list(instance.regions)
+        # Each region's customers: their position and their link's effort
+        # per kg (path weight * km).
+        position = {r.id: {c.id: k for k, c in enumerate(r.customers)}
+                    for r in regions}
+        effort = {r.id: [instance.path_weight(design.customer_dc[c.id], c.id)
+                         * design.distances[design.customer_dc[c.id]][c.id]
+                         for c in r.customers] for r in regions}
         for i in range(10_000):
             region = regions[i % len(regions)]
             capacity = sum(dc.capacity for dc in region.dcs)
             inventory = float(rng.uniform(0.0, capacity))
-            shipments = {}
+            shipments = [0.0] * len(region.customers)
             for dc in region.dcs:
                 for customer_id in design.customers_of(dc.id):
                     if rng.random() < 0.3:
-                        shipments[(dc.id, customer_id)] = float(
+                        shipments[position[region.id][customer_id]] = float(
                             rng.uniform(0.0, dc.capacity))
-            snap = snapshot(region, i % instance.horizon, design, instance,
-                            inventory, shipments, scales)
+            snap = snapshot(region, i % instance.horizon, instance,
+                            inventory, effort[region.id], shipments, scales)
             assert 0.0 <= snap.affordability <= 1.0
             assert 0.0 <= snap.transportation <= 1.0
             assert 0.0 <= snap.quality <= 1.0

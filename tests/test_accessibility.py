@@ -4,11 +4,12 @@ import pytest
 
 from chainforge.accessibility import (AccessibilitySnapshot,
                                       accessible_nutrition, affordability,
-                                      default_scales, normalize,
+                                      default_scales, link_effort, normalize,
                                       quality_index, resolve_scales, snapshot,
                                       transportation_effort)
-from chainforge.errors import ConfigError, DomainError, LinkageError
+from chainforge.errors import ConfigError, DomainError
 from chainforge.model import NormalizationScales, Nutrient
+from chainforge.stochastic import PeriodTemplate
 
 
 def test_affordability_is_cost_over_income(tiny):
@@ -24,17 +25,22 @@ def test_affordability_requires_positive_income(tiny):
 
 
 def test_transportation_effort_hand_value(tiny, tiny_design):
-    region = tiny.region("R1")
-    # C1 sits sqrt(2) km from its DC, C3 sqrt(2) km from D2.
-    shipments = {("D1", "C1"): 10.0, ("D2", "C3"): 4.0}
-    effort = transportation_effort(region, tiny_design, shipments, tiny)
-    assert effort == pytest.approx(14.0 * 2.0 ** 0.5)
+    # R1's customers C1, C2, C3: C1 sits sqrt(2) km from D1, C3 sqrt(2)
+    # km from D2.
+    effort = link_effort(tiny, tiny_design)[:3]
+    assert transportation_effort(effort, [10.0, 0.0, 4.0]) == \
+        pytest.approx(14.0 * 2.0 ** 0.5)
 
 
 def test_transportation_ignores_other_regions(tiny, tiny_design):
-    region = tiny.region("R1")
-    shipments = {("D3", "C4"): 50.0}
-    assert transportation_effort(region, tiny_design, shipments, tiny) == 0.0
+    # A period's deliveries cover every customer; a region's effort reads
+    # only its own span of them.  C4 belongs to R2.
+    template = PeriodTemplate(tiny, tiny_design, 0.01, 0.2)
+    shipments = [0.0, 0.0, 0.0, 50.0, 0.0]
+    r1, r2 = template.region_customers
+    assert transportation_effort(template.effort[r1], shipments[r1]) == 0.0
+    assert transportation_effort(template.effort[r2], shipments[r2]) == \
+        pytest.approx(50.0 * 2.0 ** 0.5)
 
 
 def test_transportation_uses_path_weight_factor(tiny_design):
@@ -44,24 +50,15 @@ def test_transportation_uses_path_weight_factor(tiny_design):
     data = tiny_dict()
     data["path_weights"] = [{"dc": "D1", "customer": "C1", "factor": 3.0}]
     instance = instance_from_dict(data)
-    effort = transportation_effort(instance.region("R1"), tiny_design,
-                                   {("D1", "C1"): 1.0}, instance)
-    assert effort == pytest.approx(3.0 * 2.0 ** 0.5)
-
-
-def test_shipment_on_inactive_link_rejected(tiny, tiny_design):
-    with pytest.raises(LinkageError):
-        transportation_effort(tiny.region("R1"), tiny_design,
-                              {("D1", "C3"): 1.0}, tiny)
-    # Zero quantity on an inactive link is just absence of flow.
-    assert transportation_effort(tiny.region("R1"), tiny_design,
-                                 {("D1", "C3"): 0.0}, tiny) == 0.0
+    effort = link_effort(instance, tiny_design)[:3]
+    assert transportation_effort(effort, [1.0, 0.0, 0.0]) == \
+        pytest.approx(3.0 * 2.0 ** 0.5)
 
 
 def test_negative_shipment_rejected(tiny, tiny_design):
     with pytest.raises(DomainError):
-        transportation_effort(tiny.region("R1"), tiny_design,
-                              {("D1", "C1"): -2.0}, tiny)
+        transportation_effort(link_effort(tiny, tiny_design)[:3],
+                              [-2.0, 0.0, 0.0])
 
 
 def test_accessible_nutrition(tiny):
@@ -117,9 +114,9 @@ def test_resolve_scales_falls_back_to_defaults(tiny, tiny_design):
 def test_snapshot_contribution(tiny, tiny_design):
     scales = NormalizationScales(affordability=0.02, transportation=100.0,
                                  quality=60.0)
-    snap = snapshot(tiny.region("R1"), 0, tiny_design, tiny,
-                    region_inventory=150.0,
-                    shipments={("D1", "C1"): 10.0}, scales=scales)
+    snap = snapshot(tiny.region("R1"), 0, tiny, region_inventory=150.0,
+                    effort=link_effort(tiny, tiny_design)[:3],
+                    shipments=[10.0, 0.0, 0.0], scales=scales)
     assert snap.affordability == pytest.approx(0.5)
     assert snap.raw_transportation == pytest.approx(10.0 * 2.0 ** 0.5)
     # protein surplus: 0.2 * 150 - 200 < 0, iron: 0.004 * 150 - 0.4 = 0.2
@@ -137,11 +134,10 @@ def test_indices_stay_in_unit_interval(tiny, tiny_design):
     rng = random.Random(7)
     scales = default_scales(tiny, tiny_design)
     region = tiny.region("R1")
-    pairs = [("D1", "C1"), ("D1", "C2"), ("D2", "C3")]
+    effort = link_effort(tiny, tiny_design)[:3]  # C1, C2, C3
     for _ in range(200):
         inventory = rng.uniform(0.0, 270.0)
-        shipments = {pair: rng.uniform(0.0, 80.0) for pair in pairs}
-        snap = snapshot(region, 0, tiny_design, tiny, inventory,
-                        shipments, scales)
+        shipments = [rng.uniform(0.0, 80.0) for _ in effort]
+        snap = snapshot(region, 0, tiny, inventory, effort, shipments, scales)
         for value in (snap.affordability, snap.transportation, snap.quality):
             assert 0.0 <= value <= 1.0

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from chainforge.errors import InfeasibleConfigError, ValidationError
+from chainforge.errors import (InfeasibleConfigError, ParseError,
+                               ValidationError)
 from chainforge.gfa import (GfaConfig, assign_linkages, load_design,
                             locate_region, run_gfa, save_design,
                             weighted_effort, weiszfeld_single)
@@ -110,8 +111,6 @@ def test_assign_linkages_nearest(tiny, tiny_design):
     assert tiny_design.customer_dc == {
         "C1": "D1", "C2": "D1", "C3": "D2", "C4": "D3", "C5": "D3"}
     assert tiny_design.dc_warehouse == {"D1": "W1", "D2": "W1", "D3": "W2"}
-    assert tiny_design.linked("D1", "C1")
-    assert not tiny_design.linked("D1", "C3")
 
 
 def test_assign_linkages_tie_breaks_on_lower_id():
@@ -154,6 +153,23 @@ def test_design_round_trip(name, request, tmp_path):
     data["mean_local_demand"] = {dc.id: 1.0 for dc in instance.dcs()}
     path.write_text(json.dumps(data))
     assert load_design(str(path)) == result
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dc_locations", []),
+    ("dc_locations", {"D1": []}),
+    ("distances", {"D1": []}),
+    ("z", 5),
+    ("iterations_used", {"R1": 1e400}),
+])
+def test_malformed_design_file_is_a_parse_error(tiny, tmp_path, field, value):
+    path = tmp_path / "design.json"
+    save_design(run_gfa(tiny, GfaConfig(rng_seed=3)), str(path))
+    data = json.loads(path.read_text())
+    data[field] = value
+    path.write_text(json.dumps(data))
+    with pytest.raises(ParseError, match="not a valid design file"):
+        load_design(str(path))
 
 
 def test_run_gfa_is_deterministic(tiny):

@@ -140,7 +140,7 @@ def test_order_cost_mapping():
     data = tiny_dict()
     data["warehouses"][0]["order_unit_cost"] = {"D1": 2.0, "D2": 4.0}
     instance = instance_from_dict(data)
-    w1 = instance.warehouse("W1")
+    w1 = instance.warehouses[0]  # W1
     assert w1.order_cost("D1") == 2.0
     assert w1.order_cost("D2") == 4.0
     with pytest.raises(ValidationError):

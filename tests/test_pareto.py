@@ -158,9 +158,12 @@ def test_solutions_csv_header_checked(tmp_path):
 def test_solutions_csv_bad_value_names_line(tmp_path):
     path = tmp_path / "bad.csv"
     header = ",".join(CSV_COLUMNS)
-    path.write_text(header + "\n0.1,a,0,1,0,0,0,0\n")
-    with pytest.raises(ParseError, match=r"bad\.csv:2"):
-        read_solutions_csv(str(path))
+    # A non-finite Z2 would fall out of every cost group in extract_front.
+    for row in ("0.1,a,0,1,0,0,0,0", "0.1,1,0,nan,0,0,0,0",
+                "0.1,1,0,inf,0,0,0,0"):
+        path.write_text(header + "\n" + row + "\n")
+        with pytest.raises(ParseError, match=r"bad\.csv:2"):
+            read_solutions_csv(str(path))
 
 
 def test_front_csv_marks_members(tmp_path):

@@ -1,5 +1,6 @@
 """Scenario sampling, per-period models, replication runs, and plans."""
 
+import copy
 import hashlib
 
 import numpy as np
@@ -187,7 +188,7 @@ def test_period_model_surplus_matches_plus_form(tiny, tiny_design):
     demand = [10.0] * len(tiny.customers())
     template, result = _solve_period(
         tiny, tiny_design, opening, demand, 0.01, tiny.safety_stock_fraction)
-    col = template.aux_columns[("R1", "iron")]
+    col = template.aux_columns[0, 1]  # R1, iron
     aux = result.value(col)
     closing = 0.0
     for dc_id in ("D1", "D2"):
@@ -287,13 +288,11 @@ def test_run_replication_audit_clean(qatar, qatar_design):
 def test_run_replication_deterministic(tiny, tiny_design):
     a = run_replication(tiny, tiny_design, 0.02, 1234)
     b = run_replication(tiny, tiny_design, 0.02, 1234)
-    assert ([p.objective for p in a.periods]
-            == [p.objective for p in b.periods])
     assert a.accessibility == b.accessibility
     for pa, pb in zip(a.periods, b.periods):
-        assert pa.orders == pb.orders
-        assert pa.deliveries == pb.deliveries
-        assert pa.inventory == pb.inventory
+        assert pa.orders.tolist() == pb.orders.tolist()
+        assert pa.deliveries.tolist() == pb.deliveries.tolist()
+        assert pa.inventory.tolist() == pb.inventory.tolist()
     assert a == b
     assert a.scenario == b.scenario
     other = run_replication(tiny, tiny_design, 0.02, 1235)
@@ -305,6 +304,73 @@ def test_run_replication_tiny_audit_clean(tiny, tiny_design):
     for seed in (replication_seed(3, r) for r in range(4)):
         result = run_replication(tiny, tiny_design, 0.05, seed)
         assert audit_replication(tiny, tiny_design, result) == []
+
+
+def test_audit_reports_each_corruption_once(tiny, tiny_design):
+    # Each corruption breaks one checked constraint and keeps the others
+    # whole, so the audit must report it exactly once.
+    clean = run_replication(tiny, tiny_design, 0.02, 1234)
+    assert audit_replication(tiny, tiny_design, clean) == []
+    retention = linked_retention(tiny, tiny_design, clean.scenario)
+    D2, D3, C2, C5 = 1, 2, 1, 4  # positions in dcs() and customers()
+    last = len(clean.periods) - 1
+
+    def restock(result, j, level):
+        # Move DC j's closing stock to level; ordering the difference
+        # keeps the balance.
+        period = result.periods[last]
+        period.orders[j] += (level - period.inventory[j]) / retention[j, last]
+        period.inventory[j] = level
+
+    def unbalance(result):
+        result.periods[last].orders[D2] += 1.0
+
+    # D3 is R2's one DC: its safety level is 20 kg, its capacity 100 kg,
+    # and R2's iron surplus is 0.004 * stock - 0.2, or 0 below 50 kg.
+    def below_floor(result):
+        restock(result, D3, 19.0)
+        result.periods[last].aux[1, 1] = 0.0
+
+    def above_capacity(result):
+        restock(result, D3, 101.0)
+        result.periods[last].aux[1, 1] = 0.004 * 101.0 - 0.001 * 200.0
+
+    def overship(result):
+        # W2 (400 kg) supplies only D3.  Period 0 opens that much lower,
+        # so the balance holds.
+        result.periods[0].orders[D3] += 400.0
+        result.initial_inventory[D3] -= retention[D3, 0] * 400.0
+
+    def overcount(result):
+        result.periods[last].unmet[C2] += 1.0
+
+    def negative(result):
+        # C5's unmet demand becomes -0.5: D3 delivers, and orders, the
+        # difference.
+        period = result.periods[last]
+        extra = period.unmet[C5] + 0.5
+        period.unmet[C5] = -0.5
+        period.deliveries[C5] += extra
+        period.orders[D3] += extra / retention[D3, last]
+
+    def surplus(result):  # R1 protein is unreachable: its surplus is 0
+        result.periods[last].aux[0, 0] = 1.0
+
+    cases = [
+        (unbalance, last, "DC D2: balance off"),
+        (below_floor, last, "DC D3: inventory 19 below safety level 20"),
+        (above_capacity, last, "DC D3: inventory 101 above capacity 100"),
+        (overship, 0, "warehouse W2: shipped"),
+        (overcount, last, "customer C2: served + unmet"),
+        (negative, last, "customer C5: negative flow"),
+        (surplus, last, "region R1 nutrient protein: surplus 1, expected 0"),
+    ]
+    for corrupt, period, message in cases:
+        result = copy.deepcopy(clean)
+        corrupt(result)
+        issues = audit_replication(tiny, tiny_design, result)
+        assert len(issues) == 1, (corrupt.__name__, issues)
+        assert issues[0].startswith(f"period {period} {message}"), issues
 
 
 def test_expensive_ordering_goes_idle(tiny_design):
@@ -321,7 +387,7 @@ def test_expensive_ordering_goes_idle(tiny_design):
     instance = instance_from_dict(data)
     result = run_replication(instance, tiny_design, 1000.0, 77)
     for period in result.periods:
-        for qty in period.deliveries.values():
+        for qty in period.deliveries:
             assert qty == pytest.approx(0.0, abs=1e-6)
 
 
@@ -418,8 +484,8 @@ def test_plan_round_trip(tiny, tiny_design, tmp_path):
     assert plan.initial_inventory == default_initial_inventory(
         tiny, tiny.safety_stock_fraction)
     seed = replication_seeds(config)[0]
-    assert plan.initial_inventory == run_replication(
-        tiny, tiny_design, 0.04, seed, config=config).initial_inventory
+    assert list(plan.initial_inventory.values()) == run_replication(
+        tiny, tiny_design, 0.04, seed, config=config).initial_inventory.tolist()
     path = str(tmp_path / "plan.json")
     save_plan(plan, path)
     assert load_plan(path) == plan
