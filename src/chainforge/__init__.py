@@ -7,8 +7,20 @@ sweeping the cost weight into a Pareto front over accessibility and
 cost; a discrete-event simulator validates chosen solutions.
 
 The stages live in the submodules (model, gfa, stochastic, pareto,
-desim, ...); import from those.  The package itself holds only
-__version__.
+desim, ...); import from those.  The package itself holds __version__
+and sets the BLAS thread count.
 """
 
+import os
+
 __version__ = "0.1.0"
+
+# BLAS libraries read these once, when numpy loads, so they are set here,
+# before any submodule imports numpy.  The period models are small: BLAS
+# threads only contend with the sweep's worker processes for the cores.
+# A count the user chose is kept.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+                    "VECLIB_MAXIMUM_THREADS")
+if not any(var in os.environ for var in BLAS_THREAD_VARS):
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))

@@ -31,8 +31,8 @@ from .model import (NetworkDesign, NetworkInstance, design_mismatches,
 from .pareto import (epsilon_grid, extract_front, read_solutions_csv,
                      render_front_svg, sweep, write_front_csv,
                      write_solutions_csv)
-from .stochastic import (StochasticConfig, load_plan, plan_from_estimate,
-                         save_plan)
+from .stochastic import (StochasticConfig, blas_threads, load_plan,
+                         plan_from_estimate, save_plan)
 
 log = logging.getLogger("chainforge.cli")
 
@@ -279,6 +279,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "out": args.out,
         },
         "instance": {"path": args.instance, "sha256": _sha256(args.instance)},
+        "environment": {"blas_threads": blas_threads()},
         "started": started,
         "finished": datetime.now(timezone.utc).isoformat(),
         "artifacts": {},

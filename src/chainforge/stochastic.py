@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 from dataclasses import asdict, dataclass, fields
 from functools import reduce
 from operator import sub
@@ -544,6 +545,33 @@ Outcome = ReplicationSummary | DomainError | NumericalError
 _worker_inputs: tuple[NetworkInstance, NetworkDesign, StochasticConfig] | None = None
 
 
+def _openblas(name: str):
+    """The loaded OpenBLAS's function name (the scipy-openblas wheels
+    export it as scipy_openblas_<name>64_), or None where no OpenBLAS is
+    mapped into this process.  It is found through /proc/self/maps, so
+    only on Linux."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split(None, 5)[-1].strip() for line in fh
+                            if "openblas" in line})
+        for path in paths:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+            for symbol in (f"scipy_openblas_{name}64_", f"openblas_{name}"):
+                if hasattr(lib, symbol):
+                    return getattr(lib, symbol)
+    except (OSError, AttributeError):
+        pass
+    return None
+
+
+def blas_threads() -> int | None:
+    """OpenBLAS's thread count in this process, or None where unknown."""
+    get = _openblas("get_num_threads")
+    return None if get is None else int(get())
+
+
 def _init_worker(instance: NetworkInstance, design: NetworkDesign,
                  config: StochasticConfig) -> None:
     global _worker_inputs
@@ -562,9 +590,10 @@ def map_replications(instance: NetworkInstance, design: NetworkDesign,
 
     With one worker (config.jobs == 1, or a single item) the calls run
     inline.  Otherwise a process pool of min(jobs, items) workers runs
-    them.  The platform's default start method is used, so on spawn and
-    forkserver platforms the initializer pickles (instance, design,
-    config).
+    them.  The platform's default start method is used; on Linux before
+    Python 3.14 that is fork, which spares each worker re-importing
+    numpy.  Under spawn and forkserver the initializer pickles (instance,
+    design, config).
     """
     workers = min(config.jobs, len(items))
     if workers <= 1:
@@ -574,9 +603,24 @@ def map_replications(instance: NetworkInstance, design: NetworkDesign,
     # multiprocessing (about 1.3 MB of resident memory).
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                             initargs=(instance, design, config)) as pool:
-        return list(pool.map(_run_item, items))
+    # Forked workers inherit this process's OpenBLAS thread count, which
+    # an in-process caller fixed if it loaded numpy before chainforge set
+    # OPENBLAS_NUM_THREADS.  Setting the count inside a worker would start
+    # the library's threads there, so this process holds the count the
+    # variable asks for while the pool forks, and then restores its own.
+    wanted = os.environ.get("OPENBLAS_NUM_THREADS", "")
+    set_threads = _openblas("set_num_threads")
+    pin = set_threads is not None and wanted.isdigit() and int(wanted) > 0
+    if pin:
+        previous = blas_threads()
+        set_threads(int(wanted))
+    try:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                 initargs=(instance, design, config)) as pool:
+            return list(pool.map(_run_item, items))
+    finally:
+        if pin:
+            set_threads(previous)
 
 
 def summarize_replication(instance: NetworkInstance, design: NetworkDesign,

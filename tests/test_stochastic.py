@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -531,3 +532,31 @@ def test_plan_load_rejects_bad_files(tmp_path):
             load_plan(str(path))
     with pytest.raises(ParseError, match="cannot read"):
         load_plan(str(tmp_path / "absent.json"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="counts threads in Linux's /proc/self/task")
+def test_sweep_workers_run_one_blas_thread(tiny, tiny_design, monkeypatch):
+    # A caller that loaded numpy before chainforge keeps BLAS's default
+    # threads; its forked sweep workers must still run one OS thread
+    # after a solve, and after a product large enough for BLAS to share
+    # out, whatever the period models' size.
+    set_threads = stochastic._openblas("set_num_threads")
+    if set_threads is None:
+        pytest.skip("no OpenBLAS loaded")
+    real = stochastic.summarize_replication
+
+    def threads_after(*args):
+        assert isinstance(real(*args), stochastic.ReplicationSummary)
+        np.linalg.solve(np.eye(400) + 1.0, np.ones((400, 400)))
+        return len(os.listdir("/proc/self/task"))
+
+    monkeypatch.setattr(stochastic, "summarize_replication", threads_after)
+    previous = stochastic.blas_threads()
+    set_threads(2)
+    try:
+        config = StochasticConfig(replications=2, jobs=2)
+        assert stochastic.map_replications(
+            tiny, tiny_design, config, [(0.01, 1), (0.01, 2)]) == [1, 1]
+    finally:
+        set_threads(previous)
