@@ -8,7 +8,7 @@ path-weight factors; their delivery break-even points fall inside the
 default epsilon grid and give the sweep several distinct regimes.
 
 The assertions at the bottom freeze the properties the test suite
-relies on (warehouse linkage, quality-term classification, break-even
+relies on (warehouse linkage, quality-curve breakpoints, break-even
 windows).  If you edit any constant, rerun this script and let the
 assertions tell you what drifted.
 """
@@ -26,7 +26,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from chainforge.gfa import assign_linkages
 from chainforge.model import instance_from_dict
-from chainforge.stochastic import quality_terms
+from chainforge.stochastic import quality_curves
 
 OUT = os.path.join(os.path.dirname(__file__), "..", "src", "chainforge",
                    "data", "qatar_beef.json")
@@ -169,19 +169,13 @@ def verify(data: dict) -> None:
     r1_demand = 26 * DEMAND_MEAN
     assert WAREHOUSES[0][2] < r1_demand * SUPPLY_LOW
 
-    terms = quality_terms(instance, SAFETY_STOCK)
-    by_region: dict[str, dict[str, int]] = {}
-    for t in terms:
-        tally = by_region.setdefault(t.region_id, {"always": 0, "switched": 0})
-        tally["switched" if t.switched else "always"] += 1
-    assert by_region == {
-        "R1": {"always": 3, "switched": 2},
-        "R2": {"always": 3, "switched": 3},
-        "R3": {"always": 5, "switched": 2},
-        "R4": {"always": 5, "switched": 2},
-    }, by_region
-    dropped = {(t.region_id, t.nutrient_id) for t in terms}
-    assert ("R4", "D") not in dropped     # threshold equals regional storage
+    # Each region's quality curve has a breakpoint at every nutrient
+    # threshold strictly inside its safety-stock band.  R4's vitamin D
+    # threshold equals its storage, so it adds none.
+    curves = quality_curves(instance, SAFETY_STOCK)
+    breakpoints = {region.id: curve.breakpoints.size
+                   for region, curve in zip(instance.regions, curves)}
+    assert breakpoints == {"R1": 2, "R2": 3, "R3": 2, "R4": 2}, breakpoints
 
     # Delivery break-even windows: the three special links flip strictly
     # between grid points; every other link stays below the grid.
@@ -214,7 +208,8 @@ def verify(data: dict) -> None:
     assert SCALE_QUALITY > total_beta * 32_000.0
     assert 1.0 / SCALE_QUALITY > 5e-9
     print(f"fixture verified: {len(list(instance.customers()))} customers, "
-          f"{len(list(instance.dcs()))} DCs, {len(terms)} quality terms")
+          f"{len(list(instance.dcs()))} DCs, "
+          f"{sum(breakpoints.values())} quality breakpoints")
 
 
 def main() -> None:

@@ -21,21 +21,26 @@ Model assembly notes (this shapes every coefficient below):
   g = demand - delivered, Inv = opening + retained orders - deliveries.
   Their costs land on the delivery/order columns and a constant offset,
   and the inventory band [v*S, Cap] becomes two inequality rows per DC;
-* the nutrition plus-terms max(0, n - requirement) are linearized with
-  one auxiliary and (when needed) one indicator per (region, nutrient).
-  Pairs whose threshold exceeds the region's storage capacity are
-  dropped; pairs whose threshold sits below the safety-stock floor are
-  always active and need no indicator.  Indicators within a region are
-  ordered by threshold, which lets branch and bound cut entire threshold
-  ranges at once instead of enumerating subsets;
+* a region's nutrition plus-terms max(0, content * S - requirement) all
+  depend on one scalar, its total closing stock S, which the band rows
+  keep in [v * Cap, Cap].  So its quality value is one convex
+  piecewise-linear function of S (a QualityCurve), with a breakpoint at
+  each threshold requirement / content strictly inside the band.  A
+  curve without a breakpoint is linear and needs no column: its slope
+  prices the flows.  A curve with breakpoints takes the incremental
+  form S = point_0 + sum(length_k * delta_k), delta_k in [0, 1], with
+  binaries z_k and delta_k <= z_k <= delta_{k-1}, which is locally ideal
+  (Vielma, Ahmed & Nemhauser, Oper. Res. 58(2), 2010), so the root
+  relaxation is usually integral;
 * period models differ only in opening stock, demand and retention, so
   a PeriodTemplate holds the dense arrays and each period patches a copy.
   Columns, with D DCs and C customers: orders [0, D) in instance.dcs()
-  order, deliveries [D, D + C) in instance.customers() order, then one
-  indicator per switched and one surplus per surviving quality term.
-  A PeriodDecision keeps the same layout: per-DC vectors (each order on
-  the DC's one linked lane), per-customer vectors (each delivery on the
-  customer's one link), and the surpluses as [region, nutrient].
+  order, deliveries [D, D + C) in instance.customers() order, then for
+  each region with breakpoints, in instance order, its deltas and then
+  its binaries.  A PeriodDecision keeps the flows in the same layout:
+  per-DC vectors (each order on the DC's one linked lane) and
+  per-customer vectors (each delivery on the customer's one link).  Its
+  surpluses, [region, nutrient], are evaluated at the region's stock.
 """
 
 from __future__ import annotations
@@ -158,78 +163,69 @@ class StochasticConfig:
 
 
 @dataclass(frozen=True)
-class QualityTerm:
-    """One surviving (region, nutrient) plus-term of the quality index."""
+class QualityCurve:
+    """One region's raw quality index (accessibility.quality_index) as a
+    function of its total stock S on the band [floor, capacity].
 
-    region_id: str
-    nutrient_id: str
-    requirement: float       # nutrient units the region's population needs
-    content: float           # nutrient units per kg of stored product
-    big_m: float
-    aux_cap: float           # upper bound on the surplus auxiliary
-    switched: bool           # True when an indicator variable is needed
-
-
-def quality_terms(instance: NetworkInstance,
-                  safety_fraction: float) -> list[QualityTerm]:
-    """Classify every (region, nutrient) pair of the quality index.
-
-    threshold = requirement / content is the region inventory at which
-    the surplus turns positive.  Pairs unreachable within regional
-    storage capacity are dropped (surplus identically zero); pairs whose
-    threshold lies below the guaranteed safety-stock floor are always
-    active; the rest need an indicator.
+    The index sums weight * max(0, content * S - requirement) over the
+    nutrients, so it is convex and piecewise linear, with a breakpoint at
+    each threshold requirement / content.  points holds the floor, the
+    distinct thresholds strictly inside the band in increasing order, and
+    the capacity.  slopes[k] is the slope from points[k] to points[k + 1],
+    and on the first piece the index is intercept + slopes[0] * S.
     """
-    terms: list[QualityTerm] = []
+
+    points: np.ndarray
+    slopes: np.ndarray
+    intercept: float
+
+    @property
+    def breakpoints(self) -> np.ndarray:
+        return self.points[1:-1]
+
+
+def quality_curves(instance: NetworkInstance,
+                   safety_fraction: float) -> list[QualityCurve]:
+    """Each region's QualityCurve, in instance order, with the floor at
+    safety_fraction of the region's storage capacity.  A nutrient whose
+    threshold lies at or below the floor is active on every piece; one at
+    or above the capacity on none."""
+    weight = np.array([nt.weight for nt in instance.nutrients])
+    content = np.array([nt.per_kg_content for nt in instance.nutrients])
+    curves = []
     for region in instance.regions:
         capacity = sum(dc.capacity for dc in region.dcs)
         floor = safety_fraction * capacity
-        population = region.population
-        for nutrient in instance.nutrients:
-            requirement = nutrient.min_requirement * population
-            threshold = requirement / nutrient.per_kg_content
-            if threshold >= capacity:
-                continue
-            terms.append(QualityTerm(
-                region_id=region.id,
-                nutrient_id=nutrient.id,
-                requirement=requirement,
-                content=nutrient.per_kg_content,
-                big_m=nutrient.per_kg_content * capacity + requirement,
-                aux_cap=nutrient.per_kg_content * capacity - requirement,
-                switched=threshold > floor,
-            ))
-    return terms
+        requirement = np.array([nt.min_requirement * region.population
+                                for nt in instance.nutrients])
+        threshold = requirement / content
+        inside = np.unique(threshold[(threshold > floor) & (threshold < capacity)])
+        points = np.concatenate([[floor], inside, [capacity]])
+        active = threshold <= points[:-1, None]  # [piece, nutrient]
+        curves.append(QualityCurve(
+            points=points, slopes=active @ (weight * content),
+            intercept=-float(active[0] @ (weight * requirement))))
+    return curves
 
 
 class PeriodTemplate:
     """The arrays one replication's period models share, in the module
     notes' column layout, and the per-DC and per-customer vectors that
-    price and index a period's decision.  aux_columns[r, n] is the
-    surplus column of region r and nutrient n, in instance order, or -1
-    where the term is dropped.
+    price and index a period's decision.
 
     A holds the order columns at unit retention; rows from warehouse_rows
     on scale them by the period's retention.  Row i's right-hand side is
-    k[i] * stock[src[i]] - req[i] + big_m[i], in that order, where stock
-    is each DC's opening stock, then each region's total."""
+    k[i] * stock[src[i]] - req[i], where stock is each DC's opening stock,
+    then each region's total.  The objective's constant is constant less
+    offset_weight * [opening, demand]."""
 
     def __init__(self, instance: NetworkInstance, design: NetworkDesign,
                  epsilon: float, safety_stock: float):
         self.instance, self.epsilon = instance, epsilon
         self.scales = scales = resolve_scales(instance, design)
-        terms = quality_terms(instance, safety_stock)
+        curves = quality_curves(instance, safety_stock)
         dcs, customers = instance.dcs(), instance.customers()
         D, C = self.num_dcs, self.num_customers = len(dcs), len(customers)
-        switched = [(t.region_id, t.nutrient_id) for t in terms if t.switched]
-        flags = {key: D + C + i for i, key in enumerate(switched)}
-        aux = D + C + len(switched)
-        surplus_col = {(t.region_id, t.nutrient_id): aux + i
-                       for i, t in enumerate(terms)}
-        n = aux + len(terms)
-        self.aux_columns = np.array([[surplus_col.get((r.id, nt.id), -1)
-                                      for nt in instance.nutrients]
-                                     for r in instance.regions], dtype=int)
         self.content = np.array([nt.per_kg_content for nt in instance.nutrients])
         self.requirement = np.array([[nt.min_requirement * r.population
                                       for nt in instance.nutrients]
@@ -244,16 +240,6 @@ class PeriodTemplate:
                                     for region in instance.regions
                                     for _ in region.customers])
         self.effort = link_effort(instance, design)
-        self.lb = np.zeros(n)
-        self.ub = np.full(n, math.inf)
-        self.ub[:D] = [w.capacity for w in linked]
-        self.ub[D + C:aux] = 1.0
-        self.ub[aux:] = [t.aux_cap for t in terms]
-        self.binary = np.arange(D + C, aux)
-        weight = {nt.id: nt.weight for nt in instance.nutrients}
-        self.c = np.zeros(n)
-        self.c[aux:] = [instance.region(t.region_id).weights.quality
-                        * weight[t.nutrient_id] / scales.quality for t in terms]
 
         # Each DC's and each customer's region.  dcs() and customers() go
         # region by region, so a region's customers are one span.
@@ -263,16 +249,39 @@ class PeriodTemplate:
         customer_region = np.repeat(regions, counts)
         self.region_customers = [slice(end - count, end) for end, count
                                  in zip(np.cumsum(counts).tolist(), counts)]
+
+        # A region's quality term is its curve times this weight.  On a
+        # one-piece curve it is linear in the flows: its slope prices each
+        # retained order and each delivery, and its intercept and opening
+        # stock go into the constant.  A curve with breakpoints gets the
+        # columns and rows of its incremental form below.
+        weight = [r.weights.quality / scales.quality for r in instance.regions]
+        curved = [r for r, curve in enumerate(curves) if len(curve.slopes) > 1]
+        self.dc_slope = np.array([
+            0.0 if r in curved else w * curve.slopes[0]
+            for r, (w, curve) in enumerate(zip(weight, curves))])[self.dc_region]
+        self.constant = float(sum(
+            w * (curve.intercept
+                 + (curve.slopes[0] * curve.points[0] if r in curved else 0.0))
+            for r, (w, curve) in enumerate(zip(weight, curves))))
+        n = D + C + sum(2 * len(curves[r].slopes) - 1 for r in curved)
+
+        self.lb = np.zeros(n)
+        self.ub = np.ones(n)
+        self.ub[:D] = [w.capacity for w in linked]
+        self.ub[D:D + C] = math.inf
+        self.c = np.zeros(n)
         transport = np.array([r.weights.transportation
                               for r in instance.regions])[customer_region]
         self.c[D:D + C] = (epsilon * self.unmet_cost
                            - transport * self.effort / scales.transportation
-                           + epsilon * self.holding[self.serving])
+                           + epsilon * self.holding[self.serving]
+                           - self.dc_slope[self.serving])
         # The objective's constant subtracts offset_weight * [opening,
         # demand] one product at a time in offset_order: region by region,
         # its DCs, then its customers.
-        self.offset_weight = epsilon * np.concatenate([self.holding,
-                                                       self.unmet_cost])
+        self.offset_weight = np.concatenate([
+            epsilon * self.holding - self.dc_slope, epsilon * self.unmet_cost])
         self.offset_order = np.argsort(
             np.concatenate([self.dc_region, customer_region]), kind="stable")
 
@@ -281,11 +290,12 @@ class PeriodTemplate:
         # its order, less its customers' deliveries.
         stock = np.eye(D, n)
         stock[self.serving, range(D, D + C)] = -1.0
-        rows, rhs = [], []  # coefficients; (k, src, req, big_m)
+        rows, rhs, relations = [], [], []  # coefficients; (k, src, req)
 
-        def add_row(coeffs, k=0.0, src=0, req=0.0, big_m=0.0):
+        def add_row(coeffs, k=0.0, src=0, req=0.0, relation="<="):
             rows.append(coeffs)
-            rhs.append((k, src, req, big_m))
+            rhs.append((k, src, req))
+            relations.append(relation)
 
         for i, warehouse in enumerate(instance.warehouses):
             supplied = np.flatnonzero(supplier == i)
@@ -297,39 +307,30 @@ class PeriodTemplate:
             add_row(stock[j], k=-1.0, src=j, req=-dc.capacity)
             add_row(-stock[j], k=1.0, src=j, req=safety_stock * dc.capacity)
 
-        for r, region in enumerate(instance.regions):
-            group = [t for t in terms if t.region_id == region.id]
-            total = stock[self.dc_region == r].sum(axis=0)
-            capacity = sum(dc.capacity for dc in region.dcs)
-            for term in group:
-                a = unit[surplus_col[(region.id, term.nutrient_id)]]
-                surplus = a - term.content * total
-                if not term.switched:
-                    add_row(surplus, k=term.content, src=D + r,
-                            req=term.requirement)
-                    continue
-                on = unit[flags[(region.id, term.nutrient_id)]]
-                add_row(a - term.big_m * on)
-                add_row(surplus + term.big_m * on, k=term.content, src=D + r,
-                        req=term.requirement, big_m=term.big_m)
-                # Secant of the surplus over [0, capacity].  Valid because
-                # the plus-term is convex, and it pins the relaxation to
-                # the hull instead of the loose big-M midpoint, so each
-                # indicator resolves after a single branching.
-                slope = term.aux_cap / capacity
-                add_row(a - slope * total, k=slope, src=D + r)
-            # Threshold-ordered indicators: a nutrient reachable only at
-            # high inventory implies every lower-threshold nutrient is
-            # reachable.
-            ordered = sorted((t for t in group if t.switched),
-                             key=lambda t: t.requirement / t.content)
-            for low, high in zip(ordered, ordered[1:]):
-                add_row(unit[flags[(region.id, high.nutrient_id)]]
-                        - unit[flags[(region.id, low.nutrient_id)]])
+        # Incremental form: the region's closing stock is points[0] +
+        # sum(lengths * delta) with each delta in [0, 1], and binaries z
+        # with delta[k] <= z[k - 1] <= delta[k - 1] fill the pieces in
+        # order.  delta[k] earns the curve's rise over piece k.
+        column = D + C
+        self.binary = []
+        for r in curved:
+            curve = curves[r]
+            lengths = np.diff(curve.points)
+            delta = column + np.arange(len(lengths))
+            z = delta[-1] + np.arange(1, len(lengths))
+            column = z[-1] + 1
+            self.binary.extend(z)
+            self.c[delta] = weight[r] * curve.slopes * lengths
+            add_row(stock[self.dc_region == r].sum(axis=0) - lengths @ unit[delta],
+                    k=-1.0, src=D + r, req=-curve.points[0], relation="=")
+            for k in range(1, len(lengths)):
+                add_row(unit[delta[k]] - unit[z[k - 1]])
+                add_row(unit[z[k - 1]] - unit[delta[k - 1]])
 
+        self.binary = np.array(self.binary, dtype=int)
         self.A = np.array(rows) + 0.0  # + 0.0 clears negation's -0.0
-        self.relations = np.full(len(rows), "<=")
-        self.k, src, self.req, self.big_m = np.array(rhs).T
+        self.relations = np.array(relations)
+        self.k, src, self.req = np.array(rhs).T
         self.src = src.astype(int)
 
 
@@ -347,16 +348,18 @@ def build_period_model(template: PeriodTemplate, opening: Sequence[float],
     A = template.A.copy()
     A[template.warehouse_rows:, :D] *= factor
     c = template.c.copy()
-    c[:D] = -template.epsilon * (template.order_cost + template.holding * factor)
+    c[:D] = (template.dc_slope * factor
+             - template.epsilon * (template.order_cost + template.holding * factor))
     ub = template.ub.copy()
     ub[D:D + C] = demand
     # Region totals and the offset are float sums taken one term at a
     # time, in the order the template lists them.
     stock = np.concatenate([opening, np.bincount(
         template.dc_region, opening, minlength=len(template.region_customers))])
-    b = template.k * stock[template.src] - template.req + template.big_m
+    b = template.k * stock[template.src] - template.req
     products = template.offset_weight * np.concatenate([opening, demand])
-    offset = reduce(sub, products[template.offset_order].tolist(), 0.0)
+    offset = reduce(sub, products[template.offset_order].tolist(),
+                    template.constant)
     return DenseModel(A, b, c, template.lb, ub, relations=template.relations,
                       binary=template.binary, offset=offset)
 
@@ -486,16 +489,9 @@ def _extract_period(template, x, opening, demand, retention, t):
     region_stock = np.maximum(np.bincount(
         template.dc_region, inventory,
         minlength=len(template.region_customers)), 0.0)
-    # Auxiliaries: report the canonical surplus whenever the solver's
-    # value agrees to within big-M conditioning noise; a material gap is
-    # kept raw so the feasibility audit exposes it.  A dropped term's
-    # surplus is identically zero.
-    canonical = np.maximum(np.multiply.outer(region_stock, template.content)
-                           - template.requirement, 0.0)
-    solved = x[template.aux_columns]
-    close = np.abs(solved - canonical) <= 1e-4 * (1.0 + np.abs(canonical))
-    aux = np.where(template.aux_columns < 0, 0.0,
-                   np.where(close, canonical, solved))
+    # Each nutrient's surplus at the region's stock.
+    aux = np.maximum(np.multiply.outer(region_stock, template.content)
+                     - template.requirement, 0.0)
 
     # Costs and the index are float sums taken one term at a time: DCs
     # and customers in instance order, regions in file order.

@@ -76,6 +76,20 @@ def tiny_dict():
     return copy.deepcopy(TINY)
 
 
+def branching_tiny_dict():
+    """The tiny network with W1 cut to 160 kg a period and a quality
+    scale so small that the quality reward outweighs every cost on the
+    usual epsilon grids.  R1 then wants its stock above what W1 can
+    ship, and the root relaxation of its piecewise-linear quality value
+    takes part of the steeper piece: the period models branch."""
+    data = tiny_dict()
+    data["warehouses"][0]["capacity"] = 160.0
+    data["normalization_scales"] = {"affordability": 0.02,
+                                    "transportation": 1000.0,
+                                    "quality": 1e-4}
+    return data
+
+
 @pytest.fixture
 def tiny():
     return instance_from_dict(tiny_dict())

@@ -13,7 +13,7 @@ import pytest
 
 from chainforge.cli import _build_parser, _sweep_config, main
 from chainforge.stochastic import StochasticConfig
-from conftest import QATAR_PATH, tiny_dict
+from conftest import QATAR_PATH, branching_tiny_dict, tiny_dict
 
 ARTIFACTS = ["design.json", "solutions.csv", "front.csv", "front.svg",
              "validation.csv", "manifest.json"]
@@ -175,19 +175,20 @@ def test_worker_failure_reported_as_inline(tiny_file, tmp_path,
             in reports[0][0])
 
 
-def test_node_limit_incumbents_are_reported(tiny_file, tmp_path,
-                                            monkeypatch, capsys):
+def test_node_limit_incumbents_are_reported(tmp_path, monkeypatch, capsys):
     import functools
 
     import chainforge.cli as cli
     from chainforge.pareto import epsilon_grid
     from chainforge.stochastic import StochasticConfig
 
-    # The tiny network's period models branch, so one node cannot finish.
+    # These period models branch, so one node cannot finish.
     monkeypatch.setattr(cli, "StochasticConfig",
                         functools.partial(StochasticConfig, node_limit=1))
+    branching = tmp_path / "branching.json"
+    branching.write_text(json.dumps(branching_tiny_dict()))
     out = str(tmp_path / "o")
-    assert quick_run(tiny_file, out) == 0
+    assert quick_run(str(branching), out) == 0
     err = capsys.readouterr().err.splitlines()
     assert err == [
         f"optimize: epsilon {eps:g}: 2 of 2 replications stopped at the "

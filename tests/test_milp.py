@@ -493,12 +493,12 @@ def test_qatar_period_models_match_highs(qatar, qatar_design):
     models = list(_qatar_period_models(qatar, qatar_design, (0.001, 0.1),
                                        (3, 11), 0.4))
     nodes = [_assert_matches_highs(model).nodes for model in models]
-    assert sum(n > 1 for n in nodes) >= len(models) // 2  # they branch
-    # At safety stock 0 every quality term needs an indicator, so the
+    assert nodes == [1] * len(models)  # the root LP is integral
+    # At safety stock 0 every reachable threshold is a breakpoint, so the
     # models are the largest the instance gives.
     models = list(_qatar_period_models(qatar, qatar_design, (0.001, 0.1),
                                        (3, 11), 0.0))
-    assert {model.A.shape for model in models} == {(115, 96)}
+    assert {model.A.shape for model in models} == {(73, 100)}
     for model in models:
         _assert_matches_highs(model)
 
@@ -508,7 +508,8 @@ def _random_instance(rng):
     one zero-std customer, random path weights, warehouses pricing DCs
     uniformly or per DC, and normalization scales given on about half.
     Nutrient thresholds fall below, inside and above the regions' storage,
-    so quality terms come always active, switched and dropped."""
+    so quality curves come linear and with breakpoints, and some
+    nutrients never reach a surplus."""
     def point():
         return [float(v) for v in rng.uniform(0.0, 50.0, 2)]
 
@@ -616,8 +617,14 @@ def test_warm_children_match_cold_solves(qatar, qatar_design, monkeypatch):
         return warm, tab
 
     monkeypatch.setattr(solver, "_resolve", compared_resolve)
-    model = next(_qatar_period_models(qatar, qatar_design, (0.001,), (5,),
-                                      0.4))
+    # At safety stock 0 with every DC half full, each region's stock can
+    # end on either side of several breakpoints, and the model branches.
+    template = PeriodTemplate(qatar, qatar_design, 0.001, 0.0)
+    scenario = sample_scenario(qatar, 5)
+    retention = linked_retention(qatar, qatar_design, scenario)
+    model = build_period_model(
+        template, [0.5 * dc.capacity for dc in qatar.dcs()],
+        scenario.demand[:, 0].tolist(), retention[:, 0].tolist())
     result = solve_milp(model)
     assert result.status is Status.OPTIMAL
     assert result.nodes >= 5

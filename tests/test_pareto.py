@@ -12,7 +12,7 @@ from chainforge.pareto import (CSV_COLUMNS, epsilon_grid, extract_front,
                                write_front_csv, write_solutions_csv)
 from chainforge.stochastic import (EstimateResult, StochasticConfig,
                                    replication_seeds, run_replication)
-from conftest import tiny_dict
+from conftest import branching_tiny_dict, tiny_dict
 
 
 def make(epsilon, z1, z2):
@@ -250,12 +250,13 @@ def test_sweep_estimate_is_the_replications_mean(tiny, tiny_design, jobs):
     assert estimate.nodes == sum(r.nodes for r in results)
 
 
-def test_sweep_counts_node_limit_incumbents(tiny, tiny_design):
-    # The tiny network's period models branch, so one node cannot finish.
+def test_sweep_counts_node_limit_incumbents(tiny_design):
+    # These period models branch, so one node cannot finish.
+    instance = instance_from_dict(branching_tiny_dict())
     grid = (0.01, 1.0)
-    capped = sweep(tiny, tiny_design, grid,
+    capped = sweep(instance, tiny_design, grid,
                    StochasticConfig(replications=2, node_limit=1, jobs=2))
-    full = sweep(tiny, tiny_design, grid, StochasticConfig(replications=2))
+    full = sweep(instance, tiny_design, grid, StochasticConfig(replications=2))
     assert [s.limit_hits for s in capped.solutions] == [2, 2]
     assert [s.limit_hits for s in full.solutions] == [0, 0]
     assert all(c.nodes < f.nodes

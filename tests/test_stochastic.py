@@ -18,7 +18,7 @@ from chainforge.stochastic import (OperationalPlan, PeriodTemplate,
                                    default_initial_inventory,
                                    linked_retention, load_plan,
                                    plan_from_estimate,
-                                   quality_terms, replication_seed,
+                                   quality_curves, replication_seed,
                                    replication_seeds, run_replication,
                                    sample_scenario, save_plan)
 
@@ -126,38 +126,48 @@ def test_demand_truncation_at_zero():
 # -------------------------------------------------------- quality terms
 
 def test_quality_terms_tiny(tiny):
-    terms = quality_terms(tiny, tiny.safety_stock_fraction)
-    by_pair = {(t.region_id, t.nutrient_id): t for t in terms}
-    # Protein needs more stock than either region can hold, so both
-    # protein terms drop; iron stays and needs an indicator.
-    assert set(by_pair) == {("R1", "iron"), ("R2", "iron")}
-    r1_iron = by_pair[("R1", "iron")]
-    assert r1_iron.requirement == pytest.approx(0.4)
-    assert r1_iron.aux_cap == pytest.approx(0.004 * 270.0 - 0.4)
-    assert r1_iron.switched
+    r1, r2 = quality_curves(tiny, tiny.safety_stock_fraction)
+    # Protein needs more stock than either region can hold, so it adds
+    # no breakpoint and no slope.  Iron's threshold (100 kg in R1, 50 kg
+    # in R2) lies inside each band [0.2 * capacity, capacity] and is its
+    # one breakpoint: flat below it, 0.004 per kg above.
+    assert r1.points.tolist() == pytest.approx([54.0, 100.0, 270.0])
+    assert r2.points.tolist() == pytest.approx([20.0, 50.0, 100.0])
+    for curve in (r1, r2):
+        assert curve.breakpoints.tolist() == [curve.points[1]]
+        assert curve.slopes.tolist() == pytest.approx([0.0, 0.004])
+        assert curve.intercept == 0.0
 
 
 def test_quality_terms_always_active_when_floor_covers_threshold(tiny):
-    # With the floor at 80% of capacity the iron threshold (100 kg in
-    # R1) is guaranteed, so no indicator is needed.
-    terms = quality_terms(tiny, 0.8)
-    by_pair = {(t.region_id, t.nutrient_id): t for t in terms}
-    assert not by_pair[("R1", "iron")].switched
+    # With the floor at 80% of capacity the iron threshold is guaranteed:
+    # no breakpoint is left, and the index is linear over the band.
+    r1, r2 = quality_curves(tiny, 0.8)
+    assert r1.points.tolist() == pytest.approx([216.0, 270.0])
+    assert r1.breakpoints.size == 0
+    assert r1.slopes.tolist() == pytest.approx([0.004])
+    assert r1.intercept == pytest.approx(-0.4)
+    assert r2.intercept == pytest.approx(-0.2)
+    # At safety stock 1 each band is one point.
+    for curve in quality_curves(tiny, 1.0):
+        assert curve.points[0] == curve.points[-1]
+        assert curve.breakpoints.size == 0
 
 
 def test_quality_terms_qatar_counts(qatar):
-    terms = quality_terms(qatar, qatar.safety_stock_fraction)
-    per_region = {}
-    for term in terms:
-        always, switched = per_region.get(term.region_id, (0, 0))
-        if term.switched:
-            per_region[term.region_id] = (always, switched + 1)
-        else:
-            per_region[term.region_id] = (always + 1, switched)
-    assert per_region == {"R1": (3, 2), "R2": (3, 3),
-                          "R3": (5, 2), "R4": (5, 2)}
-    pairs = {(t.region_id, t.nutrient_id) for t in terms}
-    assert ("R4", "D") not in pairs  # unreachable within capacity
+    curves = quality_curves(qatar, qatar.safety_stock_fraction)
+    assert [curve.breakpoints.size for curve in curves] == [2, 3, 2, 2]
+    for curve in curves:
+        # Each breakpoint starts one more nutrient's surplus: convex.
+        assert (np.diff(curve.points) > 0).all()
+        assert (np.diff(curve.slopes) > 0).all()
+    # R4's vitamin D threshold is its whole storage: no surplus is
+    # reachable, so it adds no breakpoint.
+    region = qatar.region("R4")
+    [vitamin_d] = [nt for nt in qatar.nutrients if nt.id == "D"]
+    threshold = (vitamin_d.min_requirement * region.population
+                 / vitamin_d.per_kg_content)
+    assert threshold >= curves[3].points[-1]
 
 
 # ---------------------------------------------------------- period model
@@ -183,22 +193,28 @@ def _order_and_delivery_columns(instance, design, dc_id):
 
 
 def test_period_model_surplus_matches_plus_form(tiny, tiny_design):
-    # Fill R1 well above the iron threshold: surplus must equal the
-    # clamped linear expression exactly.
+    # Fill R1 well above the iron threshold.  The model prices the closing
+    # stock through the clamped plus-form, so its optimum equals the
+    # period objective evaluated from the extracted flows: accessibility
+    # without its constant affordability part, less epsilon * cost.
+    from chainforge.accessibility import affordability, normalize
+
     opening = {"D1": 140.0, "D2": 110.0, "D3": 20.0}
     demand = [10.0] * len(tiny.customers())
     template, result = _solve_period(
         tiny, tiny_design, opening, demand, 0.01, tiny.safety_stock_fraction)
-    col = template.aux_columns[0, 1]  # R1, iron
-    aux = result.value(col)
-    closing = 0.0
-    for dc_id in ("D1", "D2"):
-        order_col, delivery_cols = _order_and_delivery_columns(
-            tiny, tiny_design, dc_id)
-        delivered = sum(result.value(c) for c in delivery_cols)
-        closing += (opening[dc_id] + 0.85 * result.value(order_col)
-                    - delivered)
-    assert aux == pytest.approx(max(0.0, 0.004 * closing - 0.4), abs=1e-6)
+    decision = stochastic._extract_period(
+        template, result.values, list(opening.values()), demand,
+        [0.85] * 3, 0)
+    closing = decision.inventory[0] + decision.inventory[1]
+    assert closing > 100.0
+    assert decision.aux[0, 1] == pytest.approx(0.004 * closing - 0.4)
+    constant = sum(r.weights.affordability * normalize(
+        affordability(r), template.scales.affordability) for r in tiny.regions)
+    cost = (decision.inventory_cost + decision.unfulfilled_cost
+            + decision.order_cost)
+    assert result.objective == pytest.approx(
+        decision.accessibility - constant - 0.01 * cost, abs=1e-9)
 
 
 def test_period_model_needs_a_value_per_customer_and_dc(tiny, tiny_design):
@@ -245,20 +261,22 @@ def test_period_model_respects_inventory_band(tiny, tiny_design):
 
 def test_qatar_period_zero_model_bits_are_pinned(qatar, qatar_design):
     # sha256 of the dense arrays and the offset of Qatar's period 0 model,
-    # taken from the row-by-row builder this template replaced.
+    # taken from the piecewise-linear quality form once it had matched the
+    # optimum of the per-term indicator form it replaced on over 870 cold
+    # period models.
     expected = {
-        0.0: ((115, 96), {
-            "A": "dee53baea8bf5a3707ccce2f2ddf5c505eec63602780d0c41a132a8ee7cd9f9e",
-            "c": "56f07fa2bef8358dda0b8e634d78ff9526e47f9fa7aa8bd7f2dacfe5c6027d38",
-            "ub": "467493c8012f203d75fd6b49f6f4d813743575c644769f2073ece75412dfdbaa",
-            "b": "0731e5bfbecfdf3575f2a2ff9342d66e1d240d94e71cd0e4b0001821766d027d",
+        0.0: ((73, 100), {
+            "A": "5f46d5a0bf83c5bec0f91f323759f539e410661c23898a901ecc6182d1e0d4c8",
+            "c": "3ed5c9ef3401a47c06cd048f9035dde544195990c08be1ebe54a67601646b116",
+            "ub": "b2ece0ae27938a125f43ed25c4425e950547a1bbd2a644bab6fdd12024ddd4d3",
+            "b": "1464e5fab29ee518325243023378b0c0cb4ac998f343d3f364acf642f878937c",
             "offset": "-0x1.097a7b6381adep+10"}),
-        0.4: ((67, 80), {
-            "A": "04e66c945928f7543dae6120c38cf43c3a5b7954eb9e39540df8cebd6b9fefcf",
-            "c": "6fd40181ddff104dfc3b89d1dcc8abaf29fdada1a87d2066aa2977622551fcfb",
-            "ub": "d9e8f8dfdd9f5d28a02633dec9ac9e8f1da5e532ec35c88e70ec026e3cdf270c",
-            "b": "5d61a680d5dd70e5adc22b599256f7addd52015afd739ba4537cfc3843fc74cb",
-            "offset": "-0x1.24bd3db1c0d70p+11"}),
+        0.4: ((41, 68), {
+            "A": "6227ae42c7cc11604e7bc422af031c2f5cb09ba973df2bc57077e09540d616f8",
+            "c": "ee066f35d52b1f6530fd334c414422eb5888f8ef0d9a21a157fb651ee50cc1c0",
+            "ub": "53d925c2bf28faf129f2b0a39a8113baeafe3ad1a8543c1f9f8b18cbd8624573",
+            "b": "ece2b40d7e723dd4189cabec7b4c4253851268e47134af2bdd2bcec76dd34516",
+            "offset": "-0x1.24bd20100145dp+11"}),
     }
     scenario = sample_scenario(qatar, replication_seed(0, 0))
     retention = linked_retention(qatar, qatar_design, scenario)
@@ -273,6 +291,24 @@ def test_qatar_period_zero_model_bits_are_pinned(qatar, qatar_design):
                  for name in ("A", "c", "ub", "b")}
         found["offset"] = model.offset.hex()
         assert found == digests
+
+
+def test_safety_stock_one_leaves_only_flows(tiny, tiny_design, qatar,
+                                            qatar_design):
+    # At safety stock 1 every band is one point, so each region's quality
+    # value is a constant: the model has no quality column, no binary,
+    # and every DC closes full.
+    config = StochasticConfig(replications=1, safety_stock=1.0)
+    for instance, design in ((tiny, tiny_design), (qatar, qatar_design)):
+        template = PeriodTemplate(instance, design, 0.01, 1.0)
+        dcs = instance.dcs()
+        assert template.A.shape[1] == len(dcs) + len(instance.customers())
+        assert template.binary.size == 0
+        result = run_replication(instance, design, 0.01, 7, config=config)
+        assert audit_replication(instance, design, result) == []
+        for period in result.periods:
+            assert period.inventory.tolist() == pytest.approx(
+                [dc.capacity for dc in dcs])
 
 
 # ----------------------------------------------------------- replication
