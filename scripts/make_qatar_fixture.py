@@ -173,7 +173,7 @@ def verify(data: dict) -> None:
     # threshold strictly inside its safety-stock band.  R4's vitamin D
     # threshold equals its storage, so it adds none.
     curves = quality_curves(instance, SAFETY_STOCK)
-    breakpoints = {region.id: curve.breakpoints.size
+    breakpoints = {region.id: curve.points.size - 2
                    for region, curve in zip(instance.regions, curves)}
     assert breakpoints == {"R1": 2, "R2": 3, "R3": 2, "R4": 2}, breakpoints
 

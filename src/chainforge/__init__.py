@@ -19,8 +19,7 @@ __version__ = "0.1.0"
 # before any submodule imports numpy.  The period models are small: BLAS
 # threads only contend with the sweep's worker processes for the cores.
 # A count the user chose is kept.
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                    "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
-                    "VECLIB_MAXIMUM_THREADS")
-if not any(var in os.environ for var in BLAS_THREAD_VARS):
-    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+              "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+if not any(var in os.environ for var in _BLAS_VARS):
+    os.environ.update(dict.fromkeys(_BLAS_VARS, "1"))

@@ -25,7 +25,8 @@ from datetime import datetime, timezone
 from . import __version__
 from .desim import SimConfig, run_validation, write_validation_csv
 from .errors import ChainforgeError, ConfigError, DomainError
-from .gfa import GfaConfig, load_design, run_gfa, save_design
+from .gfa import (GfaConfig, load_design, overloaded_warehouses, run_gfa,
+                  save_design)
 from .model import (NetworkDesign, NetworkInstance, design_mismatches,
                     load_instance, write_json)
 from .pareto import (epsilon_grid, extract_front, read_solutions_csv,
@@ -128,6 +129,12 @@ def _stage_gfa(args: argparse.Namespace, config: GfaConfig) -> str:
     result = run_gfa(instance, config)
     for region, value in sorted(result.region_objectives.items()):
         log.info("gfa: region %s effort %.6g", region, value)
+    for warehouse, (demand, shipments, capacity) in overloaded_warehouses(
+            instance, result.design).items():
+        print(f"gfa: warehouse {warehouse} is overloaded: its customers draw "
+              f"{demand:.6g} kg per period, {shipments:.6g} kg of shipments "
+              f"at the lowest retention, over its {capacity:.6g} kg",
+              file=sys.stderr)
     path = os.path.join(out, "design.json")
     save_design(result, path)
     log.info("gfa: wrote %s", path)
@@ -263,6 +270,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if code != 0:
         return code
 
+    overloads = overloaded_warehouses(
+        load_instance(args.instance),
+        load_design(os.path.join(out, "design.json")).design)
     manifest = {
         "tool": "chainforge",
         "version": __version__,
@@ -280,6 +290,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         },
         "instance": {"path": args.instance, "sha256": _sha256(args.instance)},
         "environment": {"blas_threads": blas_threads()},
+        "warehouse_overloads": {
+            warehouse: dict(zip(("demand_kg", "shipments_kg", "capacity_kg"),
+                                figures))
+            for warehouse, figures in overloads.items()},
         "started": started,
         "finished": datetime.now(timezone.utc).isoformat(),
         "artifacts": {},

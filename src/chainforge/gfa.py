@@ -19,8 +19,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, InfeasibleConfigError, ParseError, ValidationError
-from .model import (NetworkDesign, NetworkInstance, Region, euclidean_distance,
-                    read_json, write_json)
+from .model import (NetworkDesign, NetworkInstance, Region, _integer,
+                    _location, _number, _object, _require_keys, _string,
+                    euclidean_distance, read_json, write_json)
 
 # Guard against division by zero when an iterate lands on a demand point.
 _SINGULARITY_EPS = 1e-9
@@ -53,13 +54,6 @@ class WeiszfeldResult:
     iterations: int
     converged: bool
     objective_trace: tuple[float, ...]
-
-
-def weighted_effort(location: tuple[float, float],
-                    points: Sequence[tuple[float, float]],
-                    weights: Sequence[float]) -> float:
-    """Demand-weighted total distance from one location to all points."""
-    return sum(w * euclidean_distance(location, p) for p, w in zip(points, weights))
 
 
 def weiszfeld_single(points: Sequence[tuple[float, float]],
@@ -245,6 +239,23 @@ def assign_linkages(instance: NetworkInstance,
         dc_warehouse=dc_warehouse, customer_dc=customer_dc, distances=distances)
 
 
+def overloaded_warehouses(instance: NetworkInstance, design: NetworkDesign,
+                          ) -> dict[str, tuple[float, float, float]]:
+    """Warehouses that cannot ship what their DCs' customers draw.
+
+    For each warehouse whose linked customers' mean demand, divided by
+    the lowest retention, exceeds its capacity: warehouse id -> (that
+    demand, the shipments it takes, capacity), in kg per period.
+    """
+    demand = dict.fromkeys((w.id for w in instance.warehouses), 0.0)
+    for customer in instance.customers():
+        warehouse = design.dc_warehouse[design.customer_dc[customer.id]]
+        demand[warehouse] += customer.demand.mean
+    low = instance.supply_loss.low
+    return {w.id: (demand[w.id], demand[w.id] / low, w.capacity)
+            for w in instance.warehouses if demand[w.id] / low > w.capacity}
+
+
 def run_gfa(instance: NetworkInstance, config: GfaConfig | None = None) -> GfaResult:
     """Place all regions' DCs and wire up the network linkages."""
     config = config or GfaConfig()
@@ -281,32 +292,41 @@ def save_design(result: GfaResult, path: str) -> None:
     })
 
 
+_DESIGN_KEYS = ("dc_locations", "z", "y", "distances", "region_objectives",
+                "iterations_used", "converged")
+
+
+def _entries(obj: Mapping, where: str, key: str, read) -> dict:
+    """obj[key], a JSON object, with read(it, its name, k) for each key k."""
+    value = _object(obj, where, key)
+    return {k: read(value, f"{where}.{key}", k) for k in value}
+
+
 def load_design(path: str) -> GfaResult:
     """Read a design file written by save_design.
 
-    Keys it does not read, such as per-DC demand totals that older
-    versions wrote, are ignored.
+    The file holds save_design's keys, each value of the JSON type it
+    writes: [x, y] locations, id strings, finite numbers, integer
+    iteration counts and a true or false converged flag.  Per-DC demand
+    totals that older versions wrote, under mean_local_demand, are
+    ignored.
     """
     data = read_json(path)
     try:
+        _require_keys(data, path, _DESIGN_KEYS, ("mean_local_demand",))
+        if not isinstance(data["converged"], bool):
+            raise ParseError(f"{path}.converged: expected true or false")
         design = NetworkDesign(
-            dc_locations={k: (float(v[0]), float(v[1]))
-                          for k, v in data["dc_locations"].items()},
-            dc_warehouse=dict(data["z"]),
-            customer_dc=dict(data["y"]),
-            distances={dc: {c: float(d) for c, d in row.items()}
-                       for dc, row in data["distances"].items()},
-        )
+            dc_locations=_entries(data, path, "dc_locations", _location),
+            dc_warehouse=_entries(data, path, "z", _string),
+            customer_dc=_entries(data, path, "y", _string),
+            distances=_entries(
+                data, path, "distances",
+                lambda row, where, dc: _entries(row, where, dc, _number)))
         return GfaResult(
             design=design,
-            region_objectives={k: float(v)
-                               for k, v in data["region_objectives"].items()},
-            iterations_used={k: int(v)
-                             for k, v in data["iterations_used"].items()},
-            converged=bool(data["converged"]),
-        )
-    # A missing key or a value of the wrong JSON type anywhere (a list
-    # for an object, a short location, a non-number) lands here.
-    except (AttributeError, LookupError, OverflowError, TypeError,
-            ValueError) as exc:
+            region_objectives=_entries(data, path, "region_objectives", _number),
+            iterations_used=_entries(data, path, "iterations_used", _integer),
+            converged=data["converged"])
+    except ParseError as exc:
         raise ParseError(f"{path}: not a valid design file ({exc})") from exc

@@ -59,9 +59,6 @@ class DemandSpec:
     mean: float
     std: float
 
-    def to_json(self) -> dict[str, Any]:
-        return {"family": "normal", "mean": self.mean, "variance": self.std**2}
-
 
 @dataclass(frozen=True)
 class SupplyLossSpec:
@@ -70,22 +67,12 @@ class SupplyLossSpec:
     low: float
     high: float
 
-    def to_json(self) -> dict[str, Any]:
-        return {"family": "uniform", "low": self.low, "high": self.high}
-
 
 @dataclass(frozen=True)
 class AccessibilityWeights:
     affordability: float = 1.0
     transportation: float = 1.0
     quality: float = 1.0
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "affordability": self.affordability,
-            "transportation": self.transportation,
-            "quality": self.quality,
-        }
 
 
 @dataclass(frozen=True)
@@ -303,14 +290,29 @@ def _string(obj: Mapping[str, Any], where: str, key: str) -> str:
     return value
 
 
-def _location(obj: Mapping[str, Any], where: str) -> tuple[float, float]:
-    value = obj["location"]
+def _integer(obj: Mapping[str, Any], where: str, key: str) -> int:
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{where}.{key} must be an integer")
+    return value
+
+
+def _object(obj: Mapping[str, Any], where: str, key: str) -> Mapping[str, Any]:
+    value = obj[key]
+    if not isinstance(value, Mapping):
+        raise ParseError(f"{where}.{key}: expected a JSON object")
+    return value
+
+
+def _location(obj: Mapping[str, Any], where: str,
+              key: str = "location") -> tuple[float, float]:
+    value = obj[key]
     if (not isinstance(value, (list, tuple)) or len(value) != 2
             or any(isinstance(v, bool) or not isinstance(v, _NUMERIC) for v in value)):
-        raise ParseError(f"{where}.location: expected [x, y]")
+        raise ParseError(f"{where}.{key}: expected [x, y]")
     x, y = float(value[0]), float(value[1])
     if not (math.isfinite(x) and math.isfinite(y)):
-        raise ParseError(f"{where}.location: coordinates must be finite")
+        raise ParseError(f"{where}.{key}: coordinates must be finite")
     return (x, y)
 
 
@@ -549,77 +551,3 @@ def write_json(path: str, payload: Any) -> None:
 def load_instance(path: str) -> NetworkInstance:
     """Load, parse, and validate an instance file."""
     return instance_from_dict(read_json(path))
-
-
-def instance_to_dict(instance: NetworkInstance) -> dict[str, Any]:
-    """Serialize back to the file schema, inverse of instance_from_dict."""
-    data: dict[str, Any] = {
-        "warehouses": [
-            {
-                "id": w.id,
-                "location": list(w.location),
-                "capacity": w.capacity,
-                "order_unit_cost": (dict(w.order_unit_cost)
-                                    if isinstance(w.order_unit_cost, Mapping)
-                                    else w.order_unit_cost),
-            }
-            for w in instance.warehouses
-        ],
-        "regions": [
-            {
-                "id": r.id,
-                "local_food_cost": r.local_food_cost,
-                "average_income": r.average_income,
-                "residential_areas": r.residential_areas,
-                "persons_per_area": r.persons_per_area,
-                "unfulfilled_unit_cost": r.unfulfilled_unit_cost,
-                "accessibility_weights": r.weights.to_json(),
-                "dcs": [
-                    {
-                        "id": dc.id,
-                        "location": list(dc.location),
-                        "capacity": dc.capacity,
-                        "inventory_unit_cost": dc.inventory_unit_cost,
-                    }
-                    for dc in r.dcs
-                ],
-                "customers": [
-                    {
-                        "id": c.id,
-                        "location": list(c.location),
-                        "demand": c.demand.to_json(),
-                    }
-                    for c in r.customers
-                ],
-            }
-            for r in instance.regions
-        ],
-        "nutrients": [
-            {
-                "id": n.id,
-                "weight": n.weight,
-                "min_requirement": n.min_requirement,
-                "per_kg_content": n.per_kg_content,
-            }
-            for n in instance.nutrients
-        ],
-        "stochastic": {
-            "demand": instance.demand.to_json(),
-            "supply_loss": instance.supply_loss.to_json(),
-        },
-        "safety_stock_fraction": instance.safety_stock_fraction,
-        "horizon": instance.horizon,
-    }
-    if instance.path_weights:
-        data["path_weights"] = [
-            {"dc": dc, "customer": customer, "factor": factor}
-            for (dc, customer), factor in sorted(instance.path_weights.items())
-        ]
-    if instance.normalization_scales is not None:
-        s = instance.normalization_scales
-        data["normalization_scales"] = {
-            "affordability": s.affordability,
-            "transportation": s.transportation,
-            "quality": s.quality,
-        }
-    return data

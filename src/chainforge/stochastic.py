@@ -51,15 +51,15 @@ import os
 from dataclasses import asdict, dataclass, fields
 from functools import reduce
 from operator import sub
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .accessibility import link_effort, resolve_scales, snapshot
-from .errors import ConfigError, DomainError, NumericalError, ParseError
+from .errors import ConfigError, DomainError, NumericalError
 from .milp import DEFAULT_NODE_LIMIT, DenseModel, Status, solve_milp
-from .model import (NetworkDesign, NetworkInstance, _number, _require_keys,
-                    read_json, write_json)
+from .model import (NetworkDesign, NetworkInstance, _integer, _number,
+                    _object, _require_keys, read_json, write_json)
 
 
 def replication_seed(master_seed: int, replication: int,
@@ -179,10 +179,6 @@ class QualityCurve:
     slopes: np.ndarray
     intercept: float
 
-    @property
-    def breakpoints(self) -> np.ndarray:
-        return self.points[1:-1]
-
 
 def quality_curves(instance: NetworkInstance,
                    safety_fraction: float) -> list[QualityCurve]:
@@ -250,11 +246,10 @@ class PeriodTemplate:
         self.region_customers = [slice(end - count, end) for end, count
                                  in zip(np.cumsum(counts).tolist(), counts)]
 
-        # A region's quality term is its curve times this weight.  On a
-        # one-piece curve it is linear in the flows: its slope prices each
-        # retained order and each delivery, and its intercept and opening
-        # stock go into the constant.  A curve with breakpoints gets the
-        # columns and rows of its incremental form below.
+        # A region's quality term is its curve times this weight.  A
+        # one-piece curve is linear in the flows: its slope prices them,
+        # and its intercept and opening stock go into the constant.  A
+        # curve with breakpoints gets its incremental form's columns.
         weight = [r.weights.quality / scales.quality for r in instance.regions]
         curved = [r for r, curve in enumerate(curves) if len(curve.slopes) > 1]
         self.dc_slope = np.array([
@@ -307,10 +302,9 @@ class PeriodTemplate:
             add_row(stock[j], k=-1.0, src=j, req=-dc.capacity)
             add_row(-stock[j], k=1.0, src=j, req=safety_stock * dc.capacity)
 
-        # Incremental form: the region's closing stock is points[0] +
-        # sum(lengths * delta) with each delta in [0, 1], and binaries z
-        # with delta[k] <= z[k - 1] <= delta[k - 1] fill the pieces in
-        # order.  delta[k] earns the curve's rise over piece k.
+        # Incremental form: closing stock = points[0] + lengths @ delta,
+        # delta in [0, 1], and binaries z with delta[k] <= z[k - 1] <=
+        # delta[k - 1] fill the pieces in order.  delta[k] earns piece k.
         column = D + C
         self.binary = []
         for r in curved:
@@ -348,8 +342,8 @@ def build_period_model(template: PeriodTemplate, opening: Sequence[float],
     A = template.A.copy()
     A[template.warehouse_rows:, :D] *= factor
     c = template.c.copy()
-    c[:D] = (template.dc_slope * factor
-             - template.epsilon * (template.order_cost + template.holding * factor))
+    c[:D] = (template.dc_slope * factor - template.epsilon
+             * (template.order_cost + template.holding * factor))
     ub = template.ub.copy()
     ub[D:D + C] = demand
     # Region totals and the offset are float sums taken one term at a
@@ -542,10 +536,8 @@ _worker_inputs: tuple[NetworkInstance, NetworkDesign, StochasticConfig] | None =
 
 
 def _openblas(name: str):
-    """The loaded OpenBLAS's function name (the scipy-openblas wheels
-    export it as scipy_openblas_<name>64_), or None where no OpenBLAS is
-    mapped into this process.  It is found through /proc/self/maps, so
-    only on Linux."""
+    """The function name of the OpenBLAS mapped into this process, or
+    None where there is none (or no /proc/self/maps to find it in)."""
     import ctypes
 
     try:
@@ -599,17 +591,15 @@ def map_replications(instance: NetworkInstance, design: NetworkDesign,
     # multiprocessing (about 1.3 MB of resident memory).
     from concurrent.futures import ProcessPoolExecutor
 
-    # Forked workers inherit this process's OpenBLAS thread count, which
-    # an in-process caller fixed if it loaded numpy before chainforge set
-    # OPENBLAS_NUM_THREADS.  Setting the count inside a worker would start
-    # the library's threads there, so this process holds the count the
-    # variable asks for while the pool forks, and then restores its own.
-    wanted = os.environ.get("OPENBLAS_NUM_THREADS", "")
-    set_threads = _openblas("set_num_threads")
-    pin = set_threads is not None and wanted.isdigit() and int(wanted) > 0
+    # Workers inherit this process's OpenBLAS thread count: the library's
+    # default if numpy loaded before chainforge set OPENBLAS_NUM_THREADS.
+    # Setting the count in a worker would start the library's threads
+    # there, so this process holds one thread while the pool forks.
+    set_threads, previous = _openblas("set_num_threads"), blas_threads()
+    pin = (set_threads is not None
+           and os.environ.get("OPENBLAS_NUM_THREADS") == "1")
     if pin:
-        previous = blas_threads()
-        set_threads(int(wanted))
+        set_threads(1)
     try:
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(instance, design, config)) as pool:
@@ -823,16 +813,11 @@ def load_plan(path: str) -> OperationalPlan:
     """
     data = read_json(path)
     _require_keys(data, path, _PLAN_FIELDS)
-    for name in _PLAN_INTEGERS:
-        if not isinstance(data[name], int) or isinstance(data[name], bool):
-            raise ParseError(f"{path}: {name} must be an integer")
+    integers = {name: _integer(data, path, name) for name in _PLAN_INTEGERS}
+    inventory = _object(data, path, "initial_inventory")
     where = f"{path}.initial_inventory"
-    inventory = data["initial_inventory"]
-    if not isinstance(inventory, Mapping):
-        raise ParseError(f"{where}: expected a JSON object")
     numbers = {name: _number(data, path, name) for name in _PLAN_FIELDS
                if name not in _PLAN_INTEGERS and name != "initial_inventory"}
     return OperationalPlan(
         initial_inventory={dc: _number(inventory, where, dc) for dc in inventory},
-        master_seed=data["master_seed"], replications=data["replications"],
-        **numbers)
+        **integers, **numbers)

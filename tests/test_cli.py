@@ -56,6 +56,8 @@ def test_manifest_records_run(tiny_file, tmp_path):
     assert manifest["flags"]["epsilon_grid"] == "0.01:1:4"
     assert set(ARTIFACTS) - {"manifest.json"} <= set(manifest["artifacts"])
     assert manifest["started"] <= manifest["finished"]
+    assert manifest["warehouse_overloads"] == {}
+    assert manifest["environment"]["blas_threads"] in (None, 1)
 
 
 def test_outputs_carry_no_timestamps(tiny_file, tmp_path):
@@ -173,6 +175,30 @@ def test_worker_failure_reported_as_inline(tiny_file, tmp_path,
     assert reports[0] == reports[1]
     assert (f"optimize: epsilon 0.1 failed: no progress on seed {failing}"
             in reports[0][0])
+
+
+def test_overloaded_warehouses_are_flagged(tmp_path, capsys):
+    # The packaged instance's W1 cannot cover R1: gfa says so on stderr,
+    # in a line the benchmark does not count as a failure.
+    assert run_cli("gfa", QATAR_PATH, "--out", str(tmp_path / "q")) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "gfa: warehouse W1 is overloaded: its customers draw 14560 kg per "
+        "period, 18200 kg of shipments at the lowest retention, over its "
+        "9000 kg"]
+    # run repeats the line and records the figures in its manifest.  The
+    # tiny network's R1 draws 120 kg a period from W1, 150 kg of
+    # shipments at retention 0.8.
+    data = tiny_dict()
+    data["warehouses"][0]["capacity"] = 100.0
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert quick_run(str(short), str(out)) == 0
+    assert "gfa: warehouse W1 is overloaded" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["warehouse_overloads"] == {"W1": {
+        "demand_kg": 120.0, "shipments_kg": pytest.approx(150.0),
+        "capacity_kg": 100.0}}
 
 
 def test_node_limit_incumbents_are_reported(tmp_path, monkeypatch, capsys):

@@ -8,9 +8,9 @@ import pytest
 from chainforge.errors import (InfeasibleConfigError, ParseError,
                                ValidationError)
 from chainforge.gfa import (GfaConfig, assign_linkages, load_design,
-                            locate_region, run_gfa, save_design,
-                            weighted_effort, weiszfeld_single)
-from chainforge.model import instance_from_dict
+                            locate_region, overloaded_warehouses, run_gfa,
+                            save_design, weiszfeld_single)
+from chainforge.model import euclidean_distance, instance_from_dict
 from conftest import tiny_dict
 
 
@@ -63,8 +63,9 @@ def test_objective_trace_descends():
         result = weiszfeld_single(points, weights)
         trace = result.objective_trace
         assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
-        assert result.objective == pytest.approx(
-            weighted_effort(result.location, points, weights))
+        assert result.objective == pytest.approx(sum(
+            w * euclidean_distance(result.location, p)
+            for p, w in zip(points, weights)))
 
 
 def test_matches_grid_search():
@@ -161,6 +162,9 @@ def test_design_round_trip(name, request, tmp_path):
     ("distances", {"D1": []}),
     ("z", 5),
     ("iterations_used", {"R1": 1e400}),
+    # Values of the wrong JSON type that a bare float() or bool() accepts.
+    ("dc_locations", {"D1": "12"}),
+    ("converged", "no"),
 ])
 def test_malformed_design_file_is_a_parse_error(tiny, tmp_path, field, value):
     path = tmp_path / "design.json"
@@ -190,3 +194,13 @@ def test_run_gfa_beats_declared_locations(tiny):
             for c in region.customers)
         assert (placed.region_objectives[region.id]
                 <= declared_effort + 1e-9)
+
+
+def test_overloaded_warehouses_on_the_packaged_instance(qatar):
+    # R1's four DCs all link to W1 (9,000 kg).  Their 26 customers draw
+    # 14,560 kg per period, 18,200 kg of shipments at the lowest
+    # retention 0.8; W2 and W3 carry less than their 50,000 kg.
+    design = run_gfa(qatar, GfaConfig(rng_seed=0)).design
+    [(warehouse, figures)] = overloaded_warehouses(qatar, design).items()
+    assert warehouse == "W1"
+    assert figures == pytest.approx((14_560.0, 18_200.0, 9_000.0))

@@ -134,7 +134,7 @@ def test_quality_terms_tiny(tiny):
     assert r1.points.tolist() == pytest.approx([54.0, 100.0, 270.0])
     assert r2.points.tolist() == pytest.approx([20.0, 50.0, 100.0])
     for curve in (r1, r2):
-        assert curve.breakpoints.tolist() == [curve.points[1]]
+        assert curve.points.size == 3  # one breakpoint
         assert curve.slopes.tolist() == pytest.approx([0.0, 0.004])
         assert curve.intercept == 0.0
 
@@ -144,19 +144,20 @@ def test_quality_terms_always_active_when_floor_covers_threshold(tiny):
     # no breakpoint is left, and the index is linear over the band.
     r1, r2 = quality_curves(tiny, 0.8)
     assert r1.points.tolist() == pytest.approx([216.0, 270.0])
-    assert r1.breakpoints.size == 0
+    assert r1.slopes.size == 1  # no breakpoint
     assert r1.slopes.tolist() == pytest.approx([0.004])
     assert r1.intercept == pytest.approx(-0.4)
     assert r2.intercept == pytest.approx(-0.2)
     # At safety stock 1 each band is one point.
     for curve in quality_curves(tiny, 1.0):
         assert curve.points[0] == curve.points[-1]
-        assert curve.breakpoints.size == 0
+        assert curve.slopes.size == 1
 
 
 def test_quality_terms_qatar_counts(qatar):
     curves = quality_curves(qatar, qatar.safety_stock_fraction)
-    assert [curve.breakpoints.size for curve in curves] == [2, 3, 2, 2]
+    # Breakpoints: the points strictly between floor and capacity.
+    assert [curve.points.size - 2 for curve in curves] == [2, 3, 2, 2]
     for curve in curves:
         # Each breakpoint starts one more nutrient's surplus: convex.
         assert (np.diff(curve.points) > 0).all()
