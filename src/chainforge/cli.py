@@ -123,22 +123,24 @@ def _plan_file(out: str, index: int) -> str:
     return os.path.join(out, "plans", f"plan_{index:03d}.json")
 
 
-def _stage_gfa(args: argparse.Namespace, config: GfaConfig) -> str:
+def _stage_gfa(args: argparse.Namespace, config: GfaConfig,
+               ) -> dict[str, tuple[float, float, float]]:
+    """Place and link the network; returns its overloaded warehouses."""
     out = _ensure_out(args)
     instance = load_instance(args.instance)
     result = run_gfa(instance, config)
     for region, value in sorted(result.region_objectives.items()):
         log.info("gfa: region %s effort %.6g", region, value)
-    for warehouse, (demand, shipments, capacity) in overloaded_warehouses(
-            instance, result.design).items():
+    overloads = overloaded_warehouses(instance, result.design)
+    for warehouse, (demand, shipments, capacity) in overloads.items():
         print(f"gfa: warehouse {warehouse} is overloaded: its customers draw "
               f"{demand:.6g} kg per period, {shipments:.6g} kg of shipments "
-              f"at the lowest retention, over its {capacity:.6g} kg",
+              f"at the lowest retention, capacity {capacity:.6g} kg",
               file=sys.stderr)
     path = os.path.join(out, "design.json")
     save_design(result, path)
     log.info("gfa: wrote %s", path)
-    return path
+    return overloads
 
 
 def _stage_optimize(args: argparse.Namespace, grid: tuple[float, ...],
@@ -257,7 +259,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     started = datetime.now(timezone.utc).isoformat()
     args.design = None
 
-    code = _guard("gfa", lambda: _stage_gfa(args, gfa_config))
+    overloads = {}
+    code = _guard("gfa", lambda: overloads.update(_stage_gfa(args, gfa_config)))
     if code == 0:
         code = _guard("optimize",
                       lambda: _stage_optimize(args, grid, sweep_config))
@@ -270,9 +273,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if code != 0:
         return code
 
-    overloads = overloaded_warehouses(
-        load_instance(args.instance),
-        load_design(os.path.join(out, "design.json")).design)
     manifest = {
         "tool": "chainforge",
         "version": __version__,

@@ -183,7 +183,7 @@ def test_overloaded_warehouses_are_flagged(tmp_path, capsys):
     assert run_cli("gfa", QATAR_PATH, "--out", str(tmp_path / "q")) == 0
     assert capsys.readouterr().err.splitlines() == [
         "gfa: warehouse W1 is overloaded: its customers draw 14560 kg per "
-        "period, 18200 kg of shipments at the lowest retention, over its "
+        "period, 18200 kg of shipments at the lowest retention, capacity "
         "9000 kg"]
     # run repeats the line and records the figures in its manifest.  The
     # tiny network's R1 draws 120 kg a period from W1, 150 kg of

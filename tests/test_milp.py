@@ -395,8 +395,8 @@ def test_branch_values_outside_a_binarys_bounds_are_infeasible():
 def _highs_milp(model):
     """Reference optimum from scipy's HiGHS MILP, or None if infeasible.
 
-    HiGHS presolve treats the period models' 1e-8 surplus rewards as zero
-    and settles about 0.004 lower, so it is switched off.
+    Presolve is switched off, so that HiGHS solves each model as given,
+    none of its small objective coefficients dropped.
     """
     d = _dense(model)
     lower = np.where(d.relations == "<=", -np.inf, d.b)
