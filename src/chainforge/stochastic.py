@@ -45,6 +45,7 @@ Model assembly notes (this shapes every coefficient below):
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import math
 import os
@@ -195,8 +196,9 @@ def quality_curves(instance: NetworkInstance,
         requirement = np.array([nt.min_requirement * region.population
                                 for nt in instance.nutrients])
         threshold = requirement / content
-        inside = np.unique(threshold[(threshold > floor) & (threshold < capacity)])
-        points = np.concatenate([[floor], inside, [capacity]])
+        # sorted(set()), not np.unique, which would load numpy.ma.
+        inside = sorted(set(threshold[(floor < threshold) & (threshold < capacity)]))
+        points = np.array([floor, *inside, capacity])
         active = threshold <= points[:-1, None]  # [piece, nutrient]
         curves.append(QualityCurve(
             points=points, slopes=active @ (weight * content),
@@ -538,8 +540,6 @@ _worker_inputs: tuple[NetworkInstance, NetworkDesign, StochasticConfig] | None =
 def _openblas(name: str):
     """The function name of the OpenBLAS mapped into this process, or
     None where there is none (or no /proc/self/maps to find it in)."""
-    import ctypes
-
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             paths = sorted({line.split(None, 5)[-1].strip() for line in fh

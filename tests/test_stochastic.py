@@ -589,6 +589,7 @@ def test_sweep_workers_run_one_blas_thread(tiny, tiny_design, monkeypatch):
         return len(os.listdir("/proc/self/task"))
 
     monkeypatch.setattr(stochastic, "summarize_replication", threads_after)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # the package default
     previous = stochastic.blas_threads()
     set_threads(2)
     try:
