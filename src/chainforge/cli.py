@@ -22,7 +22,7 @@ import os
 import sys
 from datetime import datetime, timezone
 
-from . import __version__
+from . import _BLAS_VARS, __version__
 from .desim import SimConfig, run_validation, write_validation_csv
 from .errors import ChainforgeError, ConfigError, DomainError
 from .gfa import (GfaConfig, load_design, overloaded_warehouses, run_gfa,
@@ -32,8 +32,8 @@ from .model import (NetworkDesign, NetworkInstance, design_mismatches,
 from .pareto import (epsilon_grid, extract_front, read_solutions_csv,
                      render_front_svg, sweep, write_front_csv,
                      write_solutions_csv)
-from .stochastic import (StochasticConfig, blas_threads, load_plan,
-                         plan_from_estimate, save_plan)
+from .stochastic import (StochasticConfig, load_plan, plan_from_estimate,
+                         save_plan)
 
 log = logging.getLogger("chainforge.cli")
 
@@ -289,7 +289,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "out": args.out,
         },
         "instance": {"path": args.instance, "sha256": _sha256(args.instance)},
-        "environment": {"blas_threads": blas_threads()},
+        "environment": {var: os.environ.get(var) for var in _BLAS_VARS},
         "warehouse_overloads": {
             warehouse: dict(zip(("demand_kg", "shipments_kg", "capacity_kg"),
                                 figures))

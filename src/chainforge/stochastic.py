@@ -45,10 +45,8 @@ Model assembly notes (this shapes every coefficient below):
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
 import math
-import os
 from dataclasses import asdict, dataclass, fields
 from functools import reduce
 from operator import sub
@@ -480,8 +478,8 @@ def _extract_period(template, x, opening, demand, retention, t):
                  - np.bincount(template.serving, deliveries, minlength=D))
 
     # Solver arithmetic can leave a DC a hair below zero; physical stock
-    # is nonnegative, so clamp the regional sums used downstream.  The
-    # per-DC values stay raw for the audit.
+    # is nonnegative, so the regional sums and the priced stock are
+    # clamped.  The per-DC values stay raw for the audit.
     region_stock = np.maximum(np.bincount(
         template.dc_region, inventory,
         minlength=len(template.region_customers)), 0.0)
@@ -502,7 +500,8 @@ def _extract_period(template, x, opening, demand, retention, t):
     return PeriodDecision(
         period=t, orders=orders, deliveries=deliveries, unmet=unmet,
         inventory=inventory, aux=aux, accessibility=accessibility,
-        inventory_cost=sum((template.holding * inventory).tolist()),
+        inventory_cost=sum((template.holding
+                            * np.maximum(inventory, 0.0)).tolist()),
         unfulfilled_cost=sum((template.unmet_cost * unmet).tolist()),
         order_cost=sum((template.order_cost * orders).tolist()))
 
@@ -537,29 +536,6 @@ Outcome = ReplicationSummary | DomainError | NumericalError
 _worker_inputs: tuple[NetworkInstance, NetworkDesign, StochasticConfig] | None = None
 
 
-def _openblas(name: str):
-    """The function name of the OpenBLAS mapped into this process, or
-    None where there is none (or no /proc/self/maps to find it in)."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = sorted({line.split(None, 5)[-1].strip() for line in fh
-                            if "openblas" in line})
-        for path in paths:
-            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
-            for symbol in (f"scipy_openblas_{name}64_", f"openblas_{name}"):
-                if hasattr(lib, symbol):
-                    return getattr(lib, symbol)
-    except (OSError, AttributeError):
-        pass
-    return None
-
-
-def blas_threads() -> int | None:
-    """OpenBLAS's thread count in this process, or None where unknown."""
-    get = _openblas("get_num_threads")
-    return None if get is None else int(get())
-
-
 def _init_worker(instance: NetworkInstance, design: NetworkDesign,
                  config: StochasticConfig) -> None:
     global _worker_inputs
@@ -578,10 +554,9 @@ def map_replications(instance: NetworkInstance, design: NetworkDesign,
 
     With one worker (config.jobs == 1, or a single item) the calls run
     inline.  Otherwise a process pool of min(jobs, items) workers runs
-    them.  The platform's default start method is used; on Linux before
-    Python 3.14 that is fork, which spares each worker re-importing
-    numpy.  Under spawn and forkserver the initializer pickles (instance,
-    design, config).
+    them.  The platform's default start method is used, so on spawn and
+    forkserver platforms the initializer pickles (instance, design,
+    config).
     """
     workers = min(config.jobs, len(items))
     if workers <= 1:
@@ -591,22 +566,9 @@ def map_replications(instance: NetworkInstance, design: NetworkDesign,
     # multiprocessing (about 1.3 MB of resident memory).
     from concurrent.futures import ProcessPoolExecutor
 
-    # Workers inherit this process's OpenBLAS thread count: the library's
-    # default if numpy loaded before chainforge set OPENBLAS_NUM_THREADS.
-    # Setting the count in a worker would start the library's threads
-    # there, so this process holds one thread while the pool forks.
-    set_threads, previous = _openblas("set_num_threads"), blas_threads()
-    pin = (set_threads is not None
-           and os.environ.get("OPENBLAS_NUM_THREADS") == "1")
-    if pin:
-        set_threads(1)
-    try:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                 initargs=(instance, design, config)) as pool:
-            return list(pool.map(_run_item, items))
-    finally:
-        if pin:
-            set_threads(previous)
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                             initargs=(instance, design, config)) as pool:
+        return list(pool.map(_run_item, items))
 
 
 def summarize_replication(instance: NetworkInstance, design: NetworkDesign,

@@ -1,6 +1,7 @@
 """Command line stages, artifacts, exit codes, and determinism."""
 
 import argparse
+import csv
 import json
 import multiprocessing
 import os
@@ -11,6 +12,7 @@ import sys
 
 import pytest
 
+import chainforge
 from chainforge.cli import _build_parser, _sweep_config, main
 from chainforge.stochastic import StochasticConfig
 from conftest import QATAR_PATH, branching_tiny_dict, tiny_dict
@@ -57,7 +59,23 @@ def test_manifest_records_run(tiny_file, tmp_path):
     assert set(ARTIFACTS) - {"manifest.json"} <= set(manifest["artifacts"])
     assert manifest["started"] <= manifest["finished"]
     assert manifest["warehouse_overloads"] == {}
-    assert manifest["environment"]["blas_threads"] in (None, 1)
+    assert manifest["environment"] == {
+        var: os.environ.get(var) for var in chainforge._BLAS_VARS}
+
+
+def test_pinned_run_reports_no_negative_cost(tmp_path):
+    # At safety stock 0 the solver leaves some DCs' closing stock a hair
+    # below zero; the priced stock is clamped, so every cost is >= 0.
+    out = str(tmp_path / "out")
+    assert run_cli("run", QATAR_PATH, "--out", out, "--seed", "0",
+                   "--epsilon-grid", "0.001:1:10", "--replications", "10",
+                   "--runs", "5", "--safety-stock", "0", "--jobs", "2") == 0
+    with open(os.path.join(out, "solutions.csv"), newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 10
+    for row in rows:
+        for key in ("inventory_cost", "unfulfilled_cost", "order_cost"):
+            assert float(row[key]) >= 0.0, (key, row[key])
 
 
 def test_outputs_carry_no_timestamps(tiny_file, tmp_path):

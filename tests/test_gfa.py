@@ -9,8 +9,8 @@ from chainforge.errors import (InfeasibleConfigError, ParseError,
                                ValidationError)
 from chainforge.gfa import (GfaConfig, assign_linkages, load_design,
                             locate_region, overloaded_warehouses, run_gfa,
-                            save_design, weiszfeld_single)
-from chainforge.model import euclidean_distance, instance_from_dict
+                            save_design, weighted_effort, weiszfeld_single)
+from chainforge.model import instance_from_dict
 from conftest import tiny_dict
 
 
@@ -63,9 +63,8 @@ def test_objective_trace_descends():
         result = weiszfeld_single(points, weights)
         trace = result.objective_trace
         assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
-        assert result.objective == pytest.approx(sum(
-            w * euclidean_distance(result.location, p)
-            for p, w in zip(points, weights)))
+        assert result.objective == pytest.approx(
+            weighted_effort(result.location, points, weights))
 
 
 def test_matches_grid_search():

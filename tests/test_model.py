@@ -1,14 +1,12 @@
 """Instance schema parsing and validation."""
 
 import math
-from collections.abc import Mapping
-from dataclasses import asdict
 
 import pytest
 
 from chainforge.errors import ParseError, ValidationError
-from chainforge.model import (NetworkInstance, euclidean_distance,
-                              instance_from_dict, load_instance)
+from chainforge.model import (euclidean_distance, instance_from_dict,
+                              instance_to_dict, load_instance)
 from conftest import QATAR_PATH, tiny_dict
 
 
@@ -165,51 +163,6 @@ def test_order_cost_mapping_unknown_dc_rejected():
     data["warehouses"][0]["order_unit_cost"] = {"D9": 2.0}
     with pytest.raises(ValidationError, match="D9"):
         instance_from_dict(data)
-
-
-def instance_to_dict(instance: NetworkInstance) -> dict:
-    """Serialize back to the file schema, inverse of instance_from_dict."""
-    def point(located):
-        return {"id": located.id, "location": list(located.location)}
-
-    def demand(spec):
-        return {"family": "normal", "mean": spec.mean, "variance": spec.std ** 2}
-
-    data = {
-        "warehouses": [
-            {**point(w), "capacity": w.capacity,
-             "order_unit_cost": (dict(w.order_unit_cost)
-                                 if isinstance(w.order_unit_cost, Mapping)
-                                 else w.order_unit_cost)}
-            for w in instance.warehouses],
-        "regions": [
-            {"id": r.id, "local_food_cost": r.local_food_cost,
-             "average_income": r.average_income,
-             "residential_areas": r.residential_areas,
-             "persons_per_area": r.persons_per_area,
-             "unfulfilled_unit_cost": r.unfulfilled_unit_cost,
-             "accessibility_weights": asdict(r.weights),
-             "dcs": [{**point(dc), "capacity": dc.capacity,
-                      "inventory_unit_cost": dc.inventory_unit_cost}
-                     for dc in r.dcs],
-             "customers": [{**point(c), "demand": demand(c.demand)}
-                           for c in r.customers]}
-            for r in instance.regions],
-        "nutrients": [asdict(n) for n in instance.nutrients],
-        "stochastic": {
-            "demand": demand(instance.demand),
-            "supply_loss": {"family": "uniform",
-                            **asdict(instance.supply_loss)}},
-        "safety_stock_fraction": instance.safety_stock_fraction,
-        "horizon": instance.horizon,
-    }
-    if instance.path_weights:
-        data["path_weights"] = [
-            {"dc": dc, "customer": customer, "factor": factor}
-            for (dc, customer), factor in sorted(instance.path_weights.items())]
-    if instance.normalization_scales is not None:
-        data["normalization_scales"] = asdict(instance.normalization_scales)
-    return data
 
 
 def test_round_trip_preserves_instance(tiny):

@@ -2,11 +2,15 @@
 
 import copy
 import hashlib
+import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import chainforge
 from chainforge import stochastic
 from chainforge.errors import (ConfigError, DomainError, ParseError,
                                ValidationError)
@@ -571,30 +575,49 @@ def test_plan_load_rejects_bad_files(tmp_path):
         load_plan(str(tmp_path / "absent.json"))
 
 
+# Run in a fresh interpreter that imports chainforge before numpy, as
+# the command line does; prints each sweep worker's OS thread count
+# after a solve and a product large enough for BLAS to share out.
+_WORKER_THREADS = """
+import json, os, sys
+from chainforge import stochastic
+from chainforge.gfa import assign_linkages
+from chainforge.model import instance_from_dict
+import numpy as np
+
+def threads_after(*args):
+    assert isinstance(real(*args), stochastic.ReplicationSummary)
+    np.linalg.solve(np.eye(400) + 1.0, np.ones((400, 400)))
+    return len(os.listdir("/proc/self/task"))
+
+real, stochastic.summarize_replication = (stochastic.summarize_replication,
+                                          threads_after)
+instance = instance_from_dict(json.loads(sys.argv[1]))
+design = assign_linkages(instance, {dc.id: dc.location for dc in instance.dcs()})
+print(stochastic.map_replications(instance, design,
+                                  stochastic.StochasticConfig(jobs=2),
+                                  [(0.01, 1), (0.01, 2)]))
+"""
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                     reason="counts threads in Linux's /proc/self/task")
-def test_sweep_workers_run_one_blas_thread(tiny, tiny_design, monkeypatch):
-    # A caller that loaded numpy before chainforge keeps BLAS's default
-    # threads; its forked sweep workers must still run one OS thread
-    # after a solve, and after a product large enough for BLAS to share
-    # out, whatever the period models' size.
-    set_threads = stochastic._openblas("set_num_threads")
-    if set_threads is None:
-        pytest.skip("no OpenBLAS loaded")
-    real = stochastic.summarize_replication
+def test_sweep_workers_run_one_blas_thread():
+    from conftest import tiny_dict
+    env = {k: v for k, v in os.environ.items() if k not in chainforge._BLAS_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    result = subprocess.run(
+        [sys.executable, "-c", _WORKER_THREADS, json.dumps(tiny_dict())],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[1, 1]\n"
 
-    def threads_after(*args):
-        assert isinstance(real(*args), stochastic.ReplicationSummary)
-        np.linalg.solve(np.eye(400) + 1.0, np.ones((400, 400)))
-        return len(os.listdir("/proc/self/task"))
 
-    monkeypatch.setattr(stochastic, "summarize_replication", threads_after)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # the package default
-    previous = stochastic.blas_threads()
-    set_threads(2)
-    try:
-        config = StochasticConfig(replications=2, jobs=2)
-        assert stochastic.map_replications(
-            tiny, tiny_design, config, [(0.01, 1), (0.01, 2)]) == [1, 1]
-    finally:
-        set_threads(previous)
+def test_a_chosen_blas_thread_count_is_kept():
+    env = {k: v for k, v in os.environ.items() if k not in chainforge._BLAS_VARS}
+    env.update(OMP_NUM_THREADS="3", PYTHONPATH=os.pathsep.join(sys.path))
+    result = subprocess.run(
+        [sys.executable, "-c", "import os, chainforge; "
+         "print(os.environ.get('OPENBLAS_NUM_THREADS'))"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert result.stdout == "None\n", result.stderr
