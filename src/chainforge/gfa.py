@@ -56,13 +56,6 @@ class WeiszfeldResult:
     objective_trace: tuple[float, ...]
 
 
-def weighted_effort(location: tuple[float, float],
-                    points: Sequence[tuple[float, float]],
-                    weights: Sequence[float]) -> float:
-    """Demand-weighted total distance from one location to all points."""
-    return sum(w * euclidean_distance(location, p) for p, w in zip(points, weights))
-
-
 def weiszfeld_single(points: Sequence[tuple[float, float]],
                      weights: Sequence[float],
                      *, initial: tuple[float, float] | None = None) -> WeiszfeldResult:

@@ -24,8 +24,7 @@ pass usually takes a few pivots.  An empty dual ratio test proves an LP
 infeasible.
 
 A model is a DenseModel, the arrays the solver reads, whose constructor
-is the one model check.  A LinearModel, built row by row from sparse
-dicts for hand-written and generated models, is densified at entry.
+is the one model check.
 
 Conventions:
 
@@ -48,7 +47,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -84,87 +83,20 @@ class SolveResult:
     nodes: int = 0
     basis: Basis | None = None  # solve_milp: the optimal root LP's basis
 
-    def value(self, index: int) -> float:
-        if self.values is None:
-            raise ValueError("no solution available")
-        return float(self.values[index])
-
-
-class LinearModel:
-    """A maximize-objective model built incrementally.
-
-    Variables are referenced by the integer index add_variable returns.
-    Constraints take a sparse mapping of variable index to coefficient.
-    """
-
-    def __init__(self):
-        self.lower: list[float] = []
-        self.upper: list[float] = []
-        self.objective: list[float] = []
-        self.is_binary: list[bool] = []
-        self.rows: list[dict[int, float]] = []
-        self.relations: list[str] = []
-        self.rhs: list[float] = []
-        self.objective_offset: float = 0.0
-
-    @property
-    def num_variables(self) -> int:
-        return len(self.lower)
-
-    def add_variable(self, name: str, lb: float = 0.0, ub: float = math.inf,
-                     *, objective: float = 0.0, binary: bool = False) -> int:
-        """Add a column and return its index; name labels the call only."""
-        if binary:
-            lb = max(lb, 0.0)
-            ub = min(ub, 1.0)
-        self.lower.append(float(lb))
-        self.upper.append(float(ub))
-        self.objective.append(float(objective))
-        self.is_binary.append(binary)
-        return len(self.lower) - 1
-
-    def add_constraint(self, coeffs: Mapping[int, float], relation: str,
-                       rhs: float) -> int:
-        """Add the row sum(a * x[j] for j, a in coeffs) <relation> rhs.
-
-        relation is "<=", "=" or ">="; zero coefficients are dropped.
-        Rows are unnamed: a row is its index, which this returns.
-        """
-        if relation not in ("<=", "=", ">="):
-            raise ValidationError(f"unknown relation {relation!r}")
-        row = {int(j): float(a) for j, a in coeffs.items() if a != 0.0}
-        self.rows.append(row)
-        self.relations.append(relation)
-        self.rhs.append(float(rhs))
-        return len(self.rows) - 1
-
-    def dense(self) -> DenseModel:
-        """The model as a checked DenseModel."""
-        n = self.num_variables
-        A = np.zeros((len(self.rows), n))
-        for i, row in enumerate(self.rows):
-            if not all(0 <= j < n for j in row):
-                raise ValidationError(f"constraint {i}: unknown variable index")
-            A[i, list(row)] = list(row.values())
-        return DenseModel(A, np.array(self.rhs), np.array(self.objective),
-                          np.array(self.lower), np.array(self.upper),
-                          relations=self.relations,
-                          binary=np.flatnonzero(self.is_binary),
-                          offset=self.objective_offset)
-
 
 class DenseModel:
     """Maximize c @ x + offset subject to A[i] @ x <relations[i]> b[i]
     and lb <= x <= ub, with the columns in binary driven to 0 or 1.
 
     Construction is the one model check: lb finite, ub not NaN, lb <= ub,
-    and c, A and b finite, else ValidationError names the first bad
-    variable or constraint.  The solver only reads the arrays, so models
-    may share them."""
+    c, A and b finite, and each relation "<=", "=" or ">=", else
+    ValidationError names the first bad variable or constraint.  The
+    solver only reads the arrays, so models may share them."""
 
     def __init__(self, A: np.ndarray, b: np.ndarray, c: np.ndarray,
                  lb: np.ndarray, ub: np.ndarray, *, relations: Iterable[str],
                  binary: np.ndarray, offset: float):
+        relations = np.asarray(relations, dtype=str)
         for kind, bad, what in (
                 ("variable", ~np.isfinite(lb), "lower bound must be finite"),
                 ("variable", np.isnan(ub), "upper bound is NaN"),
@@ -173,12 +105,14 @@ class DenseModel:
                 ("constraint", ~np.isfinite(A).all(axis=1),
                  "coefficient must be finite"),
                 ("constraint", ~np.isfinite(b),
-                 "right-hand side must be finite")):
+                 "right-hand side must be finite"),
+                ("constraint", (relations != "<=") & (relations != "=")
+                 & (relations != ">="), "relation must be <=, = or >=")):
             if bad.any():
                 raise ValidationError(f"{kind} {int(np.argmax(bad))}: {what}")
         self.n = len(c)
         self.A, self.b, self.c, self.lb, self.ub = A, b, c, lb, ub
-        self.relations = np.asarray(relations, dtype="<U2")
+        self.relations = relations
         self.binary = np.asarray(binary, dtype=int)
         self.offset = offset
 
@@ -193,16 +127,12 @@ class _Tableau:
     reduced costs.
     """
 
-    def __init__(self, canon: DenseModel, lb: np.ndarray, ub: np.ndarray):
+    def __init__(self, canon: DenseModel):
         self.canon = canon
-        self.lb = lb
+        lb = self.lb = canon.lb
         self.iterations = 0
-        span = ub - lb
-        self.infeasible_bounds = bool(np.any(span < -1e-9))
         self.trivially_infeasible = False
-        if self.infeasible_bounds:
-            return
-        span = np.maximum(span, 0.0)
+        span = np.maximum(canon.ub - lb, 0.0)
 
         eq = canon.relations == "="
         sign = np.where(canon.relations == ">=", -1.0, 1.0)
@@ -523,12 +453,12 @@ def _result(tab: _Tableau, status: str) -> SolveResult:
     return SolveResult(Status.OPTIMAL, obj, x, tab.iterations)
 
 
-def _solve_canon(canon: DenseModel, lb: np.ndarray, ub: np.ndarray,
-                 start: Basis | None = None) -> tuple[SolveResult, _Tableau]:
+def _solve_canon(canon: DenseModel, start: Basis | None = None,
+                 ) -> tuple[SolveResult, _Tableau]:
     """Root solve from the slack basis, or from start where it fits; the
     final tableau seeds warm starts."""
-    tab = _Tableau(canon, lb, ub)
-    if tab.infeasible_bounds or tab.trivially_infeasible:
+    tab = _Tableau(canon)
+    if tab.trivially_infeasible:
         return SolveResult(Status.INFEASIBLE, math.nan, None, 0), tab
     return _result(tab, tab.solve(_iteration_limit(tab), start)), tab
 
@@ -548,15 +478,14 @@ def _resolve(parent: _Tableau, cols: Iterable[int], values: Iterable[float],
     return _result(tab, tab.reoptimize(_iteration_limit(tab))), tab
 
 
-def solve_milp(model: LinearModel | DenseModel, *,
+def solve_milp(model: DenseModel, *,
                node_limit: int = DEFAULT_NODE_LIMIT,
                start: Basis | None = None) -> SolveResult:
     """Solve the model with binary variables driven to integrality.
 
-    A LinearModel is densified, and so checked, first.  Best-first
-    branch and bound: nodes are ordered on their relaxation bound,
-    branching picks the most fractional binary, and a rounding pass at
-    the root supplies an early incumbent.  The root LP starts from the
+    Best-first branch and bound: nodes are ordered on their relaxation
+    bound, branching picks the most fractional binary, and a rounding pass
+    at the root supplies an early incumbent.  The root LP starts from the
     slack basis, or from start: the basis of another model with the same
     rows and columns, such as the previous period's, which the result's
     basis field carries on.  A start that does not fit falls back to the
@@ -567,12 +496,11 @@ def solve_milp(model: LinearModel | DenseModel, *,
     size bounds each LP.  Hitting node_limit returns the best incumbent
     found with status NODE_LIMIT.
     """
-    canon = model.dense() if isinstance(model, LinearModel) else model
-    root, root_tab = _solve_canon(canon, canon.lb, canon.ub, start)
+    root, root_tab = _solve_canon(model, start)
     root.nodes = 1
     if root.status is Status.OPTIMAL:
         root.basis = (root_tab.basis, root_tab.at_ub)
-    bins = canon.binary
+    bins = model.binary
     if len(bins) == 0 or root.status != Status.OPTIMAL:
         return root
 

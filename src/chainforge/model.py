@@ -59,9 +59,6 @@ class DemandSpec:
     mean: float
     std: float
 
-    def to_json(self) -> dict[str, Any]:
-        return {"family": "normal", "mean": self.mean, "variance": self.std**2}
-
 
 @dataclass(frozen=True)
 class SupplyLossSpec:
@@ -70,22 +67,12 @@ class SupplyLossSpec:
     low: float
     high: float
 
-    def to_json(self) -> dict[str, Any]:
-        return {"family": "uniform", "low": self.low, "high": self.high}
-
 
 @dataclass(frozen=True)
 class AccessibilityWeights:
     affordability: float = 1.0
     transportation: float = 1.0
     quality: float = 1.0
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "affordability": self.affordability,
-            "transportation": self.transportation,
-            "quality": self.quality,
-        }
 
 
 @dataclass(frozen=True)
@@ -175,12 +162,6 @@ class NetworkInstance:
 
     def customers(self) -> list[Customer]:
         return [c for region in self.regions for c in region.customers]
-
-    def region(self, region_id: str) -> Region:
-        for region in self.regions:
-            if region.id == region_id:
-                return region
-        raise KeyError(region_id)
 
     def path_weight(self, dc_id: str, customer_id: str) -> float:
         return self.path_weights.get((dc_id, customer_id), 1.0)
@@ -565,76 +546,3 @@ def load_instance(path: str) -> NetworkInstance:
     """Load, parse, and validate an instance file."""
     return instance_from_dict(read_json(path))
 
-
-def instance_to_dict(instance: NetworkInstance) -> dict[str, Any]:
-    """Serialize back to the file schema, inverse of instance_from_dict."""
-    data: dict[str, Any] = {
-        "warehouses": [
-            {
-                "id": w.id,
-                "location": list(w.location),
-                "capacity": w.capacity,
-                "order_unit_cost": (dict(w.order_unit_cost)
-                                    if isinstance(w.order_unit_cost, Mapping)
-                                    else w.order_unit_cost),
-            }
-            for w in instance.warehouses
-        ],
-        "regions": [
-            {
-                "id": r.id,
-                "local_food_cost": r.local_food_cost,
-                "average_income": r.average_income,
-                "residential_areas": r.residential_areas,
-                "persons_per_area": r.persons_per_area,
-                "unfulfilled_unit_cost": r.unfulfilled_unit_cost,
-                "accessibility_weights": r.weights.to_json(),
-                "dcs": [
-                    {
-                        "id": dc.id,
-                        "location": list(dc.location),
-                        "capacity": dc.capacity,
-                        "inventory_unit_cost": dc.inventory_unit_cost,
-                    }
-                    for dc in r.dcs
-                ],
-                "customers": [
-                    {
-                        "id": c.id,
-                        "location": list(c.location),
-                        "demand": c.demand.to_json(),
-                    }
-                    for c in r.customers
-                ],
-            }
-            for r in instance.regions
-        ],
-        "nutrients": [
-            {
-                "id": n.id,
-                "weight": n.weight,
-                "min_requirement": n.min_requirement,
-                "per_kg_content": n.per_kg_content,
-            }
-            for n in instance.nutrients
-        ],
-        "stochastic": {
-            "demand": instance.demand.to_json(),
-            "supply_loss": instance.supply_loss.to_json(),
-        },
-        "safety_stock_fraction": instance.safety_stock_fraction,
-        "horizon": instance.horizon,
-    }
-    if instance.path_weights:
-        data["path_weights"] = [
-            {"dc": dc, "customer": customer, "factor": factor}
-            for (dc, customer), factor in sorted(instance.path_weights.items())
-        ]
-    if instance.normalization_scales is not None:
-        s = instance.normalization_scales
-        data["normalization_scales"] = {
-            "affordability": s.affordability,
-            "transportation": s.transportation,
-            "quality": s.quality,
-        }
-    return data

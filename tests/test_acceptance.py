@@ -17,7 +17,7 @@ from scipy.optimize import linprog
 from chainforge.cli import main as cli_main
 from chainforge.desim import SimConfig, run_validation
 from chainforge.gfa import GfaConfig, run_gfa, weiszfeld_single
-from chainforge.milp import LinearModel, Status, solve_milp
+from chainforge.milp import DenseModel, Status, solve_milp
 from chainforge.model import load_instance
 from chainforge.pareto import extract_front, sweep
 from chainforge.stochastic import (EstimateResult, OperationalPlan,
@@ -97,42 +97,43 @@ def _random_milp(rng):
     nc = int(rng.integers(0, 9))
     if nb + nc == 0:
         nc = 1
-    model = LinearModel()
-    cols = []
-    for i in range(nb):
-        cols.append(model.add_variable(
-            f"b{i}", objective=float(rng.normal(0, 5)), binary=True))
-    for i in range(nc):
-        cols.append(model.add_variable(
-            f"x{i}", ub=float(rng.uniform(0.5, 4.0)),
-            objective=float(rng.normal(0, 5))))
+    n = nb + nc
+    c = [float(rng.normal(0, 5)) for _ in range(nb)]
+    ub = [1.0] * nb
+    for _ in range(nc):
+        ub.append(float(rng.uniform(0.5, 4.0)))
+        c.append(float(rng.normal(0, 5)))
+    rows, rhs, relations = [], [], []
     for _ in range(int(rng.integers(1, 6))):
-        coeffs = {c: float(rng.normal(0, 2)) for c in cols
+        coeffs = {j: float(rng.normal(0, 2)) for j in range(n)
                   if rng.random() < 0.6}
         if not coeffs:
-            coeffs = {cols[0]: 1.0}
+            coeffs = {0: 1.0}
         relation = str(rng.choice(["<=", ">=", "="]))
-        rhs = float(rng.uniform(-2.0, 6.0))
+        b = float(rng.uniform(-2.0, 6.0))
         if relation == "=":
-            rhs = sum(a * 0.5 for a in coeffs.values())
-        model.add_constraint(coeffs, relation, rhs)
-    return model
+            b = sum(a * 0.5 for a in coeffs.values())
+        row = np.zeros(n)
+        row[list(coeffs)] = list(coeffs.values())
+        rows.append(row)
+        rhs.append(b)
+        relations.append(relation)
+    return DenseModel(np.array(rows), np.array(rhs), np.array(c), np.zeros(n),
+                      np.array(ub), relations=relations,
+                      binary=np.arange(nb), offset=0.0)
 
 
 def _enumerate_reference(model):
     """Exhaustive optimum: binary combos crossed with continuous LPs."""
-    n = model.num_variables
-    binaries = [j for j in range(n) if model.is_binary[j]]
-    cont = [j for j in range(n) if not model.is_binary[j]]
-    rows = np.array([[row.get(j, 0.0) for j in range(n)]
-                     for row in model.rows])
-    rhs = np.array(model.rhs)
-    senses = model.relations
-    obj = np.array(model.objective)
+    is_binary = np.zeros(model.n, dtype=bool)
+    is_binary[model.binary] = True
+    binaries = np.flatnonzero(is_binary)
+    cont = np.flatnonzero(~is_binary)
+    rows, rhs, senses, obj = model.A, model.b, model.relations, model.c
     combos = np.array(list(itertools.product([0.0, 1.0],
                                              repeat=len(binaries))))
     best = None
-    if not cont:
+    if len(cont) == 0:
         fixed_rhs = combos @ rows[:, binaries].T
         feasible = np.ones(len(combos), dtype=bool)
         for i, sense in enumerate(senses):
@@ -146,11 +147,10 @@ def _enumerate_reference(model):
             values = combos[feasible] @ obj[binaries]
             best = float(values.max())
         return best
-    c = [-model.objective[j] for j in cont]
-    bounds = [(model.lower[j], model.upper[j]) for j in cont]
+    c = -obj[cont]
+    lo, hi = model.lb[cont], model.ub[cont]
+    bounds = list(zip(lo, hi))
     cont_rows = rows[:, cont]
-    lo = np.array([model.lower[j] for j in cont])
-    hi = np.array([model.upper[j] for j in cont])
     # Extreme per-row contributions of the continuous box; used to discard
     # binary combos no continuous point could ever repair.
     box_min = np.minimum(cont_rows * lo, cont_rows * hi).sum(axis=1)
@@ -457,7 +457,7 @@ def test_criterion_8_indices_bounded_and_affordability_exact():
     try:
         instance, design = _pipeline()
         scales = resolve_scales(instance, design)
-        region_one = instance.region("R1")
+        region_one = instance.regions[0]
         assert affordability(region_one) == 21.77 / 275626
         rng = np.random.default_rng(808)
         regions = list(instance.regions)

@@ -13,12 +13,12 @@ from chainforge.stochastic import PeriodTemplate
 
 
 def test_affordability_is_cost_over_income(tiny):
-    assert affordability(tiny.region("R1")) == 20.0 / 2000.0
-    assert affordability(tiny.region("R2")) == 25.0 / 1800.0
+    assert affordability(tiny.regions[0]) == 20.0 / 2000.0
+    assert affordability(tiny.regions[1]) == 25.0 / 1800.0
 
 
 def test_affordability_requires_positive_income(tiny):
-    region = tiny.region("R1")
+    region = tiny.regions[0]
     bad = type(region)(**{**region.__dict__, "average_income": 0.0})
     with pytest.raises(DomainError):
         affordability(bad)
@@ -69,7 +69,7 @@ def test_accessible_nutrition(tiny):
 
 
 def test_quality_index_clamps_shortfalls(tiny):
-    region = tiny.region("R1")  # population 400
+    region = tiny.regions[0]  # population 400
     # protein requires 200, iron requires 0.4
     nutrition = {"protein": 250.0, "iron": 0.1}
     assert quality_index(region, nutrition, tiny.nutrients) == \
@@ -114,18 +114,18 @@ def test_resolve_scales_falls_back_to_defaults(tiny, tiny_design):
 def test_snapshot_contribution(tiny, tiny_design):
     scales = NormalizationScales(affordability=0.02, transportation=100.0,
                                  quality=60.0)
-    snap = snapshot(tiny.region("R1"), 0, tiny, region_inventory=150.0,
+    snap = snapshot(tiny.regions[0], 0, tiny, region_inventory=150.0,
                     effort=link_effort(tiny, tiny_design)[:3],
                     shipments=[10.0, 0.0, 0.0], scales=scales)
     assert snap.affordability == pytest.approx(0.5)
     assert snap.raw_transportation == pytest.approx(10.0 * 2.0 ** 0.5)
     # protein surplus: 0.2 * 150 - 200 < 0, iron: 0.004 * 150 - 0.4 = 0.2
     assert snap.raw_quality == pytest.approx(0.2)
-    weights = tiny.region("R1").weights
+    weights = tiny.regions[0].weights
     expected = (weights.affordability * snap.affordability
                 - weights.transportation * snap.transportation
                 + weights.quality * snap.quality)
-    assert snap.contribution(tiny.region("R1")) == pytest.approx(expected)
+    assert snap.contribution(tiny.regions[0]) == pytest.approx(expected)
 
 
 def test_indices_stay_in_unit_interval(tiny, tiny_design):
@@ -133,7 +133,7 @@ def test_indices_stay_in_unit_interval(tiny, tiny_design):
 
     rng = random.Random(7)
     scales = default_scales(tiny, tiny_design)
-    region = tiny.region("R1")
+    region = tiny.regions[0]
     effort = link_effort(tiny, tiny_design)[:3]  # C1, C2, C3
     for _ in range(200):
         inventory = rng.uniform(0.0, 270.0)

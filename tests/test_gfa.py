@@ -1,6 +1,7 @@
 """Placement stage: Weiszfeld iteration, location-allocation, linkages."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from chainforge.errors import (InfeasibleConfigError, ParseError,
                                ValidationError)
 from chainforge.gfa import (GfaConfig, assign_linkages, load_design,
                             locate_region, overloaded_warehouses, run_gfa,
-                            save_design, weighted_effort, weiszfeld_single)
+                            save_design, weiszfeld_single)
 from chainforge.model import instance_from_dict
 from conftest import tiny_dict
 
@@ -64,7 +65,8 @@ def test_objective_trace_descends():
         trace = result.objective_trace
         assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
         assert result.objective == pytest.approx(
-            weighted_effort(result.location, points, weights))
+            sum(w * math.dist(result.location, p)
+                for p, w in zip(points, weights)))
 
 
 def test_matches_grid_search():
@@ -86,7 +88,7 @@ def test_weiszfeld_input_validation():
 
 
 def test_locate_region_single_center_matches_weiszfeld(tiny):
-    region = tiny.region("R1")
+    region = tiny.regions[0]
     config = GfaConfig(restarts=3)
     placement = locate_region(region, 1, config, np.random.default_rng(0))
     direct = weiszfeld_single([c.location for c in region.customers],
@@ -96,7 +98,7 @@ def test_locate_region_single_center_matches_weiszfeld(tiny):
 
 
 def test_locate_region_rejects_bad_counts(tiny):
-    region = tiny.region("R1")
+    region = tiny.regions[0]
     config = GfaConfig()
     rng = np.random.default_rng(0)
     with pytest.raises(InfeasibleConfigError):

@@ -1,7 +1,6 @@
 """Simplex and branch-and-bound kernel against closed forms, enumeration,
 and scipy."""
 
-import copy
 import itertools
 import math
 
@@ -13,7 +12,7 @@ from chainforge import milp as solver
 from chainforge import stochastic
 from chainforge.errors import ValidationError
 from chainforge.gfa import assign_linkages
-from chainforge.milp import FEASIBILITY_TOL, LinearModel, Status, solve_milp
+from chainforge.milp import FEASIBILITY_TOL, DenseModel, Status, solve_milp
 from chainforge.model import instance_from_dict
 from chainforge.stochastic import (PeriodTemplate, StochasticConfig,
                                    audit_replication, build_period_model,
@@ -22,88 +21,86 @@ from chainforge.stochastic import (PeriodTemplate, StochasticConfig,
                                    sample_scenario)
 
 
+def _model(A, b, c, *, lb=None, ub=None, relations=None, binary=(),
+           offset=0.0):
+    """A DenseModel from lists, by default with every column in [0, inf)
+    and every row "<="."""
+    c = np.asarray(c, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return DenseModel(
+        np.asarray(A, dtype=float).reshape(len(b), len(c)), b, c,
+        np.zeros(len(c)) if lb is None else np.asarray(lb, dtype=float),
+        np.full(len(c), math.inf) if ub is None else np.asarray(ub, dtype=float),
+        relations=["<="] * len(b) if relations is None else relations,
+        binary=binary, offset=offset)
+
+
+def _row(coeffs, n):
+    """A dense constraint row from a mapping of column to coefficient."""
+    row = np.zeros(n)
+    row[list(coeffs)] = list(coeffs.values())
+    return row
+
+
 def test_two_variable_lp_known_vertex():
     # max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18
-    m = LinearModel()
-    x = m.add_variable("x", objective=3.0)
-    y = m.add_variable("y", objective=5.0)
-    m.add_constraint({x: 1.0}, "<=", 4.0)
-    m.add_constraint({y: 2.0}, "<=", 12.0)
-    m.add_constraint({x: 3.0, y: 2.0}, "<=", 18.0)
+    m = _model([[1.0, 0.0], [0.0, 2.0], [3.0, 2.0]], [4.0, 12.0, 18.0],
+               [3.0, 5.0])
     result = solve_milp(m)
     assert result.status is Status.OPTIMAL
     assert result.objective == pytest.approx(36.0)
-    assert result.value(x) == pytest.approx(2.0)
-    assert result.value(y) == pytest.approx(6.0)
+    assert result.values == pytest.approx([2.0, 6.0])
 
 
 def test_equality_and_geq_rows():
     # max x + y s.t. x + y = 10, x >= 3, y <= 4
-    m = LinearModel()
-    x = m.add_variable("x")
-    y = m.add_variable("y", ub=4.0)
-    m.objective[x] = 1.0
-    m.objective[y] = 1.0
-    m.add_constraint({x: 1.0, y: 1.0}, "=", 10.0)
-    m.add_constraint({x: 1.0}, ">=", 3.0)
+    m = _model([[1.0, 1.0], [1.0, 0.0]], [10.0, 3.0], [1.0, 1.0],
+               ub=[math.inf, 4.0], relations=["=", ">="])
     result = solve_milp(m)
     assert result.status is Status.OPTIMAL
     assert result.objective == pytest.approx(10.0)
-    assert result.value(y) <= 4.0 + 1e-9
+    assert result.values[1] <= 4.0 + 1e-9
 
 
 def test_objective_offset_carried():
-    m = LinearModel()
-    x = m.add_variable("x", ub=2.0, objective=1.0)
-    m.objective_offset = 7.5
+    m = _model([], [], [1.0], ub=[2.0], offset=7.5)
     result = solve_milp(m)
     assert result.objective == pytest.approx(9.5)
 
 
 def test_infeasible_detected():
-    m = LinearModel()
-    x = m.add_variable("x", ub=1.0)
-    m.add_constraint({x: 1.0}, ">=", 2.0)
+    m = _model([[1.0]], [2.0], [0.0], ub=[1.0], relations=[">="])
     assert solve_milp(m).status is Status.INFEASIBLE
 
 
 def test_unbounded_detected():
-    m = LinearModel()
-    m.add_variable("x", objective=1.0)
-    assert solve_milp(m).status is Status.UNBOUNDED
+    assert solve_milp(_model([], [], [1.0])).status is Status.UNBOUNDED
 
 
 def test_degenerate_fixed_variable():
-    m = LinearModel()
-    x = m.add_variable("x", lb=3.0, ub=3.0, objective=2.0)
-    y = m.add_variable("y", ub=5.0, objective=1.0)
-    m.add_constraint({x: 1.0, y: 1.0}, "<=", 6.0)
+    m = _model([[1.0, 1.0]], [6.0], [2.0, 1.0], lb=[3.0, 0.0], ub=[3.0, 5.0])
     result = solve_milp(m)
     assert result.objective == pytest.approx(9.0)
-    assert result.value(x) == pytest.approx(3.0)
+    assert result.values[0] == pytest.approx(3.0)
 
 
 def test_validation_rejects_bad_models():
-    m = LinearModel()
-    m.add_variable("x", lb=-np.inf)
-    with pytest.raises(ValidationError):
-        m.dense()
-    m2 = LinearModel()
-    m2.add_variable("x", lb=2.0, ub=1.0)
-    with pytest.raises(ValidationError):
-        m2.dense()
-    m3 = LinearModel()
-    with pytest.raises(ValidationError):
-        m3.add_constraint({0: 1.0}, "<>", 1.0)
+    with pytest.raises(ValidationError, match="variable 0"):
+        _model([], [], [0.0], lb=[-np.inf])
+    with pytest.raises(ValidationError, match="variable 0"):
+        _model([], [], [0.0], lb=[2.0], ub=[1.0])
+    # max x s.t. x <= 5, x <?> 2: an unknown relation is neither read as
+    # another one nor cut to fit.
+    for relation in ("<>", ">=="):
+        with pytest.raises(ValidationError, match="constraint 1: relation"):
+            _model([[1.0], [1.0]], [5.0, 2.0], [1.0],
+                   relations=["<=", relation])
 
 
 def test_binary_knapsack_matches_enumeration():
     values = [6.0, 10.0, 12.0, 7.0]
     weights = [1.0, 2.0, 3.0, 2.0]
-    m = LinearModel()
-    cols = [m.add_variable(f"b{i}", objective=values[i], binary=True)
-            for i in range(4)]
-    m.add_constraint({cols[i]: weights[i] for i in range(4)}, "<=", 5.0)
+    m = _model([weights], [5.0], values, ub=[1.0] * 4, binary=np.arange(4))
     result = solve_milp(m)
     best = max(
         sum(v for v, pick in zip(values, picks) if pick)
@@ -111,19 +108,16 @@ def test_binary_knapsack_matches_enumeration():
         if sum(w for w, pick in zip(weights, picks) if pick) <= 5.0)
     assert result.status is Status.OPTIMAL
     assert result.objective == pytest.approx(best)
-    for c in cols:
-        assert result.value(c) in (pytest.approx(0.0), pytest.approx(1.0))
+    for value in result.values:
+        assert value in (pytest.approx(0.0), pytest.approx(1.0))
 
 
 def test_mixed_integer_with_continuous_part():
     # max 4b + x s.t. x <= 3 + 2b, x <= 4; enumeration over b.
-    m = LinearModel()
-    b = m.add_variable("b", binary=True, objective=4.0)
-    x = m.add_variable("x", ub=4.0, objective=1.0)
-    m.add_constraint({x: 1.0, b: -2.0}, "<=", 3.0)
+    m = _model([[-2.0, 1.0]], [3.0], [4.0, 1.0], ub=[1.0, 4.0], binary=[0])
     result = solve_milp(m)
     assert result.objective == pytest.approx(8.0)  # b=1, x=4
-    assert result.value(b) == pytest.approx(1.0)
+    assert result.values[0] == pytest.approx(1.0)
 
 
 def _random_model(rng, max_binaries=4, max_continuous=4):
@@ -131,57 +125,48 @@ def _random_model(rng, max_binaries=4, max_continuous=4):
     nc = int(rng.integers(0, max_continuous + 1))
     if nb + nc == 0:
         nc = 1
-    m = LinearModel()
-    cols = []
-    for i in range(nb):
-        cols.append(m.add_variable(
-            f"b{i}", objective=float(rng.normal(0, 5)), binary=True))
-    for i in range(nc):
-        cols.append(m.add_variable(
-            f"x{i}", ub=float(rng.uniform(0.5, 4.0)),
-            objective=float(rng.normal(0, 5))))
-    rows = int(rng.integers(1, 5))
-    for _ in range(rows):
-        coeffs = {c: float(rng.normal(0, 2)) for c in cols
+    n = nb + nc
+    c = [float(rng.normal(0, 5)) for _ in range(nb)]
+    ub = [1.0] * nb
+    for _ in range(nc):
+        ub.append(float(rng.uniform(0.5, 4.0)))
+        c.append(float(rng.normal(0, 5)))
+    rows, rhs, relations = [], [], []
+    for _ in range(int(rng.integers(1, 5))):
+        coeffs = {j: float(rng.normal(0, 2)) for j in range(n)
                   if rng.random() < 0.7}
-        relation = rng.choice(["<=", ">=", "="]) if coeffs else "<="
-        rhs = float(rng.uniform(-2.0, 6.0))
+        relation = str(rng.choice(["<=", ">=", "="])) if coeffs else "<="
+        b = float(rng.uniform(-2.0, 6.0))
         if relation == "=":
             # Keep equalities satisfiable: pin them near a feasible point.
-            mid = sum(a * 0.5 for a in coeffs.values())
-            rhs = mid
-        m.add_constraint(coeffs, str(relation), rhs)
-    return m, nb, nc
-
-
-def _dense(model):
-    """The arrays of a LinearModel or of a DenseModel, which every reference
-    below reads."""
-    return model.dense() if isinstance(model, LinearModel) else model
+            b = sum(a * 0.5 for a in coeffs.values())
+        rows.append(_row(coeffs, n))
+        rhs.append(b)
+        relations.append(relation)
+    return (_model(rows, rhs, c, ub=ub, relations=relations,
+                   binary=np.arange(nb)), nb, nc)
 
 
 def _linprog_rows(model):
     """The model's rows as linprog's A_ub/b_ub/A_eq/b_eq keywords."""
-    d = _dense(model)
-    sign = np.where(d.relations == ">=", -1.0, 1.0)
-    ub, eq = d.relations != "=", d.relations == "="
-    return {"A_ub": (sign[:, None] * d.A)[ub] if ub.any() else None,
-            "b_ub": (sign * d.b)[ub] if ub.any() else None,
-            "A_eq": d.A[eq] if eq.any() else None,
-            "b_eq": d.b[eq] if eq.any() else None}
+    sign = np.where(model.relations == ">=", -1.0, 1.0)
+    ub, eq = model.relations != "=", model.relations == "="
+    return {"A_ub": (sign[:, None] * model.A)[ub] if ub.any() else None,
+            "b_ub": (sign * model.b)[ub] if ub.any() else None,
+            "A_eq": model.A[eq] if eq.any() else None,
+            "b_eq": model.b[eq] if eq.any() else None}
 
 
 def _enumerate_milp(model):
     """Reference optimum: enumerate binaries, solve the rest with scipy."""
-    d = _dense(model)
     best = None
-    for combo in itertools.product([0.0, 1.0], repeat=len(d.binary)):
-        lower, upper = d.lb.copy(), d.ub.copy()
-        lower[d.binary] = upper[d.binary] = combo
-        res = linprog(-d.c, **_linprog_rows(d), bounds=list(zip(lower, upper)),
-                      method="highs")
+    for combo in itertools.product([0.0, 1.0], repeat=len(model.binary)):
+        lower, upper = model.lb.copy(), model.ub.copy()
+        lower[model.binary] = upper[model.binary] = combo
+        res = linprog(-model.c, **_linprog_rows(model),
+                      bounds=list(zip(lower, upper)), method="highs")
         if res.status == 0:
-            value = -res.fun + d.offset
+            value = -res.fun + model.offset
             if best is None or value > best:
                 best = value
     return best
@@ -205,22 +190,25 @@ def test_random_models_match_enumeration():
     assert checked >= 25
 
 
+def _random_pure_lp(rng):
+    n = int(rng.integers(1, 6))
+    ub, c = [], []
+    for _ in range(n):
+        ub.append(float(rng.uniform(1.0, 5.0)))
+        c.append(float(rng.normal(0, 3)))
+    rows, rhs = [], []
+    for _ in range(int(rng.integers(1, 4))):
+        rows.append([float(rng.normal(0, 1)) for _ in range(n)])
+        rhs.append(float(rng.uniform(0.5, 5.0)))
+    return _model(rows, rhs, c, ub=ub)
+
+
 def test_pure_lp_against_scipy():
     rng = np.random.default_rng(99)
     for _ in range(40):
-        n = int(rng.integers(1, 6))
-        m = LinearModel()
-        cols = [m.add_variable(f"x{i}", ub=float(rng.uniform(1.0, 5.0)),
-                               objective=float(rng.normal(0, 3)))
-                for i in range(n)]
-        for _ in range(int(rng.integers(1, 4))):
-            coeffs = {c: float(rng.normal(0, 1)) for c in cols}
-            m.add_constraint(coeffs, "<=", float(rng.uniform(0.5, 5.0)))
+        m = _random_pure_lp(rng)
         result = solve_milp(m)
-        c = [-m.objective[j] for j in range(n)]
-        a_ub = [[row.get(j, 0.0) for j in range(n)] for row in m.rows]
-        res = linprog(c, A_ub=a_ub, b_ub=m.rhs,
-                      bounds=[(m.lower[j], m.upper[j]) for j in range(n)],
+        res = linprog(-m.c, A_ub=m.A, b_ub=m.b, bounds=list(zip(m.lb, m.ub)),
                       method="highs")
         assert result.status is Status.OPTIMAL
         assert res.status == 0
@@ -233,19 +221,19 @@ def _random_lp_with_unbounded_gains(rng):
     twice, so one copy's slack stays basic at zero.  Rows hold at a random
     point, loosened or tightened by a random margin."""
     n = int(rng.integers(2, 8))
-    m = LinearModel()
-    point = []
-    for i in range(n):
-        lb = float(rng.uniform(-1.0, 1.0))
+    lb, ub, c, point = [], [], [], []
+    for _ in range(n):
+        low = float(rng.uniform(-1.0, 1.0))
+        lb.append(low)
         if rng.random() < 0.5:
-            m.add_variable(f"x{i}", lb=lb,
-                           objective=float(abs(rng.normal(0, 3))))
-            point.append(lb + float(rng.uniform(0.0, 3.0)))
+            ub.append(math.inf)
+            c.append(float(abs(rng.normal(0, 3))))
+            point.append(low + float(rng.uniform(0.0, 3.0)))
         else:
-            ub = lb + float(rng.uniform(0.5, 4.0))
-            m.add_variable(f"x{i}", lb=lb, ub=ub,
-                           objective=float(rng.normal(0, 3)))
-            point.append(float(rng.uniform(lb, ub)))
+            ub.append(low + float(rng.uniform(0.5, 4.0)))
+            c.append(float(rng.normal(0, 3)))
+            point.append(float(rng.uniform(low, ub[-1])))
+    rows, rhs, relations = [], [], []
     for _ in range(int(rng.integers(1, 8))):
         coeffs = {j: float(rng.normal(0, 2)) for j in range(n)
                   if rng.random() < 0.7}
@@ -254,12 +242,13 @@ def _random_lp_with_unbounded_gains(rng):
         at_point = sum(a * point[j] for j, a in coeffs.items())
         relation = str(rng.choice(["<=", ">=", "="]))
         margin = float(rng.uniform(-1.0, 3.0))
-        rhs = {"<=": at_point + margin, ">=": at_point - margin,
-               "=": at_point}[relation]
-        m.add_constraint(coeffs, relation, rhs)
-        if relation == "=" and rng.random() < 0.5:
-            m.add_constraint(coeffs, relation, rhs)
-    return m
+        b = {"<=": at_point + margin, ">=": at_point - margin,
+             "=": at_point}[relation]
+        copies = 2 if relation == "=" and rng.random() < 0.5 else 1
+        rows += [_row(coeffs, n)] * copies
+        rhs += [b] * copies
+        relations += [relation] * copies
+    return _model(rows, rhs, c, lb=lb, ub=ub, relations=relations)
 
 
 def test_random_lps_with_unbounded_gains_match_highs():
@@ -269,8 +258,8 @@ def test_random_lps_with_unbounded_gains_match_highs():
     for _ in range(300):
         model = _random_lp_with_unbounded_gains(rng)
         reference = linprog(
-            [-c for c in model.objective], **_linprog_rows(model),
-            bounds=list(zip(model.lower, model.upper)), method="highs",
+            -model.c, **_linprog_rows(model),
+            bounds=list(zip(model.lb, model.ub)), method="highs",
             options={"presolve": False})
         result = solve_milp(model)
         assert result.status is statuses[reference.status]
@@ -287,28 +276,26 @@ def _sibling(model, rng):
     """The model with its right-hand sides and bounds moved at random.
     Rows with equal coefficients move together, so twin equalities stay
     consistent."""
-    twin = copy.deepcopy(model)
+    b, lb, ub = model.b.copy(), model.lb.copy(), model.ub.copy()
     shifts = {}
-    for i, (row, relation) in enumerate(zip(twin.rows, twin.relations)):
-        key = (relation, tuple(sorted(row.items())))
-        twin.rhs[i] += shifts.setdefault(key, float(rng.normal(0, 0.5)))
-    for j in range(twin.num_variables):
-        lb = twin.lower[j] + float(rng.normal(0, 0.3))
-        if math.isfinite(twin.upper[j]):
-            span = twin.upper[j] - twin.lower[j]
-            twin.upper[j] = lb + span * float(rng.uniform(0.5, 1.5))
-        twin.lower[j] = lb
-    return twin
+    for i, (row, relation) in enumerate(zip(model.A, model.relations)):
+        key = (relation, row.tobytes())
+        b[i] += shifts.setdefault(key, float(rng.normal(0, 0.5)))
+    for j in range(model.n):
+        low = lb[j] + float(rng.normal(0, 0.3))
+        if math.isfinite(ub[j]):
+            span = ub[j] - lb[j]
+            ub[j] = low + span * float(rng.uniform(0.5, 1.5))
+        lb[j] = low
+    return DenseModel(model.A, b, model.c, lb, ub, relations=model.relations,
+                      binary=model.binary, offset=model.offset)
 
 
 def test_root_start_falls_back_or_matches_highs():
     # A start that does not fit the model gives the slack-basis result.
-    m = LinearModel()
-    x = m.add_variable("x", ub=4.0, objective=3.0)
-    y = m.add_variable("y", objective=5.0)
-    m.add_variable("idle", ub=1.0)  # in no row, so its column of A is zero
-    m.add_constraint({x: 1.0, y: 2.0}, "<=", 12.0)
-    m.add_constraint({x: 3.0, y: 2.0}, "<=", 18.0)
+    # The third column, idle, is in no row, so its column of A is zero.
+    m = _model([[1.0, 2.0, 0.0], [3.0, 2.0, 0.0]], [12.0, 18.0],
+               [3.0, 5.0, 0.0], ub=[4.0, math.inf, 1.0])
     cold = solve_milp(m)
     flags = np.zeros(5, dtype=bool)
     for start in ((np.array([3]), flags),           # one row short
@@ -334,8 +321,8 @@ def test_root_start_falls_back_or_matches_highs():
         if start is None:
             continue
         reference = linprog(
-            [-c for c in model.objective], **_linprog_rows(model),
-            bounds=list(zip(model.lower, model.upper)), method="highs",
+            -model.c, **_linprog_rows(model),
+            bounds=list(zip(model.lb, model.ub)), method="highs",
             options={"presolve": False})
         result = solve_milp(model, start=start)
         assert result.status is statuses[reference.status]
@@ -350,17 +337,19 @@ def test_root_start_falls_back_or_matches_highs():
     assert iterations["warm"] < iterations["cold"]
 
 
-def test_node_limit_reported():
-    # A tightly coupled parity-style model that needs real branching.
+def _parity_model():
+    """A tightly coupled parity-style model that needs real branching."""
     rng = np.random.default_rng(3)
-    m = LinearModel()
-    cols = [m.add_variable(f"b{i}", objective=float(rng.uniform(1, 2)),
-                           binary=True)
-            for i in range(12)]
+    c = [float(rng.uniform(1, 2)) for _ in range(12)]
+    rows, rhs = [], []
     for _ in range(6):
-        coeffs = {c: float(rng.uniform(0.5, 1.5)) for c in cols}
-        m.add_constraint(coeffs, "<=", float(rng.uniform(2.0, 4.0)))
-    result = solve_milp(m, node_limit=1)
+        rows.append([float(rng.uniform(0.5, 1.5)) for _ in range(12)])
+        rhs.append(float(rng.uniform(2.0, 4.0)))
+    return _model(rows, rhs, c, ub=[1.0] * 12, binary=np.arange(12))
+
+
+def test_node_limit_reported():
+    result = solve_milp(_parity_model(), node_limit=1)
     # The root is fractional and the rounding heuristic fails, so the
     # limit stops the search before any incumbent exists.
     assert result.status is Status.NODE_LIMIT
@@ -369,9 +358,7 @@ def test_node_limit_reported():
 
 
 def test_integral_relaxation_skips_branching():
-    m = LinearModel()
-    b = m.add_variable("b", binary=True, objective=1.0)
-    m.add_constraint({b: 1.0}, "<=", 1.0)
+    m = _model([[1.0]], [1.0], [1.0], ub=[1.0], binary=[0])
     result = solve_milp(m)
     assert result.status is Status.OPTIMAL
     assert result.objective == pytest.approx(1.0)
@@ -381,12 +368,10 @@ def test_integral_relaxation_skips_branching():
 def test_branch_values_outside_a_binarys_bounds_are_infeasible():
     # The relaxation rests at the fractional lower bound 0.3; rounding it,
     # or branching, to 0 leaves the variable's range, so only 1 is feasible.
-    m = LinearModel()
-    b = m.add_variable("b", lb=0.3, binary=True, objective=-1.0)
-    m.add_variable("x", ub=1.0, objective=1.0)
+    m = _model([], [], [-1.0, 1.0], lb=[0.3, 0.0], ub=[1.0, 1.0], binary=[0])
     result = solve_milp(m)
     assert result.status is Status.OPTIMAL
-    assert result.value(b) == pytest.approx(1.0)
+    assert result.values[0] == pytest.approx(1.0)
     assert result.objective == pytest.approx(0.0)
 
 
@@ -398,18 +383,17 @@ def _highs_milp(model):
     Presolve is switched off, so that HiGHS solves each model as given,
     none of its small objective coefficients dropped.
     """
-    d = _dense(model)
-    lower = np.where(d.relations == "<=", -np.inf, d.b)
-    upper = np.where(d.relations == ">=", np.inf, d.b)
-    integrality = np.zeros(d.n, dtype=int)
-    integrality[d.binary] = 1
-    res = milp(-d.c, constraints=[LinearConstraint(d.A, lower, upper)],
-               integrality=integrality, bounds=Bounds(d.lb, d.ub),
+    lower = np.where(model.relations == "<=", -np.inf, model.b)
+    upper = np.where(model.relations == ">=", np.inf, model.b)
+    integrality = np.zeros(model.n, dtype=int)
+    integrality[model.binary] = 1
+    res = milp(-model.c, constraints=[LinearConstraint(model.A, lower, upper)],
+               integrality=integrality, bounds=Bounds(model.lb, model.ub),
                options={"mip_rel_gap": 0.0, "presolve": False})
     if res.status == 2:
         return None
     assert res.status == 0, res.message
-    return -res.fun + d.offset
+    return -res.fun + model.offset
 
 
 def _assert_matches_highs(model):
@@ -430,28 +414,33 @@ def _random_mixed_binary_model(rng):
     models, are infeasible."""
     nb = int(rng.integers(1, 7))
     nc = int(rng.integers(0, 6))
-    m = LinearModel()
-    point = []
-    for i in range(nb):
-        m.add_variable(f"b{i}", objective=float(rng.normal(0, 5)), binary=True)
+    n = nb + nc
+    lb, ub, c, point = [0.0] * nb, [1.0] * nb, [], []
+    for _ in range(nb):
+        c.append(float(rng.normal(0, 5)))
         point.append(float(rng.integers(0, 2)))
-    for i in range(nc):
-        lb = float(rng.uniform(-1.0, 1.0))
-        ub = lb + float(rng.uniform(0.5, 4.0))
-        m.add_variable(f"x{i}", lb=lb, ub=ub, objective=float(rng.normal(0, 5)))
-        point.append(float(rng.uniform(lb, ub)))
+    for _ in range(nc):
+        low = float(rng.uniform(-1.0, 1.0))
+        high = low + float(rng.uniform(0.5, 4.0))
+        lb.append(low)
+        ub.append(high)
+        c.append(float(rng.normal(0, 5)))
+        point.append(float(rng.uniform(low, high)))
+    rows, rhs, relations = [], [], []
     for _ in range(int(rng.integers(1, 7))):
-        coeffs = {j: float(rng.normal(0, 2)) for j in range(nb + nc)
+        coeffs = {j: float(rng.normal(0, 2)) for j in range(n)
                   if rng.random() < 0.7}
         if not coeffs:
             continue
         at_point = sum(a * point[j] for j, a in coeffs.items())
         relation = str(rng.choice(["<=", ">=", "="]))
         margin = float(rng.uniform(-1.0, 3.0))
-        rhs = {"<=": at_point + margin, ">=": at_point - margin,
-               "=": at_point}[relation]
-        m.add_constraint(coeffs, relation, rhs)
-    return m
+        rows.append(_row(coeffs, n))
+        rhs.append({"<=": at_point + margin, ">=": at_point - margin,
+                    "=": at_point}[relation])
+        relations.append(relation)
+    return _model(rows, rhs, c, lb=lb, ub=ub, relations=relations,
+                  binary=np.arange(nb))
 
 
 def test_random_mixed_binary_models_match_highs(monkeypatch):
@@ -604,11 +593,14 @@ def test_warm_children_match_cold_solves(qatar, qatar_design, monkeypatch):
 
     def compared_resolve(parent, cols, values):
         warm, tab = real_resolve(parent, cols, values)
+        canon = parent.canon
         lb = parent.lb.copy()
-        ub = parent.lb + parent.U[:parent.canon.n]
+        ub = parent.lb + parent.U[:canon.n]
         lb[cols] = values
         ub[cols] = values
-        cold, _ = solver._solve_canon(parent.canon, lb, ub)
+        cold, _ = solver._solve_canon(DenseModel(
+            canon.A, canon.b, canon.c, lb, ub, relations=canon.relations,
+            binary=canon.binary, offset=canon.offset))
         assert warm.status is cold.status
         if cold.status is Status.OPTIMAL:
             assert abs(warm.objective - cold.objective) <= FEASIBILITY_TOL * (
@@ -636,10 +628,10 @@ def test_warm_roots_match_cold_solves(qatar, qatar_design, monkeypatch):
     iterations = {"cold": 0, "warm": 0}
     starts = []
 
-    def compared_solve(canon, lb, ub, start=None):
-        warm, tab = real_solve(canon, lb, ub, start)
+    def compared_solve(canon, start=None):
+        warm, tab = real_solve(canon, start)
         if start is not None:
-            cold, _ = real_solve(canon, lb, ub)
+            cold, _ = real_solve(canon)
             assert warm.status is cold.status
             if cold.status is Status.OPTIMAL:
                 assert abs(warm.objective - cold.objective) <= FEASIBILITY_TOL * (

@@ -1,5 +1,7 @@
-"""The runtime stays numpy-only; scipy is a test-side oracle."""
+"""The runtime stays numpy-only; scipy is a test-side oracle; src holds
+only code the program runs."""
 
+import ast
 import json
 import os
 import re
@@ -10,7 +12,8 @@ import pytest
 
 import chainforge
 
-SRC = os.path.dirname(os.path.dirname(chainforge.__file__))
+PACKAGE = os.path.dirname(chainforge.__file__)
+SRC = os.path.dirname(PACKAGE)
 PYPROJECT = os.path.join(os.path.dirname(SRC), "pyproject.toml")
 
 # Imports every chainforge module and reports what that pulled in
@@ -45,3 +48,38 @@ def test_declared_runtime_dependencies_are_numpy_only():
     names = [re.split(r"[\s\[<>=!~;]", dep, maxsplit=1)[0]
              for dep in project["dependencies"]]
     assert names == ["numpy"]
+
+
+# audit_replication is a documented library check: the tests and the
+# benchmark tracer call it, and ROADMAP.md plans to run it on every
+# replication in the pipeline worker.
+_CALLED_OUTSIDE_SRC = {"stochastic.audit_replication"}
+
+
+def test_every_definition_in_src_is_used_in_src():
+    # Every top-level function or class, and every method, is named
+    # somewhere in the package besides its definition, so nothing in src
+    # exists only for the tests.  Dunder methods are called implicitly.
+    defined, used = [], set()
+    for name in sorted(os.listdir(PACKAGE)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        module = name[:-3]
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((f"{module}.{node.name}", node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [(f"{module}.{node.name}.{item.name}", item.name)
+                            for item in node.body
+                            if isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = [qualified for qualified, name in defined
+              if name not in used and qualified not in _CALLED_OUTSIDE_SRC]
+    assert unused == []

@@ -168,7 +168,7 @@ def test_quality_terms_qatar_counts(qatar):
         assert (np.diff(curve.slopes) > 0).all()
     # R4's vitamin D threshold is its whole storage: no surplus is
     # reachable, so it adds no breakpoint.
-    region = qatar.region("R4")
+    region = qatar.regions[3]
     [vitamin_d] = [nt for nt in qatar.nutrients if nt.id == "D"]
     threshold = (vitamin_d.min_requirement * region.population
                  / vitamin_d.per_kg_content)
@@ -258,8 +258,8 @@ def test_period_model_respects_inventory_band(tiny, tiny_design):
         for dc in region.dcs:
             order_col, delivery_cols = _order_and_delivery_columns(
                 tiny, tiny_design, dc.id)
-            delivered = sum(result.value(c) for c in delivery_cols)
-            closing = (opening[dc.id] + 0.85 * result.value(order_col)
+            delivered = sum(result.values[c] for c in delivery_cols)
+            closing = (opening[dc.id] + 0.85 * result.values[order_col]
                        - delivered)
             assert 0.2 * dc.capacity - 1e-6 <= closing <= dc.capacity + 1e-6
 
