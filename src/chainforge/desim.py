@@ -88,8 +88,6 @@ class SimReport:
     region_volume: dict[str, float]
     region_served: dict[str, float]
     dc_initial: dict[str, float]
-    dc_received: dict[str, float]
-    dc_shipped: dict[str, float]
     dc_final: dict[str, float]
     events: list[SimEvent] = field(repr=False)
 
@@ -173,8 +171,6 @@ def simulate(instance: NetworkInstance, design: NetworkDesign,
             raise ConfigError(
                 f"DC {h}: initial inventory {level:.6g} outside "
                 f"[0, {capacity[h]:.6g}]")
-    received = {h: 0.0 for h in stock}
-    shipped = {h: 0.0 for h in stock}
     initial = dict(stock)
     waiting: dict[str, deque[_Order]] = {h: deque() for h in stock}
     events: list[SimEvent] = []
@@ -188,7 +184,6 @@ def simulate(instance: NetworkInstance, design: NetworkDesign,
 
     def ship(order: _Order, at: float, period: int) -> None:
         stock[order.dc] -= order.quantity
-        shipped[order.dc] += order.quantity
         region_served[order.region] += order.quantity
         events.append(SimEvent(at, "ship", period, order.dc,
                                order.customer, order.quantity))
@@ -197,11 +192,6 @@ def simulate(instance: NetworkInstance, design: NetworkDesign,
         queue = waiting[dc_id]
         while queue and stock[dc_id] >= queue[0].quantity:
             ship(queue.popleft(), at, period)
-
-    def receive(h: str, qty: float, b: int) -> None:
-        stock[h] += qty
-        received[h] += qty
-        events.append(SimEvent(float(b), "receive", b, h, None, qty))
 
     def boundary(b: int) -> None:
         nonlocal inventory_cost, order_cost
@@ -230,7 +220,8 @@ def simulate(instance: NetworkInstance, design: NetworkDesign,
                                        None, dispatch))
                 arrivals.append((h, dispatch * retention[h][b]))
         for h, qty in arrivals:
-            receive(h, qty, b)
+            stock[h] += qty
+            events.append(SimEvent(float(b), "receive", b, h, None, qty))
             drain(h, float(b), b)
 
     next_boundary = 1
@@ -285,8 +276,6 @@ def simulate(instance: NetworkInstance, design: NetworkDesign,
         region_volume=region_volume,
         region_served=region_served,
         dc_initial=initial,
-        dc_received=received,
-        dc_shipped=shipped,
         dc_final=dict(stock),
         events=events,
     )

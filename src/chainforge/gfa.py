@@ -110,7 +110,6 @@ def weiszfeld_single(points: Sequence[tuple[float, float]],
 @dataclass(frozen=True)
 class RegionPlacement:
     locations: tuple[tuple[float, float], ...]
-    assignment: dict[str, int]  # customer id -> slot
     objective: float
     iterations: int
     converged: bool
@@ -193,9 +192,8 @@ def locate_region(region: Region, k: int, config: GfaConfig,
             weights[i] * euclidean_distance(points[i], locations[assignment[i]])
             for i in range(n))
         placement = RegionPlacement(
-            locations=tuple(locations),
-            assignment={customers[i].id: assignment[i] for i in range(n)},
-            objective=objective, iterations=iterations, converged=converged)
+            locations=tuple(locations), objective=objective,
+            iterations=iterations, converged=converged)
         if best is None or placement.objective < best.objective - 1e-12:
             best = placement
     assert best is not None

@@ -85,18 +85,33 @@ class SolveResult:
 
 
 class DenseModel:
-    """Maximize c @ x + offset subject to A[i] @ x <relations[i]> b[i]
-    and lb <= x <= ub, with the columns in binary driven to 0 or 1.
+    """Maximize c @ x subject to A[i] @ x <relations[i]> b[i] and
+    lb <= x <= ub, with the columns in binary driven to 0 or 1.
 
-    Construction is the one model check: lb finite, ub not NaN, lb <= ub,
-    c, A and b finite, and each relation "<=", "=" or ">=", else
-    ValidationError names the first bad variable or constraint.  The
-    solver only reads the arrays, so models may share them."""
+    Construction is the one model check: A a matrix, b and relations one
+    entry per row, c, lb and ub one per column, binary column indices in
+    range, lb finite, ub not NaN, lb <= ub, c, A and b finite, and each
+    relation "<=", "=" or ">=", else ValidationError names the first bad
+    array, variable or constraint.  The solver only reads the arrays, so
+    models may share them."""
 
     def __init__(self, A: np.ndarray, b: np.ndarray, c: np.ndarray,
                  lb: np.ndarray, ub: np.ndarray, *, relations: Iterable[str],
-                 binary: np.ndarray, offset: float):
+                 binary: np.ndarray):
         relations = np.asarray(relations, dtype=str)
+        binary = np.asarray(binary, dtype=int)
+        if np.ndim(A) != 2:
+            raise ValidationError(f"A must be a matrix, got shape {np.shape(A)}")
+        m, n = np.shape(A)
+        for name, array, size in (("b", b, m), ("relations", relations, m),
+                                  ("c", c, n), ("lb", lb, n), ("ub", ub, n)):
+            if np.shape(array) != (size,):
+                raise ValidationError(f"{name} has shape {np.shape(array)}, "
+                                      f"A is {m} x {n}")
+        outside = (binary < 0) | (binary >= n)
+        if outside.any():
+            raise ValidationError(f"binary column {int(binary[outside][0])} "
+                                  f"outside the {n} columns")
         for kind, bad, what in (
                 ("variable", ~np.isfinite(lb), "lower bound must be finite"),
                 ("variable", np.isnan(ub), "upper bound is NaN"),
@@ -110,11 +125,9 @@ class DenseModel:
                  & (relations != ">="), "relation must be <=, = or >=")):
             if bad.any():
                 raise ValidationError(f"{kind} {int(np.argmax(bad))}: {what}")
-        self.n = len(c)
+        self.n = n
         self.A, self.b, self.c, self.lb, self.ub = A, b, c, lb, ub
-        self.relations = relations
-        self.binary = np.asarray(binary, dtype=int)
-        self.offset = offset
+        self.relations, self.binary = relations, binary
 
 
 class _Tableau:
@@ -249,11 +262,6 @@ class _Tableau:
                 # The entering variable traverses to its other bound.
                 self.at_ub[j] = not self.at_ub[j]
                 gained = abs(d[j]) * t_own
-                if gained > 1e-12:
-                    stall = 0
-                    bland = False
-                else:
-                    stall += 1
             else:
                 if bland:
                     r, to_ub = min(rows, key=lambda rc: self.basis[rc[0]])
@@ -261,13 +269,8 @@ class _Tableau:
                     r, to_ub = max(rows, key=lambda rc: abs(col[rc[0]]))
                 gained = abs(d[j]) * max(t_best, 0.0)
                 self._pivot(r, j, to_ub)
-                if gained > 1e-12:
-                    stall = 0
-                    bland = False
-                else:
-                    stall += 1
-            if stall > max(m, 10):
-                bland = True
+            stall = 0 if gained > 1e-12 else stall + 1
+            bland = stall > max(m, 10)
 
     def dual(self, max_iter: int) -> bool:
         """Bounded dual simplex from a dual feasible basis to a primal
@@ -313,12 +316,8 @@ class _Tableau:
             else:
                 j = int(ties[np.argmax(np.abs(alpha[ties]))])
             self._pivot(r, j, to_ub)
-            if t * excess[r] > 1e-12:
-                stall = 0
-                bland = False
-            else:
-                stall += 1
-                bland = stall > max(m, 10)
+            stall = 0 if t * excess[r] > 1e-12 else stall + 1
+            bland = stall > max(m, 10)
         return True
 
     # -- root and warm solves -----------------------------------------------
@@ -449,8 +448,7 @@ def _result(tab: _Tableau, status: str) -> SolveResult:
     if status != "optimal":
         return SolveResult(Status(status), math.nan, None, tab.iterations)
     x = tab._extract()
-    obj = float(tab.canon.c @ x) + tab.canon.offset
-    return SolveResult(Status.OPTIMAL, obj, x, tab.iterations)
+    return SolveResult(Status.OPTIMAL, float(tab.canon.c @ x), x, tab.iterations)
 
 
 def _solve_canon(canon: DenseModel, start: Basis | None = None,

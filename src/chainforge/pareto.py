@@ -108,22 +108,14 @@ def extract_front(solutions: Iterable[EstimateResult]) -> list[EstimateResult]:
     pool = list(solutions)
     if not pool:
         raise DomainError("cannot extract a front from an empty pool")
-    ordered = sorted(pool, key=lambda s: (s.z2, -s.z1, s.epsilon))
+    # In this order a solution is dominated, or an exact tie of a kept
+    # one, iff an earlier solution has at least its Z1.
     front: list[EstimateResult] = []
     best_z1 = -math.inf
-    i = 0
-    while i < len(ordered):
-        j = i
-        while j < len(ordered) and ordered[j].z2 == ordered[i].z2:
-            j += 1
-        group = ordered[i:j]
-        top = group[0].z1
-        if top > best_z1:
-            keep = min((s for s in group if s.z1 == top),
-                       key=lambda s: s.epsilon)
-            front.append(keep)
-            best_z1 = top
-        i = j
+    for s in sorted(pool, key=lambda s: (s.z2, -s.z1, s.epsilon)):
+        if s.z1 > best_z1:
+            front.append(s)
+            best_z1 = s.z1
     return front
 
 

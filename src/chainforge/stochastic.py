@@ -19,8 +19,10 @@ Model assembly notes (this shapes every coefficient below):
 
 * unfulfilled demand g and closing inventory Inv are substituted out:
   g = demand - delivered, Inv = opening + retained orders - deliveries.
-  Their costs land on the delivery/order columns and a constant offset,
-  and the inventory band [v*S, Cap] becomes two inequality rows per DC;
+  Their costs land on the delivery/order columns; the parts that depend
+  only on opening stock and demand are left out, since they move every
+  solution's objective alike.  The inventory band [v*S, Cap] becomes two
+  inequality rows per DC;
 * a region's nutrition plus-terms max(0, content * S - requirement) all
   depend on one scalar, its total closing stock S, which the band rows
   keep in [v * Cap, Cap].  So its quality value is one convex
@@ -48,8 +50,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import asdict, dataclass, fields
-from functools import reduce
-from operator import sub
 from typing import Sequence
 
 import numpy as np
@@ -170,13 +170,11 @@ class QualityCurve:
     nutrients, so it is convex and piecewise linear, with a breakpoint at
     each threshold requirement / content.  points holds the floor, the
     distinct thresholds strictly inside the band in increasing order, and
-    the capacity.  slopes[k] is the slope from points[k] to points[k + 1],
-    and on the first piece the index is intercept + slopes[0] * S.
+    the capacity.  slopes[k] is the slope from points[k] to points[k + 1].
     """
 
     points: np.ndarray
     slopes: np.ndarray
-    intercept: float
 
 
 def quality_curves(instance: NetworkInstance,
@@ -198,9 +196,8 @@ def quality_curves(instance: NetworkInstance,
         inside = sorted(set(threshold[(floor < threshold) & (threshold < capacity)]))
         points = np.array([floor, *inside, capacity])
         active = threshold <= points[:-1, None]  # [piece, nutrient]
-        curves.append(QualityCurve(
-            points=points, slopes=active @ (weight * content),
-            intercept=-float(active[0] @ (weight * requirement))))
+        curves.append(QualityCurve(points=points,
+                                   slopes=active @ (weight * content)))
     return curves
 
 
@@ -212,8 +209,8 @@ class PeriodTemplate:
     A holds the order columns at unit retention; rows from warehouse_rows
     on scale them by the period's retention.  Row i's right-hand side is
     k[i] * stock[src[i]] - req[i], where stock is each DC's opening stock,
-    then each region's total.  The objective's constant is constant less
-    offset_weight * [opening, demand]."""
+    then each region's total.  The objective leaves out every term fixed
+    by the opening stock and demand alone."""
 
     def __init__(self, instance: NetworkInstance, design: NetworkDesign,
                  epsilon: float, safety_stock: float):
@@ -247,18 +244,13 @@ class PeriodTemplate:
                                  in zip(np.cumsum(counts).tolist(), counts)]
 
         # A region's quality term is its curve times this weight.  A
-        # one-piece curve is linear in the flows: its slope prices them,
-        # and its intercept and opening stock go into the constant.  A
-        # curve with breakpoints gets its incremental form's columns.
+        # one-piece curve is linear in the flows: its slope prices them.
+        # A curve with breakpoints gets its incremental form's columns.
         weight = [r.weights.quality / scales.quality for r in instance.regions]
         curved = [r for r, curve in enumerate(curves) if len(curve.slopes) > 1]
         self.dc_slope = np.array([
             0.0 if r in curved else w * curve.slopes[0]
             for r, (w, curve) in enumerate(zip(weight, curves))])[self.dc_region]
-        self.constant = float(sum(
-            w * (curve.intercept
-                 + (curve.slopes[0] * curve.points[0] if r in curved else 0.0))
-            for r, (w, curve) in enumerate(zip(weight, curves))))
         n = D + C + sum(2 * len(curves[r].slopes) - 1 for r in curved)
 
         self.lb = np.zeros(n)
@@ -272,13 +264,6 @@ class PeriodTemplate:
                            - transport * self.effort / scales.transportation
                            + epsilon * self.holding[self.serving]
                            - self.dc_slope[self.serving])
-        # The objective's constant subtracts offset_weight * [opening,
-        # demand] one product at a time in offset_order: region by region,
-        # its DCs, then its customers.
-        self.offset_weight = np.concatenate([
-            epsilon * self.holding - self.dc_slope, epsilon * self.unmet_cost])
-        self.offset_order = np.argsort(
-            np.concatenate([self.dc_region, customer_region]), kind="stable")
 
         unit = np.eye(n)
         # Each DC's closing stock less its opening stock, at unit retention:
@@ -346,16 +331,12 @@ def build_period_model(template: PeriodTemplate, opening: Sequence[float],
              * (template.order_cost + template.holding * factor))
     ub = template.ub.copy()
     ub[D:D + C] = demand
-    # Region totals and the offset are float sums taken one term at a
-    # time, in the order the template lists them.
+    # Region totals are float sums taken one term at a time, in dcs() order.
     stock = np.concatenate([opening, np.bincount(
         template.dc_region, opening, minlength=len(template.region_customers))])
     b = template.k * stock[template.src] - template.req
-    products = template.offset_weight * np.concatenate([opening, demand])
-    offset = reduce(sub, products[template.offset_order].tolist(),
-                    template.constant)
     return DenseModel(A, b, c, template.lb, ub, relations=template.relations,
-                      binary=template.binary, offset=offset)
+                      binary=template.binary)
 
 
 @dataclass

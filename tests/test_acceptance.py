@@ -120,7 +120,7 @@ def _random_milp(rng):
         relations.append(relation)
     return DenseModel(np.array(rows), np.array(rhs), np.array(c), np.zeros(n),
                       np.array(ub), relations=relations,
-                      binary=np.arange(nb), offset=0.0)
+                      binary=np.arange(nb))
 
 
 def _enumerate_reference(model):

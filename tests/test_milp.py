@@ -21,8 +21,7 @@ from chainforge.stochastic import (PeriodTemplate, StochasticConfig,
                                    sample_scenario)
 
 
-def _model(A, b, c, *, lb=None, ub=None, relations=None, binary=(),
-           offset=0.0):
+def _model(A, b, c, *, lb=None, ub=None, relations=None, binary=()):
     """A DenseModel from lists, by default with every column in [0, inf)
     and every row "<="."""
     c = np.asarray(c, dtype=float)
@@ -32,7 +31,7 @@ def _model(A, b, c, *, lb=None, ub=None, relations=None, binary=(),
         np.zeros(len(c)) if lb is None else np.asarray(lb, dtype=float),
         np.full(len(c), math.inf) if ub is None else np.asarray(ub, dtype=float),
         relations=["<="] * len(b) if relations is None else relations,
-        binary=binary, offset=offset)
+        binary=binary)
 
 
 def _row(coeffs, n):
@@ -62,12 +61,6 @@ def test_equality_and_geq_rows():
     assert result.values[1] <= 4.0 + 1e-9
 
 
-def test_objective_offset_carried():
-    m = _model([], [], [1.0], ub=[2.0], offset=7.5)
-    result = solve_milp(m)
-    assert result.objective == pytest.approx(9.5)
-
-
 def test_infeasible_detected():
     m = _model([[1.0]], [2.0], [0.0], ub=[1.0], relations=[">="])
     assert solve_milp(m).status is Status.INFEASIBLE
@@ -95,6 +88,17 @@ def test_validation_rejects_bad_models():
         with pytest.raises(ValidationError, match="constraint 1: relation"):
             _model([[1.0], [1.0]], [5.0, 2.0], [1.0],
                    relations=["<=", relation])
+    # Arrays that disagree in shape, built and solved: a relation short, a
+    # right-hand side or a cost too many, a binary past the last column.
+    fits = {"A": np.ones((2, 2)), "b": np.full(2, 5.0), "c": np.ones(2),
+            "lb": np.zeros(2), "ub": np.ones(2), "relations": ["<="] * 2,
+            "binary": []}
+    for changed, match in (({"relations": ["<="]}, "relations has shape"),
+                           ({"b": np.full(3, 5.0)}, "b has shape"),
+                           ({"c": np.ones(3)}, "c has shape"),
+                           ({"binary": [5]}, "binary column 5")):
+        with pytest.raises(ValidationError, match=match):
+            solve_milp(DenseModel(**{**fits, **changed}))
 
 
 def test_binary_knapsack_matches_enumeration():
@@ -166,7 +170,7 @@ def _enumerate_milp(model):
         res = linprog(-model.c, **_linprog_rows(model),
                       bounds=list(zip(lower, upper)), method="highs")
         if res.status == 0:
-            value = -res.fun + model.offset
+            value = -res.fun
             if best is None or value > best:
                 best = value
     return best
@@ -288,7 +292,7 @@ def _sibling(model, rng):
             ub[j] = low + span * float(rng.uniform(0.5, 1.5))
         lb[j] = low
     return DenseModel(model.A, b, model.c, lb, ub, relations=model.relations,
-                      binary=model.binary, offset=model.offset)
+                      binary=model.binary)
 
 
 def test_root_start_falls_back_or_matches_highs():
@@ -393,7 +397,7 @@ def _highs_milp(model):
     if res.status == 2:
         return None
     assert res.status == 0, res.message
-    return -res.fun + model.offset
+    return -res.fun
 
 
 def _assert_matches_highs(model):
@@ -600,7 +604,7 @@ def test_warm_children_match_cold_solves(qatar, qatar_design, monkeypatch):
         ub[cols] = values
         cold, _ = solver._solve_canon(DenseModel(
             canon.A, canon.b, canon.c, lb, ub, relations=canon.relations,
-            binary=canon.binary, offset=canon.offset))
+            binary=canon.binary))
         assert warm.status is cold.status
         if cold.status is Status.OPTIMAL:
             assert abs(warm.objective - cold.objective) <= FEASIBILITY_TOL * (

@@ -140,7 +140,6 @@ def test_quality_terms_tiny(tiny):
     for curve in (r1, r2):
         assert curve.points.size == 3  # one breakpoint
         assert curve.slopes.tolist() == pytest.approx([0.0, 0.004])
-        assert curve.intercept == 0.0
 
 
 def test_quality_terms_always_active_when_floor_covers_threshold(tiny):
@@ -150,8 +149,6 @@ def test_quality_terms_always_active_when_floor_covers_threshold(tiny):
     assert r1.points.tolist() == pytest.approx([216.0, 270.0])
     assert r1.slopes.size == 1  # no breakpoint
     assert r1.slopes.tolist() == pytest.approx([0.004])
-    assert r1.intercept == pytest.approx(-0.4)
-    assert r2.intercept == pytest.approx(-0.2)
     # At safety stock 1 each band is one point.
     for curve in quality_curves(tiny, 1.0):
         assert curve.points[0] == curve.points[-1]
@@ -199,10 +196,12 @@ def _order_and_delivery_columns(instance, design, dc_id):
 
 def test_period_model_surplus_matches_plus_form(tiny, tiny_design):
     # Fill R1 well above the iron threshold.  The model prices the closing
-    # stock through the clamped plus-form, so its optimum equals the
-    # period objective evaluated from the extracted flows: accessibility
-    # without its constant affordability part, less epsilon * cost.
-    from chainforge.accessibility import affordability, normalize
+    # stock through the clamped plus-form, so its optimum plus the terms
+    # that the opening stock and demand fix alone equals the period
+    # objective evaluated from the extracted flows: accessibility without
+    # its constant affordability part, less epsilon * cost.
+    from chainforge.accessibility import (accessible_nutrition, affordability,
+                                          normalize, quality_index)
 
     opening = {"D1": 140.0, "D2": 110.0, "D3": 20.0}
     demand = [10.0] * len(tiny.customers())
@@ -218,7 +217,20 @@ def test_period_model_surplus_matches_plus_form(tiny, tiny_design):
         affordability(r), template.scales.affordability) for r in tiny.regions)
     cost = (decision.inventory_cost + decision.unfulfilled_cost
             + decision.order_cost)
-    assert result.objective == pytest.approx(
+    # The fixed terms: each region's quality value at the stock its columns
+    # start from (the band floor for a curve with breakpoints, the opening
+    # total for a linear one), less epsilon times the cost of holding the
+    # opening stock and of leaving all demand unmet.
+    fixed = 0.0
+    for region, curve in zip(tiny.regions, quality_curves(
+            tiny, tiny.safety_stock_fraction)):
+        start = (curve.points[0] if len(curve.slopes) > 1
+                 else sum(opening[dc.id] for dc in region.dcs))
+        fixed += region.weights.quality / template.scales.quality * quality_index(
+            region, accessible_nutrition(start, tiny.nutrients), tiny.nutrients)
+    fixed -= 0.01 * (template.holding @ list(opening.values())
+                     + template.unmet_cost @ demand)
+    assert result.objective + fixed == pytest.approx(
         decision.accessibility - constant - 0.01 * cost, abs=1e-9)
 
 
@@ -265,7 +277,7 @@ def test_period_model_respects_inventory_band(tiny, tiny_design):
 
 
 def test_qatar_period_zero_model_bits_are_pinned(qatar, qatar_design):
-    # sha256 of the dense arrays and the offset of Qatar's period 0 model,
+    # sha256 of the dense arrays of Qatar's period 0 model,
     # taken from the piecewise-linear quality form once it had matched the
     # optimum of the per-term indicator form it replaced on over 870 cold
     # period models.
@@ -274,14 +286,12 @@ def test_qatar_period_zero_model_bits_are_pinned(qatar, qatar_design):
             "A": "5f46d5a0bf83c5bec0f91f323759f539e410661c23898a901ecc6182d1e0d4c8",
             "c": "3ed5c9ef3401a47c06cd048f9035dde544195990c08be1ebe54a67601646b116",
             "ub": "b2ece0ae27938a125f43ed25c4425e950547a1bbd2a644bab6fdd12024ddd4d3",
-            "b": "1464e5fab29ee518325243023378b0c0cb4ac998f343d3f364acf642f878937c",
-            "offset": "-0x1.097a7b6381adep+10"}),
+            "b": "1464e5fab29ee518325243023378b0c0cb4ac998f343d3f364acf642f878937c"}),
         0.4: ((41, 68), {
             "A": "6227ae42c7cc11604e7bc422af031c2f5cb09ba973df2bc57077e09540d616f8",
             "c": "ee066f35d52b1f6530fd334c414422eb5888f8ef0d9a21a157fb651ee50cc1c0",
             "ub": "53d925c2bf28faf129f2b0a39a8113baeafe3ad1a8543c1f9f8b18cbd8624573",
-            "b": "ece2b40d7e723dd4189cabec7b4c4253851268e47134af2bdd2bcec76dd34516",
-            "offset": "-0x1.24bd20100145dp+11"}),
+            "b": "ece2b40d7e723dd4189cabec7b4c4253851268e47134af2bdd2bcec76dd34516"}),
     }
     scenario = sample_scenario(qatar, replication_seed(0, 0))
     retention = linked_retention(qatar, qatar_design, scenario)
@@ -294,7 +304,6 @@ def test_qatar_period_zero_model_bits_are_pinned(qatar, qatar_design):
         assert model.A.shape == shape
         found = {name: hashlib.sha256(getattr(model, name).tobytes()).hexdigest()
                  for name in ("A", "c", "ub", "b")}
-        found["offset"] = model.offset.hex()
         assert found == digests
 
 
