@@ -10,8 +10,9 @@ primal feasibility, then a primal simplex to optimality.  Only where they
 start differs, and there are three starts:
 
 * the slack basis, for a root relaxation solved cold;
-* a given basis, such as the previous period's optimal root basis of a
-  model with the same rows and columns, for a warm root;
+* a given basis of a model with the same rows and columns, such as the
+  previous period's optimal root basis or the same period's at the
+  previous epsilon, for a warm root;
 * a copy of the parent's final tableau with the branched binaries fixed,
   for every branch-and-bound child and the rounding heuristic.
 
@@ -485,14 +486,15 @@ def solve_milp(model: DenseModel, *,
     bound, branching picks the most fractional binary, and a rounding pass
     at the root supplies an early incumbent.  The root LP starts from the
     slack basis, or from start: the basis of another model with the same
-    rows and columns, such as the previous period's, which the result's
-    basis field carries on.  A start that does not fit falls back to the
-    slack basis.  Each child, and the rounding pass, re-optimizes a copy
-    of its parent's final tableau with the dual simplex, so a queued node
-    carries that tableau.  iterations counts the simplex iterations of
-    every LP solved, dual pivots included, and a cap set by the model
-    size bounds each LP.  Hitting node_limit returns the best incumbent
-    found with status NODE_LIMIT.
+    rows and columns, such as the previous period's or the same period's
+    at another epsilon, which the result's basis field carries on.  A
+    start that does not fit falls back to the slack basis.  Each child,
+    and the rounding pass, re-optimizes a copy of its parent's final
+    tableau with the dual simplex, so a queued node carries that tableau.
+    iterations counts the simplex iterations of every LP solved, dual
+    pivots included, and a cap set by the model size bounds each LP.
+    Hitting node_limit returns the best incumbent found with status
+    NODE_LIMIT.
     """
     root, root_tab = _solve_canon(model, start)
     root.nodes = 1

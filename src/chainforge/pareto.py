@@ -65,13 +65,15 @@ def sweep(instance: NetworkInstance, design: NetworkDesign,
 
     All grid points share config.master_seed, so every epsilon sees the
     same demand and supply draws and the comparison between solutions is
-    free of sampling noise.  The grid flattens into one (epsilon,
-    replication seed) work item per replication, run by config.jobs
-    workers; each grid point is then aggregated in seed order, so the
-    estimates do not depend on jobs.  A grid point whose replication
-    raised is recorded with the first such error in seed order and the
-    remaining points still run.  A design that does not fit the instance
-    is rejected before any replication runs.
+    free of sampling noise.  One work item is one replication seed,
+    walked over the whole grid in grid order (stochastic.summarize_seed),
+    so its scenario is sampled once and each replication warm-starts from
+    the seed's previous grid point; config.jobs workers run the items.
+    Each grid point is then aggregated in seed order, so the estimates do
+    not depend on jobs.  A grid point whose replication raised is
+    recorded with the first such error in seed order and the remaining
+    points still run.  A design that does not fit the instance is
+    rejected before any replication runs.
     """
     if not grid:
         raise DomainError("epsilon grid is empty")
@@ -83,13 +85,12 @@ def sweep(instance: NetworkInstance, design: NetworkDesign,
         raise DomainError("design does not fit the instance: "
                           + "; ".join(problems))
 
-    seeds = replication_seeds(config)
-    items = [(eps, seed) for eps in grid for seed in seeds]
-    outcomes = map_replications(instance, design, config, items)
+    chains = map_replications(instance, design, config, grid,
+                              replication_seeds(config))
     solutions: list[EstimateResult] = []
     failures: list[SweepFailure] = []
     for k, eps in enumerate(grid):
-        point = outcomes[k * len(seeds):(k + 1) * len(seeds)]
+        point = [chain[k] for chain in chains]
         errors = [o for o in point if isinstance(o, ChainforgeError)]
         if errors:
             failures.append(SweepFailure(epsilon=eps, error=str(errors[0])))

@@ -34,29 +34,41 @@ Model assembly notes (this shapes every coefficient below):
   binaries z_k and delta_k <= z_k <= delta_{k-1}, which is locally ideal
   (Vielma, Ahmed & Nemhauser, Oper. Res. 58(2), 2010), so the root
   relaxation is usually integral;
-* period models differ only in opening stock, demand and retention, so
-  a PeriodTemplate holds the dense arrays and each period patches a copy.
+* a seed's period models differ only in opening stock, demand,
+  retention and epsilon, so a PeriodTemplate holds the dense arrays,
+  at(epsilon) prices them, and each period patches a copy.
   Columns, with D DCs and C customers: orders [0, D) in instance.dcs()
   order, deliveries [D, D + C) in instance.customers() order, then for
   each region with breakpoints, in instance order, its deltas and then
   its binaries.  A PeriodDecision keeps the flows in the same layout:
   per-DC vectors (each order on the DC's one linked lane) and
   per-customer vectors (each delivery on the customer's one link).  Its
-  surpluses, [region, nutrient], are evaluated at the region's stock.
+  surpluses, [region, nutrient], are evaluated at the region's stock;
+* the sweep walks each replication seed over the epsilon grid in order,
+  and epsilon changes only the objective.  So a seed's scenario is
+  sampled and its template built once, and each period's root LP at one
+  grid point starts from the same period's optimal root basis at the
+  previous one, which usually needs a few dual and primal pivots where
+  the previous period's basis needs many more (Gass & Saaty, Naval Res.
+  Logist. Q. 2, 1955, on parametric costs; Bixby, Oper. Res. 50(1),
+  2002, on warm-started dual simplex).  A tie may then pick another
+  optimal vertex, which moves a result only in its last digits.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
 
 from .accessibility import link_effort, resolve_scales, snapshot
 from .errors import ConfigError, DomainError, NumericalError
-from .milp import DEFAULT_NODE_LIMIT, DenseModel, Status, solve_milp
+from .milp import (DEFAULT_NODE_LIMIT, FEASIBILITY_TOL, Basis, DenseModel,
+                   Status, solve_milp)
 from .model import (NetworkDesign, NetworkInstance, _integer, _number,
                     _object, _require_keys, read_json, write_json)
 
@@ -77,9 +89,10 @@ def replication_seed(master_seed: int, replication: int,
 
 
 def _fields_equal(self, other: object) -> bool:
-    """Dataclass ==, field by field, with arrays compared by value."""
+    """Dataclass ==, field by field but for compare=False ones, with
+    arrays compared by value."""
     pairs = ((getattr(self, f.name), getattr(other, f.name))
-             for f in fields(self))
+             for f in fields(self) if f.compare)
     return type(other) is type(self) and all(
         np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
         for a, b in pairs)
@@ -202,19 +215,21 @@ def quality_curves(instance: NetworkInstance,
 
 
 class PeriodTemplate:
-    """The arrays one replication's period models share, in the module
-    notes' column layout, and the per-DC and per-customer vectors that
-    price and index a period's decision.
+    """The arrays one seed's period models share at every epsilon, in the
+    module notes' column layout, and the per-DC and per-customer vectors
+    that price and index a period's decision.
 
     A holds the order columns at unit retention; rows from warehouse_rows
     on scale them by the period's retention.  Row i's right-hand side is
     k[i] * stock[src[i]] - req[i], where stock is each DC's opening stock,
     then each region's total.  The objective leaves out every term fixed
-    by the opening stock and demand alone."""
+    by the opening stock and demand alone.  Only the objective depends on
+    epsilon: at(epsilon) prices a template, and build_period_model takes
+    a priced one."""
 
     def __init__(self, instance: NetworkInstance, design: NetworkDesign,
-                 epsilon: float, safety_stock: float):
-        self.instance, self.epsilon = instance, epsilon
+                 safety_stock: float):
+        self.instance = instance
         self.scales = scales = resolve_scales(instance, design)
         curves = quality_curves(instance, safety_stock)
         dcs, customers = instance.dcs(), instance.customers()
@@ -257,13 +272,10 @@ class PeriodTemplate:
         self.ub = np.ones(n)
         self.ub[:D] = [w.capacity for w in linked]
         self.ub[D:D + C] = math.inf
-        self.c = np.zeros(n)
+        self.c = np.zeros(n)  # the entries no epsilon prices
         transport = np.array([r.weights.transportation
                               for r in instance.regions])[customer_region]
-        self.c[D:D + C] = (epsilon * self.unmet_cost
-                           - transport * self.effort / scales.transportation
-                           + epsilon * self.holding[self.serving]
-                           - self.dc_slope[self.serving])
+        self.transport = transport * self.effort / scales.transportation
 
         unit = np.eye(n)
         # Each DC's closing stock less its opening stock, at unit retention:
@@ -312,13 +324,28 @@ class PeriodTemplate:
         self.k, src, self.req = np.array(rhs).T
         self.src = src.astype(int)
 
+    def at(self, epsilon: float) -> PeriodTemplate:
+        """This template priced at epsilon: a shallow copy that shares
+        every array but c, whose delivery entries it sets.  The order
+        entries depend on the period's retention too, so
+        build_period_model sets those."""
+        priced = copy.copy(self)
+        priced.epsilon = epsilon
+        priced.c = self.c.copy()
+        D, C = self.num_dcs, self.num_customers
+        priced.c[D:D + C] = (epsilon * self.unmet_cost - self.transport
+                             + epsilon * self.holding[self.serving]
+                             - self.dc_slope[self.serving])
+        return priced
+
 
 def build_period_model(template: PeriodTemplate, opening: Sequence[float],
                        demand: Sequence[float], retention: Sequence[float],
                        ) -> DenseModel:
-    """The single-period model for realized stock, demand and supply:
-    opening stock and linked-lane retention per DC in instance.dcs()
-    order, demand per customer in instance.customers() order."""
+    """The single-period model of a priced template (PeriodTemplate.at)
+    for realized stock, demand and supply: opening stock and linked-lane
+    retention per DC in instance.dcs() order, demand per customer in
+    instance.customers() order."""
     D, C = template.num_dcs, template.num_customers
     if (len(opening), len(demand), len(retention)) != (D, C, D):
         raise ConfigError("need one opening stock per DC, one demand per "
@@ -371,6 +398,10 @@ class ReplicationResult:
     initial_inventory: np.ndarray  # per DC, instance.dcs() order
     nodes: int
     limit_hit: bool
+    # What the next grid point of this seed starts from: the template
+    # priced at this epsilon, and each period's optimal root basis.
+    template: PeriodTemplate = field(compare=False, repr=False)
+    bases: list[Basis] = field(compare=False, repr=False)
 
     __eq__ = _fields_equal
 
@@ -396,30 +427,50 @@ def planned_safety_stock(instance: NetworkInstance,
 def run_replication(instance: NetworkInstance, design: NetworkDesign,
                     epsilon: float, seed: int, *,
                     config: StochasticConfig = StochasticConfig(),
+                    previous: ReplicationResult | None = None,
                     ) -> ReplicationResult:
     """Sample one scenario and solve the horizon period by period, from
-    every DC at its safety level."""
+    every DC at its safety level.
+
+    previous is this seed's result at another epsilon, under the same
+    instance, design and config, such as the previous grid point's.  Its
+    scenario and template are reused, so nothing is sampled or built
+    again, and each period's root LP starts from the optimal root basis
+    of the same period in previous.  Without it, period 0 starts from the
+    slack basis and each later period from the one before it.  The start
+    changes only which optimal vertex a tie picks.
+    """
     v = planned_safety_stock(instance, config)
-    scenario = sample_scenario(instance, seed)
-    template = PeriodTemplate(instance, design, epsilon, v)
+    if previous is None:
+        scenario = sample_scenario(instance, seed)
+        template = PeriodTemplate(instance, design, v)
+    else:
+        scenario, template = previous.scenario, previous.template
+    template = template.at(epsilon)
     capacity = np.array([dc.capacity for dc in instance.dcs()])
     floor = v * capacity
     opening = floor.tolist()
 
     periods: list[PeriodDecision] = []
+    bases: list[Basis] = []
     nodes = 0
     limit_hit = False
-    # Consecutive periods differ only in demand, retention and the
-    # opening inventory, so each root LP after the first starts from the
-    # previous period's optimal root basis.
+    # Each root LP after the first starts from the previous period's
+    # optimal root basis: consecutive periods differ only in demand,
+    # retention and the opening inventory.  With previous, each starts
+    # from the same period's basis there instead, which has the same rows
+    # and columns and, at t = 0, differs only in its costs.
     start = None
     # Python floats, period-major, so each entry's arithmetic is scalar.
     demands = scenario.demand.T.tolist()
     retentions = linked_retention(instance, design, scenario).T.tolist()
     for t, (demand, retention) in enumerate(zip(demands, retentions)):
         model = build_period_model(template, opening, demand, retention)
+        if previous is not None:
+            start = previous.bases[t]
         result = solve_milp(model, node_limit=config.node_limit, start=start)
         start = result.basis
+        bases.append(start)
         nodes += result.nodes
         if result.status is Status.NODE_LIMIT:
             limit_hit = True
@@ -445,6 +496,8 @@ def run_replication(instance: NetworkInstance, design: NetworkDesign,
         initial_inventory=floor,
         nodes=nodes,
         limit_hit=limit_hit,
+        template=template,
+        bases=bases,
     )
 
 
@@ -459,8 +512,10 @@ def _extract_period(template, x, opening, demand, retention, t):
                  - np.bincount(template.serving, deliveries, minlength=D))
 
     # Solver arithmetic can leave a DC a hair below zero; physical stock
-    # is nonnegative, so the regional sums and the priced stock are
-    # clamped.  The per-DC values stay raw for the audit.
+    # is nonnegative, so the regional sums are clamped at zero.  Stock
+    # within the solver's tolerance of zero is priced as none, so that
+    # round-off, which moves with the start basis, costs nothing.  The
+    # per-DC values stay raw for the audit.
     region_stock = np.maximum(np.bincount(
         template.dc_region, inventory,
         minlength=len(template.region_customers)), 0.0)
@@ -481,8 +536,8 @@ def _extract_period(template, x, opening, demand, retention, t):
     return PeriodDecision(
         period=t, orders=orders, deliveries=deliveries, unmet=unmet,
         inventory=inventory, aux=aux, accessibility=accessibility,
-        inventory_cost=sum((template.holding
-                            * np.maximum(inventory, 0.0)).tolist()),
+        inventory_cost=sum((template.holding * np.where(
+            inventory > FEASIBILITY_TOL, inventory, 0.0)).tolist()),
         unfulfilled_cost=sum((template.unmet_cost * unmet).tolist()),
         order_cost=sum((template.order_cost * orders).tolist()))
 
@@ -507,71 +562,82 @@ class ReplicationSummary:
         return self.inventory_cost + self.unfulfilled_cost + self.order_cost
 
 
-WorkItem = tuple[float, int]  # (epsilon, replication seed)
-# What a work item gives back: its summary, or the error it raised.
+# What a replication gives back: its summary, or the error it raised.
 Outcome = ReplicationSummary | DomainError | NumericalError
 
 # Set once in each worker process by the pool initializer, so the
-# instance and design cross the process boundary once per worker
-# instead of once per work item.
-_worker_inputs: tuple[NetworkInstance, NetworkDesign, StochasticConfig] | None = None
+# instance, design, config and grid cross the process boundary once per
+# worker instead of once per work item.
+_worker_inputs: tuple[NetworkInstance, NetworkDesign, StochasticConfig,
+                      Sequence[float]] | None = None
 
 
 def _init_worker(instance: NetworkInstance, design: NetworkDesign,
-                 config: StochasticConfig) -> None:
+                 config: StochasticConfig, grid: Sequence[float]) -> None:
     global _worker_inputs
-    _worker_inputs = (instance, design, config)
+    _worker_inputs = (instance, design, config, grid)
 
 
-def _run_item(item: WorkItem) -> Outcome:
-    return summarize_replication(*_worker_inputs, item)
+def _run_seed(seed: int) -> list[Outcome]:
+    return summarize_seed(*_worker_inputs, seed)
 
 
 def map_replications(instance: NetworkInstance, design: NetworkDesign,
-                     config: StochasticConfig,
-                     items: Sequence[WorkItem]) -> list[Outcome]:
-    """summarize_replication(instance, design, config, item) for every
-    item, in order.
+                     config: StochasticConfig, grid: Sequence[float],
+                     seeds: Sequence[int]) -> list[list[Outcome]]:
+    """summarize_seed(instance, design, config, grid, seed) for every
+    seed, in order: one work item per replication seed, each the seed's
+    outcomes in grid order.
 
-    With one worker (config.jobs == 1, or a single item) the calls run
-    inline.  Otherwise a process pool of min(jobs, items) workers runs
-    them.  The platform's default start method is used, so on spawn and
-    forkserver platforms the initializer pickles (instance, design,
-    config).
+    With one worker (config.jobs == 1, or a single seed) the calls run
+    inline.  Otherwise a process pool of min(jobs, seeds) workers runs
+    them, so workers beyond the number of seeds are never started.  The
+    platform's default start method is used, so on spawn and forkserver
+    platforms the initializer pickles (instance, design, config, grid).
     """
-    workers = min(config.jobs, len(items))
+    workers = min(config.jobs, len(seeds))
     if workers <= 1:
-        return [summarize_replication(instance, design, config, item)
-                for item in items]
+        return [summarize_seed(instance, design, config, grid, seed)
+                for seed in seeds]
     # Imported here so that single-process commands do not load
     # multiprocessing (about 1.3 MB of resident memory).
     from concurrent.futures import ProcessPoolExecutor
 
+    inputs = (instance, design, config, grid)
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                             initargs=(instance, design, config)) as pool:
-        return list(pool.map(_run_item, items))
+                             initargs=inputs) as pool:
+        return list(pool.map(_run_seed, seeds))
 
 
-def summarize_replication(instance: NetworkInstance, design: NetworkDesign,
-                          config: StochasticConfig, item: WorkItem) -> Outcome:
-    """One (epsilon, seed) replication's summary, or the error it raised.
+def summarize_seed(instance: NetworkInstance, design: NetworkDesign,
+                   config: StochasticConfig, grid: Sequence[float],
+                   seed: int) -> list[Outcome]:
+    """One replication seed walked over the grid in order: each epsilon's
+    summary, or the error its replication raised.
 
-    The error is returned, not raised, so a failing replication leaves
-    the other work items running and its caller decides what it spoils.
+    Each replication after the first good one reuses the last good result
+    (run_replication's previous), so the seed's scenario is sampled and
+    its template built once.  An error is returned, not raised, so it
+    spoils only its own grid point and the chain goes on.
     """
-    epsilon, seed = item
-    try:
-        result = run_replication(instance, design, epsilon, seed,
-                                 config=config)
-    except (DomainError, NumericalError) as exc:
-        return exc
-    return ReplicationSummary(
-        accessibility=result.accessibility,
-        inventory_cost=result.inventory_cost,
-        unfulfilled_cost=result.unfulfilled_cost,
-        order_cost=result.order_cost,
-        nodes=result.nodes,
-        limit_hit=result.limit_hit)
+    outcomes: list[Outcome] = []
+    previous = None
+    for epsilon in grid:
+        try:
+            result = run_replication(instance, design, epsilon, seed,
+                                     config=config, previous=previous)
+        except (DomainError, NumericalError) as exc:
+            outcomes.append(exc)
+            continue
+        previous = result
+        outcomes.append(ReplicationSummary(
+            accessibility=result.accessibility,
+            inventory_cost=result.inventory_cost,
+            unfulfilled_cost=result.unfulfilled_cost,
+            order_cost=result.order_cost,
+            nodes=result.nodes,
+            limit_hit=result.limit_hit))
+    return outcomes
 
 
 @dataclass(frozen=True)

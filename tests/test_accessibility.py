@@ -35,7 +35,7 @@ def test_transportation_effort_hand_value(tiny, tiny_design):
 def test_transportation_ignores_other_regions(tiny, tiny_design):
     # A period's deliveries cover every customer; a region's effort reads
     # only its own span of them.  C4 belongs to R2.
-    template = PeriodTemplate(tiny, tiny_design, 0.01, 0.2)
+    template = PeriodTemplate(tiny, tiny_design, 0.2)
     shipments = [0.0, 0.0, 0.0, 50.0, 0.0]
     r1, r2 = template.region_customers
     assert transportation_effort(template.effort[r1], shipments[r1]) == 0.0

@@ -471,13 +471,14 @@ def test_random_mixed_binary_models_match_highs(monkeypatch):
 def _qatar_period_models(instance, design, epsilons, seeds, safety_stock):
     opening = default_initial_inventory(instance, safety_stock)
     stock = [opening[dc.id] for dc in instance.dcs()]
+    template = PeriodTemplate(instance, design, safety_stock)
     for epsilon in epsilons:
-        template = PeriodTemplate(instance, design, epsilon, safety_stock)
+        priced = template.at(epsilon)
         for seed in seeds:
             scenario = sample_scenario(instance, seed)
             retention = linked_retention(instance, design, scenario)
             for t in range(instance.horizon):
-                yield build_period_model(template, stock,
+                yield build_period_model(priced, stock,
                                          scenario.demand[:, t].tolist(),
                                          retention[:, t].tolist())
 
@@ -615,7 +616,7 @@ def test_warm_children_match_cold_solves(qatar, qatar_design, monkeypatch):
     monkeypatch.setattr(solver, "_resolve", compared_resolve)
     # At safety stock 0 with every DC half full, each region's stock can
     # end on either side of several breakpoints, and the model branches.
-    template = PeriodTemplate(qatar, qatar_design, 0.001, 0.0)
+    template = PeriodTemplate(qatar, qatar_design, 0.0).at(0.001)
     scenario = sample_scenario(qatar, 5)
     retention = linked_retention(qatar, qatar_design, scenario)
     model = build_period_model(

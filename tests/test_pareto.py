@@ -283,6 +283,95 @@ def test_sweep_records_failures_and_continues(tiny, tiny_design,
     assert "boom" in pool.failures[0].error
 
 
+@pytest.mark.parametrize("case", ["tiny", "qatar 0.4", "qatar 0.9"])
+def test_chained_sweep_matches_independent_replications(
+        case, tiny, tiny_design, qatar, qatar_design):
+    # Each seed walks the grid from its previous grid point's bases; the
+    # estimates are those of replications solved on their own, but for
+    # the vertex a tie picks.
+    if case == "tiny":
+        instance, design, grid = tiny, tiny_design, epsilon_grid(0.01, 0.2, 4)
+        config = StochasticConfig(replications=3, master_seed=12)
+    else:
+        instance, design = qatar, qatar_design
+        grid = epsilon_grid(0.001, 1, 10)
+        config = StochasticConfig(replications=2, master_seed=4,
+                                  safety_stock=float(case.split()[1]))
+    pool = sweep(instance, design, grid, config)
+    assert not pool.failures
+    for estimate in pool.solutions:
+        results = [run_replication(instance, design, estimate.epsilon, seed,
+                                   config=config)
+                   for seed in replication_seeds(config)]
+        for value, samples in (
+                (estimate.z1, [r.accessibility for r in results]),
+                (estimate.z2, [r.total_cost for r in results]),
+                (estimate.inventory_cost, [r.inventory_cost for r in results]),
+                (estimate.unfulfilled_cost,
+                 [r.unfulfilled_cost for r in results]),
+                (estimate.order_cost, [r.order_cost for r in results])):
+            assert value == pytest.approx(float(np.mean(samples)),
+                                          rel=1e-12, abs=1e-12)
+
+
+def test_a_failing_replication_leaves_the_chain_running(tiny, tiny_design,
+                                                        monkeypatch):
+    import chainforge.stochastic as stochastic
+
+    grid = epsilon_grid(0.01, 0.2, 4)
+    config = StochasticConfig(replications=2, master_seed=5)
+    clean = sweep(tiny, tiny_design, grid, config)
+    failing = (grid[1], replication_seeds(config)[1])
+    real = stochastic.run_replication
+    results, previous = {}, {}
+
+    def flaky(instance, design, epsilon, seed, **kwargs):
+        previous[epsilon, seed] = kwargs["previous"]
+        if (epsilon, seed) == failing:
+            raise DomainError("boom")
+        result = real(instance, design, epsilon, seed, **kwargs)
+        results[epsilon, seed] = result
+        return result
+
+    monkeypatch.setattr(stochastic, "run_replication", flaky)
+    pool = sweep(tiny, tiny_design, grid, config)
+    assert [(f.epsilon, f.error) for f in pool.failures] == [(grid[1], "boom")]
+    assert pool.solutions == [s for s in clean.solutions
+                              if s.epsilon != grid[1]]
+    # The grid point after the failure goes on from the last good one.
+    seed = failing[1]
+    assert previous[grid[0], seed] is None
+    assert previous[grid[2], seed] is results[grid[0], seed]
+    assert previous[grid[3], seed] is results[grid[2], seed]
+
+
+def test_sweep_runs_each_replication_once_and_samples_each_seed_once(
+        tiny, tiny_design, monkeypatch):
+    import chainforge.stochastic as stochastic
+
+    calls, sampled = [], []
+    real_run = stochastic.run_replication
+    real_sample = stochastic.sample_scenario
+
+    def counted_run(instance, design, epsilon, seed, **kwargs):
+        calls.append((epsilon, seed))
+        return real_run(instance, design, epsilon, seed, **kwargs)
+
+    def counted_sample(instance, seed):
+        sampled.append(seed)
+        return real_sample(instance, seed)
+
+    monkeypatch.setattr(stochastic, "run_replication", counted_run)
+    monkeypatch.setattr(stochastic, "sample_scenario", counted_sample)
+    grid = epsilon_grid(0.01, 0.2, 3)
+    config = StochasticConfig(replications=2, master_seed=8)
+    sweep(tiny, tiny_design, grid, config)
+    seeds = replication_seeds(config)
+    assert sorted(calls) == sorted((eps, seed) for eps in grid
+                                   for seed in seeds)
+    assert sampled == seeds
+
+
 def test_sweep_validates_grid(tiny, tiny_design):
     config = StochasticConfig(replications=1)
     with pytest.raises(DomainError):

@@ -175,7 +175,7 @@ def test_quality_terms_qatar_counts(qatar):
 # ---------------------------------------------------------- period model
 
 def _solve_period(instance, design, opening, demand, epsilon, safety_stock):
-    template = PeriodTemplate(instance, design, epsilon, safety_stock)
+    template = PeriodTemplate(instance, design, safety_stock).at(epsilon)
     retention = [0.85] * len(instance.dcs())
     model = build_period_model(
         template, [opening[dc.id] for dc in instance.dcs()], demand, retention)
@@ -235,7 +235,7 @@ def test_period_model_surplus_matches_plus_form(tiny, tiny_design):
 
 
 def test_period_model_needs_a_value_per_customer_and_dc(tiny, tiny_design):
-    template = PeriodTemplate(tiny, tiny_design, 0.01, 0.2)
+    template = PeriodTemplate(tiny, tiny_design, 0.2).at(0.01)
     opening = [20.0] * 3
     with pytest.raises(ConfigError, match="one demand per customer"):
         build_period_model(template, opening, [10.0] * 3, [0.85] * 3)
@@ -296,7 +296,7 @@ def test_qatar_period_zero_model_bits_are_pinned(qatar, qatar_design):
     scenario = sample_scenario(qatar, replication_seed(0, 0))
     retention = linked_retention(qatar, qatar_design, scenario)
     for safety_stock, (shape, digests) in expected.items():
-        template = PeriodTemplate(qatar, qatar_design, 0.01, safety_stock)
+        template = PeriodTemplate(qatar, qatar_design, safety_stock).at(0.01)
         opening = default_initial_inventory(qatar, safety_stock)
         model = build_period_model(
             template, [opening[dc.id] for dc in qatar.dcs()],
@@ -314,7 +314,7 @@ def test_safety_stock_one_leaves_only_flows(tiny, tiny_design, qatar,
     # and every DC closes full.
     config = StochasticConfig(replications=1, safety_stock=1.0)
     for instance, design in ((tiny, tiny_design), (qatar, qatar_design)):
-        template = PeriodTemplate(instance, design, 0.01, 1.0)
+        template = PeriodTemplate(instance, design, 1.0)
         dcs = instance.dcs()
         assert template.A.shape[1] == len(dcs) + len(instance.customers())
         assert template.binary.size == 0
@@ -349,6 +349,32 @@ def test_run_replication_deterministic(tiny, tiny_design):
     other = run_replication(tiny, tiny_design, 0.02, 1235)
     assert a != other
     assert a.scenario != other.scenario
+    # A replication chained on another epsilon's result is deterministic
+    # too, and reuses that result's scenario.
+    c = run_replication(tiny, tiny_design, 0.05, 1234, previous=a)
+    assert c == run_replication(tiny, tiny_design, 0.05, 1234, previous=b)
+    assert c.scenario is a.scenario
+
+
+def test_chained_replications_audit_clean_and_price_round_off_as_none(
+        qatar, qatar_design):
+    # At safety stock 0 DCs run empty, where solver round-off leaves
+    # stock of about 1e-12 that moves with the start basis.  It is priced
+    # as none, so the chained and the independent costs agree exactly.
+    config = StochasticConfig(safety_stock=0.0)
+    seed = replication_seed(0, 0)
+    previous = None
+    for epsilon in (0.001, 0.01, 0.1, 1.0):
+        result = run_replication(qatar, qatar_design, epsilon, seed,
+                                 config=config, previous=previous)
+        alone = run_replication(qatar, qatar_design, epsilon, seed,
+                                config=config)
+        assert audit_replication(qatar, qatar_design, result) == []
+        assert result.scenario == alone.scenario
+        assert result.inventory_cost == alone.inventory_cost
+        assert result.accessibility == pytest.approx(alone.accessibility,
+                                                      rel=1e-12)
+        previous = result
 
 
 def test_run_replication_tiny_audit_clean(tiny, tiny_design):
@@ -595,17 +621,17 @@ from chainforge.model import instance_from_dict
 import numpy as np
 
 def threads_after(*args):
-    assert isinstance(real(*args), stochastic.ReplicationSummary)
+    [outcome] = real(*args)
+    assert isinstance(outcome, stochastic.ReplicationSummary)
     np.linalg.solve(np.eye(400) + 1.0, np.ones((400, 400)))
     return len(os.listdir("/proc/self/task"))
 
-real, stochastic.summarize_replication = (stochastic.summarize_replication,
-                                          threads_after)
+real, stochastic.summarize_seed = stochastic.summarize_seed, threads_after
 instance = instance_from_dict(json.loads(sys.argv[1]))
 design = assign_linkages(instance, {dc.id: dc.location for dc in instance.dcs()})
 print(stochastic.map_replications(instance, design,
                                   stochastic.StochasticConfig(jobs=2),
-                                  [(0.01, 1), (0.01, 2)]))
+                                  [0.01], [1, 2]))
 """
 
 
