@@ -11,17 +11,17 @@ Three raw components are evaluated per region and period:
 
 Each raw component C is scaled to an index by clamp(C / scale, 0, 1).
 The per-region accessibility contribution combines the indices as
-``w_a * I_a - w_t * I_t + w_q * I_q``.
+``w_a * I_a - w_t * I_t + w_q * I_q``.  The period extraction in
+stochastic sums every region's raw transport and quality at once, from
+the period's deliveries and nutrient surpluses, and snapshot scales them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+import numpy as np
 
-from .errors import ConfigError, DomainError
-from .model import (NetworkDesign, NetworkInstance, NormalizationScales,
-                    Nutrient, Region)
+from .errors import DomainError
+from .model import NetworkDesign, NetworkInstance, NormalizationScales, Region
 
 
 def affordability(region: Region) -> float:
@@ -38,56 +38,6 @@ def link_effort(instance: NetworkInstance,
     return [instance.path_weight(design.customer_dc[c.id], c.id)
             * design.distances[design.customer_dc[c.id]][c.id]
             for c in instance.customers()]
-
-
-def transportation_effort(effort: Sequence[float],
-                          shipments: Sequence[float]) -> float:
-    """Raw transport effort of one region: each customer's link effort
-    (see link_effort) times the kg shipped to it, summed one customer at
-    a time in the region's order."""
-    total = 0.0
-    for unit, qty in zip(effort, shipments):
-        if qty < 0.0:
-            raise DomainError(f"negative shipment {qty:g}")
-        total += unit * qty
-    return total
-
-
-def accessible_nutrition(region_inventory: float,
-                         nutrients: tuple[Nutrient, ...]) -> dict[str, float]:
-    """Nutrition made accessible by the region's total DC inventory (kg)."""
-    if region_inventory < 0:
-        raise DomainError("region inventory must be >= 0")
-    return {n.id: region_inventory * n.per_kg_content for n in nutrients}
-
-
-def quality_index(region: Region, nutrition: Mapping[str, float],
-                  nutrients: tuple[Nutrient, ...]) -> float:
-    """Raw quality: weighted surplus of nutrition over the requirement.
-
-    The requirement per nutrient is min_requirement times the region
-    population; shortfalls contribute zero (the surplus is clamped below
-    at zero per nutrient).
-    """
-    total = 0.0
-    population = region.population
-    for n in nutrients:
-        surplus = nutrition[n.id] - n.min_requirement * population
-        if surplus > 0.0:
-            total += n.weight * surplus
-    return total
-
-
-def normalize(raw: float, scale: float) -> float:
-    """Min-max scale a raw component into [0, 1]."""
-    if not (scale > 0.0) or scale != scale or scale == float("inf"):
-        raise ConfigError(f"normalization scale must be positive and finite, got {scale}")
-    value = raw / scale
-    if value < 0.0:
-        return 0.0
-    if value > 1.0:
-        return 1.0
-    return value
 
 
 def default_scales(instance: NetworkInstance,
@@ -129,40 +79,10 @@ def resolve_scales(instance: NetworkInstance,
     return default_scales(instance, design)
 
 
-@dataclass(frozen=True)
-class AccessibilitySnapshot:
-    """Evaluated index state for one region in one period."""
-
-    region_id: str
-    period: int
-    raw_transportation: float
-    raw_quality: float
-    affordability: float
-    transportation: float
-    quality: float
-
-    def contribution(self, region: Region) -> float:
-        """Weighted accessibility contribution of this region-period."""
-        w = region.weights
-        return (w.affordability * self.affordability
-                - w.transportation * self.transportation
-                + w.quality * self.quality)
-
-
-def snapshot(region: Region, period: int, instance: NetworkInstance,
-             region_inventory: float, effort: Sequence[float],
-             shipments: Sequence[float],
-             scales: NormalizationScales) -> AccessibilitySnapshot:
-    """Evaluate all three indices for one region-period state; effort
-    and shipments hold one entry per customer of the region."""
-    raw_a = affordability(region)
-    raw_t = transportation_effort(effort, shipments)
-    nutrition = accessible_nutrition(region_inventory, instance.nutrients)
-    raw_q = quality_index(region, nutrition, instance.nutrients)
-    return AccessibilitySnapshot(
-        region_id=region.id, period=period,
-        raw_transportation=raw_t, raw_quality=raw_q,
-        affordability=normalize(raw_a, scales.affordability),
-        transportation=normalize(raw_t, scales.transportation),
-        quality=normalize(raw_q, scales.quality),
-    )
+def snapshot(raw: np.ndarray, scales: NormalizationScales) -> np.ndarray:
+    """Indices from raw components: raw holds affordability,
+    transportation and quality rows, a column per region, and each entry
+    C becomes clamp(C / scale, 0, 1) with its row's scale."""
+    scale = np.array([[scales.affordability], [scales.transportation],
+                      [scales.quality]])
+    return np.minimum(np.maximum(raw / scale, 0.0), 1.0)

@@ -45,6 +45,8 @@ class GfaConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ConfigError("restarts must be at least 1")
+        if self.rng_seed < 0:
+            raise ConfigError("seed must be at least 0")
 
 
 @dataclass(frozen=True)
@@ -300,14 +302,19 @@ def _entries(obj: Mapping, where: str, key: str, read) -> dict:
     return {k: read(value, f"{where}.{key}", k) for k in value}
 
 
+def _distance(row: Mapping, where: str, customer: str) -> float:
+    """row[customer], a distance in km: a finite number, at least 0."""
+    return _number(row, where, customer, ge=0)
+
+
 def load_design(path: str) -> GfaResult:
     """Read a design file written by save_design.
 
     The file holds save_design's keys, each value of the JSON type it
-    writes: [x, y] locations, id strings, finite numbers, integer
-    iteration counts and a true or false converged flag.  Per-DC demand
-    totals that older versions wrote, under mean_local_demand, are
-    ignored.
+    writes: [x, y] locations, id strings, finite numbers, nonnegative
+    distances, integer iteration counts and a true or false converged
+    flag.  Per-DC demand totals that older versions wrote, under
+    mean_local_demand, are ignored.
     """
     data = read_json(path)
     try:
@@ -320,11 +327,11 @@ def load_design(path: str) -> GfaResult:
             customer_dc=_entries(data, path, "y", _string),
             distances=_entries(
                 data, path, "distances",
-                lambda row, where, dc: _entries(row, where, dc, _number)))
+                lambda row, where, dc: _entries(row, where, dc, _distance)))
         return GfaResult(
             design=design,
             region_objectives=_entries(data, path, "region_objectives", _number),
             iterations_used=_entries(data, path, "iterations_used", _integer),
             converged=data["converged"])
-    except ParseError as exc:
+    except (ParseError, ValidationError) as exc:
         raise ParseError(f"{path}: not a valid design file ({exc})") from exc

@@ -65,7 +65,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .accessibility import link_effort, resolve_scales, snapshot
+from .accessibility import affordability, link_effort, resolve_scales, snapshot
 from .errors import ConfigError, DomainError, NumericalError
 from .milp import (DEFAULT_NODE_LIMIT, FEASIBILITY_TOL, Basis, DenseModel,
                    Status, solve_milp)
@@ -176,10 +176,10 @@ class StochasticConfig:
 
 @dataclass(frozen=True)
 class QualityCurve:
-    """One region's raw quality index (accessibility.quality_index) as a
-    function of its total stock S on the band [floor, capacity].
+    """One region's raw quality component as a function of its total
+    stock S on the band [floor, capacity].
 
-    The index sums weight * max(0, content * S - requirement) over the
+    The component sums weight * max(0, content * S - requirement) over the
     nutrients, so it is convex and piecewise linear, with a breakpoint at
     each threshold requirement / content.  points holds the floor, the
     distinct thresholds strictly inside the band in increasing order, and
@@ -217,7 +217,7 @@ def quality_curves(instance: NetworkInstance,
 class PeriodTemplate:
     """The arrays one seed's period models share at every epsilon, in the
     module notes' column layout, and the per-DC and per-customer vectors
-    that price and index a period's decision.
+    that price, index and evaluate a period's decision.
 
     A holds the order columns at unit retention; rows from warehouse_rows
     on scale them by the period's retention.  Row i's right-hand side is
@@ -229,12 +229,13 @@ class PeriodTemplate:
 
     def __init__(self, instance: NetworkInstance, design: NetworkDesign,
                  safety_stock: float):
-        self.instance = instance
         self.scales = scales = resolve_scales(instance, design)
         curves = quality_curves(instance, safety_stock)
         dcs, customers = instance.dcs(), instance.customers()
         D, C = self.num_dcs, self.num_customers = len(dcs), len(customers)
+        self.num_regions = len(instance.regions)
         self.content = np.array([nt.per_kg_content for nt in instance.nutrients])
+        self.nutrient_weight = np.array([nt.weight for nt in instance.nutrients])
         self.requirement = np.array([[nt.min_requirement * r.population
                                       for nt in instance.nutrients]
                                      for r in instance.regions])
@@ -247,21 +248,23 @@ class PeriodTemplate:
         self.unmet_cost = np.array([region.unfulfilled_unit_cost
                                     for region in instance.regions
                                     for _ in region.customers])
-        self.effort = link_effort(instance, design)
+        self.effort = np.array(link_effort(instance, design))
+        # Each region's raw affordability, and its index weights as
+        # [affordability, transportation, quality] rows.
+        self.affordability = np.array([affordability(r) for r in instance.regions])
+        self.weights = np.array([(r.weights.affordability, r.weights.transportation,
+                                  r.weights.quality) for r in instance.regions]).T
 
-        # Each DC's and each customer's region.  dcs() and customers() go
-        # region by region, so a region's customers are one span.
-        regions = np.arange(len(instance.regions))
+        # Each DC's and each customer's region.
+        regions = np.arange(self.num_regions)
         self.dc_region = np.repeat(regions, [len(r.dcs) for r in instance.regions])
-        counts = [len(r.customers) for r in instance.regions]
-        customer_region = np.repeat(regions, counts)
-        self.region_customers = [slice(end - count, end) for end, count
-                                 in zip(np.cumsum(counts).tolist(), counts)]
+        self.customer_region = np.repeat(
+            regions, [len(r.customers) for r in instance.regions])
 
         # A region's quality term is its curve times this weight.  A
         # one-piece curve is linear in the flows: its slope prices them.
         # A curve with breakpoints gets its incremental form's columns.
-        weight = [r.weights.quality / scales.quality for r in instance.regions]
+        weight = self.weights[2] / scales.quality
         curved = [r for r, curve in enumerate(curves) if len(curve.slopes) > 1]
         self.dc_slope = np.array([
             0.0 if r in curved else w * curve.slopes[0]
@@ -273,9 +276,8 @@ class PeriodTemplate:
         self.ub[:D] = [w.capacity for w in linked]
         self.ub[D:D + C] = math.inf
         self.c = np.zeros(n)  # the entries no epsilon prices
-        transport = np.array([r.weights.transportation
-                              for r in instance.regions])[customer_region]
-        self.transport = transport * self.effort / scales.transportation
+        self.transport = (self.weights[1][self.customer_region] * self.effort
+                          / scales.transportation)
 
         unit = np.eye(n)
         # Each DC's closing stock less its opening stock, at unit retention:
@@ -360,7 +362,7 @@ def build_period_model(template: PeriodTemplate, opening: Sequence[float],
     ub[D:D + C] = demand
     # Region totals are float sums taken one term at a time, in dcs() order.
     stock = np.concatenate([opening, np.bincount(
-        template.dc_region, opening, minlength=len(template.region_customers))])
+        template.dc_region, opening, minlength=template.num_regions)])
     b = template.k * stock[template.src] - template.req
     return DenseModel(A, b, c, template.lb, ub, relations=template.relations,
                       binary=template.binary)
@@ -516,26 +518,25 @@ def _extract_period(template, x, opening, demand, retention, t):
     # within the solver's tolerance of zero is priced as none, so that
     # round-off, which moves with the start basis, costs nothing.  The
     # per-DC values stay raw for the audit.
+    R = template.num_regions
     region_stock = np.maximum(np.bincount(
-        template.dc_region, inventory,
-        minlength=len(template.region_customers)), 0.0)
+        template.dc_region, inventory, minlength=R), 0.0)
     # Each nutrient's surplus at the region's stock.
     aux = np.maximum(np.multiply.outer(region_stock, template.content)
                      - template.requirement, 0.0)
 
-    # Costs and the index are float sums taken one term at a time: DCs
-    # and customers in instance order, regions in file order.
-    shipped = deliveries.tolist()
-    accessibility = 0.0
-    for region, stock, span in zip(template.instance.regions,
-                                   region_stock.tolist(),
-                                   template.region_customers):
-        snap = snapshot(region, t, template.instance, stock,
-                        template.effort[span], shipped[span], template.scales)
-        accessibility += snap.contribution(region)
+    # Costs and the index are float sums taken one term at a time: DCs,
+    # customers and nutrients in instance order (a cumsum along a row is
+    # one), regions in file order.
+    transport = np.bincount(template.customer_region,
+                            template.effort * deliveries, minlength=R)
+    quality = np.cumsum(aux * template.nutrient_weight, axis=1)[:, -1]
+    weighted = template.weights * snapshot(
+        np.array([template.affordability, transport, quality]), template.scales)
     return PeriodDecision(
         period=t, orders=orders, deliveries=deliveries, unmet=unmet,
-        inventory=inventory, aux=aux, accessibility=accessibility,
+        inventory=inventory, aux=aux,
+        accessibility=sum((weighted[0] - weighted[1] + weighted[2]).tolist()),
         inventory_cost=sum((template.holding * np.where(
             inventory > FEASIBILITY_TOL, inventory, 0.0)).tolist()),
         unfulfilled_cost=sum((template.unmet_cost * unmet).tolist()),

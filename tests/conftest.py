@@ -110,3 +110,52 @@ def qatar_design():
     instance = load_instance(QATAR_PATH)
     return assign_linkages(instance,
                            {dc.id: dc.location for dc in instance.dcs()})
+
+
+# A scalar reference for the accessibility index Z1, in plain Python
+# floats, one region, customer and nutrient at a time in instance order.
+
+def index(raw, scale):
+    """A raw component C scaled to its index, clamp(C / scale, 0, 1)."""
+    return min(max(raw / scale, 0.0), 1.0)
+
+
+def raw_quality(instance, region, stock):
+    """A region's raw quality at total stock S: weight * max(0, content
+    * S - min_requirement * population), summed over the nutrients."""
+    total = 0.0
+    for nt in instance.nutrients:
+        total += nt.weight * max(0.0, nt.per_kg_content * stock
+                                 - nt.min_requirement * region.population)
+    return total
+
+
+def reference_z1(instance, design, scales, decision):
+    """A PeriodDecision's accessibility from its deliveries and closing
+    stock: each region's w_a * I(cost / income) - w_t * I(sum of path
+    weight * km * delivery over its customers) + w_q * I(raw quality at
+    its total stock, clamped at zero), summed over the regions."""
+    delivered = dict(zip((c.id for c in instance.customers()),
+                         decision.deliveries.tolist()))
+    closing = dict(zip((dc.id for dc in instance.dcs()),
+                       decision.inventory.tolist()))
+    contributions = []
+    for region in instance.regions:
+        stock = 0.0
+        for dc in region.dcs:
+            stock += closing[dc.id]
+        transport = 0.0
+        for customer in region.customers:
+            dc = design.customer_dc[customer.id]
+            transport += (instance.path_weight(dc, customer.id)
+                          * design.distances[dc][customer.id]
+                          * delivered[customer.id])
+        quality = raw_quality(instance, region, max(stock, 0.0))
+        w = region.weights
+        contributions.append(
+            w.affordability * index(region.local_food_cost
+                                    / region.average_income,
+                                    scales.affordability)
+            - w.transportation * index(transport, scales.transportation)
+            + w.quality * index(quality, scales.quality))
+    return sum(contributions)

@@ -25,7 +25,7 @@ from chainforge.stochastic import (EstimateResult, OperationalPlan,
                                    default_initial_inventory,
                                    replication_seeds, run_replication)
 from chainforge.accessibility import affordability, resolve_scales, snapshot
-from conftest import QATAR_PATH
+from conftest import QATAR_PATH, raw_quality
 
 JOBS = 4
 _shared = {}
@@ -468,6 +468,7 @@ def test_criterion_8_indices_bounded_and_affordability_exact():
         effort = {r.id: [instance.path_weight(design.customer_dc[c.id], c.id)
                          * design.distances[design.customer_dc[c.id]][c.id]
                          for c in r.customers] for r in regions}
+        states = []
         for i in range(10_000):
             region = regions[i % len(regions)]
             capacity = sum(dc.capacity for dc in region.dcs)
@@ -478,11 +479,14 @@ def test_criterion_8_indices_bounded_and_affordability_exact():
                     if rng.random() < 0.3:
                         shipments[position[region.id][customer_id]] = float(
                             rng.uniform(0.0, dc.capacity))
-            snap = snapshot(region, i % instance.horizon, instance,
-                            inventory, effort[region.id], shipments, scales)
-            assert 0.0 <= snap.affordability <= 1.0
-            assert 0.0 <= snap.transportation <= 1.0
-            assert 0.0 <= snap.quality <= 1.0
+            states.append((affordability(region),
+                           sum(e * q for e, q in zip(effort[region.id],
+                                                     shipments)),
+                           raw_quality(instance, region, inventory)))
+        afford, transport, quality = snapshot(np.array(states).T, scales)
+        assert ((0.0 <= afford) & (afford <= 1.0)).all()
+        assert ((0.0 <= transport) & (transport <= 1.0)).all()
+        assert ((0.0 <= quality) & (quality <= 1.0)).all()
         ok = True
     finally:
         _report(8, "index bounds and exact affordability", ok)

@@ -1,15 +1,29 @@
 """Accessibility index components and normalization."""
 
+import numpy as np
 import pytest
 
-from chainforge.accessibility import (AccessibilitySnapshot,
-                                      accessible_nutrition, affordability,
-                                      default_scales, link_effort, normalize,
-                                      quality_index, resolve_scales, snapshot,
-                                      transportation_effort)
-from chainforge.errors import ConfigError, DomainError
-from chainforge.model import NormalizationScales, Nutrient
-from chainforge.stochastic import PeriodTemplate
+from chainforge import stochastic
+from chainforge.accessibility import (affordability, default_scales,
+                                      link_effort, resolve_scales, snapshot)
+from chainforge.errors import DomainError, ParseError, ValidationError
+from chainforge.model import NormalizationScales, instance_from_dict
+from chainforge.stochastic import (PeriodTemplate, StochasticConfig,
+                                   run_replication)
+from conftest import raw_quality, reference_z1, tiny_dict
+
+
+def _z1(instance, design, opening, deliveries):
+    """The accessibility of one period extracted from given flows: the
+    opening stock per DC, no orders, and the deliveries per customer,
+    each customer's demand equal to its delivery.  A DC that ships more
+    than it holds ends below zero, so its region counts as empty."""
+    template = PeriodTemplate(instance, design, 0.0)
+    D, C = template.num_dcs, template.num_customers
+    x = np.zeros(len(template.c))
+    x[D:D + C] = deliveries
+    return stochastic._extract_period(template, x, opening, deliveries,
+                                      [1.0] * D, 0).accessibility
 
 
 def test_affordability_is_cost_over_income(tiny):
@@ -26,68 +40,64 @@ def test_affordability_requires_positive_income(tiny):
 
 def test_transportation_effort_hand_value(tiny, tiny_design):
     # R1's customers C1, C2, C3: C1 sits sqrt(2) km from D1, C3 sqrt(2)
-    # km from D2.
-    effort = link_effort(tiny, tiny_design)[:3]
-    assert transportation_effort(effort, [10.0, 0.0, 4.0]) == \
-        pytest.approx(14.0 * 2.0 ** 0.5)
+    # km from D2.  Every DC stays empty, so only transport moves Z1.
+    scale = default_scales(tiny, tiny_design).transportation
+    idle = _z1(tiny, tiny_design, [0.0] * 3, [0.0] * 5)
+    busy = _z1(tiny, tiny_design, [0.0] * 3, [10.0, 0.0, 4.0, 0.0, 0.0])
+    assert idle - busy == pytest.approx(14.0 * 2.0 ** 0.5 / scale)
 
 
-def test_transportation_ignores_other_regions(tiny, tiny_design):
-    # A period's deliveries cover every customer; a region's effort reads
-    # only its own span of them.  C4 belongs to R2.
-    template = PeriodTemplate(tiny, tiny_design, 0.2)
-    shipments = [0.0, 0.0, 0.0, 50.0, 0.0]
-    r1, r2 = template.region_customers
-    assert transportation_effort(template.effort[r1], shipments[r1]) == 0.0
-    assert transportation_effort(template.effort[r2], shipments[r2]) == \
-        pytest.approx(50.0 * 2.0 ** 0.5)
+def test_transportation_ignores_other_regions(tiny_design):
+    # C4 belongs to R2.  With R1's transport weight at zero, a delivery
+    # to C4 still costs R2's full term.
+    data = tiny_dict()
+    data["regions"][0]["accessibility_weights"]["transportation"] = 0.0
+    instance = instance_from_dict(data)
+    scale = default_scales(instance, tiny_design).transportation
+    idle = _z1(instance, tiny_design, [0.0] * 3, [0.0] * 5)
+    busy = _z1(instance, tiny_design, [0.0] * 3, [0.0, 0.0, 0.0, 50.0, 0.0])
+    assert idle - busy == pytest.approx(50.0 * 2.0 ** 0.5 / scale)
 
 
 def test_transportation_uses_path_weight_factor(tiny_design):
-    from chainforge.model import instance_from_dict
-    from conftest import tiny_dict
-
     data = tiny_dict()
     data["path_weights"] = [{"dc": "D1", "customer": "C1", "factor": 3.0}]
     instance = instance_from_dict(data)
-    effort = link_effort(instance, tiny_design)[:3]
-    assert transportation_effort(effort, [1.0, 0.0, 0.0]) == \
-        pytest.approx(3.0 * 2.0 ** 0.5)
+    scale = default_scales(instance, tiny_design).transportation
+    idle = _z1(instance, tiny_design, [0.0] * 3, [0.0] * 5)
+    busy = _z1(instance, tiny_design, [0.0] * 3, [1.0, 0.0, 0.0, 0.0, 0.0])
+    assert idle - busy == pytest.approx(3.0 * 2.0 ** 0.5 / scale)
 
 
-def test_negative_shipment_rejected(tiny, tiny_design):
-    with pytest.raises(DomainError):
-        transportation_effort(link_effort(tiny, tiny_design)[:3],
-                              [-2.0, 0.0, 0.0])
-
-
-def test_accessible_nutrition(tiny):
-    nutrition = accessible_nutrition(50.0, tiny.nutrients)
-    assert nutrition == {"protein": 10.0, "iron": 0.2}
-    with pytest.raises(DomainError):
-        accessible_nutrition(-1.0, tiny.nutrients)
-
-
-def test_quality_index_clamps_shortfalls(tiny):
-    region = tiny.regions[0]  # population 400
-    # protein requires 200, iron requires 0.4
-    nutrition = {"protein": 250.0, "iron": 0.1}
-    assert quality_index(region, nutrition, tiny.nutrients) == \
-        pytest.approx(2.0 * 50.0)
-    nutrition = {"protein": 100.0, "iron": 0.1}
-    assert quality_index(region, nutrition, tiny.nutrients) == 0.0
+def test_quality_index_clamps_shortfalls(tiny, tiny_design):
+    # R1 (population 400) requires 200 protein and 0.4 iron.  At 150 kg
+    # it holds 30 protein (a shortfall, worth zero) and 0.6 iron (a
+    # surplus of 0.2); at 50 kg both fall short.
+    scale = default_scales(tiny, tiny_design).quality
+    empty = _z1(tiny, tiny_design, [0.0] * 3, [0.0] * 5)
+    assert _z1(tiny, tiny_design, [150.0, 0.0, 0.0], [0.0] * 5) - empty == \
+        pytest.approx(0.2 / scale)
+    assert _z1(tiny, tiny_design, [50.0, 0.0, 0.0], [0.0] * 5) == empty
 
 
 def test_normalize_clamps_into_unit_interval():
-    assert normalize(5.0, 10.0) == 0.5
-    assert normalize(-1.0, 10.0) == 0.0
-    assert normalize(15.0, 10.0) == 1.0
+    scales = NormalizationScales(affordability=10.0, transportation=10.0,
+                                 quality=10.0)
+    raw = np.array([[5.0, -1.0, 15.0]] * 3)
+    for index in snapshot(raw, scales):
+        assert index.tolist() == [0.5, 0.0, 1.0]
 
 
 @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"), float("inf")])
 def test_normalize_rejects_bad_scale(scale):
-    with pytest.raises(ConfigError):
-        normalize(1.0, scale)
+    # Scales come from the instance file or from default_scales, which
+    # derives positive finite ones; the file's are checked on load.
+    data = tiny_dict()
+    data["normalization_scales"] = {"affordability": 0.02,
+                                    "transportation": scale, "quality": 60.0}
+    with pytest.raises((ParseError, ValidationError),
+                       match="normalization_scales.transportation"):
+        instance_from_dict(data)
 
 
 def test_default_scales(tiny, tiny_design):
@@ -111,21 +121,20 @@ def test_resolve_scales_falls_back_to_defaults(tiny, tiny_design):
     assert resolve_scales(tiny, tiny_design) == default_scales(tiny, tiny_design)
 
 
-def test_snapshot_contribution(tiny, tiny_design):
-    scales = NormalizationScales(affordability=0.02, transportation=100.0,
-                                 quality=60.0)
-    snap = snapshot(tiny.regions[0], 0, tiny, region_inventory=150.0,
-                    effort=link_effort(tiny, tiny_design)[:3],
-                    shipments=[10.0, 0.0, 0.0], scales=scales)
-    assert snap.affordability == pytest.approx(0.5)
-    assert snap.raw_transportation == pytest.approx(10.0 * 2.0 ** 0.5)
-    # protein surplus: 0.2 * 150 - 200 < 0, iron: 0.004 * 150 - 0.4 = 0.2
-    assert snap.raw_quality == pytest.approx(0.2)
-    weights = tiny.regions[0].weights
-    expected = (weights.affordability * snap.affordability
-                - weights.transportation * snap.transportation
-                + weights.quality * snap.quality)
-    assert snap.contribution(tiny.regions[0]) == pytest.approx(expected)
+def test_snapshot_contribution(tiny_design):
+    data = tiny_dict()
+    data["normalization_scales"] = {"affordability": 0.02,
+                                    "transportation": 100.0, "quality": 60.0}
+    instance = instance_from_dict(data)
+    # D1 opens at 160 kg and ships 10 to C1, so R1 closes at 150 kg;
+    # R2 stays empty.
+    z1 = _z1(instance, tiny_design, [160.0, 0.0, 0.0],
+             [10.0, 0.0, 0.0, 0.0, 0.0])
+    # R1: affordability 0.01 / 0.02, transport 10 * sqrt(2) km, quality
+    # the iron surplus 0.004 * 150 - 0.4 = 0.2.  R2: affordability only.
+    r1 = 0.5 - 10.0 * 2.0 ** 0.5 / 100.0 + 0.2 / 60.0
+    r2 = 25.0 / 1800.0 / 0.02
+    assert z1 == pytest.approx(r1 + r2)
 
 
 def test_indices_stay_in_unit_interval(tiny, tiny_design):
@@ -135,9 +144,30 @@ def test_indices_stay_in_unit_interval(tiny, tiny_design):
     scales = default_scales(tiny, tiny_design)
     region = tiny.regions[0]
     effort = link_effort(tiny, tiny_design)[:3]  # C1, C2, C3
+    states = []
     for _ in range(200):
         inventory = rng.uniform(0.0, 270.0)
         shipments = [rng.uniform(0.0, 80.0) for _ in effort]
-        snap = snapshot(region, 0, tiny, inventory, effort, shipments, scales)
-        for value in (snap.affordability, snap.transportation, snap.quality):
-            assert 0.0 <= value <= 1.0
+        states.append((affordability(region),
+                       sum(e * q for e, q in zip(effort, shipments)),
+                       raw_quality(tiny, region, inventory)))
+    for index in snapshot(np.array(states).T, scales):
+        assert ((0.0 <= index) & (index <= 1.0)).all()
+
+
+@pytest.mark.parametrize("safety_stock", [0.0, 0.4, 0.9])
+@pytest.mark.parametrize("name", ["tiny", "qatar"])
+def test_period_z1_equals_the_scalar_reference(request, name, safety_stock):
+    # Every period of a seed's chained sweep, bit for bit.
+    instance = request.getfixturevalue(name)
+    design = request.getfixturevalue(f"{name}_design")
+    scales = resolve_scales(instance, design)
+    config = StochasticConfig(safety_stock=safety_stock)
+    for seed in (3, 4):
+        previous = None
+        for epsilon in (0.001, 0.01, 0.1, 1.0):
+            previous = run_replication(instance, design, epsilon, seed,
+                                       config=config, previous=previous)
+            for decision in previous.periods:
+                assert decision.accessibility == reference_z1(
+                    instance, design, scales, decision)

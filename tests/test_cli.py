@@ -330,6 +330,15 @@ def test_restarts_below_one_exits_2(tiny_file, tmp_path, capsys):
     assert not (out / "design.json").exists()
 
 
+def test_negative_seed_exits_2(tiny_file, tmp_path, capsys):
+    out = tmp_path / "o"
+    for stage in ("gfa", "run"):
+        assert run_cli(stage, tiny_file, "--out", str(out),
+                       "--seed", "-1") == 2
+        assert "seed must be at least 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_readme_flag_table_matches_parser():
     readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
     table = set(re.findall(r"^\| `(--[a-z-]+)` \|", readme.read_text(),

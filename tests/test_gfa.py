@@ -166,6 +166,8 @@ def test_design_round_trip(name, request, tmp_path):
     # Values of the wrong JSON type that a bare float() or bool() accepts.
     ("dc_locations", {"D1": "12"}),
     ("converged", "no"),
+    # A distance below zero, which would price transport as a gain.
+    ("distances", {"D1": {"C1": -40.0}}),
 ])
 def test_malformed_design_file_is_a_parse_error(tiny, tmp_path, field, value):
     path = tmp_path / "design.json"

@@ -25,6 +25,7 @@ from chainforge.stochastic import (OperationalPlan, PeriodTemplate,
                                    quality_curves, replication_seed,
                                    replication_seeds, run_replication,
                                    sample_scenario, save_plan)
+from conftest import index, raw_quality
 
 
 # ---------------------------------------------------------------- seeds
@@ -200,9 +201,6 @@ def test_period_model_surplus_matches_plus_form(tiny, tiny_design):
     # that the opening stock and demand fix alone equals the period
     # objective evaluated from the extracted flows: accessibility without
     # its constant affordability part, less epsilon * cost.
-    from chainforge.accessibility import (accessible_nutrition, affordability,
-                                          normalize, quality_index)
-
     opening = {"D1": 140.0, "D2": 110.0, "D3": 20.0}
     demand = [10.0] * len(tiny.customers())
     template, result = _solve_period(
@@ -213,8 +211,9 @@ def test_period_model_surplus_matches_plus_form(tiny, tiny_design):
     closing = decision.inventory[0] + decision.inventory[1]
     assert closing > 100.0
     assert decision.aux[0, 1] == pytest.approx(0.004 * closing - 0.4)
-    constant = sum(r.weights.affordability * normalize(
-        affordability(r), template.scales.affordability) for r in tiny.regions)
+    constant = sum(r.weights.affordability * index(
+        r.local_food_cost / r.average_income, template.scales.affordability)
+        for r in tiny.regions)
     cost = (decision.inventory_cost + decision.unfulfilled_cost
             + decision.order_cost)
     # The fixed terms: each region's quality value at the stock its columns
@@ -226,8 +225,8 @@ def test_period_model_surplus_matches_plus_form(tiny, tiny_design):
             tiny, tiny.safety_stock_fraction)):
         start = (curve.points[0] if len(curve.slopes) > 1
                  else sum(opening[dc.id] for dc in region.dcs))
-        fixed += region.weights.quality / template.scales.quality * quality_index(
-            region, accessible_nutrition(start, tiny.nutrients), tiny.nutrients)
+        fixed += region.weights.quality / template.scales.quality * raw_quality(
+            tiny, region, start)
     fixed -= 0.01 * (template.holding @ list(opening.values())
                      + template.unmet_cost @ demand)
     assert result.objective + fixed == pytest.approx(
@@ -471,18 +470,18 @@ def test_expensive_ordering_goes_idle(tiny_design):
 def test_accessibility_includes_constant_affordability(tiny, tiny_design):
     # The period objectives are the scalarized solver objective, which
     # drops the constant affordability part; the reported Z1 restores it.
-    from chainforge.accessibility import normalize, resolve_scales
+    from chainforge.accessibility import resolve_scales
 
     result = run_replication(tiny, tiny_design, 0.01, 5)
     scales = resolve_scales(tiny, tiny_design)
     base = sum(
         region.weights.affordability
-        * normalize(region.local_food_cost / region.average_income,
-                    scales.affordability)
+        * index(region.local_food_cost / region.average_income,
+                scales.affordability)
         for region in tiny.regions) * tiny.horizon
     transport_and_quality = sum(
         p.accessibility - sum(
-            r.weights.affordability * normalize(
+            r.weights.affordability * index(
                 r.local_food_cost / r.average_income, scales.affordability)
             for r in tiny.regions)
         for p in result.periods)

@@ -24,3 +24,20 @@ def test_every_wrapped_name_exists(monkeypatch):
     assert set(trace_cli.IO_PATH_ARG) <= {
         attribute for _, attribute, layer in trace_cli.LAYER_WRAPPERS
         if layer == "io"}
+
+
+def test_accessibility_seams_are_called(monkeypatch, tiny, tiny_design):
+    # The traced accessibility layer is these two calls: one
+    # resolve_scales per template, one snapshot per period.
+    from chainforge import stochastic
+
+    calls = {"resolve_scales": 0, "snapshot": 0}
+    for name in calls:
+        def counted(*args, inner=getattr(stochastic, name), name=name):
+            calls[name] += 1
+            return inner(*args)
+        monkeypatch.setattr(stochastic, name, counted)
+    first = stochastic.run_replication(tiny, tiny_design, 0.01, 5)
+    assert calls == {"resolve_scales": 1, "snapshot": tiny.horizon}
+    stochastic.run_replication(tiny, tiny_design, 0.1, 5, previous=first)
+    assert calls == {"resolve_scales": 1, "snapshot": 2 * tiny.horizon}
