@@ -14,15 +14,26 @@ stream (same master seed and run index give the same draws), so
 simulated costs compare against the planner's expectations without
 sampling bias.  Only the arrival times come from a separate stream,
 laid out [customer, period] like the scenario's demand.
+
+The replay runs on arrays.  DCs share nothing but warehouse capacity,
+and only at the boundaries, so between two boundaries each DC runs on
+its own.  With backlog "wait", a DC whose queue is empty ships the
+longest prefix of the period's orders that its stock covers and queues
+the rest; a DC with a queue queues them all; a boundary drains each
+queue by the same prefix rule.  With backlog "drop", a loop over
+floats ships or drops each order.  Stock levels, costs and volumes are
+added up in event order, so they are the floats a one-event-at-a-time
+loop gets.  The event log is an EventLog of six columns (time, kind
+code, period, DC, customer, quantity); iterating or indexing it gives
+SimEvent records.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,21 +72,79 @@ class SimConfig:
                 f"got {self.backlog!r}")
 
 
-@dataclass(frozen=True)
-class SimEvent:
-    """One line of the simulation log."""
+class SimEvent(NamedTuple):
+    """One line of the simulation log, as EventLog reads it out."""
 
     time: float
-    kind: str                # order | ship | wait | drop | receive | dispatch | expire
+    kind: str                # one of KINDS
     period: int
     dc: str
     customer: str | None
     quantity: float
 
 
+KINDS = ("order", "ship", "wait", "drop", "receive", "dispatch", "expire")
+_ORDER, _SHIP, _WAIT, _DROP, _RECEIVE, _DISPATCH, _EXPIRE = range(len(KINDS))
+
+
+class EventLog:
+    """The simulation log in event order, kept as six columns.
+
+    time and quantity are floats, kind a code into KINDS, period an int,
+    dc an index into dc_ids and customer an index into customer_ids (-1
+    for an event without one).  len(), iteration and integer indexing
+    read it as SimEvent objects with the string ids, built only when
+    read.  Two logs are == when their events are, and a log is == to a
+    list or tuple of the same SimEvents.
+    """
+
+    def __init__(self, columns: tuple[np.ndarray, ...],
+                 dc_ids: tuple[str, ...], customer_ids: tuple[str, ...]):
+        (self.time, self.kind, self.period, self.dc, self.customer,
+         self.quantity) = columns
+        self.dc_ids = dc_ids
+        self.customer_ids = customer_ids
+
+    @property
+    def columns(self) -> tuple[np.ndarray, ...]:
+        return (self.time, self.kind, self.period, self.dc, self.customer,
+                self.quantity)
+
+    def __len__(self) -> int:
+        return len(self.kind)
+
+    def _read(self, columns: Iterable[list]) -> Iterator[SimEvent]:
+        customers = self.customer_ids + (None,)    # -1 reads as None
+        for time, kind, period, dc, customer, quantity in zip(*columns):
+            yield SimEvent(time, KINDS[kind], period, self.dc_ids[dc],
+                           customers[customer], quantity)
+
+    def __iter__(self) -> Iterator[SimEvent]:
+        return self._read(column.tolist() for column in self.columns)
+
+    def __getitem__(self, index: int) -> SimEvent:
+        i = range(len(self))[index]
+        return next(self._read([column[i].item()] for column in self.columns))
+
+    def __eq__(self, other: object) -> bool:
+        if (isinstance(other, EventLog) and self.dc_ids == other.dc_ids
+                and self.customer_ids == other.customer_ids):
+            return all(np.array_equal(a, b)
+                       for a, b in zip(self.columns, other.columns))
+        if isinstance(other, (EventLog, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+
 @dataclass
 class SimReport:
-    """Costs, service levels, and the full event trace of one run."""
+    """Costs, service levels, and the full event log of one run.
+
+    events is an EventLog: iterate it, or index it, for SimEvent objects
+    in event order, or read its columns directly.
+    """
 
     inventory_cost: float
     unfulfilled_cost: float
@@ -89,7 +158,7 @@ class SimReport:
     region_served: dict[str, float]
     dc_initial: dict[str, float]
     dc_final: dict[str, float]
-    events: list[SimEvent] = field(repr=False)
+    events: EventLog = field(repr=False)
 
     @property
     def total_cost(self) -> float:
@@ -108,13 +177,52 @@ def service_level(successful_volume: float, total_volume: float) -> float:
     return min(1.0, successful_volume / total_volume)
 
 
-@dataclass(frozen=True)
-class _Order:
-    time: float
-    customer: str
-    dc: str
-    region: str
-    quantity: float
+def _covered(stock: float, quantities: np.ndarray) -> tuple[int, float]:
+    """How many leading orders the stock covers one after another, and
+    the stock left after shipping them.
+
+    np.subtract.accumulate subtracts left to right, so every level is
+    the float a loop shipping while stock >= quantity would reach.
+    """
+    levels = np.subtract.accumulate(np.concatenate(([stock], quantities)))
+    short = levels[:-1] < quantities
+    n = int(short.argmax())
+    if not short[n]:
+        n = len(quantities)
+    return n, float(levels[n])
+
+
+def _running_sum(values: np.ndarray) -> float:
+    """0.0 plus each value in turn, the order a loop adds them in
+    (np.sum adds pairwise)."""
+    return float(np.add.accumulate(np.concatenate(([0.0], values)))[-1])
+
+
+def _merge(pairs: tuple[np.ndarray, ...], runs: list[tuple[int, ...]],
+           pool: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, ...]:
+    """The log's six columns: the order/outcome pair events, with each
+    run of other events laid in after its `at` pair events.
+
+    A run (at, time, kind, period, dc, first, size) is size events whose
+    customers and quantities are pool[0] and pool[1] [first:first + size].
+    Runs come in log order, so their `at` never decreases.
+    """
+    at, time, kind, period, dc, first, size = np.array(
+        runs, dtype=np.int64).reshape(-1, 7).T
+    count = int(size.sum())
+    source = np.arange(count) + np.repeat(first - np.cumsum(size) + size, size)
+    slot = np.repeat(at, size) + np.arange(count)
+    paired = np.ones(len(pairs[0]) + count, dtype=bool)
+    paired[slot] = False
+    laid_in = [np.repeat(value, size) for value in (time, kind, period, dc)]
+    laid_in += [column[source] for column in pool]
+    columns = []
+    for pair, run in zip(pairs, laid_in):
+        column = np.empty(len(paired), dtype=pair.dtype)
+        column[paired] = pair
+        column[slot] = run
+        columns.append(column)
+    return tuple(columns)
 
 
 def simulate(instance: NetworkInstance, design: NetworkDesign,
@@ -122,11 +230,12 @@ def simulate(instance: NetworkInstance, design: NetworkDesign,
              config: SimConfig = SimConfig()) -> SimReport:
     """Run one simulation of the plan over the instance horizon.
 
-    Event order per period boundary: book holding cost on the closing
-    stock, serve waiting orders, review and dispatch replenishments, then
-    receive them and serve waiting orders again.  Customer orders in
-    between are served immediately when stock covers them, otherwise
-    queued or dropped.
+    Orders are taken by (time, customer id).  Event order per period
+    boundary: book holding cost on the closing stock, serve waiting
+    orders, review and dispatch replenishments, then receive them and
+    serve waiting orders again.  Customer orders in between are served
+    immediately when stock covers them, otherwise queued or dropped;
+    each order event is followed by its ship, wait or drop event.
     """
     horizon = int(instance.horizon)
     problems = design_mismatches(instance, design)
@@ -134,132 +243,177 @@ def simulate(instance: NetworkInstance, design: NetworkDesign,
         raise ConfigError("design does not fit the instance: "
                           + "; ".join(problems))
     dcs = list(instance.dcs())
-    dc_ids = {dc.id for dc in dcs}
-    if set(plan.initial_inventory) != dc_ids:
+    # dcs() positions in id order; the log's dc column indexes dc_ids.
+    ranked = sorted(range(len(dcs)), key=lambda j: dcs[j].id)
+    dc_ids = tuple(dcs[j].id for j in ranked)
+    if set(plan.initial_inventory) != set(dc_ids):
         raise ConfigError("plan inventories do not match the design's DCs")
     if not 0.0 <= plan.safety_stock <= 1.0:
         raise ConfigError(
             f"plan safety stock {plan.safety_stock} outside [0, 1]")
 
-    capacity = {dc.id: dc.capacity for dc in dcs}
-    reorder_point = {h: plan.safety_stock * capacity[h] for h in capacity}
+    capacity = [dcs[j].capacity for j in ranked]
+    reorder_point = [plan.safety_stock * cap for cap in capacity]
+    holding = [dcs[j].inventory_unit_cost for j in ranked]
+    warehouse_of = {w.id: w for w in instance.warehouses}
+    order_unit_cost = [warehouse_of[design.dc_warehouse[h]].order_cost(h)
+                       for h in dc_ids]
+    members = [[j for j, h in enumerate(dc_ids)
+                if design.dc_warehouse[h] == warehouse.id]
+               for warehouse in instance.warehouses]
 
-    dc_holding = {dc.id: dc.inventory_unit_cost for dc in dcs}
-    region_rho = {r.id: r.unfulfilled_unit_cost for r in instance.regions}
+    stock = [float(plan.initial_inventory[h]) for h in dc_ids]
+    for h, level, cap in zip(dc_ids, stock, capacity):
+        if level < 0.0 or level > cap + 1e-9:
+            raise ConfigError(
+                f"DC {h}: initial inventory {level:.6g} outside "
+                f"[0, {cap:.6g}]")
+    initial = dict(zip(dc_ids, stock))
 
     scenario = sample_scenario(
         instance, replication_seed(config.rng_seed, config.run_index))
-    retention = dict(zip((dc.id for dc in dcs),
-                         linked_retention(instance, design, scenario).tolist()))
+    retention = linked_retention(instance, design, scenario)[ranked].tolist()
     times_rng = np.random.default_rng(
         replication_seed(config.rng_seed, config.run_index, stream="events"))
-    offsets = times_rng.uniform(size=scenario.demand.shape).tolist()
+    offsets = times_rng.uniform(size=scenario.demand.shape)
 
-    orders: list[_Order] = []
-    for customer, amounts, within in zip(instance.customers(),
-                                         scenario.demand.tolist(), offsets):
-        dc_id = design.customer_dc[customer.id]
-        for p, (amount, u) in enumerate(zip(amounts, within)):
-            orders.append(_Order(p + u, customer.id, dc_id,
-                                 customer.region_id, amount))
-    # A stable sort keeps draw order among equal (time, customer) keys.
-    orders.sort(key=lambda o: (o.time, o.customer))
+    # One order per customer and period, customer-major, then taken by
+    # (time, customer id); the sort is stable, so equal keys keep draw
+    # order.
+    customers = instance.customers()
+    customer_ids = tuple(c.id for c in customers)
+    rank = {c: r for r, c in enumerate(sorted(customer_ids))}
+    dc_index = {h: j for j, h in enumerate(dc_ids)}
+    region_index = {r.id: i for i, r in enumerate(instance.regions)}
+    customer_dc = np.array([dc_index[design.customer_dc[c]]
+                            for c in customer_ids], dtype=np.int32)
+    customer_region = np.array([region_index[c.region_id] for c in customers],
+                               dtype=np.int32)
+    customer = np.repeat(np.arange(len(customers), dtype=np.int32), horizon)
+    time = (np.arange(horizon) + offsets).ravel()
+    order = np.lexsort((np.array([rank[c] for c in customer_ids])[customer],
+                        time))
+    time, customer = time[order], customer[order]
+    quantity = scenario.demand.ravel()[order]
+    dc = customer_dc[customer]
+    # Block k holds the orders between boundaries k and k + 1: boundary b
+    # goes before every order whose time is at least b.
+    block = np.minimum(time.astype(np.int64), horizon)
+    period = np.minimum(block, horizon - 1).astype(np.int32)
+    bounds = np.searchsorted(block, np.arange(horizon + 2)).tolist()
 
-    stock = {h: float(plan.initial_inventory[h]) for h in sorted(dc_ids)}
-    for h, level in stock.items():
-        if level < 0.0 or level > capacity[h] + 1e-9:
-            raise ConfigError(
-                f"DC {h}: initial inventory {level:.6g} outside "
-                f"[0, {capacity[h]:.6g}]")
-    initial = dict(stock)
-    waiting: dict[str, deque[_Order]] = {h: deque() for h in stock}
-    events: list[SimEvent] = []
+    # The same orders grouped by DC, in time order within each DC:
+    # grouped position p is order by_dc[p], DC j's orders of block k are
+    # grouped positions cut[j][k] to cut[j][k + 1], and its queue runs
+    # from head[j] to the end of the blocks served so far.
+    by_dc = np.argsort(dc, kind="stable")
+    dc_quantity = quantity[by_dc]
+    dc_customer = customer[by_dc]
+    blocks = horizon + 1
+    cut = np.searchsorted(dc[by_dc].astype(np.int64) * blocks + block[by_dc],
+                          np.arange(len(dc_ids))[:, None] * blocks
+                          + np.arange(blocks + 1)).tolist()
+    head = [row[0] for row in cut]
+    wait = config.backlog == "wait"
+    outcome = np.full(len(time), _WAIT if wait else _DROP, dtype=np.int8)
+
+    # Every other event is one of a run of events with one time, kind,
+    # period and DC: the (at, time, kind, period, DC, first, size) of a
+    # run puts it after `at` pair events, with the customers and
+    # quantities of the grouped orders [first, first + size), or of one
+    # refill quantity, which goes to the end of that pool.
+    runs: list[tuple[int, ...]] = []
+    refills: list[float] = []
+
+    def refill(kind: int, b: int, j: int, qty: float) -> None:
+        runs.append((2 * bounds[b], b, kind, b, j,
+                     len(by_dc) + len(refills), 1))
+        refills.append(qty)
+
+    def drain(j: int, b: int) -> None:
+        first, end = head[j], cut[j][b]
+        if first < end:
+            n, stock[j] = _covered(stock[j], dc_quantity[first:end])
+            if n:
+                head[j] = first + n
+                runs.append((2 * bounds[b], b, _SHIP, b, j, first, n))
 
     inventory_cost = 0.0
-    unfulfilled_cost = 0.0
     order_cost = 0.0
-    region_volume = {r.id: 0.0 for r in instance.regions}
-    region_served = {r.id: 0.0 for r in instance.regions}
-    dropped = expired = 0
-
-    def ship(order: _Order, at: float, period: int) -> None:
-        stock[order.dc] -= order.quantity
-        region_served[order.region] += order.quantity
-        events.append(SimEvent(at, "ship", period, order.dc,
-                               order.customer, order.quantity))
-
-    def drain(dc_id: str, at: float, period: int) -> None:
-        queue = waiting[dc_id]
-        while queue and stock[dc_id] >= queue[0].quantity:
-            ship(queue.popleft(), at, period)
-
-    def boundary(b: int) -> None:
-        nonlocal inventory_cost, order_cost
-        for h in stock:
-            inventory_cost += dc_holding[h] * stock[h]
-        for h in stock:
-            drain(h, float(b), b)
-        if b > horizon - 1:
-            return
-        arrivals = []
-        for warehouse in instance.warehouses:
-            requests = []
-            for h in stock:
-                if design.dc_warehouse[h] != warehouse.id:
-                    continue
-                if stock[h] < reorder_point[h]:
-                    requests.append((h, capacity[h] - stock[h]))
-            total = sum(q for _, q in requests)
-            scale = 1.0 if total <= warehouse.capacity else warehouse.capacity / total
-            for h, req in requests:
-                dispatch = req * scale
-                if dispatch <= 0.0:
-                    continue
-                order_cost += warehouse.order_cost(h) * dispatch
-                events.append(SimEvent(float(b), "dispatch", b, h,
-                                       None, dispatch))
-                arrivals.append((h, dispatch * retention[h][b]))
-        for h, qty in arrivals:
-            stock[h] += qty
-            events.append(SimEvent(float(b), "receive", b, h, None, qty))
-            drain(h, float(b), b)
-
-    next_boundary = 1
-    for order in orders:
-        while next_boundary <= horizon and next_boundary <= order.time:
-            boundary(next_boundary)
-            next_boundary += 1
-        period = min(int(order.time), horizon - 1)
-        region_volume[order.region] += order.quantity
-        events.append(SimEvent(order.time, "order", period, order.dc,
-                               order.customer, order.quantity))
-        if config.backlog == "wait":
-            if waiting[order.dc] or stock[order.dc] < order.quantity:
-                waiting[order.dc].append(order)
-                events.append(SimEvent(order.time, "wait", period, order.dc,
-                                       order.customer, order.quantity))
-            else:
-                ship(order, order.time, period)
+    for k in range(blocks):
+        if k:
+            # Period boundary k.
+            for unit_cost, level in zip(holding, stock):
+                inventory_cost += unit_cost * level
+            if wait:
+                for j in range(len(dc_ids)):
+                    drain(j, k)
+            if k < horizon:
+                arrivals = []
+                for warehouse, linked in zip(instance.warehouses, members):
+                    requests = [(j, capacity[j] - stock[j]) for j in linked
+                                if stock[j] < reorder_point[j]]
+                    total = sum(q for _, q in requests)
+                    scale = (1.0 if total <= warehouse.capacity
+                             else warehouse.capacity / total)
+                    for j, req in requests:
+                        dispatch = req * scale
+                        if dispatch <= 0.0:
+                            continue
+                        order_cost += order_unit_cost[j] * dispatch
+                        refill(_DISPATCH, k, j, dispatch)
+                        arrivals.append((j, dispatch * retention[j][k]))
+                for j, qty in arrivals:
+                    stock[j] += qty
+                    refill(_RECEIVE, k, j, qty)
+                    if wait:
+                        drain(j, k)
+        # The orders of block k.
+        if wait:
+            for j in range(len(dc_ids)):
+                first, end = cut[j][k], cut[j][k + 1]
+                if first < end and head[j] == first:
+                    n, stock[j] = _covered(stock[j], dc_quantity[first:end])
+                    head[j] = first + n
+                    outcome[by_dc[first:first + n]] = _SHIP
         else:
-            if stock[order.dc] >= order.quantity:
-                ship(order, order.time, period)
-            else:
-                dropped += 1
-                unfulfilled_cost += region_rho[order.region] * order.quantity
-                events.append(SimEvent(order.time, "drop", period, order.dc,
-                                       order.customer, order.quantity))
-    while next_boundary <= horizon:
-        boundary(next_boundary)
-        next_boundary += 1
+            first, end = bounds[k], bounds[k + 1]
+            shipped = []
+            for i, j, qty in zip(range(first, end), dc[first:end].tolist(),
+                                 quantity[first:end].tolist()):
+                if stock[j] >= qty:
+                    stock[j] -= qty
+                    shipped.append(i)
+            outcome[shipped] = _SHIP
+    if wait:
+        for j in range(len(dc_ids)):
+            first, end = head[j], cut[j][blocks]
+            if first < end:
+                runs.append((2 * len(time), horizon, _EXPIRE, horizon - 1, j,
+                             first, end - first))
 
-    for h in stock:
-        for order in waiting[h]:
-            expired += 1
-            unfulfilled_cost += region_rho[order.region] * order.quantity
-            events.append(SimEvent(float(horizon), "expire", horizon - 1,
-                                   order.dc, order.customer, order.quantity))
-        waiting[h].clear()
+    kinds = np.empty(2 * len(time), dtype=np.int8)
+    kinds[0::2] = _ORDER
+    kinds[1::2] = outcome
+    pairs = (np.repeat(time, 2), kinds, np.repeat(period, 2),
+             np.repeat(dc, 2), np.repeat(customer, 2), np.repeat(quantity, 2))
+    pool = (np.concatenate((dc_customer, np.full(len(refills), -1, np.int32))),
+            np.concatenate((dc_quantity, refills)))
+    events = EventLog(_merge(pairs, runs, pool), dc_ids, customer_ids)
 
+    # Volumes and unmet costs, each summed in event order.
+    region = customer_region[customer]
+    shipped = events.kind == _SHIP
+    served = events.quantity[shipped]
+    served_region = customer_region[events.customer[shipped]]
+    lost = (events.kind == _DROP) | (events.kind == _EXPIRE)
+    rho = np.array([r.unfulfilled_unit_cost for r in instance.regions])
+    unfulfilled_cost = _running_sum(
+        rho[customer_region[events.customer[lost]]] * events.quantity[lost])
+    region_volume = {r.id: _running_sum(quantity[region == i])
+                     for i, r in enumerate(instance.regions)}
+    region_served = {r.id: _running_sum(served[served_region == i])
+                     for i, r in enumerate(instance.regions)}
     levels = {r.id: service_level(region_served[r.id], region_volume[r.id])
               for r in instance.regions}
     overall = service_level(sum(region_served.values()),
@@ -270,13 +424,13 @@ def simulate(instance: NetworkInstance, design: NetworkDesign,
         order_cost=order_cost,
         service_levels=levels,
         service_level=overall,
-        orders_placed=len(orders),
-        orders_dropped=dropped,
-        orders_expired=expired,
+        orders_placed=len(time),
+        orders_dropped=int(np.count_nonzero(events.kind == _DROP)),
+        orders_expired=int(np.count_nonzero(events.kind == _EXPIRE)),
         region_volume=region_volume,
         region_served=region_served,
         dc_initial=initial,
-        dc_final=dict(stock),
+        dc_final=dict(zip(dc_ids, stock)),
         events=events,
     )
 

@@ -513,15 +513,15 @@ def _extract_period(template, x, opening, demand, retention, t):
     inventory = (np.add(opening, np.multiply(retention, orders))
                  - np.bincount(template.serving, deliveries, minlength=D))
 
-    # Solver arithmetic can leave a DC a hair below zero; physical stock
-    # is nonnegative, so the regional sums are clamped at zero.  Stock
-    # within the solver's tolerance of zero is priced as none, so that
+    # Solver arithmetic can leave a DC a hair below zero.  Stock within
+    # the solver's tolerance of zero is priced as none, so that
     # round-off, which moves with the start basis, costs nothing.  The
     # per-DC values stay raw for the audit.
     R = template.num_regions
-    region_stock = np.maximum(np.bincount(
-        template.dc_region, inventory, minlength=R), 0.0)
-    # Each nutrient's surplus at the region's stock.
+    region_stock = np.bincount(template.dc_region, inventory, minlength=R)
+    # Each nutrient's surplus at the region's stock.  Content is positive
+    # and requirements are at least zero, so a region a hair below zero
+    # has no surplus.
     aux = np.maximum(np.multiply.outer(region_stock, template.content)
                      - template.requirement, 0.0)
 

@@ -2,7 +2,10 @@
 
 import copy
 import os
+from collections import deque
+from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 import chainforge
@@ -159,3 +162,158 @@ def reference_z1(instance, design, scales, decision):
             - w.transportation * index(transport, scales.transportation)
             + w.quality * index(quality, scales.quality))
     return sum(contributions)
+
+
+# A scalar reference for the discrete-event replay: the event loop that
+# desim.simulate replaced, one order object and one SimEvent at a time.
+# It skips simulate's input checks and returns a SimReport whose events
+# are a plain list of SimEvent.
+
+@dataclass(frozen=True)
+class _Order:
+    time: float
+    customer: str
+    dc: str
+    region: str
+    quantity: float
+
+
+def reference_simulate(instance, design, plan, config):
+    from chainforge.desim import SimEvent, SimReport, service_level
+    from chainforge.stochastic import (linked_retention, replication_seed,
+                                       sample_scenario)
+
+    horizon = int(instance.horizon)
+    dcs = list(instance.dcs())
+    capacity = {dc.id: dc.capacity for dc in dcs}
+    reorder_point = {h: plan.safety_stock * capacity[h] for h in capacity}
+    dc_holding = {dc.id: dc.inventory_unit_cost for dc in dcs}
+    region_rho = {r.id: r.unfulfilled_unit_cost for r in instance.regions}
+
+    scenario = sample_scenario(
+        instance, replication_seed(config.rng_seed, config.run_index))
+    retention = dict(zip((dc.id for dc in dcs),
+                         linked_retention(instance, design, scenario).tolist()))
+    times_rng = np.random.default_rng(
+        replication_seed(config.rng_seed, config.run_index, stream="events"))
+    offsets = times_rng.uniform(size=scenario.demand.shape).tolist()
+
+    orders = []
+    for customer, amounts, within in zip(instance.customers(),
+                                         scenario.demand.tolist(), offsets):
+        dc_id = design.customer_dc[customer.id]
+        for p, (amount, u) in enumerate(zip(amounts, within)):
+            orders.append(_Order(p + u, customer.id, dc_id,
+                                 customer.region_id, amount))
+    orders.sort(key=lambda o: (o.time, o.customer))
+
+    stock = {h: float(plan.initial_inventory[h]) for h in sorted(capacity)}
+    initial = dict(stock)
+    waiting = {h: deque() for h in stock}
+    events = []
+
+    inventory_cost = 0.0
+    unfulfilled_cost = 0.0
+    order_cost = 0.0
+    region_volume = {r.id: 0.0 for r in instance.regions}
+    region_served = {r.id: 0.0 for r in instance.regions}
+    dropped = expired = 0
+
+    def ship(order, at, period):
+        stock[order.dc] -= order.quantity
+        region_served[order.region] += order.quantity
+        events.append(SimEvent(at, "ship", period, order.dc,
+                               order.customer, order.quantity))
+
+    def drain(dc_id, at, period):
+        queue = waiting[dc_id]
+        while queue and stock[dc_id] >= queue[0].quantity:
+            ship(queue.popleft(), at, period)
+
+    def boundary(b):
+        nonlocal inventory_cost, order_cost
+        for h in stock:
+            inventory_cost += dc_holding[h] * stock[h]
+        for h in stock:
+            drain(h, float(b), b)
+        if b > horizon - 1:
+            return
+        arrivals = []
+        for warehouse in instance.warehouses:
+            requests = []
+            for h in stock:
+                if design.dc_warehouse[h] != warehouse.id:
+                    continue
+                if stock[h] < reorder_point[h]:
+                    requests.append((h, capacity[h] - stock[h]))
+            total = sum(q for _, q in requests)
+            scale = (1.0 if total <= warehouse.capacity
+                     else warehouse.capacity / total)
+            for h, req in requests:
+                dispatch = req * scale
+                if dispatch <= 0.0:
+                    continue
+                order_cost += warehouse.order_cost(h) * dispatch
+                events.append(SimEvent(float(b), "dispatch", b, h,
+                                       None, dispatch))
+                arrivals.append((h, dispatch * retention[h][b]))
+        for h, qty in arrivals:
+            stock[h] += qty
+            events.append(SimEvent(float(b), "receive", b, h, None, qty))
+            drain(h, float(b), b)
+
+    next_boundary = 1
+    for order in orders:
+        while next_boundary <= horizon and next_boundary <= order.time:
+            boundary(next_boundary)
+            next_boundary += 1
+        period = min(int(order.time), horizon - 1)
+        region_volume[order.region] += order.quantity
+        events.append(SimEvent(order.time, "order", period, order.dc,
+                               order.customer, order.quantity))
+        if config.backlog == "wait":
+            if waiting[order.dc] or stock[order.dc] < order.quantity:
+                waiting[order.dc].append(order)
+                events.append(SimEvent(order.time, "wait", period, order.dc,
+                                       order.customer, order.quantity))
+            else:
+                ship(order, order.time, period)
+        else:
+            if stock[order.dc] >= order.quantity:
+                ship(order, order.time, period)
+            else:
+                dropped += 1
+                unfulfilled_cost += region_rho[order.region] * order.quantity
+                events.append(SimEvent(order.time, "drop", period, order.dc,
+                                       order.customer, order.quantity))
+    while next_boundary <= horizon:
+        boundary(next_boundary)
+        next_boundary += 1
+
+    for h in stock:
+        for order in waiting[h]:
+            expired += 1
+            unfulfilled_cost += region_rho[order.region] * order.quantity
+            events.append(SimEvent(float(horizon), "expire", horizon - 1,
+                                   order.dc, order.customer, order.quantity))
+        waiting[h].clear()
+
+    levels = {r.id: service_level(region_served[r.id], region_volume[r.id])
+              for r in instance.regions}
+    overall = service_level(sum(region_served.values()),
+                            sum(region_volume.values()))
+    return SimReport(
+        inventory_cost=inventory_cost,
+        unfulfilled_cost=unfulfilled_cost,
+        order_cost=order_cost,
+        service_levels=levels,
+        service_level=overall,
+        orders_placed=len(orders),
+        orders_dropped=dropped,
+        orders_expired=expired,
+        region_volume=region_volume,
+        region_served=region_served,
+        dc_initial=initial,
+        dc_final=dict(stock),
+        events=events,
+    )

@@ -8,6 +8,13 @@ function would otherwise break only the slow traced benchmark runs.
 import importlib
 import os
 
+import pytest
+
+from chainforge.desim import SimConfig, simulate
+from chainforge.stochastic import OperationalPlan, default_initial_inventory
+
+from conftest import reference_simulate
+
 BENCH = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench")
 
 
@@ -41,3 +48,30 @@ def test_accessibility_seams_are_called(monkeypatch, tiny, tiny_design):
     assert calls == {"resolve_scales": 1, "snapshot": tiny.horizon}
     stochastic.run_replication(tiny, tiny_design, 0.1, 5, previous=first)
     assert calls == {"resolve_scales": 1, "snapshot": 2 * tiny.horizon}
+
+
+@pytest.mark.parametrize("backlog", ["wait", "drop"])
+def test_desim_counters_read_the_event_log(monkeypatch, tiny, tiny_design,
+                                           backlog):
+    # The traced desim.* counters come from the report's event log; they
+    # must count what the one-event-at-a-time replay logs.
+    monkeypatch.syspath_prepend(BENCH)
+    trace_cli = importlib.import_module("trace_cli")
+    plan = OperationalPlan(
+        epsilon=0.01, safety_stock=0.4,
+        initial_inventory=default_initial_inventory(tiny, 0.4),
+        z1=1.0, z1_se=0.0, z2=1000.0, z2_se=0.0, inventory_cost=500.0,
+        unfulfilled_cost=300.0, order_cost=200.0, master_seed=0,
+        replications=10)
+    config = SimConfig(rng_seed=2, backlog=backlog)
+    tracer = trace_cli.Tracer()
+    tracer._observe_desim("simulate", (tiny, tiny_design, plan, config),
+                          simulate(tiny, tiny_design, plan, config))
+    oracle = reference_simulate(tiny, tiny_design, plan, config)
+    kinds = [event.kind for event in oracle.events]
+    assert {name: tracer.desim[name] for name in
+            ("orders", "events", "waited", "dropped", "expired")} == {
+        "orders": kinds.count("order"), "events": len(kinds),
+        "waited": kinds.count("wait"), "dropped": kinds.count("drop"),
+        "expired": kinds.count("expire")}
+    assert tracer.desim["waited" if backlog == "wait" else "dropped"] > 0
