@@ -24,8 +24,8 @@ queue by the same prefix rule.  With backlog "drop", a loop over
 floats ships or drops each order.  Stock levels, costs and volumes are
 added up in event order, so they are the floats a one-event-at-a-time
 loop gets.  The event log is an EventLog of six columns (time, kind
-code, period, DC, customer, quantity); iterating or indexing it gives
-SimEvent records.
+code, period, DC, customer, quantity); iterating it gives SimEvent
+records.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -92,10 +92,9 @@ class EventLog:
 
     time and quantity are floats, kind a code into KINDS, period an int,
     dc an index into dc_ids and customer an index into customer_ids (-1
-    for an event without one).  len(), iteration and integer indexing
-    read it as SimEvent objects with the string ids, built only when
-    read.  Two logs are == when their events are, and a log is == to a
-    list or tuple of the same SimEvents.
+    for an event without one).  Iteration reads it as SimEvent objects
+    with the string ids, built only when read.  Two logs are == when
+    their events are.
     """
 
     def __init__(self, columns: tuple[np.ndarray, ...],
@@ -113,27 +112,21 @@ class EventLog:
     def __len__(self) -> int:
         return len(self.kind)
 
-    def _read(self, columns: Iterable[list]) -> Iterator[SimEvent]:
+    def __iter__(self) -> Iterator[SimEvent]:
         customers = self.customer_ids + (None,)    # -1 reads as None
-        for time, kind, period, dc, customer, quantity in zip(*columns):
+        for time, kind, period, dc, customer, quantity in zip(
+                *(column.tolist() for column in self.columns)):
             yield SimEvent(time, KINDS[kind], period, self.dc_ids[dc],
                            customers[customer], quantity)
 
-    def __iter__(self) -> Iterator[SimEvent]:
-        return self._read(column.tolist() for column in self.columns)
-
-    def __getitem__(self, index: int) -> SimEvent:
-        i = range(len(self))[index]
-        return next(self._read([column[i].item()] for column in self.columns))
-
     def __eq__(self, other: object) -> bool:
-        if (isinstance(other, EventLog) and self.dc_ids == other.dc_ids
+        if not isinstance(other, EventLog):
+            return NotImplemented
+        if (self.dc_ids == other.dc_ids
                 and self.customer_ids == other.customer_ids):
             return all(np.array_equal(a, b)
                        for a, b in zip(self.columns, other.columns))
-        if isinstance(other, (EventLog, list, tuple)):
-            return list(self) == list(other)
-        return NotImplemented
+        return list(self) == list(other)
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -142,8 +135,8 @@ class EventLog:
 class SimReport:
     """Costs, service levels, and the full event log of one run.
 
-    events is an EventLog: iterate it, or index it, for SimEvent objects
-    in event order, or read its columns directly.
+    events is an EventLog: iterate it for SimEvent objects in event
+    order, or read its columns directly.
     """
 
     inventory_cost: float
@@ -264,7 +257,7 @@ def simulate(instance: NetworkInstance, design: NetworkDesign,
 
     stock = [float(plan.initial_inventory[h]) for h in dc_ids]
     for h, level, cap in zip(dc_ids, stock, capacity):
-        if level < 0.0 or level > cap + 1e-9:
+        if not 0.0 <= level <= cap + 1e-9:
             raise ConfigError(
                 f"DC {h}: initial inventory {level:.6g} outside "
                 f"[0, {cap:.6g}]")

@@ -7,22 +7,19 @@ best-first branch and bound over binary variables on top.
 
 Every LP is solved by the same two passes: a bounded dual simplex to
 primal feasibility, then a primal simplex to optimality.  Only where they
-start differs, and there are three starts:
+start differs, and there are two starts:
 
 * the slack basis, for a root relaxation solved cold;
 * a given basis of a model with the same rows and columns, such as the
-  previous period's optimal root basis or the same period's at the
-  previous epsilon, for a warm root;
-* a copy of the parent's final tableau with the branched binaries fixed,
-  for every branch-and-bound child and the rounding heuristic.
+  previous period's optimal root basis, the same period's at the previous
+  epsilon, or, for a branch-and-bound child or the rounding heuristic,
+  the parent's optimal basis with the branched binaries' bounds fixed.
 
-A root basis is made dual feasible by bound flipping and cost
-modification (a column that gains from rising moves to its upper bound,
-or is priced at zero while it has none; one that gains from falling moves
-back to its lower bound), so no artificial columns or phase 1 are needed.
-Fixing a bound keeps the parent basis dual feasible, so a child's dual
-pass usually takes a few pivots.  An empty dual ratio test proves an LP
-infeasible.
+The start is made dual feasible by bound flipping and cost modification
+(a column that gains from rising moves to its upper bound, or is priced
+at zero while it has none; one that gains from falling moves back to its
+lower bound), so no artificial columns or phase 1 are needed.  An empty
+dual ratio test proves an LP infeasible.
 
 A model is a DenseModel, the arrays the solver reads, whose constructor
 is the one model check.
@@ -43,7 +40,6 @@ dual simplex falls back to the dual Bland rule the same way.
 
 from __future__ import annotations
 
-import copy
 import heapq
 import math
 from dataclasses import dataclass
@@ -82,7 +78,7 @@ class SolveResult:
     values: np.ndarray | None
     iterations: int
     nodes: int = 0
-    basis: Basis | None = None  # solve_milp: the optimal root LP's basis
+    basis: Basis | None = None  # an optimal LP's; solve_milp: the root's
 
 
 class DenseModel:
@@ -143,7 +139,7 @@ class _Tableau:
 
     def __init__(self, canon: DenseModel):
         self.canon = canon
-        lb = self.lb = canon.lb
+        lb = canon.lb
         self.iterations = 0
         self.trivially_infeasible = False
         span = np.maximum(canon.ub - lb, 0.0)
@@ -171,7 +167,7 @@ class _Tableau:
         # simplex in solve() restores primal feasibility.
         self.T = np.hstack([A, np.eye(m)])
         self.A0 = self.T.copy()
-        self.b0 = b.copy()
+        self.b0 = b
         self.rhs = b.copy()
         self.U = np.concatenate([span, np.where(eq, 0.0, math.inf)])
         self.at_ub = np.zeros(canon.n + m, dtype=bool)
@@ -349,10 +345,11 @@ class _Tableau:
         self.at_ub = at_ub & ~is_basic & np.isfinite(self.U)
 
     def solve(self, max_iter: int, start: Basis | None = None) -> str:
-        """Root solve: "optimal", "infeasible" or "unbounded".
+        """Solve the LP: "optimal", "infeasible" or "unbounded".
 
         It starts from the slack basis, or from start when that basis
-        fits this model, such as the previous period's optimal root basis.
+        fits this model, such as the previous period's optimal root basis
+        or a branch-and-bound parent's optimal basis.
         The reduced costs d = c - c_B T are made dual feasible: a nonbasic
         column that gains from rising moves to its upper bound, or is
         priced at zero for the dual pass while that bound is infinite, and
@@ -360,8 +357,7 @@ class _Tableau:
         lower bound.  The bounded dual simplex then restores primal
         feasibility, the true reduced costs are restored, and the primal
         simplex finishes.  From the slack basis B = I and c_B = 0, so
-        d = c.  Branch-and-bound children start from their parent's final
-        tableau instead, through reoptimize.
+        d = c.
         """
         if start is not None:
             self._refactor(*start)
@@ -377,39 +373,6 @@ class _Tableau:
             return "infeasible"
         self.d = c - c[self.basis] @ self.T
         self.d[self.basis] = 0.0
-        return self.run(max_iter)
-
-    def copy(self) -> "_Tableau":
-        """An independent copy of a solved tableau; A0 and canon are shared."""
-        twin = copy.copy(self)
-        for name in ("lb", "T", "b0", "rhs", "U", "at_ub", "is_basic",
-                     "basis", "d"):
-            setattr(twin, name, getattr(self, name).copy())
-        twin.iterations = 0
-        return twin
-
-    def fix(self, j: int, value: float) -> None:
-        """Fix structural variable j at value, a point of its current range.
-
-        Moving the lower bound by delta is the substitution
-        u_j = u'_j + delta, which shifts the right-hand side by delta times
-        column j; a zero span then pins u'_j at zero, where its lower and
-        upper bound coincide, so at_ub no longer matters.
-        """
-        delta = value - self.lb[j]
-        if delta:
-            self.lb[j] = value
-            self.rhs -= delta * self.T[:, j]
-            self.b0 -= delta * self.A0[:, j]
-        self.U[j] = 0.0
-
-    def reoptimize(self, max_iter: int) -> str:
-        """Warm solve after fix(): the basis is still dual feasible, so the
-        dual simplex restores primal feasibility and a primal pass clears
-        any reduced cost that rounding left on the wrong side.  Returns
-        "optimal", "infeasible" or "unbounded"."""
-        if not self.dual(max_iter):
-            return "infeasible"
         return self.run(max_iter)
 
     def _extract(self) -> np.ndarray:
@@ -438,7 +401,7 @@ class _Tableau:
         if m and float(np.abs(resid).max(initial=0.0)) > 1e-6 * (
                 1.0 + float(np.abs(self.b0).max(initial=0.0))):
             raise NumericalError("solution failed the feasibility audit")
-        return self.lb + u[:self.canon.n]
+        return self.canon.lb + u[:self.canon.n]
 
 
 def _iteration_limit(tab: _Tableau) -> int:
@@ -449,32 +412,34 @@ def _result(tab: _Tableau, status: str) -> SolveResult:
     if status != "optimal":
         return SolveResult(Status(status), math.nan, None, tab.iterations)
     x = tab._extract()
-    return SolveResult(Status.OPTIMAL, float(tab.canon.c @ x), x, tab.iterations)
+    return SolveResult(Status.OPTIMAL, float(tab.canon.c @ x), x,
+                       tab.iterations, basis=(tab.basis, tab.at_ub))
 
 
-def _solve_canon(canon: DenseModel, start: Basis | None = None,
-                 ) -> tuple[SolveResult, _Tableau]:
-    """Root solve from the slack basis, or from start where it fits; the
-    final tableau seeds warm starts."""
+def _solve_canon(canon: DenseModel, start: Basis | None = None) -> SolveResult:
+    """Solve the LP relaxation from the slack basis, or from start where
+    it fits."""
     tab = _Tableau(canon)
     if tab.trivially_infeasible:
-        return SolveResult(Status.INFEASIBLE, math.nan, None, 0), tab
-    return _result(tab, tab.solve(_iteration_limit(tab), start)), tab
+        return SolveResult(Status.INFEASIBLE, math.nan, None, 0)
+    return _result(tab, tab.solve(_iteration_limit(tab), start))
 
 
-def _resolve(parent: _Tableau, cols: Iterable[int], values: Iterable[float],
-             ) -> tuple[SolveResult, _Tableau]:
-    """Warm solve from a copy of the parent's optimal tableau, with each
-    column in cols fixed at the matching entry of values.  A value outside
-    the column's current range, such as 0 for a binary whose lower bound is
-    0.3, makes the node infeasible."""
-    tab = parent.copy()
+def _resolve(parent: DenseModel, start: Basis, cols: Iterable[int],
+             values: Iterable[float]) -> tuple[SolveResult, DenseModel]:
+    """Solve parent with each column in cols fixed at the matching entry
+    of values, starting from start, the parent's optimal basis; returns
+    the result and the bound-fixed model.  A value outside the column's
+    current range, such as 0 for a binary whose lower bound is 0.3, makes
+    the node infeasible."""
+    lb, ub = parent.lb.copy(), parent.ub.copy()
     for j, value in zip(cols, values):
-        low, high = tab.lb[j], tab.lb[j] + tab.U[j]
-        if not low - 1e-9 <= value <= high + 1e-9:
-            return SolveResult(Status.INFEASIBLE, math.nan, None, 0), tab
-        tab.fix(int(j), min(max(float(value), low), high))
-    return _result(tab, tab.reoptimize(_iteration_limit(tab))), tab
+        if not lb[j] - 1e-9 <= value <= ub[j] + 1e-9:
+            return SolveResult(Status.INFEASIBLE, math.nan, None, 0), parent
+        lb[j] = ub[j] = min(max(float(value), lb[j]), ub[j])
+    child = DenseModel(parent.A, parent.b, parent.c, lb, ub,
+                       relations=parent.relations, binary=parent.binary)
+    return _solve_canon(child, start), child
 
 
 def solve_milp(model: DenseModel, *,
@@ -489,17 +454,15 @@ def solve_milp(model: DenseModel, *,
     rows and columns, such as the previous period's or the same period's
     at another epsilon, which the result's basis field carries on.  A
     start that does not fit falls back to the slack basis.  Each child,
-    and the rounding pass, re-optimizes a copy of its parent's final
-    tableau with the dual simplex, so a queued node carries that tableau.
-    iterations counts the simplex iterations of every LP solved, dual
-    pivots included, and a cap set by the model size bounds each LP.
-    Hitting node_limit returns the best incumbent found with status
-    NODE_LIMIT.
+    and the rounding pass, solves its parent's model with the branched
+    binaries fixed, starting from the parent's optimal basis, so a queued
+    node carries its LP result and model.  iterations counts the simplex
+    iterations of every LP solved, dual pivots included, and a cap set by
+    the model size bounds each LP.  Hitting node_limit returns the best
+    incumbent found with status NODE_LIMIT.
     """
-    root, root_tab = _solve_canon(model, start)
+    root = _solve_canon(model, start)
     root.nodes = 1
-    if root.status is Status.OPTIMAL:
-        root.basis = (root_tab.basis, root_tab.at_ub)
     bins = model.binary
     if len(bins) == 0 or root.status != Status.OPTIMAL:
         return root
@@ -516,26 +479,26 @@ def solve_milp(model: DenseModel, *,
     incumbent_x: np.ndarray | None = None
 
     # Rounding heuristic: snap the relaxation's binaries and re-solve.
-    heur, _ = _resolve(root_tab, bins, np.round(root.values[bins]))
+    heur, _ = _resolve(model, root.basis, bins, np.round(root.values[bins]))
     total_iter += heur.iterations
     if heur.status == Status.OPTIMAL:
         incumbent_obj = heur.objective
         incumbent_x = heur.values
 
     seq = 0
-    heap: list[tuple[float, int, np.ndarray, _Tableau]] = [
-        (-root.objective, seq, root.values, root_tab)]
+    heap: list[tuple[float, int, SolveResult, DenseModel]] = [
+        (-root.objective, seq, root, model)]
     limit_hit = False
     while heap:
-        neg_bound, _, x_n, tab_n = heapq.heappop(heap)
+        neg_bound, _, node, model_n = heapq.heappop(heap)
         if -neg_bound <= incumbent_obj + _PRUNE_TOL:
             break  # best-first: every remaining node is no better
-        j = bins[int(np.argmax(fractionality(x_n)))]
+        j = bins[int(np.argmax(fractionality(node.values)))]
         for fix in (0.0, 1.0):
             if nodes >= node_limit:
                 limit_hit = True
                 break
-            child, tab_c = _resolve(tab_n, [j], [fix])
+            child, model_c = _resolve(model_n, node.basis, [j], [fix])
             nodes += 1
             total_iter += child.iterations
             if child.status != Status.OPTIMAL:
@@ -547,7 +510,7 @@ def solve_milp(model: DenseModel, *,
                 incumbent_x = child.values
             else:
                 seq += 1
-                heapq.heappush(heap, (-child.objective, seq, child.values, tab_c))
+                heapq.heappush(heap, (-child.objective, seq, child, model_c))
         if limit_hit:
             break
 

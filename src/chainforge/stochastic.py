@@ -697,16 +697,19 @@ def aggregate(epsilon: float, replications: Sequence[ReplicationSummary],
     )
 
 
+_AUDIT_TOL = 1e-6
+
+
 def audit_replication(instance: NetworkInstance, design: NetworkDesign,
-                      result: ReplicationResult,
-                      tolerance: float = 1e-6) -> list[str]:
+                      result: ReplicationResult) -> list[str]:
     """Re-check every stored period against the model's constraints.
 
     Pure arithmetic on the stored flows, independent of the solver:
     inventory balance, the [v*S, Cap] band, warehouse capacity, the
     delivered/unfulfilled split, nonnegative flows, and the nutrition
-    surplus values.  Returns human-readable violations, one per failing
-    entry; empty means the replication is consistent.
+    surplus values, each to within _AUDIT_TOL.  Returns human-readable
+    violations, one per failing entry; empty means the replication is
+    consistent.
     """
     supplier, serving = _linkage(instance, design)
     dcs, regions, warehouses = instance.dcs(), instance.regions, instance.warehouses
@@ -740,21 +743,21 @@ def audit_replication(instance: NetworkInstance, design: NetworkDesign,
     dc_ids = [f"DC {dc.id}" for dc in dcs]
     customer_ids = [f"customer {c.id}" for c in instance.customers()]
     checks = (  # entries, failing mask, message, its values
-        (dc_ids, np.abs(balance) > tolerance, "balance off by {:.3e}",
+        (dc_ids, np.abs(balance) > _AUDIT_TOL, "balance off by {:.3e}",
          balance),
-        (dc_ids, stored < floor - tolerance,
+        (dc_ids, stored < floor - _AUDIT_TOL,
          "inventory {:.6g} below safety level {:.6g}", stored, floor),
-        (dc_ids, stored > capacity + tolerance,
+        (dc_ids, stored > capacity + _AUDIT_TOL,
          "inventory {:.6g} above capacity {:.6g}", stored, capacity),
-        ([f"warehouse {w.id}" for w in warehouses], shipped > limit + tolerance,
+        ([f"warehouse {w.id}" for w in warehouses], shipped > limit + _AUDIT_TOL,
          "shipped {:.6g} above capacity {:.6g}", shipped, limit),
-        (customer_ids, np.minimum(deliveries, unmet) < -tolerance,
+        (customer_ids, np.minimum(deliveries, unmet) < -_AUDIT_TOL,
          "negative flow"),
-        (customer_ids, np.abs(served - demand) > tolerance,
+        (customer_ids, np.abs(served - demand) > _AUDIT_TOL,
          "served + unmet = {:.6g}, demand {:.6g}", served, demand),
         ([f"region {r.id} nutrient {nt.id}"
           for r in regions for nt in instance.nutrients],
-         np.abs(aux - surplus) > tolerance,
+         np.abs(aux - surplus) > _AUDIT_TOL,
          "surplus {:.6g}, expected {:.6g}", aux, surplus),
     )
     return [f"period {periods[h]} {ids[i]}: "

@@ -1,5 +1,6 @@
 """Discrete-event replay: policies, conservation, and the validation file."""
 
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -53,6 +54,9 @@ def test_safety_stock_range_checked(tiny, tiny_design):
 def test_initial_stock_capped_by_capacity(tiny, tiny_design):
     plan = make_plan(tiny, inventory={"D1": 500.0, "D2": 24.0, "D3": 20.0})
     with pytest.raises(ConfigError):
+        simulate(tiny, tiny_design, plan)
+    plan = make_plan(tiny, inventory={"D1": math.nan, "D2": 24.0, "D3": 20.0})
+    with pytest.raises(ConfigError, match="initial inventory nan outside"):
         simulate(tiny, tiny_design, plan)
 
 
@@ -226,9 +230,6 @@ def assert_same_replay(report, oracle):
             assert getattr(report, name) == getattr(oracle, name), name
     assert len(report.events) == len(oracle.events)
     assert list(report.events) == oracle.events
-    assert [report.events[i] for i in range(-len(oracle.events), 0)] \
-        == oracle.events
-    assert report.events == oracle.events
 
 
 @pytest.mark.parametrize("backlog", ["wait", "drop"])

@@ -452,9 +452,9 @@ def test_random_mixed_binary_models_match_highs(monkeypatch):
     real_resolve = solver._resolve
 
     def recording_resolve(*args):
-        result, tab = real_resolve(*args)
+        result, child = real_resolve(*args)
         warm_statuses.append(result.status)
-        return result, tab
+        return result, child
 
     monkeypatch.setattr(solver, "_resolve", recording_resolve)
     rng = np.random.default_rng(20240607)
@@ -596,22 +596,20 @@ def test_warm_children_match_cold_solves(qatar, qatar_design, monkeypatch):
     real_resolve = solver._resolve
     checked = []
 
-    def compared_resolve(parent, cols, values):
-        warm, tab = real_resolve(parent, cols, values)
-        canon = parent.canon
-        lb = parent.lb.copy()
-        ub = parent.lb + parent.U[:canon.n]
+    def compared_resolve(parent, start, cols, values):
+        warm, child = real_resolve(parent, start, cols, values)
+        lb, ub = parent.lb.copy(), parent.ub.copy()
         lb[cols] = values
         ub[cols] = values
-        cold, _ = solver._solve_canon(DenseModel(
-            canon.A, canon.b, canon.c, lb, ub, relations=canon.relations,
-            binary=canon.binary))
+        cold = solver._solve_canon(DenseModel(
+            parent.A, parent.b, parent.c, lb, ub, relations=parent.relations,
+            binary=parent.binary))
         assert warm.status is cold.status
         if cold.status is Status.OPTIMAL:
             assert abs(warm.objective - cold.objective) <= FEASIBILITY_TOL * (
                 1.0 + abs(cold.objective))
         checked.append(cold.status)
-        return warm, tab
+        return warm, child
 
     monkeypatch.setattr(solver, "_resolve", compared_resolve)
     # At safety stock 0 with every DC half full, each region's stock can
@@ -634,9 +632,9 @@ def test_warm_roots_match_cold_solves(qatar, qatar_design, monkeypatch):
     starts = []
 
     def compared_solve(canon, start=None):
-        warm, tab = real_solve(canon, start)
+        warm = real_solve(canon, start)
         if start is not None:
-            cold, _ = real_solve(canon)
+            cold = real_solve(canon)
             assert warm.status is cold.status
             if cold.status is Status.OPTIMAL:
                 assert abs(warm.objective - cold.objective) <= FEASIBILITY_TOL * (
@@ -644,7 +642,7 @@ def test_warm_roots_match_cold_solves(qatar, qatar_design, monkeypatch):
             iterations["cold"] += cold.iterations
             iterations["warm"] += warm.iterations
         starts.append(start)
-        return warm, tab
+        return warm
 
     monkeypatch.setattr(solver, "_solve_canon", compared_solve)
     for safety_stock in (0.4, 0.9):
