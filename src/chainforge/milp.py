@@ -19,7 +19,8 @@ The start is made dual feasible by bound flipping and cost modification
 (a column that gains from rising moves to its upper bound, or is priced
 at zero while it has none; one that gains from falling moves back to its
 lower bound), so no artificial columns or phase 1 are needed.  An empty
-dual ratio test proves an LP infeasible.
+dual ratio test is the one proof that an LP is infeasible: every row is
+kept, an empty one with its slack basic for the dual pass to judge.
 
 A model is a DenseModel, the arrays the solver reads, whose constructor
 is the one model check.
@@ -66,7 +67,7 @@ class Status(Enum):
     NODE_LIMIT = "node_limit"
 
 
-# A simplex basis: the basic column of each kept row, and the flags of
+# A simplex basis: the basic column of each row, and the flags of
 # the nonbasic columns that sit at their upper bound.
 Basis = tuple[np.ndarray, np.ndarray]
 
@@ -134,14 +135,15 @@ class _Tableau:
     (one slack per row follows the structural columns); rhs is the basic
     solution with every nonbasic variable at zero, at_ub marks nonbasic
     variables sitting at their upper bound instead, and d holds the
-    reduced costs.
+    reduced costs.  Every row of the model is a row of T, scaled to a
+    largest coefficient of 1; an empty row stays zero and unscaled, for
+    the dual pass to judge.
     """
 
     def __init__(self, canon: DenseModel):
         self.canon = canon
         lb = canon.lb
         self.iterations = 0
-        self.trivially_infeasible = False
         span = np.maximum(canon.ub - lb, 0.0)
 
         eq = canon.relations == "="
@@ -149,17 +151,11 @@ class _Tableau:
         A = canon.A * sign[:, None]
         b = (canon.b - canon.A @ lb) * sign
 
-        # Drop empty rows, catching trivial infeasibility.
         scale = np.abs(A).max(axis=1, initial=0.0)
-        keep = scale >= 1e-12
-        violated = np.where(eq, np.abs(b) > FEASIBILITY_TOL, b < -FEASIBILITY_TOL)
-        if (violated & ~keep).any():
-            self.trivially_infeasible = True
-            return
-        A = A[keep] / scale[keep, None]
-        b = b[keep] / scale[keep]
-        eq = eq[keep]
-
+        empty = scale < 1e-12
+        scale[empty] = 1.0
+        A = np.where(empty[:, None], 0.0, A / scale[:, None])
+        b = b / scale
         m = A.shape[0]
 
         # One slack per row: [0, inf) on an inequality, [0, 0] on an
@@ -204,9 +200,14 @@ class _Tableau:
         self.is_basic[j] = True
         self.basis[r] = j
 
-    def run(self, max_iter: int) -> str:
+    def run(self, max_iter: int) -> Status:
         """Primal simplex from a primal feasible basis until the reduced
-        costs d are optimal.  Returns "optimal" or "unbounded"."""
+        costs d are optimal: OPTIMAL or UNBOUNDED.
+
+        Each blocking row's step is x_B over the denominator for a
+        falling basic variable, its room below a finite upper bound for a
+        rising one.  Rows within 1e-9 of the smallest step tie, and the
+        largest pivot among them leaves."""
         d = self.d
         m = self.T.shape[0]
         stall = 0
@@ -215,57 +216,44 @@ class _Tableau:
             if self.iterations >= max_iter:
                 raise NumericalError("simplex iteration limit reached")
             self.iterations += 1
-            x_B = self.basic_values()
-
             movable = (~self.is_basic) & (self.U > _FIXED_TOL)
             up = movable & ~self.at_ub & (d > _RC_TOL)
             down = movable & self.at_ub & (d < -_RC_TOL)
             candidates = np.nonzero(up | down)[0]
             if len(candidates) == 0:
-                return "optimal"
+                return Status.OPTIMAL
             if bland:
                 j = int(candidates[0])
             else:
                 j = int(candidates[np.argmax(np.abs(d[candidates]))])
-            direction = -1.0 if self.at_ub[j] else 1.0
 
-            col = self.T[:, j]
-            denom = direction * col
-            t_best = math.inf
-            rows: list[tuple[int, bool]] = []  # (row, leaving goes to ub)
-            for i in range(m):
-                dn = denom[i]
-                if dn > _PIVOT_TOL:
-                    t = max(x_B[i], 0.0) / dn
-                    to_ub = False
-                elif dn < -_PIVOT_TOL:
-                    cap = self.U[self.basis[i]]
-                    if not math.isfinite(cap):
-                        continue
-                    t = max(cap - x_B[i], 0.0) / -dn
-                    to_ub = True
-                else:
-                    continue
-                if t < t_best - 1e-9:
-                    t_best = t
-                    rows = [(i, to_ub)]
-                elif t <= t_best + 1e-9:
-                    rows.append((i, to_ub))
+            x_B = self.basic_values()
+            # A positive denominator lowers x_B toward 0, a negative one
+            # raises it toward its upper bound, where that is finite.
+            denom = self.T[:, j] if not self.at_ub[j] else -self.T[:, j]
+            caps = self.U[self.basis]
+            rows = np.nonzero((denom > _PIVOT_TOL) | (
+                (denom < -_PIVOT_TOL) & np.isfinite(caps)))[0]
+            dn = denom[rows]
+            room = np.where(dn > 0.0, x_B[rows], caps[rows] - x_B[rows])
+            steps = np.maximum(room, 0.0) / np.abs(dn)
+            t_best = float(steps.min(initial=math.inf))
+            rows = rows[steps <= t_best + 1e-9]
             t_own = self.U[j]
 
             if not math.isfinite(t_best) and not math.isfinite(t_own):
-                return "unbounded"
+                return Status.UNBOUNDED
             if t_own <= t_best + 1e-12:
                 # The entering variable traverses to its other bound.
                 self.at_ub[j] = not self.at_ub[j]
                 gained = abs(d[j]) * t_own
             else:
                 if bland:
-                    r, to_ub = min(rows, key=lambda rc: self.basis[rc[0]])
+                    r = int(rows[np.argmin(self.basis[rows])])
                 else:
-                    r, to_ub = max(rows, key=lambda rc: abs(col[rc[0]]))
-                gained = abs(d[j]) * max(t_best, 0.0)
-                self._pivot(r, j, to_ub)
+                    r = int(rows[np.argmax(np.abs(denom[rows]))])
+                gained = abs(d[j]) * t_best
+                self._pivot(r, j, bool(denom[r] < 0.0))
             stall = 0 if gained > 1e-12 else stall + 1
             bland = stall > max(m, 10)
 
@@ -281,12 +269,12 @@ class _Tableau:
         m = len(self.basis)
         stall = 0
         bland = False
-        while m:
+        while True:
             x_B = self.basic_values()
             excess = np.maximum(-x_B, x_B - self.U[self.basis])
             rows = np.nonzero(excess > FEASIBILITY_TOL)[0]
             if len(rows) == 0:
-                break
+                return True
             if self.iterations >= max_iter:
                 raise NumericalError("simplex iteration limit reached")
             self.iterations += 1
@@ -315,7 +303,6 @@ class _Tableau:
             self._pivot(r, j, to_ub)
             stall = 0 if t * excess[r] > 1e-12 else stall + 1
             bland = stall > max(m, 10)
-        return True
 
     # -- root and warm solves -----------------------------------------------
 
@@ -344,8 +331,8 @@ class _Tableau:
         self.is_basic = is_basic
         self.at_ub = at_ub & ~is_basic & np.isfinite(self.U)
 
-    def solve(self, max_iter: int, start: Basis | None = None) -> str:
-        """Solve the LP: "optimal", "infeasible" or "unbounded".
+    def solve(self, max_iter: int, start: Basis | None = None) -> Status:
+        """Solve the LP: OPTIMAL, INFEASIBLE or UNBOUNDED.
 
         It starts from the slack basis, or from start when that basis
         fits this model, such as the previous period's optimal root basis
@@ -370,7 +357,7 @@ class _Tableau:
         self.at_ub = (self.at_ub & (d >= -_RC_TOL)) | (gains & finite)
         self.d = np.where(gains & ~finite, 0.0, d)
         if not self.dual(max_iter):
-            return "infeasible"
+            return Status.INFEASIBLE
         self.d = c - c[self.basis] @ self.T
         self.d[self.basis] = 0.0
         return self.run(max_iter)
@@ -378,51 +365,38 @@ class _Tableau:
     def _extract(self) -> np.ndarray:
         u = np.where(self.at_ub, np.where(np.isfinite(self.U), self.U, 0.0), 0.0)
         x_B = self.basic_values()
-        m = len(self.basis)
-        if m:
-            # Refinement: recompute the basic values from the untouched
-            # canonical rows so rounding from thousands of row operations
-            # does not leak into reported flows.
-            B = self.A0[:, self.basis]
-            idx = np.nonzero(self.at_ub)[0]
-            rhs = self.b0.copy()
-            if len(idx):
-                rhs = rhs - self.A0[:, idx] @ self.U[idx]
-            try:
-                refined = np.linalg.solve(B, rhs)
-                if np.all(np.isfinite(refined)):
-                    x_B = refined
-            except np.linalg.LinAlgError:
-                pass
-            caps = self.U[self.basis]
-            x_B = np.clip(x_B, 0.0, np.where(np.isfinite(caps), caps, np.inf))
+        # Refinement: recompute the basic values from the untouched
+        # canonical rows so rounding from thousands of row operations
+        # does not leak into reported flows.
+        B = self.A0[:, self.basis]
+        idx = np.nonzero(self.at_ub)[0]
+        rhs = self.b0 - self.A0[:, idx] @ self.U[idx]
+        try:
+            refined = np.linalg.solve(B, rhs)
+            if np.all(np.isfinite(refined)):
+                x_B = refined
+        except np.linalg.LinAlgError:
+            pass
+        caps = self.U[self.basis]
+        x_B = np.clip(x_B, 0.0, np.where(np.isfinite(caps), caps, np.inf))
         u[self.basis] = x_B
-        resid = self.A0 @ u - self.b0 if m else np.zeros(0)
-        if m and float(np.abs(resid).max(initial=0.0)) > 1e-6 * (
+        resid = self.A0 @ u - self.b0
+        if float(np.abs(resid).max(initial=0.0)) > 1e-6 * (
                 1.0 + float(np.abs(self.b0).max(initial=0.0))):
             raise NumericalError("solution failed the feasibility audit")
         return self.canon.lb + u[:self.canon.n]
 
 
-def _iteration_limit(tab: _Tableau) -> int:
-    return 2000 + 200 * max(tab.T.shape)
-
-
-def _result(tab: _Tableau, status: str) -> SolveResult:
-    if status != "optimal":
-        return SolveResult(Status(status), math.nan, None, tab.iterations)
-    x = tab._extract()
-    return SolveResult(Status.OPTIMAL, float(tab.canon.c @ x), x,
-                       tab.iterations, basis=(tab.basis, tab.at_ub))
-
-
 def _solve_canon(canon: DenseModel, start: Basis | None = None) -> SolveResult:
     """Solve the LP relaxation from the slack basis, or from start where
-    it fits."""
+    it fits, within an iteration cap set by the tableau's size."""
     tab = _Tableau(canon)
-    if tab.trivially_infeasible:
-        return SolveResult(Status.INFEASIBLE, math.nan, None, 0)
-    return _result(tab, tab.solve(_iteration_limit(tab), start))
+    status = tab.solve(2000 + 200 * max(tab.T.shape), start)
+    if status is not Status.OPTIMAL:
+        return SolveResult(status, math.nan, None, tab.iterations)
+    x = tab._extract()
+    return SolveResult(status, float(canon.c @ x), x, tab.iterations,
+                       basis=(tab.basis, tab.at_ub))
 
 
 def _resolve(parent: DenseModel, start: Basis, cols: Iterable[int],
@@ -459,7 +433,8 @@ def solve_milp(model: DenseModel, *,
     node carries its LP result and model.  iterations counts the simplex
     iterations of every LP solved, dual pivots included, and a cap set by
     the model size bounds each LP.  Hitting node_limit returns the best
-    incumbent found with status NODE_LIMIT.
+    incumbent found, if any, with status NODE_LIMIT; a result without
+    values has objective NaN.
     """
     root = _solve_canon(model, start)
     root.nodes = 1
@@ -514,11 +489,8 @@ def solve_milp(model: DenseModel, *,
         if limit_hit:
             break
 
-    if limit_hit:
-        return SolveResult(Status.NODE_LIMIT, incumbent_obj, incumbent_x,
-                           total_iter, nodes, root.basis)
-    if incumbent_x is None:
-        return SolveResult(Status.INFEASIBLE, math.nan, None, total_iter,
-                           nodes, root.basis)
-    return SolveResult(Status.OPTIMAL, incumbent_obj, incumbent_x, total_iter,
-                       nodes, root.basis)
+    found = incumbent_x is not None
+    status = (Status.NODE_LIMIT if limit_hit
+              else Status.OPTIMAL if found else Status.INFEASIBLE)
+    return SolveResult(status, incumbent_obj if found else math.nan,
+                       incumbent_x, total_iter, nodes, root.basis)

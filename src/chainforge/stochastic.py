@@ -35,8 +35,8 @@ Model assembly notes (this shapes every coefficient below):
   (Vielma, Ahmed & Nemhauser, Oper. Res. 58(2), 2010), so the root
   relaxation is usually integral;
 * a seed's period models differ only in opening stock, demand,
-  retention and epsilon, so a PeriodTemplate holds the dense arrays,
-  at(epsilon) prices them, and each period patches a copy.
+  retention and epsilon, so a PeriodTemplate holds the dense arrays and
+  each period's model patches a copy, epsilon's prices included.
   Columns, with D DCs and C customers: orders [0, D) in instance.dcs()
   order, deliveries [D, D + C) in instance.customers() order, then for
   each region with breakpoints, in instance order, its deltas and then
@@ -57,7 +57,6 @@ Model assembly notes (this shapes every coefficient below):
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import math
 from dataclasses import asdict, dataclass, field, fields
@@ -224,8 +223,8 @@ class PeriodTemplate:
     k[i] * stock[src[i]] - req[i], where stock is each DC's opening stock,
     then each region's total.  The objective leaves out every term fixed
     by the opening stock and demand alone.  Only the objective depends on
-    epsilon: at(epsilon) prices a template, and build_period_model takes
-    a priced one."""
+    epsilon, and c holds only the entries that epsilon does not price:
+    build_period_model sets the rest."""
 
     def __init__(self, instance: NetworkInstance, design: NetworkDesign,
                  safety_stock: float):
@@ -326,26 +325,12 @@ class PeriodTemplate:
         self.k, src, self.req = np.array(rhs).T
         self.src = src.astype(int)
 
-    def at(self, epsilon: float) -> PeriodTemplate:
-        """This template priced at epsilon: a shallow copy that shares
-        every array but c, whose delivery entries it sets.  The order
-        entries depend on the period's retention too, so
-        build_period_model sets those."""
-        priced = copy.copy(self)
-        priced.epsilon = epsilon
-        priced.c = self.c.copy()
-        D, C = self.num_dcs, self.num_customers
-        priced.c[D:D + C] = (epsilon * self.unmet_cost - self.transport
-                             + epsilon * self.holding[self.serving]
-                             - self.dc_slope[self.serving])
-        return priced
 
-
-def build_period_model(template: PeriodTemplate, opening: Sequence[float],
-                       demand: Sequence[float], retention: Sequence[float],
-                       ) -> DenseModel:
-    """The single-period model of a priced template (PeriodTemplate.at)
-    for realized stock, demand and supply: opening stock and linked-lane
+def build_period_model(template: PeriodTemplate, epsilon: float,
+                       opening: Sequence[float], demand: Sequence[float],
+                       retention: Sequence[float]) -> DenseModel:
+    """The single-period model of a template priced at epsilon for
+    realized stock, demand and supply: opening stock and linked-lane
     retention per DC in instance.dcs() order, demand per customer in
     instance.customers() order."""
     D, C = template.num_dcs, template.num_customers
@@ -356,7 +341,10 @@ def build_period_model(template: PeriodTemplate, opening: Sequence[float],
     A = template.A.copy()
     A[template.warehouse_rows:, :D] *= factor
     c = template.c.copy()
-    c[:D] = (template.dc_slope * factor - template.epsilon
+    c[D:D + C] = (epsilon * template.unmet_cost - template.transport
+                  + epsilon * template.holding[template.serving]
+                  - template.dc_slope[template.serving])
+    c[:D] = (template.dc_slope * factor - epsilon
              * (template.order_cost + template.holding * factor))
     ub = template.ub.copy()
     ub[D:D + C] = demand
@@ -400,8 +388,8 @@ class ReplicationResult:
     initial_inventory: np.ndarray  # per DC, instance.dcs() order
     nodes: int
     limit_hit: bool
-    # What the next grid point of this seed starts from: the template
-    # priced at this epsilon, and each period's optimal root basis.
+    # What the next grid point of this seed starts from: the unpriced
+    # template the whole seed shares, and each period's optimal root basis.
     template: PeriodTemplate = field(compare=False, repr=False)
     bases: list[Basis] = field(compare=False, repr=False)
 
@@ -448,7 +436,6 @@ def run_replication(instance: NetworkInstance, design: NetworkDesign,
         template = PeriodTemplate(instance, design, v)
     else:
         scenario, template = previous.scenario, previous.template
-    template = template.at(epsilon)
     capacity = np.array([dc.capacity for dc in instance.dcs()])
     floor = v * capacity
     opening = floor.tolist()
@@ -467,7 +454,8 @@ def run_replication(instance: NetworkInstance, design: NetworkDesign,
     demands = scenario.demand.T.tolist()
     retentions = linked_retention(instance, design, scenario).T.tolist()
     for t, (demand, retention) in enumerate(zip(demands, retentions)):
-        model = build_period_model(template, opening, demand, retention)
+        model = build_period_model(template, epsilon, opening, demand,
+                                   retention)
         if previous is not None:
             start = previous.bases[t]
         result = solve_milp(model, node_limit=config.node_limit, start=start)

@@ -118,9 +118,9 @@ def test_solver_failure_stays_in_its_grid_point(tiny_file, tmp_path,
     real_build = stochastic.build_period_model
     real_solve = stochastic.solve_milp
 
-    def tagged_build(template, opening, demands, factors):
-        model = real_build(template, opening, demands, factors)
-        model.name = f"epsilon={template.epsilon:g}"
+    def tagged_build(template, epsilon, opening, demands, factors):
+        model = real_build(template, epsilon, opening, demands, factors)
+        model.name = f"epsilon={epsilon:g}"
         return model
 
     def flaky_solve(model, **kwargs):

@@ -70,6 +70,31 @@ def test_unbounded_detected():
     assert solve_milp(_model([], [], [1.0])).status is Status.UNBOUNDED
 
 
+def test_bounded_lp_without_rows():
+    # max x with 0 <= x <= 3: no rows, so extraction solves a 0 x 0 system.
+    result = solve_milp(_model([], [], [1.0], ub=[3.0]))
+    assert result.status is Status.OPTIMAL
+    assert result.values == pytest.approx([3.0])
+
+
+@pytest.mark.parametrize("b, relation", [(-1.0, "<="), (0.5, "=")])
+def test_violated_empty_row_is_infeasible(b, relation):
+    # 0 x <= -1 and 0 x = 0.5: the dual pass finds no column to fix them.
+    m = _model([[0.0, 0.0]], [b], [1.0, 1.0], ub=[1.0, 1.0],
+               relations=[relation])
+    assert solve_milp(m).status is Status.INFEASIBLE
+
+
+def test_satisfied_empty_row_changes_nothing():
+    # max x + 2y s.t. x + y <= 1.5, with and without 0 x <= 1.
+    plain = solve_milp(_model([[1.0, 1.0]], [1.5], [1.0, 2.0], ub=[1.0, 1.0]))
+    padded = solve_milp(_model([[1.0, 1.0], [0.0, 0.0]], [1.5, 1.0],
+                               [1.0, 2.0], ub=[1.0, 1.0]))
+    assert padded.status is plain.status is Status.OPTIMAL
+    assert padded.objective == plain.objective == pytest.approx(2.5)
+    assert np.array_equal(padded.values, plain.values)
+
+
 def test_degenerate_fixed_variable():
     m = _model([[1.0, 1.0]], [6.0], [2.0, 1.0], lb=[3.0, 0.0], ub=[3.0, 5.0])
     result = solve_milp(m)
@@ -259,6 +284,7 @@ def test_random_lps_with_unbounded_gains_match_highs():
     statuses = {0: Status.OPTIMAL, 2: Status.INFEASIBLE, 3: Status.UNBOUNDED}
     rng = np.random.default_rng(20261018)
     outcomes = []
+    iterations = 0
     for _ in range(300):
         model = _random_lp_with_unbounded_gains(rng)
         reference = linprog(
@@ -266,6 +292,7 @@ def test_random_lps_with_unbounded_gains_match_highs():
             bounds=list(zip(model.lb, model.ub)), method="highs",
             options={"presolve": False})
         result = solve_milp(model)
+        iterations += result.iterations
         assert result.status is statuses[reference.status]
         if result.status is Status.OPTIMAL:
             assert abs(result.objective + reference.fun) <= FEASIBILITY_TOL * (
@@ -274,6 +301,9 @@ def test_random_lps_with_unbounded_gains_match_highs():
     assert outcomes.count(Status.OPTIMAL) >= 100
     assert Status.INFEASIBLE in outcomes
     assert Status.UNBOUNDED in outcomes
+    # The one test set where the primal ratio test runs: its pivot count
+    # pins the pivot rule.
+    assert iterations == 1296
 
 
 def _sibling(model, rng):
@@ -359,6 +389,7 @@ def test_node_limit_reported():
     assert result.status is Status.NODE_LIMIT
     assert result.nodes == 1
     assert result.values is None
+    assert math.isnan(result.objective)
 
 
 def test_integral_relaxation_skips_branching():
@@ -473,12 +504,11 @@ def _qatar_period_models(instance, design, epsilons, seeds, safety_stock):
     stock = [opening[dc.id] for dc in instance.dcs()]
     template = PeriodTemplate(instance, design, safety_stock)
     for epsilon in epsilons:
-        priced = template.at(epsilon)
         for seed in seeds:
             scenario = sample_scenario(instance, seed)
             retention = linked_retention(instance, design, scenario)
             for t in range(instance.horizon):
-                yield build_period_model(priced, stock,
+                yield build_period_model(template, epsilon, stock,
                                          scenario.demand[:, t].tolist(),
                                          retention[:, t].tolist())
 
@@ -614,11 +644,11 @@ def test_warm_children_match_cold_solves(qatar, qatar_design, monkeypatch):
     monkeypatch.setattr(solver, "_resolve", compared_resolve)
     # At safety stock 0 with every DC half full, each region's stock can
     # end on either side of several breakpoints, and the model branches.
-    template = PeriodTemplate(qatar, qatar_design, 0.0).at(0.001)
+    template = PeriodTemplate(qatar, qatar_design, 0.0)
     scenario = sample_scenario(qatar, 5)
     retention = linked_retention(qatar, qatar_design, scenario)
     model = build_period_model(
-        template, [0.5 * dc.capacity for dc in qatar.dcs()],
+        template, 0.001, [0.5 * dc.capacity for dc in qatar.dcs()],
         scenario.demand[:, 0].tolist(), retention[:, 0].tolist())
     result = solve_milp(model)
     assert result.status is Status.OPTIMAL

@@ -176,10 +176,11 @@ def test_quality_terms_qatar_counts(qatar):
 # ---------------------------------------------------------- period model
 
 def _solve_period(instance, design, opening, demand, epsilon, safety_stock):
-    template = PeriodTemplate(instance, design, safety_stock).at(epsilon)
+    template = PeriodTemplate(instance, design, safety_stock)
     retention = [0.85] * len(instance.dcs())
     model = build_period_model(
-        template, [opening[dc.id] for dc in instance.dcs()], demand, retention)
+        template, epsilon, [opening[dc.id] for dc in instance.dcs()], demand,
+        retention)
     result = solve_milp(model)
     assert result.status is Status.OPTIMAL
     return template, result
@@ -234,14 +235,14 @@ def test_period_model_surplus_matches_plus_form(tiny, tiny_design):
 
 
 def test_period_model_needs_a_value_per_customer_and_dc(tiny, tiny_design):
-    template = PeriodTemplate(tiny, tiny_design, 0.2).at(0.01)
+    template = PeriodTemplate(tiny, tiny_design, 0.2)
     opening = [20.0] * 3
     with pytest.raises(ConfigError, match="one demand per customer"):
-        build_period_model(template, opening, [10.0] * 3, [0.85] * 3)
+        build_period_model(template, 0.01, opening, [10.0] * 3, [0.85] * 3)
     with pytest.raises(ConfigError, match="one retention per DC"):
-        build_period_model(template, opening, [10.0] * 5, [0.85] * 4)
+        build_period_model(template, 0.01, opening, [10.0] * 5, [0.85] * 4)
     with pytest.raises(ConfigError, match="one opening stock per DC"):
-        build_period_model(template, opening[:2], [10.0] * 5, [0.85] * 3)
+        build_period_model(template, 0.01, opening[:2], [10.0] * 5, [0.85] * 3)
 
 
 def test_period_model_rejects_nan_demand_or_retention(tiny, tiny_design,
@@ -295,10 +296,10 @@ def test_qatar_period_zero_model_bits_are_pinned(qatar, qatar_design):
     scenario = sample_scenario(qatar, replication_seed(0, 0))
     retention = linked_retention(qatar, qatar_design, scenario)
     for safety_stock, (shape, digests) in expected.items():
-        template = PeriodTemplate(qatar, qatar_design, safety_stock).at(0.01)
+        template = PeriodTemplate(qatar, qatar_design, safety_stock)
         opening = default_initial_inventory(qatar, safety_stock)
         model = build_period_model(
-            template, [opening[dc.id] for dc in qatar.dcs()],
+            template, 0.01, [opening[dc.id] for dc in qatar.dcs()],
             scenario.demand[:, 0].tolist(), retention[:, 0].tolist())
         assert model.A.shape == shape
         found = {name: hashlib.sha256(getattr(model, name).tobytes()).hexdigest()
