@@ -1,0 +1,155 @@
+"""Check that the working tree writes the same outputs as a commit.
+
+    python3 scripts/same_outputs.py REV
+
+Exports REV (any commit, branch or tag) with ``git archive`` into a
+temporary directory, then runs the same commands there and in this
+working tree, each with its own ``src`` on PYTHONPATH:
+
+* the pinned ``chainforge run`` on the packaged Qatar instance (seed 0,
+  grid ``0.001:1:10``, 10 replications, 5 simulation runs) at safety
+  stock 0, 0.4 and 0.9, each with ``--jobs`` 1 and 2;
+* for the ``bench/gen_network.py`` networks of seeds 1 and 3: ``gfa``,
+  then ``validate --runs 2`` in both backlog modes, and a sha256 of
+  every simulated run's event log (``events.sha256``).
+
+Every file written, except manifest.json (which holds wall-clock
+times), is compared by sha256.  Each file that differs, or that only
+one tree wrote, is printed; the exit status is 1 if there is any, 0
+if there is none, and 2 if a command fails.  Exporting REV reads the
+repository but writes nothing under .git.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+PINNED = ["--seed", "0", "--epsilon-grid", "0.001:1:10",
+          "--replications", "10", "--runs", "5"]
+RUNS = [["--safety-stock", stock, "--jobs", jobs]
+        for stock in ("0", "0.4", "0.9") for jobs in ("1", "2")]
+NETWORK_SEEDS = (1, 3)
+REPLAY_RUNS = 2
+
+# Replays a validate command's runs and writes one sha256 per run over
+# the repr of each event, in event order.
+_EVENTS = """
+import hashlib, sys
+from chainforge.desim import SimConfig, run_validation
+from chainforge.gfa import load_design
+from chainforge.model import load_instance
+from chainforge.stochastic import load_plan
+instance, design, plan, backlog, runs, out = sys.argv[1:]
+plan = load_plan(plan)
+reports = run_validation(
+    load_instance(instance), load_design(design).design, plan,
+    SimConfig(rng_seed=plan.master_seed, backlog=backlog), int(runs))
+with open(out, "w", encoding="utf-8") as fh:
+    for report in reports:
+        digest = hashlib.sha256()
+        for event in report.events:
+            digest.update(repr(tuple(event)).encode())
+        fh.write(digest.hexdigest() + "\\n")
+"""
+
+
+def _call(tree: str, argv: list[str]) -> None:
+    """Run argv with tree's package first on the path; exit 2 if it fails."""
+    env = {**os.environ, "PYTHONPATH": os.path.join(tree, "src")}
+    child = subprocess.run([sys.executable] + argv, env=env, cwd=tree,
+                           capture_output=True, text=True)
+    if child.returncode != 0:
+        print(f"{' '.join(argv)} failed in {tree}:\n{child.stderr}",
+              file=sys.stderr)
+        raise SystemExit(2)
+
+
+def write_outputs(tree: str, out: str, runs: list[list[str]], pinned: list[str],
+                  network_seeds: tuple[int, ...]) -> None:
+    """Run every command in tree, each writing under its own part of out."""
+    cli = ["-m", "chainforge.cli"]
+    qatar = os.path.join(tree, "src", "chainforge", "data", "qatar_beef.json")
+    for flags in runs:
+        name = "run" + "".join(flags).replace("--", "_")
+        _call(tree, cli + ["run", qatar, "--out", os.path.join(out, name)]
+              + pinned + flags)
+    for seed in network_seeds:
+        base = os.path.join(out, f"network{seed}")
+        os.makedirs(base)
+        instance, plan = (os.path.join(base, name)
+                          for name in ("network.json", "plan.json"))
+        design = os.path.join(base, "design.json")
+        _call(tree, [os.path.join("bench", "gen_network.py"), "--seed",
+                     str(seed), "--instance", instance, "--plan", plan])
+        _call(tree, cli + ["gfa", instance, "--out", base, "--seed", str(seed)])
+        for backlog in ("wait", "drop"):
+            where = os.path.join(base, backlog)
+            _call(tree, cli + ["validate", instance, "--design", design,
+                               "--solution", plan, "--out", where,
+                               "--runs", str(REPLAY_RUNS),
+                               "--backlog", backlog])
+            _call(tree, ["-c", _EVENTS, instance, design, plan, backlog,
+                         str(REPLAY_RUNS), os.path.join(where, "events.sha256")])
+
+
+def digests(directory: str) -> dict[str, str]:
+    """sha256 of every file under directory but manifest.json, by its
+    path relative to directory."""
+    found = {}
+    for parent, _, names in os.walk(directory):
+        for name in names:
+            if name != "manifest.json":
+                path = os.path.join(parent, name)
+                with open(path, "rb") as fh:
+                    digest = hashlib.sha256(fh.read()).hexdigest()
+                found[os.path.relpath(path, directory)] = digest
+    return found
+
+
+def compare(tree_a: str, tree_b: str, work: str,
+            runs: list[list[str]] = RUNS, pinned: list[str] = PINNED,
+            network_seeds: tuple[int, ...] = NETWORK_SEEDS) -> list[str]:
+    """The outputs, relative to each tree's output directory under work,
+    that differ between the two source trees or exist in only one."""
+    outs = [os.path.join(os.path.abspath(work), side) for side in ("a", "b")]
+    for tree, out in zip((tree_a, tree_b), outs):
+        write_outputs(tree, out, runs, pinned, network_seeds)
+    a, b = map(digests, outs)
+    return sorted(name for name in a.keys() | b.keys()
+                  if a.get(name) != b.get(name))
+
+
+def export(rev: str, directory: str) -> None:
+    """The files of rev, as committed, in directory."""
+    archive = os.path.join(directory, "rev.tar")
+    with open(archive, "wb") as fh:
+        if subprocess.run(["git", "-C", ROOT, "archive", rev],
+                          stdout=fh).returncode != 0:
+            raise SystemExit(2)
+    tree = os.path.join(directory, "rev")
+    with tarfile.open(archive) as tar:
+        tar.extractall(tree)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as work:
+        export(argv[0], work)
+        differ = compare(os.path.join(work, "rev"), ROOT, work)
+    for name in differ:
+        print(name)
+    print(f"{len(differ)} files differ" if differ else "same outputs")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -52,13 +52,16 @@ def default_scales(instance: NetworkInstance,
       capacity, an upper bound on any region's accessible nutrition.
     """
     afford = max(affordability(r) for r in instance.regions)
-    effort = dict(zip((c.id for c in instance.customers()),
-                      link_effort(instance, design)))
+    # Summed DC by DC in dcs() order, each DC's customers in customers()
+    # order, so the sum does not depend on the design's key order.
+    efforts: dict[str, list[float]] = {dc.id: [] for dc in instance.dcs()}
+    for customer, effort in zip(instance.customers(),
+                                link_effort(instance, design)):
+        efforts[design.customer_dc[customer.id]].append(effort)
     transport = 0.0
-    for region in instance.regions:
-        for dc in region.dcs:
-            for customer_id in design.customers_of(dc.id):
-                transport += effort[customer_id] * dc.capacity
+    for dc in instance.dcs():
+        for effort in efforts[dc.id]:
+            transport += effort * dc.capacity
     total_capacity = sum(dc.capacity for dc in instance.dcs())
     quality = sum(n.weight * n.per_kg_content for n in instance.nutrients) * total_capacity
     if afford <= 0.0:

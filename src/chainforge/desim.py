@@ -30,7 +30,6 @@ records.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 from typing import Iterator, NamedTuple, Sequence
@@ -39,9 +38,9 @@ import numpy as np
 
 from .errors import ConfigError
 from .model import NetworkDesign, NetworkInstance, design_mismatches
-from .pareto import csv_cells
-from .stochastic import (OperationalPlan, linked_retention, replication_seed,
-                         sample_scenario)
+from .pareto import csv_cells, write_csv
+from .stochastic import (OperationalPlan, linkage, linked_retention,
+                         replication_seed, sample_scenario)
 
 _BACKLOG_MODES = ("wait", "drop")
 
@@ -223,37 +222,38 @@ def simulate(instance: NetworkInstance, design: NetworkDesign,
              config: SimConfig = SimConfig()) -> SimReport:
     """Run one simulation of the plan over the instance horizon.
 
-    Orders are taken by (time, customer id).  Event order per period
-    boundary: book holding cost on the closing stock, serve waiting
-    orders, review and dispatch replenishments, then receive them and
-    serve waiting orders again.  Customer orders in between are served
-    immediately when stock covers them, otherwise queued or dropped;
-    each order event is followed by its ship, wait or drop event.
+    DCs and customers go in instance order (instance.dcs() and
+    instance.customers()), linked by stochastic.linkage as the planner
+    links them; the log's dc column and the report's per-DC dicts follow
+    that order.  Orders are taken by time, and orders at equal times in
+    customer order.  Event order per period boundary: book holding cost
+    on the closing stock, serve waiting orders, review and dispatch
+    replenishments, then receive them and serve waiting orders again.
+    Customer orders in between are served immediately when stock covers
+    them, otherwise queued or dropped; each order event is followed by
+    its ship, wait or drop event.
     """
     horizon = int(instance.horizon)
     problems = design_mismatches(instance, design)
     if problems:
         raise ConfigError("design does not fit the instance: "
                           + "; ".join(problems))
-    dcs = list(instance.dcs())
-    # dcs() positions in id order; the log's dc column indexes dc_ids.
-    ranked = sorted(range(len(dcs)), key=lambda j: dcs[j].id)
-    dc_ids = tuple(dcs[j].id for j in ranked)
+    dcs = instance.dcs()
+    dc_ids = tuple(dc.id for dc in dcs)
     if set(plan.initial_inventory) != set(dc_ids):
         raise ConfigError("plan inventories do not match the design's DCs")
     if not 0.0 <= plan.safety_stock <= 1.0:
         raise ConfigError(
             f"plan safety stock {plan.safety_stock} outside [0, 1]")
 
-    capacity = [dcs[j].capacity for j in ranked]
+    capacity = [dc.capacity for dc in dcs]
     reorder_point = [plan.safety_stock * cap for cap in capacity]
-    holding = [dcs[j].inventory_unit_cost for j in ranked]
-    warehouse_of = {w.id: w for w in instance.warehouses}
-    order_unit_cost = [warehouse_of[design.dc_warehouse[h]].order_cost(h)
-                       for h in dc_ids]
-    members = [[j for j, h in enumerate(dc_ids)
-                if design.dc_warehouse[h] == warehouse.id]
-               for warehouse in instance.warehouses]
+    holding = [dc.inventory_unit_cost for dc in dcs]
+    supplier, serving = linkage(instance, design)
+    order_unit_cost = [instance.warehouses[w].order_cost(h)
+                       for w, h in zip(supplier.tolist(), dc_ids)]
+    members = [np.flatnonzero(supplier == w).tolist()
+               for w in range(len(instance.warehouses))]
 
     stock = [float(plan.initial_inventory[h]) for h in dc_ids]
     for h, level, cap in zip(dc_ids, stock, capacity):
@@ -265,30 +265,24 @@ def simulate(instance: NetworkInstance, design: NetworkDesign,
 
     scenario = sample_scenario(
         instance, replication_seed(config.rng_seed, config.run_index))
-    retention = linked_retention(instance, design, scenario)[ranked].tolist()
+    retention = linked_retention(instance, design, scenario).tolist()
     times_rng = np.random.default_rng(
         replication_seed(config.rng_seed, config.run_index, stream="events"))
     offsets = times_rng.uniform(size=scenario.demand.shape)
 
     # One order per customer and period, customer-major, then taken by
-    # (time, customer id); the sort is stable, so equal keys keep draw
-    # order.
+    # time; the sort is stable, so equal times keep draw order.
     customers = instance.customers()
     customer_ids = tuple(c.id for c in customers)
-    rank = {c: r for r, c in enumerate(sorted(customer_ids))}
-    dc_index = {h: j for j, h in enumerate(dc_ids)}
     region_index = {r.id: i for i, r in enumerate(instance.regions)}
-    customer_dc = np.array([dc_index[design.customer_dc[c]]
-                            for c in customer_ids], dtype=np.int32)
     customer_region = np.array([region_index[c.region_id] for c in customers],
                                dtype=np.int32)
     customer = np.repeat(np.arange(len(customers), dtype=np.int32), horizon)
     time = (np.arange(horizon) + offsets).ravel()
-    order = np.lexsort((np.array([rank[c] for c in customer_ids])[customer],
-                        time))
+    order = np.argsort(time, kind="stable")
     time, customer = time[order], customer[order]
     quantity = scenario.demand.ravel()[order]
-    dc = customer_dc[customer]
+    dc = serving.astype(np.int32)[customer]
     # Block k holds the orders between boundaries k and k + 1: boundary b
     # goes before every order whose time is at least b.
     block = np.minimum(time.astype(np.int64), horizon)
@@ -459,10 +453,6 @@ def write_validation_csv(path: str, instance: NetworkInstance,
     else:
         ses = np.zeros(table.shape[1])
 
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, rep in enumerate(reports):
-            writer.writerow([str(i)] + csv_cells(numbers(rep)))
-        writer.writerow(["mean"] + csv_cells(means))
-        writer.writerow(["se"] + csv_cells(ses))
+    write_csv(path, header,
+              [[str(i)] + csv_cells(numbers(rep)) for i, rep in enumerate(reports)]
+              + [["mean"] + csv_cells(means), ["se"] + csv_cells(ses)])

@@ -117,17 +117,6 @@ class RegionPlacement:
     converged: bool
 
 
-def _nearest_slot(point: tuple[float, float],
-                  locations: Sequence[tuple[float, float]]) -> int:
-    best = 0
-    best_d = euclidean_distance(point, locations[0])
-    for k in range(1, len(locations)):
-        d = euclidean_distance(point, locations[k])
-        if d < best_d:
-            best, best_d = k, d
-    return best
-
-
 def locate_region(region: Region, k: int, config: GfaConfig,
                   rng: np.random.Generator,
                   initial: Sequence[tuple[float, float]] | None = None) -> RegionPlacement:
@@ -160,7 +149,9 @@ def locate_region(region: Region, k: int, config: GfaConfig,
             chosen = rng.choice(n, size=k, replace=False)
             locations = [points[int(i)] for i in chosen]
 
-        assignment = [_nearest_slot(p, locations) for p in points]
+        # Each customer's nearest center; min keeps the first of a tie.
+        assignment = [min(range(k), key=lambda s: euclidean_distance(
+            p, locations[s])) for p in points]
         iterations = 0
         converged = False
         for iterations in range(1, _MAX_ITERATIONS + 1):
@@ -184,7 +175,8 @@ def locate_region(region: Region, k: int, config: GfaConfig,
             moved = max(euclidean_distance(a, b)
                         for a, b in zip(locations, new_locations))
             locations = new_locations
-            new_assignment = [_nearest_slot(p, locations) for p in points]
+            new_assignment = [min(range(k), key=lambda s: euclidean_distance(
+                p, locations[s])) for p in points]
             if new_assignment == assignment and moved <= _TOLERANCE:
                 converged = True
                 break

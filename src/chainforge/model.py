@@ -182,9 +182,6 @@ class NetworkDesign:
     customer_dc: dict[str, str]
     distances: dict[str, dict[str, float]]
 
-    def customers_of(self, dc_id: str) -> list[str]:
-        return [c for c, h in self.customer_dc.items() if h == dc_id]
-
 
 def id_mismatches(kind: str, expected: Iterable[str],
                   found: Iterable[str]) -> list[str]:

@@ -126,6 +126,16 @@ def csv_cells(values: Iterable[float]) -> list[str]:
     return [format(v, ".9g") for v in values]
 
 
+def write_csv(path: str, header: Sequence[str],
+              rows: Iterable[Sequence[str]]) -> None:
+    """A header line and rows of cells; every CSV the package writes
+    goes through here."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _row(s: EstimateResult) -> list[str]:
     """The CSV_COLUMNS cells of one solution."""
     return csv_cells((s.epsilon, s.z1, s.z1_se, s.z2, s.z2_se,
@@ -133,10 +143,7 @@ def _row(s: EstimateResult) -> list[str]:
 
 
 def write_solutions_csv(path: str, solutions: Sequence[EstimateResult]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows(_row(s) for s in solutions)
+    write_csv(path, CSV_COLUMNS, map(_row, solutions))
 
 
 def read_solutions_csv(path: str) -> list[EstimateResult]:
@@ -165,11 +172,8 @@ def read_solutions_csv(path: str) -> list[EstimateResult]:
 def write_front_csv(path: str, solutions: Sequence[EstimateResult]) -> None:
     """All solutions with a 0/1 front-membership column appended."""
     front = set(map(id, extract_front(solutions)))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS + ("on_front",))
-        writer.writerows(_row(s) + ["1" if id(s) in front else "0"]
-                         for s in solutions)
+    write_csv(path, CSV_COLUMNS + ("on_front",),
+              (_row(s) + ["1" if id(s) in front else "0"] for s in solutions))
 
 
 _SVG_WIDTH = 640
@@ -190,9 +194,12 @@ def _ticks(low: float, high: float, target: int = 5) -> list[float]:
         if raw <= step:
             break
     first = math.ceil(low / step) * step
+    # The count is fixed first: below half an ulp of t, t += step stops
+    # moving t.
+    count = max(0, math.floor((high - first) / step + 1e-9) + 1)
     ticks = []
     t = first
-    while t <= high + 1e-9 * step:
+    for _ in range(count):
         ticks.append(0.0 if abs(t) < 1e-12 * step else t)
         t += step
     return ticks

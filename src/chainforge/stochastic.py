@@ -137,11 +137,12 @@ def sample_scenario(instance: NetworkInstance, seed: int) -> Scenario:
     return Scenario(demand=np.maximum(0.0, demand), retention=retention)
 
 
-def _linkage(instance: NetworkInstance, design: NetworkDesign,
-            ) -> tuple[np.ndarray, np.ndarray]:
+def linkage(instance: NetworkInstance,
+            design: NetworkDesign) -> tuple[np.ndarray, np.ndarray]:
     """The design's two linkages as index vectors: for each DC in dcs()
     order, its warehouse's position in instance.warehouses; for each
-    customer in customers() order, its DC's position in dcs()."""
+    customer in customers() order, its DC's position in dcs().  The
+    planner and the simulator both index the design's links by these."""
     warehouse = {w.id: i for i, w in enumerate(instance.warehouses)}
     dc = {h.id: j for j, h in enumerate(instance.dcs())}
     return (np.array([warehouse[design.dc_warehouse[h]] for h in dc], dtype=int),
@@ -152,7 +153,7 @@ def _linkage(instance: NetworkInstance, design: NetworkDesign,
 def linked_retention(instance: NetworkInstance, design: NetworkDesign,
                      scenario: Scenario) -> np.ndarray:
     """Each DC's linked-lane retention, [dc, period] in dcs() order."""
-    supplier, _ = _linkage(instance, design)
+    supplier, _ = linkage(instance, design)
     return scenario.retention[supplier, np.arange(len(supplier))]
 
 
@@ -239,7 +240,7 @@ class PeriodTemplate:
                                       for nt in instance.nutrients]
                                      for r in instance.regions])
 
-        supplier, self.serving = _linkage(instance, design)
+        supplier, self.serving = linkage(instance, design)
         linked = [instance.warehouses[i] for i in supplier]
         self.order_cost = np.array([w.order_cost(dc.id)
                                     for w, dc in zip(linked, dcs)])
@@ -699,7 +700,7 @@ def audit_replication(instance: NetworkInstance, design: NetworkDesign,
     violations, one per failing entry; empty means the replication is
     consistent.
     """
-    supplier, serving = _linkage(instance, design)
+    supplier, serving = linkage(instance, design)
     dcs, regions, warehouses = instance.dcs(), instance.regions, instance.warehouses
     dc_region = np.repeat(np.arange(len(regions)), [len(r.dcs) for r in regions])
     content = np.array([nt.per_kg_content for nt in instance.nutrients])

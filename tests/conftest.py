@@ -205,9 +205,9 @@ def reference_simulate(instance, design, plan, config):
         for p, (amount, u) in enumerate(zip(amounts, within)):
             orders.append(_Order(p + u, customer.id, dc_id,
                                  customer.region_id, amount))
-    orders.sort(key=lambda o: (o.time, o.customer))
+    orders.sort(key=lambda o: o.time)
 
-    stock = {h: float(plan.initial_inventory[h]) for h in sorted(capacity)}
+    stock = {h: float(plan.initial_inventory[h]) for h in capacity}
     initial = dict(stock)
     waiting = {h: deque() for h in stock}
     events = []

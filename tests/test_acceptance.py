@@ -475,7 +475,8 @@ def test_criterion_8_indices_bounded_and_affordability_exact():
             inventory = float(rng.uniform(0.0, capacity))
             shipments = [0.0] * len(region.customers)
             for dc in region.dcs:
-                for customer_id in design.customers_of(dc.id):
+                for customer_id in [c for c, h in design.customer_dc.items()
+                                    if h == dc.id]:
                     if rng.random() < 0.3:
                         shipments[position[region.id][customer_id]] = float(
                             rng.uniform(0.0, dc.capacity))

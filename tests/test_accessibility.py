@@ -1,5 +1,7 @@
 """Accessibility index components and normalization."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,16 @@ def test_default_scales(tiny, tiny_design):
     weighted_content = 2.0 * 0.2 + 1.0 * 0.004
     assert scales.quality == pytest.approx(weighted_content * total_capacity)
     assert scales.transportation > 0.0
+
+
+def test_default_scales_ignore_the_design_key_order(qatar, qatar_design):
+    # A design read back from design.json has its keys sorted.  Summed
+    # in reversed key order, Qatar's transport scale moves in its last
+    # digit, so this pins the instance-order sum.
+    reordered = replace(qatar_design, customer_dc=dict(
+        reversed(list(qatar_design.customer_dc.items()))))
+    assert (default_scales(qatar, reordered)
+            == default_scales(qatar, qatar_design))
 
 
 def test_resolve_scales_prefers_file_values(qatar, qatar_design):

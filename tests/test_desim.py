@@ -9,10 +9,12 @@ import pytest
 from chainforge.desim import (SimConfig, SimReport, run_validation,
                               service_level, simulate, write_validation_csv)
 from chainforge.errors import ConfigError
+from chainforge.gfa import assign_linkages
+from chainforge.model import instance_from_dict
 from chainforge.stochastic import (OperationalPlan, default_initial_inventory,
                                    replication_seed, sample_scenario)
 
-from conftest import reference_simulate
+from conftest import reference_simulate, tiny_dict
 
 
 def make_plan(instance, safety_stock=None, inventory=None):
@@ -259,3 +261,25 @@ def test_starved_replay_equals_the_scalar_reference(tiny, tiny_design,
         config = SimConfig(rng_seed=seed, backlog=backlog)
         assert_same_replay(simulate(tiny, tiny_design, plan, config),
                            reference_simulate(tiny, tiny_design, plan, config))
+
+
+@pytest.mark.parametrize("backlog", ["wait", "drop"])
+def test_replay_runs_in_instance_order(backlog):
+    # With D1 renamed D9 the instance order (D9, D2, D3) is not id
+    # order.  Boundaries serve, review and refill the DCs in instance
+    # order, as the planner indexes them.
+    data = tiny_dict()
+    data["regions"][0]["dcs"][0]["id"] = "D9"
+    instance = instance_from_dict(data)
+    design = assign_linkages(instance,
+                             {dc.id: dc.location for dc in instance.dcs()})
+    for safety_stock in (0.0, 0.4, 0.9):
+        plan = make_plan(instance, safety_stock=safety_stock)
+        for seed, run_index in [(0, 0), (5, 1)]:
+            config = SimConfig(rng_seed=seed, run_index=run_index,
+                               backlog=backlog)
+            report = simulate(instance, design, plan, config)
+            assert report.events.dc_ids == ("D9", "D2", "D3")
+            assert list(report.dc_final) == ["D9", "D2", "D3"]
+            assert_same_replay(
+                report, reference_simulate(instance, design, plan, config))

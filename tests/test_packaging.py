@@ -41,6 +41,16 @@ def test_modules_import_numpy_only():
     assert report["third_party"] == ["chainforge", "numpy"]
 
 
+def test_model_loads_without_numpy():
+    # Loading an instance needs only chainforge.model; keeping numpy out
+    # of it keeps that process's start-up short.
+    probe = "import sys, chainforge.model; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": SRC}
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
 def test_declared_runtime_dependencies_are_numpy_only():
     tomllib = pytest.importorskip("tomllib")
     with open(PYPROJECT, "rb") as fh:

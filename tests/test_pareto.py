@@ -1,6 +1,7 @@
 """Front extraction, the epsilon grid, CSV formats, and the sweep."""
 
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -197,6 +198,25 @@ def test_front_svg_single_solution(tmp_path):
     text = path.read_text()
     assert "circle" in text
     assert "stroke-dasharray" not in text  # no polyline for one point
+
+
+def test_front_svg_returns_when_the_tick_step_is_below_an_ulp(tmp_path):
+    # Z2 spans one ulp of 1e6, so the Z2 tick step is below half an ulp
+    # of the ticks and adding it leaves them where they are.  The ticks
+    # are counted before they are accumulated, so rendering returns; a
+    # one-second timer turns a hang into a failure.
+    def hang(signum, frame):
+        raise TimeoutError("render_front_svg did not return")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        render_front_svg(str(tmp_path / "ulp.svg"),
+                         [make(0.1, 1, 1e6), make(0.2, 2, np.nextafter(1e6, 2e6))])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert (tmp_path / "ulp.svg").read_text().endswith("</svg>\n")
 
 
 # ---------------------------------------------------------------- sweep
