@@ -24,15 +24,18 @@ queue by the same prefix rule.  With backlog "drop", a loop over
 floats ships or drops each order.  Stock levels, costs and volumes are
 added up in event order, so they are the floats a one-event-at-a-time
 loop gets.  The event log is an EventLog of six columns (time, kind
-code, period, DC, customer, quantity); iterating it gives SimEvent
-records.
+code, period, DC, customer, quantity), 29 bytes an event; iterating it
+gives SimEvent records.  Each event is written once, straight into its
+slot of the preallocated columns.  run_validation simulates each run
+when it is read, so a validation that reduces each report to its row
+holds one log at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -190,31 +193,79 @@ def _running_sum(values: np.ndarray) -> float:
     return float(np.add.accumulate(np.concatenate(([0.0], values)))[-1])
 
 
-def _merge(pairs: tuple[np.ndarray, ...], runs: list[tuple[int, ...]],
+def _merge(orders: tuple[np.ndarray, ...], runs: list[tuple[int, ...]],
            pool: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, ...]:
-    """The log's six columns: the order/outcome pair events, with each
-    run of other events laid in after its `at` pair events.
+    """The log's six columns: an order/outcome pair of events per order,
+    with each run of other events laid in after its `at` pair events.
 
-    A run (at, time, kind, period, dc, first, size) is size events whose
+    orders holds the orders' six columns in time order, with each
+    order's outcome as its kind; its order event gets kind order.  A run
+    (at, time, kind, period, dc, first, size) is size events whose
     customers and quantities are pool[0] and pool[1] [first:first + size].
-    Runs come in log order, so their `at` never decreases.
+    Runs come in log order, so their `at` never decreases.  Each event
+    is written once, straight into its slot: order i's pair goes to 2i
+    plus the events laid in before it.
     """
     at, time, kind, period, dc, first, size = np.array(
         runs, dtype=np.int64).reshape(-1, 7).T
     count = int(size.sum())
-    source = np.arange(count) + np.repeat(first - np.cumsum(size) + size, size)
-    slot = np.repeat(at, size) + np.arange(count)
-    paired = np.ones(len(pairs[0]) + count, dtype=bool)
-    paired[slot] = False
-    laid_in = [np.repeat(value, size) for value in (time, kind, period, dc)]
-    laid_in += [column[source] for column in pool]
+    before = np.cumsum(size) - size
+    run = np.repeat(np.arange(len(size)), size)
+    slot = at[run] + np.arange(count)
+    source = first[run] + np.arange(count) - before[run]
+    pair = 2 * np.arange(len(orders[0]))
+    pair += np.append(before, count)[np.searchsorted(at, pair, side="right")]
+    laid_in = ([(value, run) for value in (time, kind, period, dc)]
+               + [(column, source) for column in pool])
     columns = []
-    for pair, run in zip(pairs, laid_in):
-        column = np.empty(len(paired), dtype=pair.dtype)
-        column[paired] = pair
-        column[slot] = run
-        columns.append(column)
+    for column, (values, where) in zip(orders, laid_in):
+        log = np.empty(2 * len(pair) + count, dtype=column.dtype)
+        log[pair] = column
+        log[pair + 1] = column
+        log[slot] = values[where]
+        columns.append(log)
+    columns[1][pair] = _ORDER
     return tuple(columns)
+
+
+def _orders(instance: NetworkInstance, design: NetworkDesign,
+            serving: np.ndarray, dcs: int, config: SimConfig
+            ) -> tuple[list[list[float]], tuple[np.ndarray, ...],
+                       tuple[np.ndarray, ...]]:
+    """One run's draws as the replay reads them: each DC's retention by
+    period, the orders taken by time, and the same orders grouped by DC.
+
+    There is one order per customer and period, customer-major, then
+    taken by time; the sort is stable, so equal times keep draw order.
+    The orders are (time, period, DC, customer, quantity) arrays.
+    Grouped position p is order by_dc[p], in time order within each DC,
+    and DC j's orders of block k are grouped positions cut[j][k] to
+    cut[j][k + 1]; the grouped (by_dc, cut, customer, quantity) are
+    returned.  The scenario, the arrival offsets and the sort index are
+    freed on return.
+    """
+    horizon = int(instance.horizon)
+    scenario = sample_scenario(
+        instance, replication_seed(config.rng_seed, config.run_index))
+    retention = linked_retention(instance, design, scenario).tolist()
+    times_rng = np.random.default_rng(
+        replication_seed(config.rng_seed, config.run_index, stream="events"))
+    offsets = times_rng.uniform(size=scenario.demand.shape)
+    customer = np.repeat(np.arange(len(serving), dtype=np.int32), horizon)
+    time = (np.arange(horizon) + offsets).ravel()
+    order = np.argsort(time, kind="stable")
+    time, customer = time[order], customer[order]
+    quantity = scenario.demand.ravel()[order]
+    dc = serving.astype(np.int32)[customer]
+    block = np.minimum(time.astype(np.int64), horizon)
+    period = np.minimum(block, horizon - 1).astype(np.int32)
+    by_dc = np.argsort(dc, kind="stable")
+    blocks = horizon + 1
+    cut = np.searchsorted(dc[by_dc].astype(np.int64) * blocks + block[by_dc],
+                          np.arange(dcs)[:, None] * blocks
+                          + np.arange(blocks + 1)).tolist()
+    return (retention, (time, period, dc, customer, quantity),
+            (by_dc, cut, customer[by_dc], quantity[by_dc]))
 
 
 def simulate(instance: NetworkInstance, design: NetworkDesign,
@@ -263,43 +314,20 @@ def simulate(instance: NetworkInstance, design: NetworkDesign,
                 f"[0, {cap:.6g}]")
     initial = dict(zip(dc_ids, stock))
 
-    scenario = sample_scenario(
-        instance, replication_seed(config.rng_seed, config.run_index))
-    retention = linked_retention(instance, design, scenario).tolist()
-    times_rng = np.random.default_rng(
-        replication_seed(config.rng_seed, config.run_index, stream="events"))
-    offsets = times_rng.uniform(size=scenario.demand.shape)
-
-    # One order per customer and period, customer-major, then taken by
-    # time; the sort is stable, so equal times keep draw order.
+    retention, (time, period, dc, customer, quantity), (
+        by_dc, cut, dc_customer, dc_quantity) = _orders(
+            instance, design, serving, len(dc_ids), config)
     customers = instance.customers()
     customer_ids = tuple(c.id for c in customers)
     region_index = {r.id: i for i, r in enumerate(instance.regions)}
     customer_region = np.array([region_index[c.region_id] for c in customers],
                                dtype=np.int32)
-    customer = np.repeat(np.arange(len(customers), dtype=np.int32), horizon)
-    time = (np.arange(horizon) + offsets).ravel()
-    order = np.argsort(time, kind="stable")
-    time, customer = time[order], customer[order]
-    quantity = scenario.demand.ravel()[order]
-    dc = serving.astype(np.int32)[customer]
     # Block k holds the orders between boundaries k and k + 1: boundary b
     # goes before every order whose time is at least b.
-    block = np.minimum(time.astype(np.int64), horizon)
-    period = np.minimum(block, horizon - 1).astype(np.int32)
-    bounds = np.searchsorted(block, np.arange(horizon + 2)).tolist()
-
-    # The same orders grouped by DC, in time order within each DC:
-    # grouped position p is order by_dc[p], DC j's orders of block k are
-    # grouped positions cut[j][k] to cut[j][k + 1], and its queue runs
-    # from head[j] to the end of the blocks served so far.
-    by_dc = np.argsort(dc, kind="stable")
-    dc_quantity = quantity[by_dc]
-    dc_customer = customer[by_dc]
+    bounds = np.searchsorted(time, np.arange(horizon + 2)).tolist()
     blocks = horizon + 1
-    cut = np.searchsorted(dc[by_dc].astype(np.int64) * blocks + block[by_dc],
-                          np.arange(len(dc_ids))[:, None] * blocks
-                          + np.arange(blocks + 1)).tolist()
+    # DC j's queue runs from grouped position head[j] to the end of the
+    # blocks served so far.
     head = [row[0] for row in cut]
     wait = config.backlog == "wait"
     outcome = np.full(len(time), _WAIT if wait else _DROP, dtype=np.int8)
@@ -314,7 +342,7 @@ def simulate(instance: NetworkInstance, design: NetworkDesign,
 
     def refill(kind: int, b: int, j: int, qty: float) -> None:
         runs.append((2 * bounds[b], b, kind, b, j,
-                     len(by_dc) + len(refills), 1))
+                     len(time) + len(refills), 1))
         refills.append(qty)
 
     def drain(j: int, b: int) -> None:
@@ -379,14 +407,12 @@ def simulate(instance: NetworkInstance, design: NetworkDesign,
                 runs.append((2 * len(time), horizon, _EXPIRE, horizon - 1, j,
                              first, end - first))
 
-    kinds = np.empty(2 * len(time), dtype=np.int8)
-    kinds[0::2] = _ORDER
-    kinds[1::2] = outcome
-    pairs = (np.repeat(time, 2), kinds, np.repeat(period, 2),
-             np.repeat(dc, 2), np.repeat(customer, 2), np.repeat(quantity, 2))
+    del by_dc    # the replay's alone: not kept while the log is built
     pool = (np.concatenate((dc_customer, np.full(len(refills), -1, np.int32))),
             np.concatenate((dc_quantity, refills)))
-    events = EventLog(_merge(pairs, runs, pool), dc_ids, customer_ids)
+    events = EventLog(
+        _merge((time, outcome, period, dc, customer, quantity), runs, pool),
+        dc_ids, customer_ids)
 
     # Volumes and unmet costs, each summed in event order.
     region = customer_region[customer]
@@ -424,17 +450,28 @@ def simulate(instance: NetworkInstance, design: NetworkDesign,
 
 def run_validation(instance: NetworkInstance, design: NetworkDesign,
                    plan: OperationalPlan, config: SimConfig,
-                   runs: int) -> list[SimReport]:
-    """Simulate the plan `runs` times with run indices 0..runs-1."""
+                   runs: int) -> Iterator[SimReport]:
+    """Simulate the plan `runs` times with run indices 0..runs-1.
+
+    The runs come lazily: each is simulated when the iterator reaches
+    it, so a reader that drops each report before taking the next holds
+    one run at a time.  Wrap the result in list() to read it twice.
+    runs < 1 raises ConfigError here, at the call.
+    """
     if runs < 1:
         raise ConfigError("need at least one simulation run")
-    return [simulate(instance, design, plan, replace(config, run_index=r))
-            for r in range(runs)]
+    return (simulate(instance, design, plan, replace(config, run_index=r))
+            for r in range(runs))
 
 
 def write_validation_csv(path: str, instance: NetworkInstance,
-                         reports: Sequence[SimReport]) -> None:
-    """Per-run costs and service levels, with mean and SE summary rows."""
+                         reports: Iterable[SimReport]) -> None:
+    """Per-run costs and service levels, with mean and SE summary rows.
+
+    Each report is reduced to its row before the next one is read, so
+    with run_validation's iterator one run is simulated and held at a
+    time.
+    """
     regions = [r.id for r in instance.regions]
     header = (["run", "inventory_cost", "unfulfilled_cost", "order_cost",
                "total_cost"]
@@ -446,13 +483,16 @@ def write_validation_csv(path: str, instance: NetworkInstance,
                 + [report.service_levels[r] for r in regions]
                 + [report.service_level])
 
-    table = np.array([numbers(rep) for rep in reports])
+    # map, not a comprehension: its loop variable would keep run r - 1
+    # alive while run r is simulated.
+    rows = list(map(numbers, reports))
+    table = np.array(rows)
     means = table.mean(axis=0)
-    if len(reports) > 1:
-        ses = table.std(axis=0, ddof=1) / math.sqrt(len(reports))
+    if len(rows) > 1:
+        ses = table.std(axis=0, ddof=1) / math.sqrt(len(rows))
     else:
         ses = np.zeros(table.shape[1])
 
     write_csv(path, header,
-              [[str(i)] + csv_cells(numbers(rep)) for i, rep in enumerate(reports)]
+              [[str(i)] + csv_cells(row) for i, row in enumerate(rows)]
               + [["mean"] + csv_cells(means), ["se"] + csv_cells(ses)])

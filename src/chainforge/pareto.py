@@ -205,6 +205,15 @@ def _ticks(low: float, high: float, target: int = 5) -> list[float]:
     return ticks
 
 
+def _axis_range(low: float, high: float) -> tuple[float, float]:
+    """low and high, widened by 1 each way when the range is too narrow
+    for distinct ticks: a tick step of a fifth of it would fall within
+    a few ulps of the values."""
+    if high - low <= 16 * math.ulp(max(abs(low), abs(high))):
+        return low - 1.0, high + 1.0
+    return low, high
+
+
 def _tick_label(value: float) -> str:
     return format(value, ".6g")
 
@@ -223,12 +232,8 @@ def render_front_svg(path: str, solutions: Sequence[EstimateResult]) -> None:
 
     z2s = [s.z2 for s in solutions]
     z1s = [s.z1 for s in solutions]
-    x_lo, x_hi = min(z2s), max(z2s)
-    y_lo, y_hi = min(z1s), max(z1s)
-    if x_hi <= x_lo:
-        x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
-    if y_hi <= y_lo:
-        y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
+    x_lo, x_hi = _axis_range(min(z2s), max(z2s))
+    y_lo, y_hi = _axis_range(min(z1s), max(z1s))
     x_pad = 0.05 * (x_hi - x_lo)
     y_pad = 0.05 * (y_hi - y_lo)
     x_lo, x_hi = x_lo - x_pad, x_hi + x_pad

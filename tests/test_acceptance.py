@@ -420,9 +420,9 @@ def test_criterion_7_simulation_validates_a_front_solution():
             unfulfilled_cost=target.unfulfilled_cost,
             order_cost=target.order_cost, master_seed=config.master_seed,
             replications=config.replications)
-        reports = run_validation(
+        reports = list(run_validation(
             instance, design, plan,
-            SimConfig(rng_seed=config.master_seed), runs=30)
+            SimConfig(rng_seed=config.master_seed), runs=30))
         unmet = np.array([r.unfulfilled_cost for r in reports])
         se = float(np.std(unmet, ddof=1) / np.sqrt(len(unmet)))
         assert unmet.mean() >= target.unfulfilled_cost - 2.0 * se, \

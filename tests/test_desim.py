@@ -1,12 +1,14 @@
 """Discrete-event replay: policies, conservation, and the validation file."""
 
 import math
+import weakref
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from chainforge.desim import (SimConfig, SimReport, run_validation,
+from chainforge import desim
+from chainforge.desim import (KINDS, SimConfig, SimReport, run_validation,
                               service_level, simulate, write_validation_csv)
 from chainforge.errors import ConfigError
 from chainforge.gfa import assign_linkages
@@ -207,8 +209,8 @@ def test_run_index_changes_the_draws(tiny, tiny_design):
 
 def test_run_validation_and_csv(tiny, tiny_design, tmp_path):
     plan = make_plan(tiny)
-    reports = run_validation(tiny, tiny_design, plan,
-                             SimConfig(rng_seed=14), runs=5)
+    reports = list(run_validation(tiny, tiny_design, plan,
+                                  SimConfig(rng_seed=14), runs=5))
     assert len(reports) == 5
     path = str(tmp_path / "validation.csv")
     write_validation_csv(path, tiny, reports)
@@ -224,6 +226,71 @@ def test_run_validation_needs_runs(tiny, tiny_design):
     plan = make_plan(tiny)
     with pytest.raises(ConfigError):
         run_validation(tiny, tiny_design, plan, SimConfig(), runs=0)
+
+
+@pytest.mark.parametrize("backlog", ["wait", "drop"])
+def test_validation_holds_one_run_at_a_time(tiny, tiny_design, tmp_path,
+                                            monkeypatch, backlog):
+    # Each run is simulated when write_validation_csv reads it and is
+    # reduced to its row before the next starts: when run r starts, no
+    # earlier report or event log is still alive.
+    plan = make_plan(tiny)
+    config = SimConfig(rng_seed=14, backlog=backlog)
+    real = desim.simulate
+    earlier = []
+    alive_at_start = []
+
+    def simulate_and_watch(*args):
+        alive_at_start.append(sum(ref() is not None for ref in earlier))
+        report = real(*args)
+        earlier.extend((weakref.ref(report), weakref.ref(report.events)))
+        return report
+
+    monkeypatch.setattr(desim, "simulate", simulate_and_watch)
+    lazy, listed = tmp_path / "lazy.csv", tmp_path / "listed.csv"
+    write_validation_csv(str(lazy), tiny,
+                         run_validation(tiny, tiny_design, plan, config, 4))
+    assert alive_at_start == [0, 0, 0, 0]
+    write_validation_csv(str(listed), tiny, list(
+        run_validation(tiny, tiny_design, plan, config, 4)))
+    assert lazy.read_bytes() == listed.read_bytes()
+
+
+def test_merge_writes_each_event_into_its_slot():
+    # Three orders; a refill laid in before the first pair (at 0), a
+    # two-event ship run between the second and third pairs (at 4) and
+    # an expiry run after the last pair (at 2n = 6).
+    order, ship, wait, receive, expire = map(
+        KINDS.index, ("order", "ship", "wait", "receive", "expire"))
+    orders = (np.array([0.25, 0.5, 1.75]),
+              np.array([ship, wait, ship], dtype=np.int8),
+              np.array([0, 0, 1], dtype=np.int32),
+              np.array([0, 1, 0], dtype=np.int32),
+              np.array([0, 1, 2], dtype=np.int32),
+              np.array([1.0, 2.0, 3.0]))
+    pool = (np.array([10, 11, 12, 13, -1], dtype=np.int32),
+            np.array([1.5, 2.5, 3.5, 4.5, 9.0]))
+    runs = [(0, 0, receive, 0, 1, 4, 1),
+            (4, 1, ship, 1, 1, 0, 2),
+            (6, 2, expire, 1, 1, 2, 2)]
+    time, kind, period, dc, customer, quantity = desim._merge(
+        orders, runs, pool)
+    assert time.tolist() == [0, 0.25, 0.25, 0.5, 0.5, 1, 1, 1.75, 1.75, 2, 2]
+    assert kind.tolist() == [receive, order, ship, order, wait, ship, ship,
+                             order, ship, expire, expire]
+    assert period.tolist() == [0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1]
+    assert dc.tolist() == [1, 0, 0, 1, 1, 1, 1, 0, 0, 1, 1]
+    assert customer.tolist() == [-1, 0, 0, 1, 1, 10, 11, 2, 2, 12, 13]
+    assert quantity.tolist() == [9.0, 1.0, 1.0, 2.0, 2.0, 1.5, 2.5, 3.0, 3.0,
+                                 3.5, 4.5]
+
+
+def test_event_log_is_29_bytes_per_event(tiny, tiny_design):
+    report = simulate(tiny, tiny_design, make_plan(tiny), SimConfig())
+    columns = report.events.columns
+    assert [c.dtype for c in columns] == [np.float64, np.int8, np.int32,
+                                          np.int32, np.int32, np.float64]
+    assert sum(c.itemsize for c in columns) == 29
 
 
 def assert_same_replay(report, oracle):

@@ -1,6 +1,7 @@
 """Front extraction, the epsilon grid, CSV formats, and the sweep."""
 
 import math
+import re
 import signal
 
 import numpy as np
@@ -217,6 +218,18 @@ def test_front_svg_returns_when_the_tick_step_is_below_an_ulp(tmp_path):
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
     assert (tmp_path / "ulp.svg").read_text().endswith("</svg>\n")
+
+
+def test_front_svg_ticks_are_distinct_below_an_ulp(tmp_path):
+    # A Z2 range one ulp wide is widened like an empty one, so the x
+    # ticks stand at distinct positions.
+    path = tmp_path / "ulp.svg"
+    render_front_svg(str(path),
+                     [make(0.1, 1, 1e6), make(0.2, 2, np.nextafter(1e6, 2e6))])
+    xs = re.findall(r'<line x1="([^"]+)" y1="424" x2="\1" y2="429"',
+                    path.read_text())
+    assert len(xs) > 1
+    assert len(set(xs)) == len(xs)
 
 
 # ---------------------------------------------------------------- sweep
