@@ -15,14 +15,16 @@ working tree, each with its own ``src`` on PYTHONPATH:
 
 Every file written, except manifest.json (which holds wall-clock
 times), is compared by sha256.  Each file that differs, or that only
-one tree wrote, is printed; the exit status is 1 if there is any, 0
-if there is none, and 2 if a command fails.  Exporting REV reads the
-repository but writes nothing under .git.
+one tree wrote, is printed; a JSON file that both wrote is printed
+with the top-level keys whose values differ.  The exit status is 1 if
+any file is printed, 0 if none is, and 2 if a command fails.
+Exporting REV reads the repository but writes nothing under .git.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -113,17 +115,36 @@ def digests(directory: str) -> dict[str, str]:
     return found
 
 
+def differing_keys(path_a: str, path_b: str) -> list[str]:
+    """The top-level keys of two JSON objects whose values differ or that
+    only one holds."""
+    with open(path_a, "rb") as fa, open(path_b, "rb") as fb:
+        a, b = json.load(fa), json.load(fb)
+    absent = object()
+    return sorted(key for key in a.keys() | b.keys()
+                  if a.get(key, absent) != b.get(key, absent))
+
+
 def compare(tree_a: str, tree_b: str, work: str,
             runs: list[list[str]] = RUNS, pinned: list[str] = PINNED,
             network_seeds: tuple[int, ...] = NETWORK_SEEDS) -> list[str]:
     """The outputs, relative to each tree's output directory under work,
-    that differ between the two source trees or exist in only one."""
+    that differ between the two source trees or exist in only one.  A
+    JSON file both wrote is followed by its differing top-level keys, as
+    "name: keys k1, k2"."""
     outs = [os.path.join(os.path.abspath(work), side) for side in ("a", "b")]
     for tree, out in zip((tree_a, tree_b), outs):
         write_outputs(tree, out, runs, pinned, network_seeds)
     a, b = map(digests, outs)
-    return sorted(name for name in a.keys() | b.keys()
-                  if a.get(name) != b.get(name))
+    differ = []
+    for name in sorted(a.keys() | b.keys()):
+        if a.get(name) == b.get(name):
+            continue
+        if name.endswith(".json") and name in a and name in b:
+            keys = differing_keys(*(os.path.join(out, name) for out in outs))
+            name += ": keys " + (", ".join(keys) or "(none)")
+        differ.append(name)
+    return differ
 
 
 def export(rev: str, directory: str) -> None:

@@ -87,6 +87,9 @@ class SimEvent(NamedTuple):
 
 KINDS = ("order", "ship", "wait", "drop", "receive", "dispatch", "expire")
 _ORDER, _SHIP, _WAIT, _DROP, _RECEIVE, _DISPATCH, _EXPIRE = range(len(KINDS))
+# Events an EventLog converts to Python values at a time when it is
+# read, so a reader holds one chunk's values, not the whole log's.
+_READ_CHUNK = 4096
 
 
 class EventLog:
@@ -116,10 +119,12 @@ class EventLog:
 
     def __iter__(self) -> Iterator[SimEvent]:
         customers = self.customer_ids + (None,)    # -1 reads as None
-        for time, kind, period, dc, customer, quantity in zip(
-                *(column.tolist() for column in self.columns)):
-            yield SimEvent(time, KINDS[kind], period, self.dc_ids[dc],
-                           customers[customer], quantity)
+        for start in range(0, len(self), _READ_CHUNK):
+            for time, kind, period, dc, customer, quantity in zip(
+                    *(column[start:start + _READ_CHUNK].tolist()
+                      for column in self.columns)):
+                yield SimEvent(time, KINDS[kind], period, self.dc_ids[dc],
+                               customers[customer], quantity)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EventLog):

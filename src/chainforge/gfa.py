@@ -7,7 +7,8 @@ with per-cluster Weiszfeld refinement, restarted from random customer
 subsets to escape poor local partitions.  Warehouses then link to their
 nearest DC choices: every DC gets the nearest warehouse that prices it
 and every customer its nearest DC within the region, keeping the
-single-channel structure.
+single-channel structure.  The design keeps one distance per customer,
+that of its link, which is all the transportation term reads.
 """
 
 from __future__ import annotations
@@ -208,24 +209,27 @@ def assign_linkages(instance: NetworkInstance,
 
     Every DC links to the nearest warehouse that prices it (the instance
     parser ensures one does) and every customer to the nearest DC inside
-    its own region; distance ties break on the lower id.
+    its own region; distance ties break on the lower id.  A customer is
+    measured only against its own region's DCs, and only its link's
+    distance is kept: distances[dc] holds the DC's customers, and is
+    empty for a DC that serves none.
     """
     dc_warehouse: dict[str, str] = {}
     customer_dc: dict[str, str] = {}
     distances: dict[str, dict[str, float]] = {}
-    all_customers = instance.customers()
     for dc in instance.dcs():
         loc = dc_locations[dc.id]
         dc_warehouse[dc.id] = min(
             (w for w in instance.warehouses if w.prices(dc.id)),
             key=lambda w: (euclidean_distance(loc, w.location), w.id)).id
-        distances[dc.id] = {
-            c.id: euclidean_distance(loc, c.location) for c in all_customers}
+        distances[dc.id] = {}
     for region in instance.regions:
         for customer in region.customers:
-            customer_dc[customer.id] = min(
-                region.dcs,
-                key=lambda dc: (distances[dc.id][customer.id], dc.id)).id
+            km, dc_id = min((euclidean_distance(dc_locations[dc.id],
+                                                customer.location), dc.id)
+                            for dc in region.dcs)
+            customer_dc[customer.id] = dc_id
+            distances[dc_id][customer.id] = km
     return NetworkDesign(
         dc_locations={dc.id: tuple(dc_locations[dc.id]) for dc in instance.dcs()},
         dc_warehouse=dc_warehouse, customer_dc=customer_dc, distances=distances)
@@ -306,7 +310,8 @@ def load_design(path: str) -> GfaResult:
     writes: [x, y] locations, id strings, finite numbers, nonnegative
     distances, integer iteration counts and a true or false converged
     flag.  Per-DC demand totals that older versions wrote, under
-    mean_local_demand, are ignored.
+    mean_local_demand, are ignored; a full DC-by-customer distance
+    matrix, which they also wrote, loads as it is.
     """
     data = read_json(path)
     try:

@@ -174,7 +174,10 @@ class NetworkDesign:
     dc_warehouse maps each DC to its sole supplying warehouse (the z
     linkage) and customer_dc maps each customer to its sole DC (the y
     linkage), so the exactly-one structure holds by construction.
-    distances carries the full DC-by-customer matrix in kilometres.
+    distances[dc][customer] is each link's length in kilometres, one
+    entry per customer under its DC; every DC has a row, empty when it
+    serves no customer.  A file may hold more entries (older versions
+    wrote the full DC-by-customer matrix); only the links' are read.
     """
 
     dc_locations: dict[str, tuple[float, float]]

@@ -214,8 +214,13 @@ def _axis_range(low: float, high: float) -> tuple[float, float]:
     return low, high
 
 
-def _tick_label(value: float) -> str:
-    return format(value, ".6g")
+def _tick_labels(ticks: list[float]) -> list[str]:
+    """The ticks' labels, with the fewest significant digits, 6 or more,
+    that tell distinct ticks apart; 17 tell any two floats apart."""
+    digits = 6
+    while len({format(t, f".{digits}g") for t in ticks}) < len(set(ticks)):
+        digits += 1
+    return [format(t, f".{digits}g") for t in ticks]
 
 
 def render_front_svg(path: str, solutions: Sequence[EstimateResult]) -> None:
@@ -265,20 +270,22 @@ def render_front_svg(path: str, solutions: Sequence[EstimateResult]) -> None:
                  f'stroke="black"/>')
     parts.append(f'<line x1="{_MARGIN_LEFT}" y1="{_MARGIN_TOP}" '
                  f'x2="{_MARGIN_LEFT}" y2="{axis_y}" stroke="black"/>')
-    for t in _ticks(x_lo, x_hi):
+    x_ticks = _ticks(x_lo, x_hi)
+    for t, label in zip(x_ticks, _tick_labels(x_ticks)):
         x = px(t)
         parts.append(f'<line x1="{x:.2f}" y1="{axis_y}" x2="{x:.2f}" '
                      f'y2="{axis_y + 5}" stroke="black"/>')
         parts.append(f'<text x="{x:.2f}" y="{axis_y + 20}" '
                      f'text-anchor="middle" font-family="sans-serif" '
-                     f'font-size="11">{_tick_label(t)}</text>')
-    for t in _ticks(y_lo, y_hi):
+                     f'font-size="11">{label}</text>')
+    y_ticks = _ticks(y_lo, y_hi)
+    for t, label in zip(y_ticks, _tick_labels(y_ticks)):
         y = py(t)
         parts.append(f'<line x1="{_MARGIN_LEFT - 5}" y1="{y:.2f}" '
                      f'x2="{_MARGIN_LEFT}" y2="{y:.2f}" stroke="black"/>')
         parts.append(f'<text x="{_MARGIN_LEFT - 8}" y="{y + 4:.2f}" '
                      f'text-anchor="end" font-family="sans-serif" '
-                     f'font-size="11">{_tick_label(t)}</text>')
+                     f'font-size="11">{label}</text>')
     parts.append(
         f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" '
         f'y="{_SVG_HEIGHT - 16}" text-anchor="middle" '

@@ -14,6 +14,9 @@ import pytest
 
 import chainforge
 from chainforge.cli import _build_parser, _sweep_config, main
+from chainforge.gfa import load_design
+from chainforge.model import (design_mismatches, euclidean_distance,
+                              instance_from_dict)
 from chainforge.stochastic import StochasticConfig
 from conftest import QATAR_PATH, branching_tiny_dict, tiny_dict
 
@@ -449,6 +452,43 @@ def test_design_for_another_instance_exits_2(tiny_file, tmp_path, capsys):
         assert run_cli(*argv, "--out", str(out)) == 2, argv
         assert "lanes without an order cost: D3 to W2" in capsys.readouterr().err
         assert not (out / "solutions.csv").exists()
+
+
+def test_full_matrix_design_runs_like_links_only(tiny_file, tmp_path):
+    # Older versions of gfa wrote every DC's distance to every customer,
+    # across regions too.  Such a file still loads and fits, and the
+    # stages read only its links' entries.
+    tiny = instance_from_dict(tiny_dict())
+    links_only = _design(tiny_file, tmp_path)
+    data = json.loads(pathlib.Path(links_only).read_text())
+    full = {dc: {c.id: euclidean_distance(tuple(loc), c.location)
+                 for c in tiny.customers()}
+            for dc, loc in data["dc_locations"].items()}
+    # gfa writes one distance per customer, the full matrix's own value.
+    assert sum(map(len, data["distances"].values())) == len(data["y"])
+    for dc, row in data["distances"].items():
+        assert row.items() <= full[dc].items()
+    data["distances"] = full
+    full_matrix = tmp_path / "full" / "design.json"
+    full_matrix.parent.mkdir()
+    full_matrix.write_text(json.dumps(data))
+    assert design_mismatches(
+        tiny, load_design(str(full_matrix)).design) == []
+    for design in (links_only, str(full_matrix)):
+        out = os.path.dirname(design)
+        assert run_cli("optimize", tiny_file, "--out", out, "--design", design,
+                       "--seed", "4", "--replications", "2",
+                       "--epsilon-grid", "0.01:1:3") == 0
+        assert run_cli("validate", tiny_file, "--out", out, "--design", design,
+                       "--solution", os.path.join(out, "plans", "plan_001.json"),
+                       "--runs", "3") == 0
+    names = ["solutions.csv", "validation.csv"] + [
+        os.path.join("plans", name) for name in
+        sorted(os.listdir(os.path.join(os.path.dirname(links_only), "plans")))]
+    for name in names:
+        a = (pathlib.Path(links_only).parent / name).read_bytes()
+        b = (full_matrix.parent / name).read_bytes()
+        assert a == b, name
 
 
 def test_run_links_dcs_to_warehouses_that_price_them(tmp_path):

@@ -1,6 +1,10 @@
 """Discrete-event replay: policies, conservation, and the validation file."""
 
+import importlib.util
+import itertools
 import math
+import os
+import tracemalloc
 import weakref
 from dataclasses import fields
 
@@ -17,6 +21,8 @@ from chainforge.stochastic import (OperationalPlan, default_initial_inventory,
                                    replication_seed, sample_scenario)
 
 from conftest import reference_simulate, tiny_dict
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def make_plan(instance, safety_stock=None, inventory=None):
@@ -291,6 +297,42 @@ def test_event_log_is_29_bytes_per_event(tiny, tiny_design):
     assert [c.dtype for c in columns] == [np.float64, np.int8, np.int32,
                                           np.int32, np.int32, np.float64]
     assert sum(c.itemsize for c in columns) == 29
+
+
+@pytest.fixture(scope="module")
+def generated_network():
+    """The replay-large benchmark's seed-1 network, at its declared DC
+    sites, and a plan that opens every DC at its safety level."""
+    spec = importlib.util.spec_from_file_location(
+        "gen_network", os.path.join(ROOT, "bench", "gen_network.py"))
+    gen_network = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen_network)
+    instance = instance_from_dict(gen_network.generate(1))
+    design = assign_linkages(instance,
+                             {dc.id: dc.location for dc in instance.dcs()})
+    return instance, design, make_plan(instance)
+
+
+@pytest.mark.parametrize("backlog", ["wait", "drop"])
+def test_event_log_is_read_a_chunk_at_a_time(generated_network, backlog):
+    report = simulate(*generated_network, SimConfig(rng_seed=1,
+                                                    backlog=backlog))
+    log = report.events
+    assert len(log) > 80_000
+    tracemalloc.start()
+    try:
+        waits = sum(event.kind == "wait" for event in log)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert waits == np.count_nonzero(log.kind == KINDS.index("wait"))
+    assert peak < sum(column.nbytes for column in log.columns)
+    # The events are those of one tolist() over each whole column.
+    customers = log.customer_ids + (None,)
+    whole = (desim.SimEvent(t, KINDS[k], p, log.dc_ids[d], customers[c], q)
+             for t, k, p, d, c, q in zip(*(column.tolist()
+                                          for column in log.columns)))
+    assert all(a == b for a, b in itertools.zip_longest(log, whole))
 
 
 def assert_same_replay(report, oracle):

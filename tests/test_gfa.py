@@ -11,7 +11,7 @@ from chainforge.errors import (InfeasibleConfigError, ParseError,
 from chainforge.gfa import (GfaConfig, assign_linkages, load_design,
                             locate_region, overloaded_warehouses, run_gfa,
                             save_design, weiszfeld_single)
-from chainforge.model import instance_from_dict
+from chainforge.model import euclidean_distance, instance_from_dict
 from conftest import tiny_dict
 
 
@@ -128,11 +128,22 @@ def test_assign_linkages_tie_breaks_on_lower_id():
     assert design.dc_warehouse["D3"] == "W1"
 
 
-def test_assign_linkages_distance_matrix(tiny, tiny_design):
+def test_assign_linkages_keeps_one_distance_per_link(
+        tiny, tiny_design, qatar, qatar_design):
     assert tiny_design.distances["D1"]["C1"] == pytest.approx(2.0 ** 0.5)
     assert tiny_design.distances["D2"]["C3"] == pytest.approx(2.0 ** 0.5)
-    # The matrix is complete, even across regions.
-    assert tiny_design.distances["D1"]["C4"] == pytest.approx(30.0)
+    for instance, design in ((tiny, tiny_design), (qatar, qatar_design)):
+        # Every DC has a row, and each customer one entry, under its DC.
+        assert list(design.distances) == [dc.id for dc in instance.dcs()]
+        entries = [(h, c) for h, row in design.distances.items() for c in row]
+        assert sorted(entries) == sorted(
+            (h, c) for c, h in design.customer_dc.items())
+        region = {dc.id: dc.region_id for dc in instance.dcs()}
+        for customer in instance.customers():
+            dc = design.customer_dc[customer.id]
+            assert region[dc] == customer.region_id    # none across regions
+            assert design.distances[dc][customer.id] == euclidean_distance(
+                design.dc_locations[dc], customer.location)
 
 
 def test_run_gfa_converges_and_covers_all_dcs(tiny):

@@ -232,6 +232,19 @@ def test_front_svg_ticks_are_distinct_below_an_ulp(tmp_path):
     assert len(set(xs)) == len(xs)
 
 
+def test_front_svg_tick_labels_tell_the_ticks_apart(tmp_path):
+    # Z2 from 1,000,000 to 1,000,002 has ticks half a unit apart, which
+    # six significant digits would all label 1e+06.
+    path = tmp_path / "narrow.svg"
+    render_front_svg(str(path), [make(0.1, 1, 1_000_000.0),
+                                 make(0.2, 2, 1_000_002.0)])
+    labels = re.findall(r'<text x="[^"]+" y="444" text-anchor="middle" '
+                        r'font-family="sans-serif" font-size="11">([^<]+)<',
+                        path.read_text())
+    assert labels == ["1000000", "1000000.5", "1000001", "1000001.5",
+                      "1000002"]
+
+
 # ---------------------------------------------------------------- sweep
 
 def test_sweep_runs_grid_in_order(tiny, tiny_design):

@@ -34,3 +34,15 @@ def test_compare_finds_only_what_a_tree_changes(tmp_path):
     assert same_outputs.compare(ROOT, str(copy), str(tmp_path / "changed"),
                                 **REDUCED) == [
         f"{run}/front.csv", f"{run}/solutions.csv", f"{run}/validation.csv"]
+
+    # Two keys of the design file change; a JSON file is listed with the
+    # top-level keys that differ.
+    pareto.write_text(text)
+    gfa = copy / "src" / "chainforge" / "gfa.py"
+    gfa.write_text(gfa.read_text().replace(
+        '"iterations_used": result.iterations_used,', '"iterations_used": {},'
+    ).replace('"converged": result.converged,',
+              '"converged": not result.converged,'))
+    assert same_outputs.compare(ROOT, str(copy), str(tmp_path / "design"),
+                                **REDUCED) == [
+        f"{run}/design.json: keys converged, iterations_used"]
