@@ -16,15 +16,19 @@ working tree, each with its own ``src`` on PYTHONPATH:
 Every file written, except manifest.json (which holds wall-clock
 times), is compared by sha256.  Each file that differs, or that only
 one tree wrote, is printed; a JSON file that both wrote is printed
-with the top-level keys whose values differ.  The exit status is 1 if
-any file is printed, 0 if none is, and 2 if a command fails.
+with the top-level keys whose values differ, and a CSV file that both
+wrote with the largest relative change in each numeric column and the
+row where it occurs.  The exit status is 1 if any file is printed, 0
+if none is, and 2 if a command fails.
 Exporting REV reads the repository but writes nothing under .git.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -125,13 +129,46 @@ def differing_keys(path_a: str, path_b: str) -> list[str]:
                   if a.get(key, absent) != b.get(key, absent))
 
 
+def _relative_change(x: float, y: float) -> float:
+    """|y - x| / |x|: 0 when the two are equal or both NaN, inf from 0."""
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    return abs(y - x) / abs(x) if x else math.inf
+
+
+def csv_changes(path_a: str, path_b: str) -> str:
+    """The largest relative change from CSV file a to CSV file b in each
+    numeric column, as "change c1 1e-09 at row 3, c2 inf at row 1".
+
+    Rows count from 1 after the header.  A column is numeric when every
+    cell of it in both files reads as a float; a change from 0 is inf.
+    Only columns that change are named."""
+    with open(path_a, newline="") as fa, open(path_b, newline="") as fb:
+        a, b = list(csv.reader(fa)), list(csv.reader(fb))
+    if a[:1] != b[:1] or len(a) != len(b):
+        return "header or row count differs"
+    changes = []
+    for k, column in enumerate(a[0]):
+        try:
+            pairs = [(float(ra[k]), float(rb[k]))
+                     for ra, rb in zip(a[1:], b[1:])]
+        except (ValueError, IndexError):
+            continue
+        relative = [_relative_change(x, y) for x, y in pairs]
+        largest = max(relative, default=0.0)
+        if largest > 0.0:
+            changes.append(f"{column} {largest:.3g} at row "
+                           f"{relative.index(largest) + 1}")
+    return "change " + (", ".join(changes) or "(none in numeric columns)")
+
+
 def compare(tree_a: str, tree_b: str, work: str,
             runs: list[list[str]] = RUNS, pinned: list[str] = PINNED,
             network_seeds: tuple[int, ...] = NETWORK_SEEDS) -> list[str]:
     """The outputs, relative to each tree's output directory under work,
     that differ between the two source trees or exist in only one.  A
     JSON file both wrote is followed by its differing top-level keys, as
-    "name: keys k1, k2"."""
+    "name: keys k1, k2", and a CSV file both wrote by csv_changes."""
     outs = [os.path.join(os.path.abspath(work), side) for side in ("a", "b")]
     for tree, out in zip((tree_a, tree_b), outs):
         write_outputs(tree, out, runs, pinned, network_seeds)
@@ -143,6 +180,9 @@ def compare(tree_a: str, tree_b: str, work: str,
         if name.endswith(".json") and name in a and name in b:
             keys = differing_keys(*(os.path.join(out, name) for out in outs))
             name += ": keys " + (", ".join(keys) or "(none)")
+        elif name.endswith(".csv") and name in a and name in b:
+            name += ": " + csv_changes(*(os.path.join(out, name)
+                                         for out in outs))
         differ.append(name)
     return differ
 

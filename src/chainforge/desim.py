@@ -26,9 +26,15 @@ added up in event order, so they are the floats a one-event-at-a-time
 loop gets.  The event log is an EventLog of six columns (time, kind
 code, period, DC, customer, quantity), 29 bytes an event; iterating it
 gives SimEvent records.  Each event is written once, straight into its
-slot of the preallocated columns.  run_validation simulates each run
-when it is read, so a validation that reduces each report to its row
-holds one log at a time.
+slot of the preallocated columns.  The merge that lays the log out
+takes over the order columns, the runs of other events and the pool of
+customers and quantities those runs read, and releases each input as
+soon as the log column it feeds is written; its slots and sources are
+32-bit integers.  So while the log is laid out a replay holds the log,
+the inputs not yet consumed and a few 4-byte index arrays, and once it
+returns, only the log.  run_validation simulates each run when it is
+read, so a validation that reduces each report to its row holds one
+log at a time.
 """
 
 from __future__ import annotations
@@ -198,8 +204,8 @@ def _running_sum(values: np.ndarray) -> float:
     return float(np.add.accumulate(np.concatenate(([0.0], values)))[-1])
 
 
-def _merge(orders: tuple[np.ndarray, ...], runs: list[tuple[int, ...]],
-           pool: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, ...]:
+def _merge(orders: list[np.ndarray | None], runs: list[tuple[int, ...]],
+           pool: list[np.ndarray | None]) -> tuple[np.ndarray, ...]:
     """The log's six columns: an order/outcome pair of events per order,
     with each run of other events laid in after its `at` pair events.
 
@@ -210,27 +216,56 @@ def _merge(orders: tuple[np.ndarray, ...], runs: list[tuple[int, ...]],
     Runs come in log order, so their `at` never decreases.  Each event
     is written once, straight into its slot: order i's pair goes to 2i
     plus the events laid in before it.
+
+    The merge owns its inputs: it empties runs once it has read them and
+    sets each entry of orders and pool to None once the log column it
+    feeds is written, customer and quantity first, so a caller that
+    keeps no other reference to them holds only the log when the merge
+    returns.  Slots and sources are counted in 32-bit integers unless
+    the log is too long for them.
     """
+    placed = len(orders[0])
+    count = sum(run[-1] for run in runs)
+    length = 2 * placed + count
+    index = np.int32 if length <= np.iinfo(np.int32).max else np.int64
     at, time, kind, period, dc, first, size = np.array(
-        runs, dtype=np.int64).reshape(-1, 7).T
-    count = int(size.sum())
-    before = np.cumsum(size) - size
-    run = np.repeat(np.arange(len(size)), size)
-    slot = at[run] + np.arange(count)
-    source = first[run] + np.arange(count) - before[run]
-    pair = 2 * np.arange(len(orders[0]))
-    pair += np.append(before, count)[np.searchsorted(at, pair, side="right")]
-    laid_in = ([(value, run) for value in (time, kind, period, dc)]
-               + [(column, source) for column in pool])
-    columns = []
-    for column, (values, where) in zip(orders, laid_in):
-        log = np.empty(2 * len(pair) + count, dtype=column.dtype)
-        log[pair] = column
-        log[pair + 1] = column
-        log[slot] = values[where]
-        columns.append(log)
-    columns[1][pair] = _ORDER
-    return tuple(columns)
+        runs, dtype=index).reshape(-1, 7).T
+    runs.clear()
+    # Run event e goes to slot at + e and comes from pool position
+    # first + e - before, where before counts the run events ahead of
+    # its run.
+    before = np.cumsum(size, dtype=index)
+    before -= size
+    slot = np.arange(count, dtype=index)
+    source = slot + np.repeat(first - before, size)
+    slot += np.repeat(at, size)
+    # Pair i goes after the run events whose at is at most 2i.
+    pair = np.zeros(placed + 1, dtype=index)
+    np.add.at(pair, (at + 1) // 2, size)
+    np.cumsum(pair, out=pair)
+    pair = pair[:placed]
+    pair += np.arange(0, 2 * placed, 2, dtype=index)
+    log: list = [None] * 6
+
+    def paired(i: int) -> np.ndarray:
+        """Log column i with order column i in its pairs; the order
+        column is released."""
+        column, orders[i] = orders[i], None
+        out = np.empty(length, dtype=column.dtype)
+        out[pair] = column
+        out[pair + 1] = column
+        return out
+
+    for i, p in ((4, 0), (5, 1)):       # customer and quantity
+        log[i] = paired(i)
+        log[i][slot] = pool[p][source]
+        pool[p] = None
+    del source
+    for i, values in enumerate((time, kind, period, dc)):
+        log[i] = paired(i)
+        log[i][slot] = np.repeat(values, size)
+    log[1][pair] = _ORDER
+    return tuple(log)
 
 
 def _orders(instance: NetworkInstance, design: NetworkDesign,
@@ -335,7 +370,8 @@ def simulate(instance: NetworkInstance, design: NetworkDesign,
     # blocks served so far.
     head = [row[0] for row in cut]
     wait = config.backlog == "wait"
-    outcome = np.full(len(time), _WAIT if wait else _DROP, dtype=np.int8)
+    placed = len(time)
+    outcome = np.full(placed, _WAIT if wait else _DROP, dtype=np.int8)
 
     # Every other event is one of a run of events with one time, kind,
     # period and DC: the (at, time, kind, period, DC, first, size) of a
@@ -347,7 +383,7 @@ def simulate(instance: NetworkInstance, design: NetworkDesign,
 
     def refill(kind: int, b: int, j: int, qty: float) -> None:
         runs.append((2 * bounds[b], b, kind, b, j,
-                     len(time) + len(refills), 1))
+                     placed + len(refills), 1))
         refills.append(qty)
 
     def drain(j: int, b: int) -> None:
@@ -409,18 +445,24 @@ def simulate(instance: NetworkInstance, design: NetworkDesign,
         for j in range(len(dc_ids)):
             first, end = head[j], cut[j][blocks]
             if first < end:
-                runs.append((2 * len(time), horizon, _EXPIRE, horizon - 1, j,
+                runs.append((2 * placed, horizon, _EXPIRE, horizon - 1, j,
                              first, end - first))
 
-    del by_dc    # the replay's alone: not kept while the log is built
-    pool = (np.concatenate((dc_customer, np.full(len(refills), -1, np.int32))),
-            np.concatenate((dc_quantity, refills)))
-    events = EventLog(
-        _merge((time, outcome, period, dc, customer, quantity), runs, pool),
-        dc_ids, customer_ids)
-
-    # Volumes and unmet costs, each summed in event order.
+    # The ordered volumes go first, summed in time order, which is the
+    # order events' order.  Then the merge takes the order columns, the
+    # pool and the runs, and simulate keeps no other reference to them,
+    # so the log is the one large thing left when it returns.
     region = customer_region[customer]
+    region_volume = {r.id: _running_sum(quantity[region == i])
+                     for i, r in enumerate(instance.regions)}
+    pool = [np.concatenate((dc_customer, np.full(len(refills), -1, np.int32))),
+            np.concatenate((dc_quantity, refills))]
+    orders = [time, outcome, period, dc, customer, quantity]
+    del (by_dc, dc_customer, dc_quantity, refills, region, time, outcome,
+         period, dc, customer, quantity)
+    events = EventLog(_merge(orders, runs, pool), dc_ids, customer_ids)
+
+    # Served volumes and unmet costs, each summed in event order.
     shipped = events.kind == _SHIP
     served = events.quantity[shipped]
     served_region = customer_region[events.customer[shipped]]
@@ -428,8 +470,6 @@ def simulate(instance: NetworkInstance, design: NetworkDesign,
     rho = np.array([r.unfulfilled_unit_cost for r in instance.regions])
     unfulfilled_cost = _running_sum(
         rho[customer_region[events.customer[lost]]] * events.quantity[lost])
-    region_volume = {r.id: _running_sum(quantity[region == i])
-                     for i, r in enumerate(instance.regions)}
     region_served = {r.id: _running_sum(served[served_region == i])
                      for i, r in enumerate(instance.regions)}
     levels = {r.id: service_level(region_served[r.id], region_volume[r.id])
@@ -442,7 +482,7 @@ def simulate(instance: NetworkInstance, design: NetworkDesign,
         order_cost=order_cost,
         service_levels=levels,
         service_level=overall,
-        orders_placed=len(time),
+        orders_placed=placed,
         orders_dropped=int(np.count_nonzero(events.kind == _DROP)),
         orders_expired=int(np.count_nonzero(events.kind == _EXPIRE)),
         region_volume=region_volume,

@@ -60,6 +60,12 @@ _FIXED_TOL = 1e-12      # span below which a variable cannot move
 _PRUNE_TOL = 1e-9       # branch-and-bound incumbent margin
 
 
+def _stall_limit(rows: int) -> int:
+    """Pivots without progress after which a simplex pass on a model
+    with this many rows takes Bland's rule, until progress resumes."""
+    return max(rows, 10)
+
+
 class Status(Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
@@ -211,7 +217,7 @@ class _Tableau:
         d = self.d
         m = self.T.shape[0]
         stall = 0
-        bland = False
+        bland = stall > _stall_limit(m)
         while True:
             if self.iterations >= max_iter:
                 raise NumericalError("simplex iteration limit reached")
@@ -255,7 +261,7 @@ class _Tableau:
                 gained = abs(d[j]) * t_best
                 self._pivot(r, j, bool(denom[r] < 0.0))
             stall = 0 if gained > 1e-12 else stall + 1
-            bland = stall > max(m, 10)
+            bland = stall > _stall_limit(m)
 
     def dual(self, max_iter: int) -> bool:
         """Bounded dual simplex from a dual feasible basis to a primal
@@ -268,7 +274,7 @@ class _Tableau:
         """
         m = len(self.basis)
         stall = 0
-        bland = False
+        bland = stall > _stall_limit(m)
         while True:
             x_B = self.basic_values()
             excess = np.maximum(-x_B, x_B - self.U[self.basis])
@@ -302,7 +308,7 @@ class _Tableau:
                 j = int(ties[np.argmax(np.abs(alpha[ties]))])
             self._pivot(r, j, to_ub)
             stall = 0 if t * excess[r] > 1e-12 else stall + 1
-            bland = stall > max(m, 10)
+            bland = stall > _stall_limit(m)
 
     # -- root and warm solves -----------------------------------------------
 

@@ -268,19 +268,23 @@ def test_merge_writes_each_event_into_its_slot():
     # an expiry run after the last pair (at 2n = 6).
     order, ship, wait, receive, expire = map(
         KINDS.index, ("order", "ship", "wait", "receive", "expire"))
-    orders = (np.array([0.25, 0.5, 1.75]),
+    orders = [np.array([0.25, 0.5, 1.75]),
               np.array([ship, wait, ship], dtype=np.int8),
               np.array([0, 0, 1], dtype=np.int32),
               np.array([0, 1, 0], dtype=np.int32),
               np.array([0, 1, 2], dtype=np.int32),
-              np.array([1.0, 2.0, 3.0]))
-    pool = (np.array([10, 11, 12, 13, -1], dtype=np.int32),
-            np.array([1.5, 2.5, 3.5, 4.5, 9.0]))
+              np.array([1.0, 2.0, 3.0])]
+    pool = [np.array([10, 11, 12, 13, -1], dtype=np.int32),
+            np.array([1.5, 2.5, 3.5, 4.5, 9.0])]
     runs = [(0, 0, receive, 0, 1, 4, 1),
             (4, 1, ship, 1, 1, 0, 2),
             (6, 2, expire, 1, 1, 2, 2)]
+    inputs = [weakref.ref(column) for column in orders + pool]
     time, kind, period, dc, customer, quantity = desim._merge(
         orders, runs, pool)
+    # The merge owns its inputs: once it returns, none is left alive.
+    assert orders == [None] * 6 and pool == [None] * 2 and runs == []
+    assert [ref() for ref in inputs] == [None] * 8
     assert time.tolist() == [0, 0.25, 0.25, 0.5, 0.5, 1, 1, 1.75, 1.75, 2, 2]
     assert kind.tolist() == [receive, order, ship, order, wait, ship, ship,
                              order, ship, expire, expire]
@@ -333,6 +337,23 @@ def test_event_log_is_read_a_chunk_at_a_time(generated_network, backlog):
              for t, k, p, d, c, q in zip(*(column.tolist()
                                           for column in log.columns)))
     assert all(a == b for a, b in itertools.zip_longest(log, whole))
+
+
+@pytest.mark.parametrize("backlog", ["wait", "drop"])
+def test_replay_holds_little_beyond_its_log(generated_network, backlog):
+    # The merge takes the order columns, the pool and the runs, and
+    # releases each as the log column it feeds is written, so a replay's
+    # traced peak is its log and under 2 MB more.
+    config = SimConfig(rng_seed=1, backlog=backlog)
+    simulate(*generated_network, config)    # lazy imports and caches
+    tracemalloc.start()
+    try:
+        report = simulate(*generated_network, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    log = sum(column.nbytes for column in report.events.columns)
+    assert peak - log < 2_000_000
 
 
 def assert_same_replay(report, oracle):

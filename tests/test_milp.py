@@ -1,8 +1,10 @@
 """Simplex and branch-and-bound kernel against closed forms, enumeration,
 and scipy."""
 
+import inspect
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -280,23 +282,28 @@ def _random_lp_with_unbounded_gains(rng):
     return _model(rows, rhs, c, lb=lb, ub=ub, relations=relations)
 
 
-def test_random_lps_with_unbounded_gains_match_highs():
+def _assert_lp_matches_highs(model):
+    """solve_milp's status and optimum against scipy's HiGHS linprog."""
     statuses = {0: Status.OPTIMAL, 2: Status.INFEASIBLE, 3: Status.UNBOUNDED}
+    reference = linprog(
+        -model.c, **_linprog_rows(model),
+        bounds=list(zip(model.lb, model.ub)), method="highs",
+        options={"presolve": False})
+    result = solve_milp(model)
+    assert result.status is statuses[reference.status]
+    if result.status is Status.OPTIMAL:
+        assert abs(result.objective + reference.fun) <= FEASIBILITY_TOL * (
+            1.0 + abs(reference.fun))
+    return result
+
+
+def test_random_lps_with_unbounded_gains_match_highs():
     rng = np.random.default_rng(20261018)
     outcomes = []
     iterations = 0
     for _ in range(300):
-        model = _random_lp_with_unbounded_gains(rng)
-        reference = linprog(
-            -model.c, **_linprog_rows(model),
-            bounds=list(zip(model.lb, model.ub)), method="highs",
-            options={"presolve": False})
-        result = solve_milp(model)
+        result = _assert_lp_matches_highs(_random_lp_with_unbounded_gains(rng))
         iterations += result.iterations
-        assert result.status is statuses[reference.status]
-        if result.status is Status.OPTIMAL:
-            assert abs(result.objective + reference.fun) <= FEASIBILITY_TOL * (
-                1.0 + abs(reference.fun))
         outcomes.append(result.status)
     assert outcomes.count(Status.OPTIMAL) >= 100
     assert Status.INFEASIBLE in outcomes
@@ -304,6 +311,73 @@ def test_random_lps_with_unbounded_gains_match_highs():
     # The one test set where the primal ratio test runs: its pivot count
     # pins the pivot rule.
     assert iterations == 1296
+
+
+def _beale():
+    """Beale's cycling example (1955), as a maximization: its optimum
+    1.25 is at x = (1, 0, 1, 0)."""
+    return _model([[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0],
+                   [0.0, 0.0, 1.0, 0.0]], [0.0, 0.0, 1.0],
+                  [0.75, -20.0, 0.5, -6.0])
+
+
+def test_beales_cycling_example():
+    result = solve_milp(_beale())
+    assert result.status is Status.OPTIMAL
+    assert result.objective == pytest.approx(1.25)
+    assert result.values == pytest.approx([1.0, 0.0, 1.0, 0.0])
+
+
+def _bland_steps():
+    """(method, line) of the first statement in each `if bland:` branch
+    of the primal and dual simplex loops."""
+    steps = set()
+    for method in (solver._Tableau.run, solver._Tableau.dual):
+        lines, first = inspect.getsourcelines(method)
+        steps |= {(method.__name__, first + k + 1)
+                  for k, line in enumerate(lines) if line.strip() == "if bland:"}
+    return steps
+
+
+def _lines_run(call):
+    """The (function, line) pairs of the solver module that call() runs."""
+    ran = set()
+
+    def trace(frame, event, arg):
+        if frame.f_code.co_filename != solver.__file__:
+            return None
+        if event == "line":
+            ran.add((frame.f_code.co_name, frame.f_lineno))
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        call()
+    finally:
+        sys.settrace(previous)
+    return ran
+
+
+def test_blands_rule_from_the_first_pivot_matches_highs(monkeypatch):
+    # No solve stalls long enough to take Bland's rule, so a stall limit
+    # of -1 forces it from the first pivot of every primal and dual pass.
+    monkeypatch.setattr(solver, "_stall_limit", lambda rows: -1)
+
+    def solve_all():
+        result = solve_milp(_beale())
+        assert result.status is Status.OPTIMAL
+        assert result.objective == pytest.approx(1.25)
+        rng = np.random.default_rng(20261018)
+        for _ in range(300):
+            _assert_lp_matches_highs(_random_lp_with_unbounded_gains(rng))
+        rng = np.random.default_rng(20240607)
+        for _ in range(100):    # the first half of the 200 at the default
+            _assert_matches_highs(_random_mixed_binary_model(rng))
+
+    steps = _bland_steps()
+    assert len(steps) == 4
+    assert steps <= _lines_run(solve_all)
 
 
 def _sibling(model, rng):
