@@ -104,8 +104,7 @@ class EventLog:
     time and quantity are floats, kind a code into KINDS, period an int,
     dc an index into dc_ids and customer an index into customer_ids (-1
     for an event without one).  Iteration reads it as SimEvent objects
-    with the string ids, built only when read.  Two logs are == when
-    their events are.
+    with the string ids, built only when read.
     """
 
     def __init__(self, columns: tuple[np.ndarray, ...],
@@ -132,21 +131,12 @@ class EventLog:
                 yield SimEvent(time, KINDS[kind], period, self.dc_ids[dc],
                                customers[customer], quantity)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EventLog):
-            return NotImplemented
-        if (self.dc_ids == other.dc_ids
-                and self.customer_ids == other.customer_ids):
-            return all(np.array_equal(a, b)
-                       for a, b in zip(self.columns, other.columns))
-        return list(self) == list(other)
-
-    __hash__ = None  # type: ignore[assignment]
-
 
 @dataclass
 class SimReport:
-    """Costs, service levels, and the full event log of one run.
+    """One run: its three costs, the service level of each region and
+    of the whole network, the counts of orders placed, dropped and
+    expired, and the event log.
 
     events is an EventLog: iterate it for SimEvent objects in event
     order, or read its columns directly.
@@ -160,10 +150,6 @@ class SimReport:
     orders_placed: int
     orders_dropped: int
     orders_expired: int
-    region_volume: dict[str, float]
-    region_served: dict[str, float]
-    dc_initial: dict[str, float]
-    dc_final: dict[str, float]
     events: EventLog = field(repr=False)
 
     @property
@@ -315,9 +301,9 @@ def simulate(instance: NetworkInstance, design: NetworkDesign,
 
     DCs and customers go in instance order (instance.dcs() and
     instance.customers()), linked by stochastic.linkage as the planner
-    links them; the log's dc column and the report's per-DC dicts follow
-    that order.  Orders are taken by time, and orders at equal times in
-    customer order.  Event order per period boundary: book holding cost
+    links them; the log's dc and customer columns index that order.
+    Orders are taken by time, and orders at equal times in customer
+    order.  Event order per period boundary: book holding cost
     on the closing stock, serve waiting orders, review and dispatch
     replenishments, then receive them and serve waiting orders again.
     Customer orders in between are served immediately when stock covers
@@ -352,7 +338,6 @@ def simulate(instance: NetworkInstance, design: NetworkDesign,
             raise ConfigError(
                 f"DC {h}: initial inventory {level:.6g} outside "
                 f"[0, {cap:.6g}]")
-    initial = dict(zip(dc_ids, stock))
 
     retention, (time, period, dc, customer, quantity), (
         by_dc, cut, dc_customer, dc_quantity) = _orders(
@@ -485,10 +470,6 @@ def simulate(instance: NetworkInstance, design: NetworkDesign,
         orders_placed=placed,
         orders_dropped=int(np.count_nonzero(events.kind == _DROP)),
         orders_expired=int(np.count_nonzero(events.kind == _EXPIRE)),
-        region_volume=region_volume,
-        region_served=region_served,
-        dc_initial=initial,
-        dc_final=dict(zip(dc_ids, stock)),
         events=events,
     )
 

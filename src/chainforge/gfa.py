@@ -50,24 +50,17 @@ class GfaConfig:
             raise ConfigError("seed must be at least 0")
 
 
-@dataclass(frozen=True)
-class WeiszfeldResult:
-    location: tuple[float, float]
-    objective: float
-    iterations: int
-    converged: bool
-    objective_trace: tuple[float, ...]
-
-
 def weiszfeld_single(points: Sequence[tuple[float, float]],
                      weights: Sequence[float],
-                     *, initial: tuple[float, float] | None = None) -> WeiszfeldResult:
+                     *, initial: tuple[float, float] | None = None
+                     ) -> tuple[float, float]:
     """Weighted geometric median by Weiszfeld fixed-point iteration.
 
     Starts from the weighted centroid (or ``initial``) and repeats the
-    inverse-distance-weighted update until the step is below _TOLERANCE.
-    The weighted-effort objective is recorded each iteration; the update
-    is a descent step, which the tests assert.
+    inverse-distance-weighted update until the step is below _TOLERANCE
+    or _MAX_ITERATIONS updates are made, and returns the last (x, y).
+    The update is a descent step for the weighted effort, which the
+    tests assert with a copy of this loop that records it.
     """
     if len(points) == 0:
         raise ValidationError("weiszfeld_single needs at least one point")
@@ -89,10 +82,7 @@ def weiszfeld_single(points: Sequence[tuple[float, float]],
     else:
         px, py = float(initial[0]), float(initial[1])
 
-    trace = [float(np.dot(ws, np.hypot(xs - px, ys - py)))]
-    converged = False
-    iterations = 0
-    for iterations in range(1, _MAX_ITERATIONS + 1):
+    for _ in range(_MAX_ITERATIONS):
         dist = np.hypot(xs - px, ys - py)
         safe = np.maximum(dist, _SINGULARITY_EPS)
         pull = ws / safe
@@ -101,13 +91,9 @@ def weiszfeld_single(points: Sequence[tuple[float, float]],
         ny = float(np.dot(pull, ys) / denom)
         step = math.hypot(nx - px, ny - py)
         px, py = nx, ny
-        trace.append(float(np.dot(ws, np.hypot(xs - px, ys - py))))
         if step <= _TOLERANCE:
-            converged = True
             break
-    return WeiszfeldResult(location=(px, py), objective=trace[-1],
-                           iterations=iterations, converged=converged,
-                           objective_trace=tuple(trace))
+    return px, py
 
 
 @dataclass(frozen=True)
@@ -169,10 +155,9 @@ def locate_region(region: Region, k: int, config: GfaConfig,
                     new_locations[slot] = points[far]
                     assignment[far] = slot
                     continue
-                sub = weiszfeld_single(
+                new_locations[slot] = weiszfeld_single(
                     [points[i] for i in members], [weights[i] for i in members],
                     initial=locations[slot])
-                new_locations[slot] = sub.location
             moved = max(euclidean_distance(a, b)
                         for a, b in zip(locations, new_locations))
             locations = new_locations

@@ -1,6 +1,7 @@
 """Shared fixtures: a small hand-checkable network and the packaged one."""
 
 import copy
+import math
 import os
 from collections import deque
 from dataclasses import dataclass
@@ -164,6 +165,77 @@ def reference_z1(instance, design, scales, decision):
     return sum(contributions)
 
 
+def reference_weiszfeld(points, weights, initial=None):
+    """gfa.weiszfeld_single's loop, which records the weighted effort at
+    the start and after every update: (the last iterate, the efforts).
+    It does the same float operations in the same order, so its last
+    iterate is weiszfeld_single's location bit for bit.  It skips the
+    input checks."""
+    from chainforge.gfa import _MAX_ITERATIONS, _SINGULARITY_EPS, _TOLERANCE
+
+    xs = np.array([p[0] for p in points], dtype=float)
+    ys = np.array([p[1] for p in points], dtype=float)
+    ws = np.array(weights, dtype=float)
+    if initial is None:
+        total_weight = float(sum(weights))
+        px = float(np.dot(ws, xs) / total_weight)
+        py = float(np.dot(ws, ys) / total_weight)
+    else:
+        px, py = float(initial[0]), float(initial[1])
+    efforts = [float(np.dot(ws, np.hypot(xs - px, ys - py)))]
+    for _ in range(_MAX_ITERATIONS):
+        pull = ws / np.maximum(np.hypot(xs - px, ys - py), _SINGULARITY_EPS)
+        denom = float(pull.sum())
+        nx = float(np.dot(pull, xs) / denom)
+        ny = float(np.dot(pull, ys) / denom)
+        step = math.hypot(nx - px, ny - py)
+        px, py = nx, ny
+        efforts.append(float(np.dot(ws, np.hypot(xs - px, ys - py))))
+        if step <= _TOLERANCE:
+            break
+    return (px, py), efforts
+
+
+def same_log(a, b):
+    """Whether two EventLogs hold the same events: equal ids and equal
+    columns."""
+    return (a.dc_ids == b.dc_ids and a.customer_ids == b.customer_ids
+            and all(np.array_equal(x, y)
+                    for x, y in zip(a.columns, b.columns)))
+
+
+def replayed_inventory_cost(instance, plan, events):
+    """The holding cost a replay books, re-derived from its event log.
+
+    Replays the events in order from plan.initial_inventory: a receive
+    adds its quantity to its DC's stock and a ship takes it away, and no
+    ship may take more than the DC holds.  At each boundary k = 1 ..
+    horizon, the stock after every event before time k is booked at each
+    DC's holding cost, DCs in instance order, as simulate books it.
+    """
+    dcs = instance.dcs()
+    stock = {dc.id: float(plan.initial_inventory[dc.id]) for dc in dcs}
+    cost = 0.0
+    boundary = 1
+
+    def book_until(time):
+        nonlocal cost, boundary
+        while boundary <= instance.horizon and boundary <= time:
+            for dc in dcs:
+                cost += dc.inventory_unit_cost * stock[dc.id]
+            boundary += 1
+
+    for event in events:
+        book_until(event.time)
+        if event.kind == "receive":
+            stock[event.dc] += event.quantity
+        elif event.kind == "ship":
+            assert stock[event.dc] >= event.quantity, event
+            stock[event.dc] -= event.quantity
+    book_until(math.inf)
+    return cost
+
+
 # A scalar reference for the discrete-event replay: the event loop that
 # desim.simulate replaced, one order object and one SimEvent at a time.
 # It skips simulate's input checks and returns a SimReport whose events
@@ -208,7 +280,6 @@ def reference_simulate(instance, design, plan, config):
     orders.sort(key=lambda o: o.time)
 
     stock = {h: float(plan.initial_inventory[h]) for h in capacity}
-    initial = dict(stock)
     waiting = {h: deque() for h in stock}
     events = []
 
@@ -311,9 +382,5 @@ def reference_simulate(instance, design, plan, config):
         orders_placed=len(orders),
         orders_dropped=dropped,
         orders_expired=expired,
-        region_volume=region_volume,
-        region_served=region_served,
-        dc_initial=initial,
-        dc_final=dict(stock),
         events=events,
     )

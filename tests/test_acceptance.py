@@ -25,7 +25,8 @@ from chainforge.stochastic import (EstimateResult, OperationalPlan,
                                    default_initial_inventory,
                                    replication_seeds, run_replication)
 from chainforge.accessibility import affordability, resolve_scales, snapshot
-from conftest import QATAR_PATH, raw_quality
+from conftest import (QATAR_PATH, raw_quality, reference_weiszfeld,
+                      replayed_inventory_cost)
 
 JOBS = 4
 _shared = {}
@@ -55,18 +56,19 @@ def test_criterion_1_weiszfeld_matches_grid_search():
             n = int(rng.integers(1, 7))
             points = rng.uniform(0.0, 50.0, size=(n, 2))
             weights = rng.uniform(0.5, 10.0, size=n)
-            result = weiszfeld_single([tuple(p) for p in points],
-                                      list(weights))
-            trace = result.objective_trace
+            location = weiszfeld_single([tuple(p) for p in points],
+                                        list(weights))
+            # The test-side loop records the objective at every iterate
+            # and must land on the returned location bit for bit.
+            replayed, trace = reference_weiszfeld(points, weights)
+            assert replayed == location
             assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:])), \
                 "objective must descend every iteration"
             # Recompute the objective at the returned location so the
             # certificate below cannot be satisfied by a misreported value.
-            loc = np.asarray(result.location)
             recomputed = float(
-                (weights * np.hypot(*(points - loc).T)).sum())
-            assert abs(result.objective - recomputed) <= \
-                1e-9 * (1.0 + recomputed)
+                (weights * np.hypot(*(points - np.asarray(location)).T)).sum())
+            assert abs(trace[-1] - recomputed) <= 1e-9 * (1.0 + recomputed)
             # Reference: exhaustive 0.1 km grid over the point cloud (the
             # weighted median lies in the convex hull, so a padded bounding
             # box covers it).
@@ -436,15 +438,12 @@ def test_criterion_7_simulation_validates_a_front_solution():
             assert report.service_levels[densest] <= min(others)
             for level in report.service_levels.values():
                 assert 0.0 <= level <= 1.0
-            # Conservation, exactly: replay the event log in order and
-            # land on the reported closing stock bit for bit.
-            stock = dict(report.dc_initial)
-            for event in report.events:
-                if event.kind == "receive":
-                    stock[event.dc] += event.quantity
-                elif event.kind == "ship":
-                    stock[event.dc] -= event.quantity
-            assert stock == report.dc_final, "conservation broken"
+            # Conservation, exactly: replay the event log in order from
+            # the plan's opening stock, ship nothing a DC does not hold,
+            # and land on the reported holding cost bit for bit.
+            assert replayed_inventory_cost(
+                instance, plan, report.events) == report.inventory_cost, \
+                "conservation broken"
         ok = True
     finally:
         _report(7, "simulation confirms planner pessimism and hotspots", ok)

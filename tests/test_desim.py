@@ -20,7 +20,8 @@ from chainforge.model import instance_from_dict
 from chainforge.stochastic import (OperationalPlan, default_initial_inventory,
                                    replication_seed, sample_scenario)
 
-from conftest import reference_simulate, tiny_dict
+from conftest import (reference_simulate, replayed_inventory_cost, same_log,
+                      tiny_dict)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -71,16 +72,17 @@ def test_initial_stock_capped_by_capacity(tiny, tiny_design):
 
 
 def test_conservation_exact_per_dc(tiny, tiny_design):
-    plan = make_plan(tiny)
-    report = simulate(tiny, tiny_design, plan, SimConfig(rng_seed=5))
-    # Event-ordered replay lands on the closing stock bit for bit.
-    stock = dict(report.dc_initial)
-    for event in report.events:
-        if event.kind == "receive":
-            stock[event.dc] += event.quantity
-        elif event.kind == "ship":
-            stock[event.dc] -= event.quantity
-    assert stock == report.dc_final
+    # Replaying the log from the plan's opening stock ships nothing a DC
+    # does not hold, and the stock at each boundary books the reported
+    # holding cost bit for bit.
+    starved = {"D1": 5.0, "D2": 5.0, "D3": 5.0}
+    for plan in (make_plan(tiny), make_plan(tiny, safety_stock=0.0,
+                                            inventory=starved)):
+        for backlog in ("wait", "drop"):
+            report = simulate(tiny, tiny_design, plan,
+                              SimConfig(rng_seed=5, backlog=backlog))
+            assert replayed_inventory_cost(
+                tiny, plan, report.events) == report.inventory_cost
 
 
 def test_orders_are_all_or_nothing(tiny, tiny_design):
@@ -179,16 +181,32 @@ def test_wait_mode_queues_behind(tiny, tiny_design):
 
 
 def test_service_levels_bounded_and_consistent(tiny, tiny_design):
-    plan = make_plan(tiny)
-    report = simulate(tiny, tiny_design, plan, SimConfig(rng_seed=12))
-    for region_id, level in report.service_levels.items():
-        assert 0.0 <= level <= 1.0
-        assert level == pytest.approx(service_level(
-            report.region_served[region_id], report.region_volume[region_id]))
-    total_served = sum(report.region_served.values())
-    total_volume = sum(report.region_volume.values())
-    assert report.service_level == pytest.approx(
-        service_level(total_served, total_volume))
+    # Each region's ordered and shipped volumes, summed from the log in
+    # event order, give the reported service levels exactly.
+    order, ship = KINDS.index("order"), KINDS.index("ship")
+    regions = [r.id for r in tiny.regions]
+    region_of = {c.id: c.region_id for c in tiny.customers()}
+    starved = {"D1": 5.0, "D2": 5.0, "D3": 5.0}
+    for plan in (make_plan(tiny), make_plan(tiny, safety_stock=0.0,
+                                            inventory=starved)):
+        for backlog in ("wait", "drop"):
+            report = simulate(tiny, tiny_design, plan,
+                              SimConfig(rng_seed=12, backlog=backlog))
+            log = report.events
+            ordered = dict.fromkeys(regions, 0.0)
+            served = dict.fromkeys(regions, 0.0)
+            for kind, customer, quantity in zip(log.kind.tolist(),
+                                                log.customer.tolist(),
+                                                log.quantity.tolist()):
+                if kind in (order, ship):
+                    totals = ordered if kind == order else served
+                    totals[region_of[log.customer_ids[customer]]] += quantity
+            for region_id, level in report.service_levels.items():
+                assert 0.0 <= level <= 1.0
+                assert level == service_level(served[region_id],
+                                              ordered[region_id])
+            assert report.service_level == service_level(
+                sum(served.values()), sum(ordered.values()))
 
 
 def test_total_cost_property(tiny, tiny_design):
@@ -202,7 +220,7 @@ def test_simulation_deterministic(tiny, tiny_design):
     plan = make_plan(tiny)
     a = simulate(tiny, tiny_design, plan, SimConfig(rng_seed=10))
     b = simulate(tiny, tiny_design, plan, SimConfig(rng_seed=10))
-    assert a.events == b.events
+    assert same_log(a.events, b.events)
     assert a.total_cost == b.total_cost
 
 
@@ -210,7 +228,7 @@ def test_run_index_changes_the_draws(tiny, tiny_design):
     plan = make_plan(tiny)
     a = simulate(tiny, tiny_design, plan, SimConfig(rng_seed=10, run_index=0))
     b = simulate(tiny, tiny_design, plan, SimConfig(rng_seed=10, run_index=1))
-    assert a.events != b.events
+    assert not same_log(a.events, b.events)
 
 
 def test_run_validation_and_csv(tiny, tiny_design, tmp_path):
@@ -370,16 +388,20 @@ def assert_same_replay(report, oracle):
 def test_replay_equals_the_scalar_reference(request, network, safety_stock,
                                             backlog):
     # Every report field and every event (time, kind, period, DC,
-    # customer, quantity) equals the one-event-at-a-time loop's.  Qatar's
-    # W1 is asked for more than it holds, so refills get scaled down.
+    # customer, quantity) equals the one-event-at-a-time loop's, and the
+    # log conserves stock.  Qatar's W1 is asked for more than it holds,
+    # so refills get scaled down.
     instance = request.getfixturevalue(network)
     design = request.getfixturevalue(f"{network}_design")
     plan = make_plan(instance, safety_stock=safety_stock)
     for seed, run_index in [(0, 0), (5, 1), (11, 4)]:
         config = SimConfig(rng_seed=seed, run_index=run_index,
                            backlog=backlog)
-        assert_same_replay(simulate(instance, design, plan, config),
+        report = simulate(instance, design, plan, config)
+        assert_same_replay(report,
                            reference_simulate(instance, design, plan, config))
+        assert replayed_inventory_cost(
+            instance, plan, report.events) == report.inventory_cost
 
 
 @pytest.mark.parametrize("backlog", ["wait", "drop"])
@@ -410,6 +432,5 @@ def test_replay_runs_in_instance_order(backlog):
                                backlog=backlog)
             report = simulate(instance, design, plan, config)
             assert report.events.dc_ids == ("D9", "D2", "D3")
-            assert list(report.dc_final) == ["D9", "D2", "D3"]
             assert_same_replay(
                 report, reference_simulate(instance, design, plan, config))

@@ -12,7 +12,7 @@ from chainforge.gfa import (GfaConfig, assign_linkages, load_design,
                             locate_region, overloaded_warehouses, run_gfa,
                             save_design, weiszfeld_single)
 from chainforge.model import euclidean_distance, instance_from_dict
-from conftest import tiny_dict
+from conftest import reference_weiszfeld, tiny_dict
 
 
 def grid_search_effort(points, weights, step=0.1):
@@ -31,11 +31,16 @@ def grid_search_effort(points, weights, step=0.1):
     return best
 
 
+def effort(points, weights, location):
+    """Weighted effort: sum of weight times distance to the location."""
+    return sum(w * math.dist(location, p) for p, w in zip(points, weights))
+
+
 def test_single_point_is_its_own_median():
-    result = weiszfeld_single([(3.0, 4.0)], [2.0])
-    assert result.location == (3.0, 4.0)
-    assert result.objective == 0.0
-    assert result.converged
+    assert weiszfeld_single([(3.0, 4.0)], [2.0]) == (3.0, 4.0)
+    location, efforts = reference_weiszfeld([(3.0, 4.0)], [2.0])
+    assert location == (3.0, 4.0)
+    assert efforts == [0.0, 0.0]
 
 
 def test_dominant_weight_pulls_to_that_point():
@@ -43,30 +48,34 @@ def test_dominant_weight_pulls_to_that_point():
     # sits on it.
     points = [(0.0, 0.0), (10.0, 0.0), (5.0, 8.0)]
     weights = [1.0, 1.0, 10.0]
-    result = weiszfeld_single(points, weights)
-    assert result.location[0] == pytest.approx(5.0, abs=1e-3)
-    assert result.location[1] == pytest.approx(8.0, abs=1e-3)
+    location = weiszfeld_single(points, weights)
+    assert location[0] == pytest.approx(5.0, abs=1e-3)
+    assert location[1] == pytest.approx(8.0, abs=1e-3)
 
 
 def test_symmetric_square_median_is_center():
     points = [(0.0, 0.0), (2.0, 0.0), (0.0, 2.0), (2.0, 2.0)]
-    result = weiszfeld_single(points, [1.0] * 4)
-    assert result.location[0] == pytest.approx(1.0, abs=1e-6)
-    assert result.location[1] == pytest.approx(1.0, abs=1e-6)
+    location = weiszfeld_single(points, [1.0] * 4)
+    assert location[0] == pytest.approx(1.0, abs=1e-6)
+    assert location[1] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_objective_trace_descends():
+    # The test-side loop lands on weiszfeld_single's location bit for
+    # bit, from the centroid and from a given start, and its weighted
+    # effort never rises from one iterate to the next.
     rng = np.random.default_rng(11)
     for _ in range(20):
         n = int(rng.integers(2, 7))
         points = [tuple(p) for p in rng.uniform(0, 50, size=(n, 2))]
         weights = list(rng.uniform(0.5, 20.0, size=n))
-        result = weiszfeld_single(points, weights)
-        trace = result.objective_trace
-        assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
-        assert result.objective == pytest.approx(
-            sum(w * math.dist(result.location, p)
-                for p, w in zip(points, weights)))
+        for initial in (None, tuple(rng.uniform(0, 50, size=2))):
+            location = weiszfeld_single(points, weights, initial=initial)
+            replayed, trace = reference_weiszfeld(points, weights, initial)
+            assert replayed == location
+            assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
+            assert trace[-1] == pytest.approx(
+                effort(points, weights, location))
 
 
 def test_matches_grid_search():
@@ -75,9 +84,9 @@ def test_matches_grid_search():
         n = int(rng.integers(2, 7))
         points = [tuple(p) for p in rng.uniform(0, 30, size=(n, 2))]
         weights = list(rng.uniform(1.0, 10.0, size=n))
-        result = weiszfeld_single(points, weights)
+        location = weiszfeld_single(points, weights)
         reference = grid_search_effort(points, weights)
-        assert result.objective <= reference * 1.005 + 1e-9
+        assert effort(points, weights, location) <= reference * 1.005 + 1e-9
 
 
 def test_weiszfeld_input_validation():
@@ -91,9 +100,11 @@ def test_locate_region_single_center_matches_weiszfeld(tiny):
     region = tiny.regions[0]
     config = GfaConfig(restarts=3)
     placement = locate_region(region, 1, config, np.random.default_rng(0))
-    direct = weiszfeld_single([c.location for c in region.customers],
-                              [c.demand.mean for c in region.customers])
-    assert placement.objective == pytest.approx(direct.objective, rel=1e-3)
+    points = [c.location for c in region.customers]
+    weights = [c.demand.mean for c in region.customers]
+    direct = weiszfeld_single(points, weights)
+    assert placement.objective == pytest.approx(
+        effort(points, weights, direct), rel=1e-3)
     assert len(placement.locations) == 1
 
 
