@@ -21,7 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .model import NetworkDesign, NetworkInstance, NormalizationScales, Region
+from .model import (NetworkDesign, NetworkInstance, NormalizationScales,
+                    Region, running_sum)
 
 
 def affordability(region: Region) -> float:
@@ -62,8 +63,9 @@ def default_scales(instance: NetworkInstance,
     for dc in instance.dcs():
         for effort in efforts[dc.id]:
             transport += effort * dc.capacity
-    total_capacity = sum(dc.capacity for dc in instance.dcs())
-    quality = sum(n.weight * n.per_kg_content for n in instance.nutrients) * total_capacity
+    total_capacity = running_sum(dc.capacity for dc in instance.dcs())
+    quality = running_sum(n.weight * n.per_kg_content
+                          for n in instance.nutrients) * total_capacity
     if afford <= 0.0:
         afford = 1.0
     if transport <= 0.0:

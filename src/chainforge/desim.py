@@ -15,23 +15,24 @@ simulated costs compare against the planner's expectations without
 sampling bias.  Only the arrival times come from a separate stream,
 laid out [customer, period] like the scenario's demand.
 
-The replay runs on arrays.  DCs share nothing but warehouse capacity,
-and only at the boundaries, so between two boundaries each DC runs on
-its own.  With backlog "wait", a DC whose queue is empty ships the
-longest prefix of the period's orders that its stock covers and queues
-the rest; a DC with a queue queues them all; a boundary drains each
-queue by the same prefix rule.  With backlog "drop", a loop over
-floats ships or drops each order.  Stock levels, costs and volumes are
-added up in event order, so they are the floats a one-event-at-a-time
-loop gets.  The event log is an EventLog of six columns (time, kind
-code, period, DC, customer, quantity), 29 bytes an event; iterating it
-gives SimEvent records.  Each event is written once, straight into its
-slot of the preallocated columns.  The merge that lays the log out
-takes over the order columns, the runs of other events and the pool of
-customers and quantities those runs read, and releases each input as
-soon as the log column it feeds is written; its slots and sources are
-32-bit integers.  So while the log is laid out a replay holds the log,
-the inputs not yet consumed and a few 4-byte index arrays, and once it
+The replay is one walk over the orders in time order, the same in both
+backlog modes.  An order ships if its DC has no queue and the DC's
+stock covers it; otherwise it joins the DC's FIFO queue (backlog
+"wait") or is dropped (backlog "drop", where the queues stay empty).
+At each period boundary a DC ships its waiting orders, first to last,
+while its stock covers the next one.  Stock levels, costs and
+volumes are added up one term at a time in event order, so they are
+the floats of a loop that handles one event at a time.  The event log
+is an EventLog of six columns (time, kind code, period, DC, customer,
+quantity), 29 bytes an event; iterating it gives SimEvent records.
+The walk keeps each order's outcome in one column and every other
+event as a run (boundary ships, refills, expiries) whose customers and
+quantities go to a pool in run order; the merge then writes each event
+once, straight into its slot of the preallocated columns.  It takes
+over the order columns, the runs and the pool and releases each input
+as soon as the log column it feeds is written; its slots are 32-bit
+integers.  So while the log is laid out a replay holds the log, the
+inputs not yet consumed and a few 4-byte index arrays, and once it
 returns, only the log.  run_validation simulates each run when it is
 read, so a validation that reduces each report to its row holds one
 log at a time.
@@ -40,13 +41,15 @@ log at a time.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConfigError
-from .model import NetworkDesign, NetworkInstance, design_mismatches
+from .model import (NetworkDesign, NetworkInstance, design_mismatches,
+                    running_sum)
 from .pareto import csv_cells, write_csv
 from .stochastic import (OperationalPlan, linkage, linked_retention,
                          replication_seed, sample_scenario)
@@ -169,61 +172,35 @@ def service_level(successful_volume: float, total_volume: float) -> float:
     return min(1.0, successful_volume / total_volume)
 
 
-def _covered(stock: float, quantities: np.ndarray) -> tuple[int, float]:
-    """How many leading orders the stock covers one after another, and
-    the stock left after shipping them.
-
-    np.subtract.accumulate subtracts left to right, so every level is
-    the float a loop shipping while stock >= quantity would reach.
-    """
-    levels = np.subtract.accumulate(np.concatenate(([stock], quantities)))
-    short = levels[:-1] < quantities
-    n = int(short.argmax())
-    if not short[n]:
-        n = len(quantities)
-    return n, float(levels[n])
-
-
-def _running_sum(values: np.ndarray) -> float:
-    """0.0 plus each value in turn, the order a loop adds them in
-    (np.sum adds pairwise)."""
-    return float(np.add.accumulate(np.concatenate(([0.0], values)))[-1])
-
-
 def _merge(orders: list[np.ndarray | None], runs: list[tuple[int, ...]],
-           pool: list[np.ndarray | None]) -> tuple[np.ndarray, ...]:
+           pool: list[np.ndarray | array | None]
+           ) -> tuple[np.ndarray, ...]:
     """The log's six columns: an order/outcome pair of events per order,
     with each run of other events laid in after its `at` pair events.
 
     orders holds the orders' six columns in time order, with each
     order's outcome as its kind; its order event gets kind order.  A run
-    (at, time, kind, period, dc, first, size) is size events whose
-    customers and quantities are pool[0] and pool[1] [first:first + size].
-    Runs come in log order, so their `at` never decreases.  Each event
-    is written once, straight into its slot: order i's pair goes to 2i
-    plus the events laid in before it.
+    (at, time, kind, period, dc, size) is size events; runs come in log
+    order, so their `at` never decreases, and pool[0] and pool[1] hold
+    the customers and quantities of every run's events in that order.
+    Each event is written once, straight into its slot: run event e (of
+    all runs, counted in order) goes to slot at + e, and order i's pair
+    to 2i plus the run events laid in before it.
 
     The merge owns its inputs: it empties runs once it has read them and
     sets each entry of orders and pool to None once the log column it
     feeds is written, customer and quantity first, so a caller that
     keeps no other reference to them holds only the log when the merge
-    returns.  Slots and sources are counted in 32-bit integers unless
-    the log is too long for them.
+    returns.  Slots are counted in 32-bit integers unless the log is too
+    long for them.
     """
-    placed = len(orders[0])
-    count = sum(run[-1] for run in runs)
+    placed, count = len(orders[0]), len(pool[0])
     length = 2 * placed + count
     index = np.int32 if length <= np.iinfo(np.int32).max else np.int64
-    at, time, kind, period, dc, first, size = np.array(
-        runs, dtype=index).reshape(-1, 7).T
+    at, time, kind, period, dc, size = np.array(
+        runs, dtype=index).reshape(-1, 6).T
     runs.clear()
-    # Run event e goes to slot at + e and comes from pool position
-    # first + e - before, where before counts the run events ahead of
-    # its run.
-    before = np.cumsum(size, dtype=index)
-    before -= size
     slot = np.arange(count, dtype=index)
-    source = slot + np.repeat(first - before, size)
     slot += np.repeat(at, size)
     # Pair i goes after the run events whose at is at most 2i.
     pair = np.zeros(placed + 1, dtype=index)
@@ -244,9 +221,8 @@ def _merge(orders: list[np.ndarray | None], runs: list[tuple[int, ...]],
 
     for i, p in ((4, 0), (5, 1)):       # customer and quantity
         log[i] = paired(i)
-        log[i][slot] = pool[p][source]
+        log[i][slot] = pool[p]
         pool[p] = None
-    del source
     for i, values in enumerate((time, kind, period, dc)):
         log[i] = paired(i)
         log[i][slot] = np.repeat(values, size)
@@ -255,20 +231,17 @@ def _merge(orders: list[np.ndarray | None], runs: list[tuple[int, ...]],
 
 
 def _orders(instance: NetworkInstance, design: NetworkDesign,
-            serving: np.ndarray, dcs: int, config: SimConfig
-            ) -> tuple[list[list[float]], tuple[np.ndarray, ...],
-                       tuple[np.ndarray, ...]]:
+            serving: np.ndarray, config: SimConfig
+            ) -> tuple[list[list[float]], tuple[np.ndarray, ...]]:
     """One run's draws as the replay reads them: each DC's retention by
-    period, the orders taken by time, and the same orders grouped by DC.
+    period, and the orders taken by time as (time, period, DC, customer,
+    quantity) arrays.
 
     There is one order per customer and period, customer-major, then
     taken by time; the sort is stable, so equal times keep draw order.
-    The orders are (time, period, DC, customer, quantity) arrays.
-    Grouped position p is order by_dc[p], in time order within each DC,
-    and DC j's orders of block k are grouped positions cut[j][k] to
-    cut[j][k + 1]; the grouped (by_dc, cut, customer, quantity) are
-    returned.  The scenario, the arrival offsets and the sort index are
-    freed on return.
+    An order's period is its time's, and the last period's for a time
+    that rounds up to the horizon.  The scenario, the arrival offsets
+    and the sort index are freed on return.
     """
     horizon = int(instance.horizon)
     scenario = sample_scenario(
@@ -283,15 +256,8 @@ def _orders(instance: NetworkInstance, design: NetworkDesign,
     time, customer = time[order], customer[order]
     quantity = scenario.demand.ravel()[order]
     dc = serving.astype(np.int32)[customer]
-    block = np.minimum(time.astype(np.int64), horizon)
-    period = np.minimum(block, horizon - 1).astype(np.int32)
-    by_dc = np.argsort(dc, kind="stable")
-    blocks = horizon + 1
-    cut = np.searchsorted(dc[by_dc].astype(np.int64) * blocks + block[by_dc],
-                          np.arange(dcs)[:, None] * blocks
-                          + np.arange(blocks + 1)).tolist()
-    return (retention, (time, period, dc, customer, quantity),
-            (by_dc, cut, customer[by_dc], quantity[by_dc]))
+    period = np.minimum(time, horizon - 1).astype(np.int32)
+    return retention, (time, period, dc, customer, quantity)
 
 
 def simulate(instance: NetworkInstance, design: NetworkDesign,
@@ -303,12 +269,13 @@ def simulate(instance: NetworkInstance, design: NetworkDesign,
     instance.customers()), linked by stochastic.linkage as the planner
     links them; the log's dc and customer columns index that order.
     Orders are taken by time, and orders at equal times in customer
-    order.  Event order per period boundary: book holding cost
-    on the closing stock, serve waiting orders, review and dispatch
-    replenishments, then receive them and serve waiting orders again.
-    Customer orders in between are served immediately when stock covers
-    them, otherwise queued or dropped; each order event is followed by
-    its ship, wait or drop event.
+    order.  Event order per period boundary: book holding cost on the
+    closing stock, drain every DC's queue, review and dispatch
+    replenishments, then receive them, draining each receiving DC's
+    queue again.  An order in between ships at once if its DC has no
+    queue and enough stock, and otherwise waits in the DC's queue or is
+    dropped; each order event is followed by its ship, wait or drop
+    event.  Orders still waiting at the horizon expire, DC by DC.
     """
     horizon = int(instance.horizon)
     problems = design_mismatches(instance, design)
@@ -339,9 +306,8 @@ def simulate(instance: NetworkInstance, design: NetworkDesign,
                 f"DC {h}: initial inventory {level:.6g} outside "
                 f"[0, {cap:.6g}]")
 
-    retention, (time, period, dc, customer, quantity), (
-        by_dc, cut, dc_customer, dc_quantity) = _orders(
-            instance, design, serving, len(dc_ids), config)
+    retention, (time, period, dc, customer, quantity) = _orders(
+        instance, design, serving, config)
     customers = instance.customers()
     customer_ids = tuple(c.id for c in customers)
     region_index = {r.id: i for i, r in enumerate(instance.regions)}
@@ -350,51 +316,60 @@ def simulate(instance: NetworkInstance, design: NetworkDesign,
     # Block k holds the orders between boundaries k and k + 1: boundary b
     # goes before every order whose time is at least b.
     bounds = np.searchsorted(time, np.arange(horizon + 2)).tolist()
-    blocks = horizon + 1
-    # DC j's queue runs from grouped position head[j] to the end of the
-    # blocks served so far.
-    head = [row[0] for row in cut]
     wait = config.backlog == "wait"
     placed = len(time)
     outcome = np.full(placed, _WAIT if wait else _DROP, dtype=np.int8)
 
+    # Each DC's queue holds its waiting orders in time order (in drop
+    # mode it stays empty); owed reads order i's quantity as a float.
     # Every other event is one of a run of events with one time, kind,
-    # period and DC: the (at, time, kind, period, DC, first, size) of a
-    # run puts it after `at` pair events, with the customers and
-    # quantities of the grouped orders [first, first + size), or of one
-    # refill quantity, which goes to the end of that pool.
+    # period and DC: the run (at, time, kind, period, DC, size) goes after
+    # `at` pair events, where the loop sets `at` to 2 * bounds[k] at
+    # boundary k and to 2 * placed for the expiries, and its events'
+    # orders (-1 for a refill) and quantities are appended to the pool in
+    # run order.
+    queues: list[list[int]] = [[] for _ in dc_ids]
+    owed = memoryview(quantity)
     runs: list[tuple[int, ...]] = []
-    refills: list[float] = []
+    pool_order, pool_quantity = array("i"), array("d")
 
-    def refill(kind: int, b: int, j: int, qty: float) -> None:
-        runs.append((2 * bounds[b], b, kind, b, j,
-                     placed + len(refills), 1))
-        refills.append(qty)
+    def run(kind: int, b: int, period: int, j: int,
+            orders: Sequence[int], quantities: Sequence[float]) -> None:
+        runs.append((at, b, kind, period, j, len(quantities)))
+        pool_order.extend(orders)
+        pool_quantity.extend(quantities)
 
     def drain(j: int, b: int) -> None:
-        first, end = head[j], cut[j][b]
-        if first < end:
-            n, stock[j] = _covered(stock[j], dc_quantity[first:end])
-            if n:
-                head[j] = first + n
-                runs.append((2 * bounds[b], b, _SHIP, b, j, first, n))
+        """Ship DC j's waiting orders at boundary b, first to last, while
+        its stock covers the next one."""
+        queue, level, shipped = queues[j], stock[j], []
+        for i in queue:
+            qty = owed[i]
+            if level < qty:
+                break
+            level -= qty
+            shipped.append(qty)
+        if shipped:
+            stock[j] = level
+            run(_SHIP, b, b, j, queue[:len(shipped)], shipped)
+            del queue[:len(shipped)]
 
     inventory_cost = 0.0
     order_cost = 0.0
-    for k in range(blocks):
+    for k in range(horizon + 1):
+        at = 2 * bounds[k]
         if k:
             # Period boundary k.
             for unit_cost, level in zip(holding, stock):
                 inventory_cost += unit_cost * level
-            if wait:
-                for j in range(len(dc_ids)):
-                    drain(j, k)
+            for j in range(len(dc_ids)):
+                drain(j, k)
             if k < horizon:
                 arrivals = []
                 for warehouse, linked in zip(instance.warehouses, members):
                     requests = [(j, capacity[j] - stock[j]) for j in linked
                                 if stock[j] < reorder_point[j]]
-                    total = sum(q for _, q in requests)
+                    total = running_sum(q for _, q in requests)
                     scale = (1.0 if total <= warehouse.capacity
                              else warehouse.capacity / total)
                     for j, req in requests:
@@ -402,65 +377,57 @@ def simulate(instance: NetworkInstance, design: NetworkDesign,
                         if dispatch <= 0.0:
                             continue
                         order_cost += order_unit_cost[j] * dispatch
-                        refill(_DISPATCH, k, j, dispatch)
+                        run(_DISPATCH, k, k, j, (-1,), (dispatch,))
                         arrivals.append((j, dispatch * retention[j][k]))
                 for j, qty in arrivals:
                     stock[j] += qty
-                    refill(_RECEIVE, k, j, qty)
-                    if wait:
-                        drain(j, k)
+                    run(_RECEIVE, k, k, j, (-1,), (qty,))
+                    drain(j, k)
         # The orders of block k.
-        if wait:
-            for j in range(len(dc_ids)):
-                first, end = cut[j][k], cut[j][k + 1]
-                if first < end and head[j] == first:
-                    n, stock[j] = _covered(stock[j], dc_quantity[first:end])
-                    head[j] = first + n
-                    outcome[by_dc[first:first + n]] = _SHIP
-        else:
-            first, end = bounds[k], bounds[k + 1]
-            shipped = []
-            for i, j, qty in zip(range(first, end), dc[first:end].tolist(),
-                                 quantity[first:end].tolist()):
-                if stock[j] >= qty:
-                    stock[j] -= qty
-                    shipped.append(i)
-            outcome[shipped] = _SHIP
-    if wait:
-        for j in range(len(dc_ids)):
-            first, end = head[j], cut[j][blocks]
-            if first < end:
-                runs.append((2 * placed, horizon, _EXPIRE, horizon - 1, j,
-                             first, end - first))
+        first, end = bounds[k], bounds[k + 1]
+        shipped = []
+        for i, j, qty in zip(range(first, end), dc[first:end].tolist(),
+                             quantity[first:end].tolist()):
+            if not queues[j] and stock[j] >= qty:
+                stock[j] -= qty
+                shipped.append(i)
+            elif wait:
+                queues[j].append(i)
+        outcome[shipped] = _SHIP
+    at = 2 * placed
+    for j, queue in enumerate(queues):
+        if queue:
+            run(_EXPIRE, horizon, horizon - 1, j, queue,
+                [owed[i] for i in queue])
 
-    # The ordered volumes go first, summed in time order, which is the
-    # order events' order.  Then the merge takes the order columns, the
-    # pool and the runs, and simulate keeps no other reference to them,
-    # so the log is the one large thing left when it returns.
-    region = customer_region[customer]
-    region_volume = {r.id: _running_sum(quantity[region == i])
-                     for i, r in enumerate(instance.regions)}
-    pool = [np.concatenate((dc_customer, np.full(len(refills), -1, np.int32))),
-            np.concatenate((dc_quantity, refills))]
+    # The ordered volumes go first: bincount adds each region's in turn,
+    # here in time order, which is the order events' order.  Then the
+    # merge takes the order columns, the pool and the runs, and simulate
+    # keeps no other reference to them, so the log is the one large
+    # thing left when it returns.
+    regions = len(instance.regions)
+    ordered = np.bincount(customer_region[customer], quantity,
+                          minlength=regions).tolist()
+    # A pool event's customer is its order's; -1 reads the appended -1.
+    pool = [np.append(customer, np.int32(-1))[np.asarray(pool_order)],
+            pool_quantity]
     orders = [time, outcome, period, dc, customer, quantity]
-    del (by_dc, dc_customer, dc_quantity, refills, region, time, outcome,
-         period, dc, customer, quantity)
+    del (queues, owed, pool_order, pool_quantity, time, outcome, period, dc,
+         customer, quantity)
     events = EventLog(_merge(orders, runs, pool), dc_ids, customer_ids)
 
     # Served volumes and unmet costs, each summed in event order.
     shipped = events.kind == _SHIP
-    served = events.quantity[shipped]
-    served_region = customer_region[events.customer[shipped]]
+    served = np.bincount(customer_region[events.customer[shipped]],
+                         events.quantity[shipped], minlength=regions).tolist()
     lost = (events.kind == _DROP) | (events.kind == _EXPIRE)
     rho = np.array([r.unfulfilled_unit_cost for r in instance.regions])
-    unfulfilled_cost = _running_sum(
-        rho[customer_region[events.customer[lost]]] * events.quantity[lost])
-    region_served = {r.id: _running_sum(served[served_region == i])
-                     for i, r in enumerate(instance.regions)}
-    levels = {r.id: service_level(region_served[r.id], region_volume[r.id])
-              for r in instance.regions}
-    overall = service_level(sum(region_served.values()),
-                            sum(region_volume.values()))
+    unfulfilled_cost = running_sum((
+        rho[customer_region[events.customer[lost]]]
+        * events.quantity[lost]).tolist())
+    levels = {r.id: service_level(s, o)
+              for r, s, o in zip(instance.regions, served, ordered)}
+    overall = service_level(running_sum(served), running_sum(ordered))
     return SimReport(
         inventory_cost=inventory_cost,
         unfulfilled_cost=unfulfilled_cost,

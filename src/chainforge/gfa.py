@@ -22,7 +22,8 @@ import numpy as np
 from .errors import ConfigError, InfeasibleConfigError, ParseError, ValidationError
 from .model import (NetworkDesign, NetworkInstance, Region, _integer,
                     _location, _number, _object, _require_keys, _string,
-                    euclidean_distance, read_json, write_json)
+                    euclidean_distance, read_json, running_sum,
+                    write_json)
 
 # Guard against division by zero when an iterate lands on a demand point.
 _SINGULARITY_EPS = 1e-9
@@ -68,7 +69,7 @@ def weiszfeld_single(points: Sequence[tuple[float, float]],
         raise ValidationError("points and weights must have equal length")
     if any(w < 0 for w in weights):
         raise ValidationError("weights must be >= 0")
-    total_weight = float(sum(weights))
+    total_weight = float(running_sum(weights))
     if total_weight <= 0:
         raise ValidationError("at least one weight must be positive")
 
@@ -168,7 +169,7 @@ def locate_region(region: Region, k: int, config: GfaConfig,
                 break
             assignment = new_assignment
 
-        objective = sum(
+        objective = running_sum(
             weights[i] * euclidean_distance(points[i], locations[assignment[i]])
             for i in range(n))
         placement = RegionPlacement(

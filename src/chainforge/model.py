@@ -48,6 +48,18 @@ def euclidean_distance(a: tuple[float, float], b: tuple[float, float]) -> float:
     return math.hypot(a[0] - b[0], a[1] - b[1])
 
 
+def running_sum(values: Iterable[float]) -> float:
+    """0.0 plus each value in turn, left to right.
+
+    The built-in sum() compensates float sums from Python 3.12 on, so
+    its result depends on the Python version; this one does not.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 @dataclass(frozen=True)
 class DemandSpec:
     """Per-period demand draw: normal, truncated at zero when sampled.

@@ -69,7 +69,8 @@ from .errors import ConfigError, DomainError, NumericalError
 from .milp import (DEFAULT_NODE_LIMIT, FEASIBILITY_TOL, Basis, DenseModel,
                    Status, solve_milp)
 from .model import (NetworkDesign, NetworkInstance, _integer, _number,
-                    _object, _require_keys, read_json, write_json)
+                    _object, _require_keys, read_json, running_sum,
+                    write_json)
 
 
 def replication_seed(master_seed: int, replication: int,
@@ -87,17 +88,7 @@ def replication_seed(master_seed: int, replication: int,
     return int.from_bytes(digest[:8], "big") >> 1
 
 
-def _fields_equal(self, other: object) -> bool:
-    """Dataclass ==, field by field but for compare=False ones, with
-    arrays compared by value."""
-    pairs = ((getattr(self, f.name), getattr(other, f.name))
-             for f in fields(self) if f.compare)
-    return type(other) is type(self) and all(
-        np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
-        for a, b in pairs)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """One realization of every uncertain quantity over the horizon.
 
@@ -110,8 +101,6 @@ class Scenario:
 
     demand: np.ndarray
     retention: np.ndarray
-
-    __eq__ = _fields_equal
 
 
 def sample_scenario(instance: NetworkInstance, seed: int) -> Scenario:
@@ -200,7 +189,7 @@ def quality_curves(instance: NetworkInstance,
     content = np.array([nt.per_kg_content for nt in instance.nutrients])
     curves = []
     for region in instance.regions:
-        capacity = sum(dc.capacity for dc in region.dcs)
+        capacity = running_sum(dc.capacity for dc in region.dcs)
         floor = safety_fraction * capacity
         requirement = np.array([nt.min_requirement * region.population
                                 for nt in instance.nutrients])
@@ -357,7 +346,7 @@ def build_period_model(template: PeriodTemplate, epsilon: float,
                       binary=template.binary)
 
 
-@dataclass
+@dataclass(eq=False)
 class PeriodDecision:
     """Solved flows and derived state for one period of one replication,
     in the module notes' layout: orders and closing inventory per DC,
@@ -374,10 +363,8 @@ class PeriodDecision:
     unfulfilled_cost: float
     order_cost: float
 
-    __eq__ = _fields_equal
 
-
-@dataclass
+@dataclass(eq=False)
 class ReplicationResult:
     scenario: Scenario
     periods: list[PeriodDecision]
@@ -393,8 +380,6 @@ class ReplicationResult:
     # template the whole seed shares, and each period's optimal root basis.
     template: PeriodTemplate = field(compare=False, repr=False)
     bases: list[Basis] = field(compare=False, repr=False)
-
-    __eq__ = _fields_equal
 
     @property
     def total_cost(self) -> float:
@@ -479,10 +464,10 @@ def run_replication(instance: NetworkInstance, design: NetworkDesign,
     return ReplicationResult(
         scenario=scenario,
         periods=periods,
-        accessibility=sum(p.accessibility for p in periods),
-        inventory_cost=sum(p.inventory_cost for p in periods),
-        unfulfilled_cost=sum(p.unfulfilled_cost for p in periods),
-        order_cost=sum(p.order_cost for p in periods),
+        accessibility=running_sum(p.accessibility for p in periods),
+        inventory_cost=running_sum(p.inventory_cost for p in periods),
+        unfulfilled_cost=running_sum(p.unfulfilled_cost for p in periods),
+        order_cost=running_sum(p.order_cost for p in periods),
         safety_stock=v,
         initial_inventory=floor,
         nodes=nodes,
@@ -525,11 +510,12 @@ def _extract_period(template, x, opening, demand, retention, t):
     return PeriodDecision(
         period=t, orders=orders, deliveries=deliveries, unmet=unmet,
         inventory=inventory, aux=aux,
-        accessibility=sum((weighted[0] - weighted[1] + weighted[2]).tolist()),
-        inventory_cost=sum((template.holding * np.where(
+        accessibility=running_sum(
+            (weighted[0] - weighted[1] + weighted[2]).tolist()),
+        inventory_cost=running_sum((template.holding * np.where(
             inventory > FEASIBILITY_TOL, inventory, 0.0)).tolist()),
-        unfulfilled_cost=sum((template.unmet_cost * unmet).tolist()),
-        order_cost=sum((template.order_cost * orders).tolist()))
+        unfulfilled_cost=running_sum((template.unmet_cost * unmet).tolist()),
+        order_cost=running_sum((template.order_cost * orders).tolist()))
 
 
 @dataclass(frozen=True)

@@ -4,14 +4,14 @@ import copy
 import math
 import os
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 import pytest
 
 import chainforge
 from chainforge.gfa import assign_linkages
-from chainforge.model import instance_from_dict, load_instance
+from chainforge.model import instance_from_dict, load_instance, running_sum
 
 QATAR_PATH = os.path.join(os.path.dirname(chainforge.__file__),
                           "data", "qatar_beef.json")
@@ -162,7 +162,7 @@ def reference_z1(instance, design, scales, decision):
                                     scales.affordability)
             - w.transportation * index(transport, scales.transportation)
             + w.quality * index(quality, scales.quality))
-    return sum(contributions)
+    return running_sum(contributions)
 
 
 def reference_weiszfeld(points, weights, initial=None):
@@ -177,7 +177,7 @@ def reference_weiszfeld(points, weights, initial=None):
     ys = np.array([p[1] for p in points], dtype=float)
     ws = np.array(weights, dtype=float)
     if initial is None:
-        total_weight = float(sum(weights))
+        total_weight = float(running_sum(weights))
         px = float(np.dot(ws, xs) / total_weight)
         py = float(np.dot(ws, ys) / total_weight)
     else:
@@ -202,6 +202,23 @@ def same_log(a, b):
     return (a.dc_ids == b.dc_ids and a.customer_ids == b.customer_ids
             and all(np.array_equal(x, y)
                     for x, y in zip(a.columns, b.columns)))
+
+
+def same_record(a, b):
+    """Whether two of stochastic's records (a Scenario, PeriodDecision or
+    ReplicationResult) hold the same values: the same type and every
+    field equal but compare=False ones, with arrays compared by value
+    and records and lists of records by this rule."""
+    if is_dataclass(a):
+        return type(a) is type(b) and all(
+            same_record(getattr(a, f.name), getattr(b, f.name))
+            for f in fields(a) if f.compare)
+    if isinstance(a, list):
+        return (isinstance(b, list) and len(a) == len(b)
+                and all(map(same_record, a, b)))
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
 
 
 def replayed_inventory_cost(instance, plan, events):
@@ -317,7 +334,7 @@ def reference_simulate(instance, design, plan, config):
                     continue
                 if stock[h] < reorder_point[h]:
                     requests.append((h, capacity[h] - stock[h]))
-            total = sum(q for _, q in requests)
+            total = running_sum(q for _, q in requests)
             scale = (1.0 if total <= warehouse.capacity
                      else warehouse.capacity / total)
             for h, req in requests:
@@ -371,8 +388,8 @@ def reference_simulate(instance, design, plan, config):
 
     levels = {r.id: service_level(region_served[r.id], region_volume[r.id])
               for r in instance.regions}
-    overall = service_level(sum(region_served.values()),
-                            sum(region_volume.values()))
+    overall = service_level(running_sum(region_served.values()),
+                            running_sum(region_volume.values()))
     return SimReport(
         inventory_cost=inventory_cost,
         unfulfilled_cost=unfulfilled_cost,

@@ -6,7 +6,7 @@ import pytest
 
 from chainforge.errors import ParseError, ValidationError
 from chainforge.model import (euclidean_distance, instance_from_dict,
-                              load_instance)
+                              load_instance, running_sum)
 from conftest import QATAR_PATH, tiny_dict
 
 
@@ -174,6 +174,15 @@ def test_round_trip_keeps_path_weights():
 def test_euclidean_distance():
     assert euclidean_distance((0.0, 0.0), (3.0, 4.0)) == 5.0
     assert euclidean_distance((1.0, 1.0), (1.0, 1.0)) == 0.0
+
+
+def test_running_sum_adds_left_to_right():
+    # 1e16 + 1.0 rounds back to 1e16, so a left-to-right sum loses the
+    # 1.0; a compensated sum (the built-in sum() from Python 3.12) keeps
+    # it.
+    assert running_sum([1e16, 1.0, -1e16]) == 0.0
+    assert running_sum([]) == 0.0
+    assert running_sum(iter([0.5, 0.25])) == 0.75
 
 
 def test_load_instance_missing_file(tmp_path):
