@@ -1,14 +1,15 @@
 """Green field analysis: demand-weighted center-of-gravity placement.
 
-Each region gets K candidate distribution centers.  A single center is the
+Each region gets one center per DC it declares.  A single center is the
 weighted geometric median of its customers, found by Weiszfeld fixed-point
-iteration; K > 1 centers come from alternating nearest-center assignment
-with per-cluster Weiszfeld refinement, restarted from random customer
-subsets to escape poor local partitions.  Warehouses then link to their
-nearest DC choices: every DC gets the nearest warehouse that prices it
-and every customer its nearest DC within the region, keeping the
-single-channel structure.  The design keeps one distance per customer,
-that of its link, which is all the transportation term reads.
+iteration; more centers come from alternating nearest-center assignment
+with per-cluster Weiszfeld refinement, started from the declared DC sites
+and restarted from random customer subsets to escape poor local
+partitions.  Warehouses then link to their nearest DC choices: every DC
+gets the nearest warehouse that prices it and every customer its nearest
+DC within the region, keeping the single-channel structure.  The design
+keeps one distance per customer, that of its link, which is all the
+transportation term reads.
 """
 
 from __future__ import annotations
@@ -35,10 +36,12 @@ _TOLERANCE = 1e-4
 
 @dataclass(frozen=True)
 class GfaConfig:
-    """Knobs for the placement stage.
+    """Knobs for the placement stage: the number of starts per region,
+    the first from its declared DC sites and the rest from distinct
+    customer sites drawn with rng_seed.
 
-    Every region gets as many centers as the instance declares DCs for
-    it, since those carry the capacities the later stages use.
+    The number of centers is not a knob: every region gets one per DC
+    it declares, since those carry the capacities the later stages use.
     """
 
     restarts: int = 8
@@ -105,21 +108,19 @@ class RegionPlacement:
     converged: bool
 
 
-def locate_region(region: Region, k: int, config: GfaConfig,
-                  rng: np.random.Generator,
-                  initial: Sequence[tuple[float, float]] | None = None) -> RegionPlacement:
-    """Place k centers for one region by location-allocation.
+def locate_region(region: Region, config: GfaConfig,
+                  rng: np.random.Generator) -> RegionPlacement:
+    """Place the region's DCs, one center each in region.dcs order, by
+    location-allocation.
 
-    Runs ``config.restarts`` starts: the first from ``initial`` when
-    given (the instance's declared DC locations), the rest from random
-    distinct customer sites.  Each start alternates nearest-center
-    assignment with per-cluster Weiszfeld until the assignment stops
-    changing.  The best start by weighted effort wins.
+    Runs ``config.restarts`` starts: the first from the DCs' declared
+    sites, the rest from random distinct customer sites.  Each start
+    alternates nearest-center assignment with per-cluster Weiszfeld
+    until the assignment stops changing.  The best start by weighted
+    effort wins.
     """
     customers = region.customers
-    n = len(customers)
-    if k < 1:
-        raise InfeasibleConfigError(f"region {region.id}: need at least one DC")
+    n, k = len(customers), len(region.dcs)
     if k > n:
         raise InfeasibleConfigError(
             f"region {region.id}: {k} DCs requested for {n} customers")
@@ -128,11 +129,8 @@ def locate_region(region: Region, k: int, config: GfaConfig,
 
     best: RegionPlacement | None = None
     for restart in range(config.restarts):
-        if restart == 0 and initial is not None:
-            if len(initial) != k:
-                raise InfeasibleConfigError(
-                    f"region {region.id}: {len(initial)} initial locations for {k} DCs")
-            locations = [tuple(map(float, p)) for p in initial]
+        if restart == 0:
+            locations = [dc.location for dc in region.dcs]
         else:
             chosen = rng.choice(n, size=k, replace=False)
             locations = [points[int(i)] for i in chosen]
@@ -247,9 +245,7 @@ def run_gfa(instance: NetworkInstance, config: GfaConfig | None = None) -> GfaRe
     iterations: dict[str, int] = {}
     all_converged = True
     for region in instance.regions:
-        placement = locate_region(
-            region, len(region.dcs), config, rng,
-            initial=[dc.location for dc in region.dcs])
+        placement = locate_region(region, config, rng)
         for slot, dc in enumerate(region.dcs):
             dc_locations[dc.id] = placement.locations[slot]
         objectives[region.id] = placement.objective

@@ -33,6 +33,10 @@ Conventions:
 * binary variables are continuous [0, 1] columns that branch and bound
   drives to integrality within INTEGRALITY_TOL.
 
+Both limits are constants: branch and bound stops at NODE_LIMIT nodes
+with its best incumbent, and an LP raises NumericalError past the
+iteration cap its size sets (_iteration_cap).
+
 Anti-cycling: the entering rule is steepest reduced cost; when the
 objective stalls for as many iterations as there are rows, pivoting
 falls back to Bland's smallest-index rule until progress resumes.  The
@@ -53,7 +57,7 @@ from .errors import NumericalError, ValidationError
 
 FEASIBILITY_TOL = 1e-7
 INTEGRALITY_TOL = 1e-6
-DEFAULT_NODE_LIMIT = 100_000
+NODE_LIMIT = 100_000    # branch-and-bound nodes per solve_milp call
 _RC_TOL = 1e-9          # reduced cost significance
 _PIVOT_TOL = 1e-9       # ratio-test denominator cutoff
 _FIXED_TOL = 1e-12      # span below which a variable cannot move
@@ -64,6 +68,12 @@ def _stall_limit(rows: int) -> int:
     """Pivots without progress after which a simplex pass on a model
     with this many rows takes Bland's rule, until progress resumes."""
     return max(rows, 10)
+
+
+def _iteration_cap(rows: int, columns: int) -> int:
+    """Simplex iterations, dual and primal together, after which an LP
+    whose tableau has this many rows and columns raises NumericalError."""
+    return 2000 + 200 * max(rows, columns)
 
 
 class Status(Enum):
@@ -168,6 +178,7 @@ class _Tableau:
         # equality.  The slack basis is the start even where b < 0; the dual
         # simplex in solve() restores primal feasibility.
         self.T = np.hstack([A, np.eye(m)])
+        self.cap = _iteration_cap(*self.T.shape)
         self.A0 = self.T.copy()
         self.b0 = b
         self.rhs = b.copy()
@@ -206,7 +217,7 @@ class _Tableau:
         self.is_basic[j] = True
         self.basis[r] = j
 
-    def run(self, max_iter: int) -> Status:
+    def run(self) -> Status:
         """Primal simplex from a primal feasible basis until the reduced
         costs d are optimal: OPTIMAL or UNBOUNDED.
 
@@ -219,7 +230,7 @@ class _Tableau:
         stall = 0
         bland = stall > _stall_limit(m)
         while True:
-            if self.iterations >= max_iter:
+            if self.iterations >= self.cap:
                 raise NumericalError("simplex iteration limit reached")
             self.iterations += 1
             movable = (~self.is_basic) & (self.U > _FIXED_TOL)
@@ -263,7 +274,7 @@ class _Tableau:
             stall = 0 if gained > 1e-12 else stall + 1
             bland = stall > _stall_limit(m)
 
-    def dual(self, max_iter: int) -> bool:
+    def dual(self) -> bool:
         """Bounded dual simplex from a dual feasible basis to a primal
         feasible one; False when an empty ratio test proves the LP
         infeasible.
@@ -281,7 +292,7 @@ class _Tableau:
             rows = np.nonzero(excess > FEASIBILITY_TOL)[0]
             if len(rows) == 0:
                 return True
-            if self.iterations >= max_iter:
+            if self.iterations >= self.cap:
                 raise NumericalError("simplex iteration limit reached")
             self.iterations += 1
             if bland:
@@ -337,7 +348,7 @@ class _Tableau:
         self.is_basic = is_basic
         self.at_ub = at_ub & ~is_basic & np.isfinite(self.U)
 
-    def solve(self, max_iter: int, start: Basis | None = None) -> Status:
+    def solve(self, start: Basis | None = None) -> Status:
         """Solve the LP: OPTIMAL, INFEASIBLE or UNBOUNDED.
 
         It starts from the slack basis, or from start when that basis
@@ -362,11 +373,11 @@ class _Tableau:
         gains = ~self.is_basic & ~self.at_ub & (d > _RC_TOL)
         self.at_ub = (self.at_ub & (d >= -_RC_TOL)) | (gains & finite)
         self.d = np.where(gains & ~finite, 0.0, d)
-        if not self.dual(max_iter):
+        if not self.dual():
             return Status.INFEASIBLE
         self.d = c - c[self.basis] @ self.T
         self.d[self.basis] = 0.0
-        return self.run(max_iter)
+        return self.run()
 
     def _extract(self) -> np.ndarray:
         u = np.where(self.at_ub, np.where(np.isfinite(self.U), self.U, 0.0), 0.0)
@@ -397,7 +408,7 @@ def _solve_canon(canon: DenseModel, start: Basis | None = None) -> SolveResult:
     """Solve the LP relaxation from the slack basis, or from start where
     it fits, within an iteration cap set by the tableau's size."""
     tab = _Tableau(canon)
-    status = tab.solve(2000 + 200 * max(tab.T.shape), start)
+    status = tab.solve(start)
     if status is not Status.OPTIMAL:
         return SolveResult(status, math.nan, None, tab.iterations)
     x = tab._extract()
@@ -422,9 +433,7 @@ def _resolve(parent: DenseModel, start: Basis, cols: Iterable[int],
     return _solve_canon(child, start), child
 
 
-def solve_milp(model: DenseModel, *,
-               node_limit: int = DEFAULT_NODE_LIMIT,
-               start: Basis | None = None) -> SolveResult:
+def solve_milp(model: DenseModel, *, start: Basis | None = None) -> SolveResult:
     """Solve the model with binary variables driven to integrality.
 
     Best-first branch and bound: nodes are ordered on their relaxation
@@ -438,9 +447,10 @@ def solve_milp(model: DenseModel, *,
     binaries fixed, starting from the parent's optimal basis, so a queued
     node carries its LP result and model.  iterations counts the simplex
     iterations of every LP solved, dual pivots included, and a cap set by
-    the model size bounds each LP.  Hitting node_limit returns the best
-    incumbent found, if any, with status NODE_LIMIT; a result without
-    values has objective NaN.
+    the model size bounds each LP.  A search that reaches NODE_LIMIT
+    nodes, read at each call, stops and returns the best incumbent found,
+    if any, with status NODE_LIMIT; a result without values has objective
+    NaN.
     """
     root = _solve_canon(model, start)
     root.nodes = 1
@@ -476,7 +486,7 @@ def solve_milp(model: DenseModel, *,
             break  # best-first: every remaining node is no better
         j = bins[int(np.argmax(fractionality(node.values)))]
         for fix in (0.0, 1.0):
-            if nodes >= node_limit:
+            if nodes >= NODE_LIMIT:
                 limit_hit = True
                 break
             child, model_c = _resolve(model_n, node.basis, [j], [fix])

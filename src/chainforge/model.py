@@ -289,6 +289,17 @@ def _number(obj: Mapping[str, Any], where: str, key: str, *,
     return value
 
 
+def _count(obj: Mapping[str, Any], where: str, key: str) -> int:
+    """obj[key], an integer of at least 1; any other number is invalid
+    and any other JSON type malformed."""
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, _NUMERIC):
+        raise ParseError(f"{where}.{key}: expected a number, got {value!r}")
+    if not isinstance(value, int) or value < 1:
+        raise ValidationError(f"{where}.{key}: must be an integer >= 1")
+    return value
+
+
 def _string(obj: Mapping[str, Any], where: str, key: str) -> str:
     value = obj[key]
     if not isinstance(value, str) or not value:
@@ -347,9 +358,7 @@ def _parse_supply_loss(obj: Mapping[str, Any], where: str) -> SupplyLossSpec:
     return SupplyLossSpec(low=low, high=high)
 
 
-def _parse_weights(obj: Mapping[str, Any] | None, where: str) -> AccessibilityWeights:
-    if obj is None:
-        return AccessibilityWeights()
+def _parse_weights(obj: Mapping[str, Any], where: str) -> AccessibilityWeights:
     _require_keys(obj, where, [], ["affordability", "transportation", "quality"])
     return AccessibilityWeights(**{key: _number(obj, where, key, ge=0)
                                    for key in obj})
@@ -399,9 +408,7 @@ def _parse_region(obj: Mapping[str, Any], default_demand: DemandSpec,
     region_id = _string(obj, where, "id")
     cost = _number(obj, where, "local_food_cost", ge=0)
     income = _number(obj, where, "average_income", gt=0)
-    areas = obj["residential_areas"]
-    if isinstance(areas, bool) or not isinstance(areas, int) or areas < 1:
-        raise ValidationError(f"{where}.residential_areas: must be an integer >= 1")
+    areas = _count(obj, where, "residential_areas")
     rho = _number(obj, where, "unfulfilled_unit_cost", ge=0)
     persons = default_persons
     if "persons_per_area" in obj:
@@ -414,7 +421,8 @@ def _parse_region(obj: Mapping[str, Any], default_demand: DemandSpec,
                 for i, d in enumerate(obj["dcs"]))
     customers = tuple(_parse_customer(c, region_id, default_demand, f"{where}.customers[{i}]")
                       for i, c in enumerate(obj["customers"]))
-    weights = _parse_weights(obj.get("accessibility_weights"), f"{where}.accessibility_weights")
+    weights = (_parse_weights(obj["accessibility_weights"], f"{where}.accessibility_weights")
+               if "accessibility_weights" in obj else AccessibilityWeights())
     return Region(id=region_id, local_food_cost=cost, average_income=income,
                   residential_areas=areas, persons_per_area=persons,
                   unfulfilled_unit_cost=rho, weights=weights, dcs=dcs,
@@ -452,9 +460,7 @@ def instance_from_dict(data: Mapping[str, Any]) -> NetworkInstance:
     v = _number(data, "instance", "safety_stock_fraction")
     if not 0.0 <= v <= 1.0:
         raise ValidationError(f"instance.safety_stock_fraction: must be in [0, 1], got {v}")
-    horizon = data["horizon"]
-    if isinstance(horizon, bool) or not isinstance(horizon, int) or horizon < 1:
-        raise ValidationError("instance.horizon: must be an integer >= 1")
+    horizon = _count(data, "instance", "horizon")
 
     persons = DEFAULT_PERSONS_PER_AREA
     if "persons_per_area" in data:

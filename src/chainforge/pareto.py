@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 from .errors import ChainforgeError, DomainError, ParseError
 from .model import NetworkDesign, NetworkInstance, design_mismatches
 from .stochastic import (EstimateResult, StochasticConfig, aggregate,
-                         map_replications, replication_seeds)
+                         map_replications)
 
 CSV_COLUMNS = ("epsilon", "Z1", "Z1_se", "Z2", "Z2_se",
                "inventory_cost", "unfulfilled_cost", "order_cost")
@@ -85,8 +85,7 @@ def sweep(instance: NetworkInstance, design: NetworkDesign,
         raise DomainError("design does not fit the instance: "
                           + "; ".join(problems))
 
-    chains = map_replications(instance, design, config, grid,
-                              replication_seeds(config))
+    chains = map_replications(instance, design, config, grid)
     solutions: list[EstimateResult] = []
     failures: list[SweepFailure] = []
     for k, eps in enumerate(grid):

@@ -57,6 +57,7 @@ Model assembly notes (this shapes every coefficient below):
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import asdict, dataclass, field, fields
@@ -66,8 +67,7 @@ import numpy as np
 
 from .accessibility import affordability, link_effort, resolve_scales, snapshot
 from .errors import ConfigError, DomainError, NumericalError
-from .milp import (DEFAULT_NODE_LIMIT, FEASIBILITY_TOL, Basis, DenseModel,
-                   Status, solve_milp)
+from .milp import FEASIBILITY_TOL, Basis, DenseModel, Status, solve_milp
 from .model import (NetworkDesign, NetworkInstance, _integer, _number,
                     _object, _require_keys, read_json, running_sum,
                     write_json)
@@ -151,7 +151,6 @@ class StochasticConfig:
     replications: int = 50
     master_seed: int = 0
     safety_stock: float | None = None
-    node_limit: int = DEFAULT_NODE_LIMIT
     jobs: int = 1
 
     def __post_init__(self):
@@ -268,12 +267,16 @@ class PeriodTemplate:
         self.transport = (self.weights[1][self.customer_region] * self.effort
                           / scales.transportation)
 
-        unit = np.eye(n)
         # Each DC's closing stock less its opening stock, at unit retention:
         # its order, less its customers' deliveries.
         stock = np.eye(D, n)
         stock[self.serving, range(D, D + C)] = -1.0
         rows, rhs, relations = [], [], []  # coefficients; (k, src, req)
+
+        def row(columns, values=1.0):
+            coeffs = np.zeros(n)
+            coeffs[columns] = values
+            return coeffs
 
         def add_row(coeffs, k=0.0, src=0, req=0.0, relation="<="):
             rows.append(coeffs)
@@ -283,7 +286,7 @@ class PeriodTemplate:
         for i, warehouse in enumerate(instance.warehouses):
             supplied = np.flatnonzero(supplier == i)
             if supplied.size:
-                add_row(unit[supplied].sum(axis=0), req=-warehouse.capacity)
+                add_row(row(supplied), req=-warehouse.capacity)
         self.warehouse_rows = len(rows)
 
         for j, dc in enumerate(dcs):
@@ -303,11 +306,11 @@ class PeriodTemplate:
             column = z[-1] + 1
             self.binary.extend(z)
             self.c[delta] = weight[r] * curve.slopes * lengths
-            add_row(stock[self.dc_region == r].sum(axis=0) - lengths @ unit[delta],
+            add_row(stock[self.dc_region == r].sum(axis=0) - row(delta, lengths),
                     k=-1.0, src=D + r, req=-curve.points[0], relation="=")
             for k in range(1, len(lengths)):
-                add_row(unit[delta[k]] - unit[z[k - 1]])
-                add_row(unit[z[k - 1]] - unit[delta[k - 1]])
+                add_row(row([delta[k], z[k - 1]], [1.0, -1.0]))
+                add_row(row([z[k - 1], delta[k - 1]], [1.0, -1.0]))
 
         self.binary = np.array(self.binary, dtype=int)
         self.A = np.array(rows) + 0.0  # + 0.0 clears negation's -0.0
@@ -444,7 +447,7 @@ def run_replication(instance: NetworkInstance, design: NetworkDesign,
                                    retention)
         if previous is not None:
             start = previous.bases[t]
-        result = solve_milp(model, node_limit=config.node_limit, start=start)
+        result = solve_milp(model, start=start)
         start = result.basis
         bases.append(start)
         nodes += result.nodes
@@ -541,48 +544,31 @@ class ReplicationSummary:
 # What a replication gives back: its summary, or the error it raised.
 Outcome = ReplicationSummary | DomainError | NumericalError
 
-# Set once in each worker process by the pool initializer, so the
-# instance, design, config and grid cross the process boundary once per
-# worker instead of once per work item.
-_worker_inputs: tuple[NetworkInstance, NetworkDesign, StochasticConfig,
-                      Sequence[float]] | None = None
-
-
-def _init_worker(instance: NetworkInstance, design: NetworkDesign,
-                 config: StochasticConfig, grid: Sequence[float]) -> None:
-    global _worker_inputs
-    _worker_inputs = (instance, design, config, grid)
-
-
-def _run_seed(seed: int) -> list[Outcome]:
-    return summarize_seed(*_worker_inputs, seed)
-
-
 def map_replications(instance: NetworkInstance, design: NetworkDesign,
                      config: StochasticConfig, grid: Sequence[float],
-                     seeds: Sequence[int]) -> list[list[Outcome]]:
+                     ) -> list[list[Outcome]]:
     """summarize_seed(instance, design, config, grid, seed) for every
-    seed, in order: one work item per replication seed, each the seed's
-    outcomes in grid order.
+    seed of replication_seeds(config), in order: one work item per
+    replication seed, each the seed's outcomes in grid order.
 
-    With one worker (config.jobs == 1, or a single seed) the calls run
-    inline.  Otherwise a process pool of min(jobs, seeds) workers runs
-    them, so workers beyond the number of seeds are never started.  The
-    platform's default start method is used, so on spawn and forkserver
-    platforms the initializer pickles (instance, design, config, grid).
+    With one worker (config.jobs == 1, or a single replication) the
+    calls run inline.  Otherwise a process pool of min(jobs,
+    replications) workers maps them, so workers beyond the number of
+    seeds are never started.  Each work item pickles its own instance,
+    design, config and grid: on the packaged Qatar instance that is
+    under 6 KB, a fraction of a millisecond each way.
     """
+    seeds = replication_seeds(config)
+    run = functools.partial(summarize_seed, instance, design, config, grid)
     workers = min(config.jobs, len(seeds))
     if workers <= 1:
-        return [summarize_seed(instance, design, config, grid, seed)
-                for seed in seeds]
+        return list(map(run, seeds))
     # Imported here so that single-process commands do not load
     # multiprocessing (about 1.3 MB of resident memory).
     from concurrent.futures import ProcessPoolExecutor
 
-    inputs = (instance, design, config, grid)
-    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                             initargs=inputs) as pool:
-        return list(pool.map(_run_seed, seeds))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run, seeds))
 
 
 def summarize_seed(instance: NetworkInstance, design: NetworkDesign,

@@ -1,6 +1,7 @@
 """Shared fixtures: a small hand-checkable network and the packaged one."""
 
 import copy
+import importlib.util
 import math
 import os
 from collections import deque
@@ -15,6 +16,7 @@ from chainforge.model import instance_from_dict, load_instance, running_sum
 
 QATAR_PATH = os.path.join(os.path.dirname(chainforge.__file__),
                           "data", "qatar_beef.json")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # Two regions on a flat grid.  R1 has two DCs and three customers, R2 is
 # a single-DC satellite served by the second warehouse.  The numbers are
@@ -114,6 +116,19 @@ def qatar_design():
     instance = load_instance(QATAR_PATH)
     return assign_linkages(instance,
                            {dc.id: dc.location for dc in instance.dcs()})
+
+
+@pytest.fixture(scope="session")
+def generated():
+    """The replay-large benchmark's seed-1 network (bench/gen_network.py)
+    and its design at the declared DC sites."""
+    spec = importlib.util.spec_from_file_location(
+        "gen_network", os.path.join(ROOT, "bench", "gen_network.py"))
+    gen_network = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen_network)
+    instance = instance_from_dict(gen_network.generate(1))
+    return instance, assign_linkages(
+        instance, {dc.id: dc.location for dc in instance.dcs()})
 
 
 # A scalar reference for the accessibility index Z1, in plain Python

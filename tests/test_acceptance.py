@@ -200,7 +200,7 @@ def test_criterion_2_milp_matches_enumeration():
         feasible_count = 0
         for k in range(200):
             model = _random_milp(rng)
-            result = solve_milp(model, node_limit=50_000)
+            result = solve_milp(model)
             reference = _enumerate_reference(model)
             if reference is None:
                 assert result.status is Status.INFEASIBLE, \

@@ -223,15 +223,11 @@ def test_overloaded_warehouses_are_flagged(tmp_path, capsys):
 
 
 def test_node_limit_incumbents_are_reported(tmp_path, monkeypatch, capsys):
-    import functools
-
-    import chainforge.cli as cli
+    from chainforge import milp
     from chainforge.pareto import epsilon_grid
-    from chainforge.stochastic import StochasticConfig
 
     # These period models branch, so one node cannot finish.
-    monkeypatch.setattr(cli, "StochasticConfig",
-                        functools.partial(StochasticConfig, node_limit=1))
+    monkeypatch.setattr(milp, "NODE_LIMIT", 1)
     branching = tmp_path / "branching.json"
     branching.write_text(json.dumps(branching_tiny_dict()))
     out = str(tmp_path / "o")

@@ -1,9 +1,7 @@
 """Discrete-event replay: policies, conservation, and the validation file."""
 
-import importlib.util
 import itertools
 import math
-import os
 import tracemalloc
 import weakref
 from dataclasses import fields
@@ -23,7 +21,6 @@ from chainforge.stochastic import (OperationalPlan, default_initial_inventory,
 from conftest import (reference_simulate, replayed_inventory_cost, same_log,
                       tiny_dict)
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def make_plan(instance, safety_stock=None, inventory=None):
@@ -323,16 +320,10 @@ def test_event_log_is_29_bytes_per_event(tiny, tiny_design):
 
 
 @pytest.fixture(scope="module")
-def generated_network():
-    """The replay-large benchmark's seed-1 network, at its declared DC
-    sites, and a plan that opens every DC at its safety level."""
-    spec = importlib.util.spec_from_file_location(
-        "gen_network", os.path.join(ROOT, "bench", "gen_network.py"))
-    gen_network = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen_network)
-    instance = instance_from_dict(gen_network.generate(1))
-    design = assign_linkages(instance,
-                             {dc.id: dc.location for dc in instance.dcs()})
+def generated_network(generated):
+    """The generated network and a plan that opens every DC at its
+    safety level."""
+    instance, design = generated
     return instance, design, make_plan(instance)
 
 

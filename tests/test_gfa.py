@@ -1,5 +1,6 @@
 """Placement stage: Weiszfeld iteration, location-allocation, linkages."""
 
+import dataclasses
 import json
 import math
 
@@ -97,9 +98,9 @@ def test_weiszfeld_input_validation():
 
 
 def test_locate_region_single_center_matches_weiszfeld(tiny):
-    region = tiny.regions[0]
+    region = tiny.regions[1]    # one DC
     config = GfaConfig(restarts=3)
-    placement = locate_region(region, 1, config, np.random.default_rng(0))
+    placement = locate_region(region, config, np.random.default_rng(0))
     points = [c.location for c in region.customers]
     weights = [c.demand.mean for c in region.customers]
     direct = weiszfeld_single(points, weights)
@@ -109,15 +110,22 @@ def test_locate_region_single_center_matches_weiszfeld(tiny):
 
 
 def test_locate_region_rejects_bad_counts(tiny):
-    region = tiny.regions[0]
-    config = GfaConfig()
-    rng = np.random.default_rng(0)
+    region = tiny.regions[0]    # two DCs, three customers
+    crowded = dataclasses.replace(region, dcs=region.dcs * 2)
     with pytest.raises(InfeasibleConfigError):
-        locate_region(region, 0, config, rng)
-    with pytest.raises(InfeasibleConfigError):
-        locate_region(region, 4, config, rng)
-    with pytest.raises(InfeasibleConfigError):
-        locate_region(region, 2, config, rng, initial=[(0.0, 0.0)])
+        locate_region(crowded, GfaConfig(), np.random.default_rng(0))
+
+
+def test_the_first_start_is_the_declared_sites(qatar):
+    # One start is the declared DC sites, whatever the seed; a second
+    # one, from customer sites the seed draws, wins on some seed.
+    def located(restarts, seed):
+        return run_gfa(qatar, GfaConfig(restarts=restarts,
+                                        rng_seed=seed)).design.dc_locations
+
+    seeds = (0, 7, 99)
+    assert all(located(1, s) == located(1, 0) for s in seeds)
+    assert len({tuple(located(2, s).values()) for s in seeds}) > 1
 
 
 def test_assign_linkages_nearest(tiny, tiny_design):

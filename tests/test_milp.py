@@ -12,10 +12,11 @@ from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from chainforge import milp as solver
 from chainforge import stochastic
-from chainforge.errors import ValidationError
+from chainforge.errors import NumericalError, ValidationError
 from chainforge.gfa import assign_linkages
 from chainforge.milp import FEASIBILITY_TOL, DenseModel, Status, solve_milp
 from chainforge.model import instance_from_dict
+from chainforge.pareto import sweep
 from chainforge.stochastic import (PeriodTemplate, StochasticConfig,
                                    audit_replication, build_period_model,
                                    default_initial_inventory,
@@ -208,7 +209,7 @@ def test_random_models_match_enumeration():
     checked = 0
     for _ in range(60):
         model, nb, nc = _random_model(rng)
-        result = solve_milp(model, node_limit=20_000)
+        result = solve_milp(model)
         reference = _enumerate_milp(model)
         if reference is None:
             assert result.status in (Status.INFEASIBLE, Status.UNBOUNDED)
@@ -380,6 +381,43 @@ def test_blands_rule_from_the_first_pivot_matches_highs(monkeypatch):
     assert steps <= _lines_run(solve_all)
 
 
+def _cap_raises():
+    """(method, line) of the iteration cap's raise in the primal and
+    dual simplex loops."""
+    raises = set()
+    for method in (solver._Tableau.run, solver._Tableau.dual):
+        lines, first = inspect.getsourcelines(method)
+        raises |= {(method.__name__, first + k) for k, line in enumerate(lines)
+                   if "simplex iteration limit reached" in line}
+    return raises
+
+
+def test_iteration_cap_raises_in_both_passes(monkeypatch, tiny, tiny_design):
+    # With a cap of 0, an LP feasible at the slack basis raises from the
+    # primal loop, where the dual pass has nothing to do, and one
+    # infeasible there raises from the dual loop.
+    monkeypatch.setattr(solver, "_iteration_cap", lambda rows, columns: 0)
+    feasible = _model([[1.0, 1.0]], [4.0], [1.0, 2.0])
+    infeasible = _model([[-1.0, -1.0]], [-4.0], [-1.0, -2.0])
+
+    def solve_both():
+        for model in (feasible, infeasible):
+            with pytest.raises(NumericalError,
+                               match="simplex iteration limit reached"):
+                solve_milp(model)
+
+    raises = _cap_raises()
+    assert len(raises) == 2
+    assert raises <= _lines_run(solve_both)
+
+    # A sweep records each grid point that raises as a failure.
+    grid = (0.01, 0.1)
+    pool = sweep(tiny, tiny_design, grid, StochasticConfig(replications=2))
+    assert pool.solutions == []
+    assert [(f.epsilon, f.error) for f in pool.failures] == [
+        (eps, "simplex iteration limit reached") for eps in grid]
+
+
 def _sibling(model, rng):
     """The model with its right-hand sides and bounds moved at random.
     Rows with equal coefficients move together, so twin equalities stay
@@ -456,8 +494,9 @@ def _parity_model():
     return _model(rows, rhs, c, ub=[1.0] * 12, binary=np.arange(12))
 
 
-def test_node_limit_reported():
-    result = solve_milp(_parity_model(), node_limit=1)
+def test_node_limit_reported(monkeypatch):
+    monkeypatch.setattr(solver, "NODE_LIMIT", 1)
+    result = solve_milp(_parity_model())
     # The root is fractional and the rounding heuristic fails, so the
     # limit stops the search before any incumbent exists.
     assert result.status is Status.NODE_LIMIT

@@ -122,6 +122,21 @@ def test_bad_horizon_rejected():
         instance_from_dict(data)
 
 
+def test_mistyped_values_are_parse_errors():
+    # A whole number of another JSON type, or accessibility weights of
+    # null, are malformed, not out of range; the message names the key.
+    for edit, key in (
+            (lambda d: d.update(horizon="3"), r"instance\.horizon"),
+            (lambda d: d["regions"][0].update(residential_areas=[4]),
+             r"instance\.regions\[0\]\.residential_areas"),
+            (lambda d: d["regions"][0].update(accessibility_weights=None),
+             r"instance\.regions\[0\]\.accessibility_weights")):
+        data = tiny_dict()
+        edit(data)
+        with pytest.raises(ParseError, match=key):
+            instance_from_dict(data)
+
+
 def test_nonpositive_capacity_rejected():
     data = tiny_dict()
     data["regions"][0]["dcs"][0]["capacity"] = 0.0

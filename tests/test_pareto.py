@@ -1,12 +1,14 @@
 """Front extraction, the epsilon grid, CSV formats, and the sweep."""
 
 import math
+import multiprocessing
 import re
 import signal
 
 import numpy as np
 import pytest
 
+from chainforge import milp
 from chainforge.errors import DomainError, ParseError
 from chainforge.model import instance_from_dict
 from chainforge.pareto import (CSV_COLUMNS, epsilon_grid, extract_front,
@@ -296,17 +298,28 @@ def test_sweep_estimate_is_the_replications_mean(tiny, tiny_design, jobs):
     assert estimate.nodes == sum(r.nodes for r in results)
 
 
-def test_sweep_counts_node_limit_incumbents(tiny_design):
+def _assert_node_limit_incumbents_counted(tiny_design, monkeypatch, jobs):
     # These period models branch, so one node cannot finish.
     instance = instance_from_dict(branching_tiny_dict())
     grid = (0.01, 1.0)
-    capped = sweep(instance, tiny_design, grid,
-                   StochasticConfig(replications=2, node_limit=1, jobs=2))
     full = sweep(instance, tiny_design, grid, StochasticConfig(replications=2))
+    monkeypatch.setattr(milp, "NODE_LIMIT", 1)
+    capped = sweep(instance, tiny_design, grid,
+                   StochasticConfig(replications=2, jobs=jobs))
     assert [s.limit_hits for s in capped.solutions] == [2, 2]
     assert [s.limit_hits for s in full.solutions] == [0, 0]
     assert all(c.nodes < f.nodes
                for c, f in zip(capped.solutions, full.solutions))
+
+
+def test_sweep_counts_node_limit_incumbents(tiny_design, monkeypatch):
+    _assert_node_limit_incumbents_counted(tiny_design, monkeypatch, jobs=1)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers see the monkeypatch only when forked")
+def test_sweep_workers_count_node_limit_incumbents(tiny_design, monkeypatch):
+    _assert_node_limit_incumbents_counted(tiny_design, monkeypatch, jobs=2)
 
 
 def test_sweep_records_failures_and_continues(tiny, tiny_design,

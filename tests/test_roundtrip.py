@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import re
 from dataclasses import fields
 
 import pytest
@@ -13,7 +14,12 @@ from chainforge.desim import simulate
 from chainforge.errors import ConfigError, DomainError, ParseError
 from chainforge.gfa import (GfaResult, assign_linkages, load_design,
                             save_design)
-from chainforge.model import NetworkDesign, design_mismatches, instance_from_dict
+from chainforge.model import (DEFAULT_PERSONS_PER_AREA, AccessibilityWeights,
+                              Customer, DemandSpec, DistributionCenter,
+                              NetworkDesign, NetworkInstance,
+                              NormalizationScales, Nutrient, Region,
+                              SupplyLossSpec, Warehouse, design_mismatches,
+                              instance_from_dict)
 from chainforge.pareto import sweep
 from chainforge.stochastic import (OperationalPlan, StochasticConfig,
                                    default_initial_inventory, load_plan,
@@ -234,3 +240,160 @@ def test_a_design_with_one_defect_is_named_and_refused(defect, data):
     with pytest.raises(DomainError, match="design does not fit") as refused:
         sweep(instance, design, [0.01], StochasticConfig(replications=1))
     assert problem in str(refused.value)
+
+
+positive = st.integers(1, 10**6) | st.floats(1e-3, 1e6)
+nonnegative = st.integers(0, 10**6) | st.floats(0.0, 1e6)
+fraction = st.floats(0.0, 1.0)
+sites = st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2)
+SCALES = ("affordability", "transportation", "quality")
+
+
+@st.composite
+def demand_specs(draw):
+    """A normal demand spec with its spread given as variance or std."""
+    return {"family": "normal", "mean": draw(positive),
+            draw(st.sampled_from(["variance", "std"])): draw(nonnegative)}
+
+
+@st.composite
+def instance_documents(draw):
+    """An instance document on the tiny network's template: one to three
+    regions of one or two DCs and one to three customers each, with each
+    optional key drawn in or left out.  Per-customer demand, accessibility
+    weights, persons per area (per region and instance-wide),
+    normalization scales and path weights are drawn.  W1 prices every DC,
+    uniformly or one by one, and W2 uniformly or a drawn subset."""
+    data = tiny_dict()
+    template = data["regions"][0]
+    dcs, customers, regions = [], [], []
+    for r in range(draw(st.integers(1, 3))):
+        region = {**template, "id": f"R{r + 1}",
+                  "residential_areas": draw(st.integers(1, 10)),
+                  "unfulfilled_unit_cost": draw(nonnegative)}
+        del region["accessibility_weights"]
+        if draw(st.booleans()):
+            region["accessibility_weights"] = draw(
+                st.dictionaries(st.sampled_from(SCALES), nonnegative))
+        if draw(st.booleans()):
+            region["persons_per_area"] = draw(positive)
+        region["dcs"] = [
+            {"id": f"D{len(dcs) + i + 1}", "location": draw(sites),
+             "capacity": draw(positive), "inventory_unit_cost": draw(nonnegative)}
+            for i in range(draw(st.integers(1, 2)))]
+        region["customers"] = [
+            {"id": f"C{len(customers) + i + 1}", "location": draw(sites)}
+            for i in range(draw(st.integers(1, 3)))]
+        for customer in region["customers"]:
+            if draw(st.booleans()):
+                customer["demand"] = draw(demand_specs())
+        dcs += region["dcs"]
+        customers += region["customers"]
+        regions.append(region)
+    data["regions"] = regions
+    dc_ids = [dc["id"] for dc in dcs]
+    for warehouse, every in zip(data["warehouses"], (True, False)):
+        if draw(st.booleans()):
+            warehouse["order_unit_cost"] = draw(nonnegative)
+        else:
+            priced = dc_ids if every else draw(st.lists(
+                st.sampled_from(dc_ids), unique=True))
+            warehouse["order_unit_cost"] = {h: draw(nonnegative) for h in priced}
+    data["stochastic"]["demand"] = draw(demand_specs())
+    low, high = sorted(draw(st.lists(fraction, min_size=2, max_size=2)))
+    data["stochastic"]["supply_loss"].update(low=low, high=high)
+    data["horizon"] = draw(st.integers(1, 12))
+    data["safety_stock_fraction"] = draw(fraction)
+    del data["persons_per_area"]
+    if draw(st.booleans()):
+        data["persons_per_area"] = draw(positive)
+    if draw(st.booleans()):
+        data["normalization_scales"] = {key: draw(positive) for key in SCALES}
+    if draw(st.booleans()):
+        pairs = draw(st.lists(st.tuples(st.sampled_from(dc_ids), st.sampled_from(
+            [c["id"] for c in customers])), unique=True, max_size=4))
+        data["path_weights"] = [{"dc": h, "customer": c,
+                                 "factor": draw(nonnegative)} for h, c in pairs]
+    return data
+
+
+def expected_instance(document):
+    """The NetworkInstance that keeps every value of an instance
+    document, with the documented defaults where a key is left out."""
+    def demand(spec):
+        return DemandSpec(mean=spec["mean"], std=spec["std"] if "std" in spec
+                          else math.sqrt(spec["variance"]))
+
+    def location(obj):
+        return tuple(map(float, obj["location"]))
+
+    def cost(value):
+        return ({h: float(v) for h, v in value.items()}
+                if isinstance(value, dict) else float(value))
+
+    default = demand(document["stochastic"]["demand"])
+    persons = document.get("persons_per_area", DEFAULT_PERSONS_PER_AREA)
+    scales = document.get("normalization_scales")
+    return NetworkInstance(
+        warehouses=tuple(Warehouse(
+            id=w["id"], location=location(w), capacity=w["capacity"],
+            order_unit_cost=cost(w["order_unit_cost"]))
+            for w in document["warehouses"]),
+        regions=tuple(Region(
+            id=r["id"], local_food_cost=r["local_food_cost"],
+            average_income=r["average_income"],
+            residential_areas=r["residential_areas"],
+            persons_per_area=r.get("persons_per_area", persons),
+            unfulfilled_unit_cost=r["unfulfilled_unit_cost"],
+            weights=AccessibilityWeights(**r.get("accessibility_weights", {})),
+            dcs=tuple(DistributionCenter(
+                id=dc["id"], region_id=r["id"], location=location(dc),
+                capacity=dc["capacity"],
+                inventory_unit_cost=dc["inventory_unit_cost"])
+                for dc in r["dcs"]),
+            customers=tuple(Customer(
+                id=c["id"], region_id=r["id"], location=location(c),
+                demand=demand(c["demand"]) if "demand" in c else default)
+                for c in r["customers"]))
+            for r in document["regions"]),
+        nutrients=tuple(Nutrient(**n) for n in document["nutrients"]),
+        demand=default,
+        supply_loss=SupplyLossSpec(
+            low=document["stochastic"]["supply_loss"]["low"],
+            high=document["stochastic"]["supply_loss"]["high"]),
+        safety_stock_fraction=document["safety_stock_fraction"],
+        horizon=document["horizon"],
+        path_weights={(p["dc"], p["customer"]): p["factor"]
+                      for p in document.get("path_weights", [])},
+        normalization_scales=scales and NormalizationScales(**scales))
+
+
+@EXAMPLES
+@given(document=instance_documents())
+def test_generated_instance_document_loads_every_value(document):
+    assert instance_from_dict(document) == expected_instance(document)
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_instance_value_of_another_json_type_is_named(data):
+    # A warehouse's order_unit_cost is a number or an object; every
+    # other value has one JSON type.  An element of an [x, y] location
+    # is reported as the location.
+    document = data.draw(instance_documents())
+    place = data.draw(st.sampled_from(list(_places(document))))
+    *parents, key = place
+    holder = document
+    for step in parents:
+        holder = holder[step]
+    accepted = ({"number", "object"} if key == "order_unit_cost"
+                else {_json_type(holder[key])})
+    kind = data.draw(st.sampled_from(
+        [kind for kind in _JSON_TYPES if kind not in accepted]))
+    holder[key] = data.draw(_JSON_TYPES[kind])
+    if parents and parents[-1] == "location":
+        place = place[:-1]
+    named = "instance" + "".join(f"[{step}]" if isinstance(step, int)
+                                 else f".{step}" for step in place)
+    with pytest.raises(ParseError, match="^" + re.escape(named) + "[: ]"):
+        instance_from_dict(document)

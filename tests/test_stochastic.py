@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -307,6 +308,22 @@ def test_qatar_period_zero_model_bits_are_pinned(qatar, qatar_design):
         assert found == digests
 
 
+@pytest.mark.parametrize("safety_stock", [0.0, 0.4])
+def test_template_holds_a_few_copies_of_its_rows(generated, safety_stock):
+    # A row is built from the columns it touches, not picked out of an
+    # n x n identity, so building the template of a network with 1,500
+    # customers peaks at a few copies of its constraint matrix.
+    PeriodTemplate(*generated, safety_stock)    # lazy imports and caches
+    tracemalloc.start()
+    try:
+        template = PeriodTemplate(*generated, safety_stock)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert template.A.shape[1] > 1500
+    assert peak < 3 * template.A.nbytes
+
+
 def test_safety_stock_one_leaves_only_flows(tiny, tiny_design, qatar,
                                             qatar_design):
     # At safety stock 1 every band is one point, so each region's quality
@@ -520,8 +537,8 @@ def test_estimate_matched_seeds_reproducible(tiny, tiny_design):
 
 
 def test_worker_payload_survives_pickling(qatar, qatar_design):
-    # Spawn and forkserver workers receive the pool initializer's
-    # arguments pickled; fork workers inherit them.
+    # Each work item of the sweep's process pool carries the instance,
+    # design and config pickled.
     import pickle
 
     config = StochasticConfig(
@@ -630,9 +647,8 @@ def threads_after(*args):
 real, stochastic.summarize_seed = stochastic.summarize_seed, threads_after
 instance = instance_from_dict(json.loads(sys.argv[1]))
 design = assign_linkages(instance, {dc.id: dc.location for dc in instance.dcs()})
-print(stochastic.map_replications(instance, design,
-                                  stochastic.StochasticConfig(jobs=2),
-                                  [0.01], [1, 2]))
+config = stochastic.StochasticConfig(replications=2, jobs=2)
+print(stochastic.map_replications(instance, design, config, [0.01]))
 """
 
 
